@@ -43,7 +43,7 @@ from .harness import (
 from .languages import Language
 from .metrics import ALL_COMPONENTS
 from .pipeline import Modality, PipelineVariant, PromptStyle
-from .reports import render_report_table, report_to_json, rows_to_csv
+from .reports import dump_json, render_report_table, report_to_json, rows_to_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -301,10 +301,7 @@ def _run_ablate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     outcome = cmd_ablate(config, grid=args.grid)
     if config.fmt == "json":
-        sys.stdout.write(
-            json.dumps(outcome.summaries, ensure_ascii=False, indent=2, sort_keys=True)
-            + "\n"
-        )
+        sys.stdout.write(dump_json(outcome.summaries))
     else:
         sys.stdout.write(outcome.table)
     print(f"run directory: {outcome.run_dir}", file=sys.stderr)

@@ -35,6 +35,7 @@ from .errors import (
     ConfigError,
     DatasetValidationError,
     MavlError,
+    NumberRangeError,
     PipelineError,
     ProviderAuthError,
     ProviderError,
@@ -69,9 +70,10 @@ from .providers import (
 )
 from .reports import (
     EvaluationRow,
-    render_grid,
+    dump_json,
     render_report_table,
     render_stats_table,
+    report_payload,
     report_to_json,
     rows_to_csv,
 )
@@ -413,9 +415,13 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
                     continue
                 required = line.syllable_count
                 if required is None:
-                    required = syllables.count_syllables(
-                        config.source_lang, line.resolved_text
-                    )
+                    try:
+                        required = syllables.count_syllables(
+                            config.source_lang, line.resolved_text
+                        )
+                    except NumberRangeError as exc:
+                        failures.append(_failure(key, "data", f"source line: {exc}"))
+                        continue
                 tasks.append(
                     (
                         key,
@@ -678,22 +684,10 @@ MODALITY_GRID = [
 ]
 
 
-def stage_label(use_list: bool, use_refine: bool) -> str:
-    mark = lambda used: "✓" if used else "✗"
-    return mark(use_list) + mark(use_refine)
-
-
-def modality_label(mods: frozenset) -> str:
-    label = "T"
-    if Modality.AUDIO in mods:
-        label += "+A"
-    if Modality.VIDEO in mods:
-        label += "+V"
-    return label
-
-
 @dataclass
 class AblateOutcome:
+    """``summaries`` maps each variant label to what comparison.json holds."""
+
     run_dir: Path
     summaries: dict[str, dict]
     table: str
@@ -707,63 +701,42 @@ def _dataset_has_media(dataset: Dataset) -> bool:
     )
 
 
-def _summarize(rows: list[EvaluationRow]) -> dict:
-    pulled: dict[str, list[float]] = {
-        "se": [], "scd": [], "semantic": [], "phonetic": [], "mismatch": []
-    }
-    for row in rows:
-        for score in (row.original_score, row.dubbed_score):
-            if score is None:
-                continue
-            if score.se is not None:
-                pulled["se"].append(score.se)
-            if score.scd is not None:
-                pulled["scd"].append(score.scd)
-            if score.semantic is not None:
-                pulled["semantic"].append(score.semantic)
-            if score.phonetic is not None:
-                pulled["phonetic"].append(float(score.phonetic))
-            if score.mismatch is not None:
-                pulled["mismatch"].append(1.0 if score.mismatch else 0.0)
-    mean = lambda xs: (sum(xs) / len(xs)) if xs else None
-    return {
-        "lines": len(rows),
-        "error_rate": mean(pulled["mismatch"]),
-        "mean_se": mean(pulled["se"]),
-        "mean_scd": mean(pulled["scd"]),
-        "mean_semantic": mean(pulled["semantic"]),
-        "mean_phonetic": mean(pulled["phonetic"]),
-    }
-
-
 def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
+    """Translate and evaluate every variant of a grid, keyed by its label.
+
+    Each case's summary is its evaluate report, so the two reference kinds
+    and the languages stay apart exactly as in ``report.json``.
+    """
     config.require_paths()
     if grid not in {"stages", "modalities"}:
         raise ConfigError(f"unknown ablation grid {grid!r}")
+    if grid == "stages" and config.variant.style is PromptStyle.DIRECT:
+        # a direct prompt has no stages: all four cases would share one label
+        raise ConfigError("the stage grid needs a staged variant, not a direct one")
     dataset = _load_dataset(config.dataset_path)
     run_dir = make_run_dir(config, "ablate")
 
     if grid == "stages":
         cases = [
-            (stage_label(use_list, use_refine),
-             replace(config.variant, use_syllable_list=use_list, use_refine=use_refine),
+            (replace(config.variant, use_syllable_list=use_list, use_refine=use_refine),
              False)
             for use_list, use_refine in STAGE_GRID
         ]
     else:
         has_media = _dataset_has_media(dataset)
-        cases = []
-        for mods in MODALITY_GRID:
-            needs_media = mods != {Modality.TEXT}
-            skip = needs_media and not has_media
-            cases.append(
-                (modality_label(mods), replace(config.variant, modalities=mods), skip)
-            )
+        cases = [
+            (replace(config.variant, modalities=mods),
+             mods != {Modality.TEXT} and not has_media)
+            for mods in MODALITY_GRID
+        ]
 
     summaries: dict[str, dict] = {}
-    for label, variant, skip in cases:
+    blocks: list[str] = []
+    for variant, skip in cases:
+        label = variant.label()
         if skip:
             summaries[label] = {"skipped": "no media in dataset"}
+            blocks.append(f"{label}: skipped, no media in dataset\n")
             continue
         sub = replace(
             config,
@@ -772,35 +745,18 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
             failure_threshold=1.0,
         )
         translated = cmd_translate(sub)
-        evaluated = cmd_evaluate(sub, translated.hypotheses)
-        summary = _summarize(evaluated.rows)
-        summary["failures"] = len(translated.failures)
-        summaries[label] = summary
+        report = cmd_evaluate(sub, translated.hypotheses).report
+        summaries[label] = {
+            "failures": len(translated.failures),
+            "report": None if report is None else report_payload(report),
+        }
+        blocks.append(
+            f"{label}: no scored lines\n" if report is None else render_report_table(report)
+        )
 
-    col_labels = ["lines", "error rate", "mean SE", "mean SCD",
-                  "mean semantic", "mean phonetic"]
-    cells = []
-    row_labels = []
-    for label, _, _ in cases:
-        row_labels.append(label)
-        summary = summaries[label]
-        if "skipped" in summary:
-            cells.append(["skipped"] + ["-"] * (len(col_labels) - 1))
-            continue
-        row = [str(summary["lines"])]
-        for key in ("error_rate", "mean_se", "mean_scd",
-                    "mean_semantic", "mean_phonetic"):
-            value = summary[key]
-            row.append("-" if value is None else f"{value:.3f}")
-        cells.append(row)
-    header = "variant" if grid == "stages" else "modalities"
-    table = render_grid(header, col_labels, row_labels, cells)
-
+    table = "\n".join(blocks)
     atomic_write(run_dir / "comparison.txt", table)
-    atomic_write(
-        run_dir / "comparison.json",
-        json.dumps(summaries, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-    )
+    atomic_write(run_dir / "comparison.json", dump_json(summaries))
     return AblateOutcome(run_dir, summaries, table)
 
 

@@ -40,8 +40,6 @@ _DISPLAY_NAMES = {
     Language.JA: "Japanese",
 }
 
-ORIGINAL_LANGUAGE = Language.EN
-
 HANGUL_BLOCK_START = 0xAC00
 HANGUL_BLOCK_END = 0xD7A3
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import phonetics, syllables
-from .errors import EmbeddingError, MetricDomainError
+from .errors import EmbeddingError, MetricDomainError, NumberRangeError
 from .languages import Language
 
 Embedder = Callable[[list[str]], list[list[float]]]
@@ -61,15 +62,31 @@ def syllable_count_distance(c_ref: int, c_pred: int) -> float:
     return 0.5 * (diff / c_ref + diff / c_pred)
 
 
+# Below this, a sum of squares holds subnormal terms and has lost precision.
+_TINY_SUM_OF_SQUARES = sys.float_info.min / sys.float_info.epsilon
+
+
+def _max_abs_scaled(v: Sequence[float]) -> Sequence[float]:
+    top = max(abs(x) for x in v)
+    return [x / top for x in v] if top else v
+
+
 def cosine_similarity(e_gt: Sequence[float], e_pred: Sequence[float]) -> float:
     if len(e_gt) != len(e_pred):
         raise EmbeddingError(
             f"dimension mismatch: {len(e_gt)} vs {len(e_pred)}")
     if len(e_gt) == 0:
         raise EmbeddingError("empty vectors")
+    sq_gt = sum(x * x for x in e_gt)
+    sq_pred = sum(y * y for y in e_pred)
+    if sq_gt < _TINY_SUM_OF_SQUARES or sq_pred < _TINY_SUM_OF_SQUARES:
+        # cosine is scale-free; rescaling only here keeps the common path's bits
+        e_gt, e_pred = _max_abs_scaled(e_gt), _max_abs_scaled(e_pred)
+        sq_gt = sum(x * x for x in e_gt)
+        sq_pred = sum(y * y for y in e_pred)
     dot = sum(x * y for x, y in zip(e_gt, e_pred))
-    norm_gt = math.sqrt(sum(x * x for x in e_gt))
-    norm_pred = math.sqrt(sum(y * y for y in e_pred))
+    norm_gt = math.sqrt(sq_gt)
+    norm_pred = math.sqrt(sq_pred)
     if norm_gt == 0.0 or norm_pred == 0.0:
         raise EmbeddingError("zero vector has no direction")
     return max(-1.0, min(1.0, dot / (norm_gt * norm_pred)))
@@ -77,8 +94,10 @@ def cosine_similarity(e_gt: Sequence[float], e_pred: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class LineScore:
-    c_ref: int
-    c_pred: int
+    """``c_ref``/``c_pred`` are None when a text could not be counted."""
+
+    c_ref: int | None
+    c_pred: int | None
     reference_kind: ReferenceKind
     language: Language
     se: float | None = None
@@ -112,11 +131,19 @@ class LineScorer:
         unknown = set(components) - ALL_COMPONENTS
         if unknown:
             raise MetricDomainError(f"unknown components {sorted(unknown)}")
-        c_ref = syllables.count_syllables(lang_gt, gt_text, self.policy)
-        c_pred = syllables.count_syllables(lang_pred, pred_text, self.policy)
         errors: dict[str, str] = {}
+        counts: list[int | None] = []
+        for lang, text in ((lang_gt, gt_text), (lang_pred, pred_text)):
+            try:
+                counts.append(syllables.count_syllables(lang, text, self.policy))
+            except NumberRangeError as exc:
+                # one uncountable text leaves the other count set
+                counts.append(None)
+                if SYLLABIC in components:
+                    errors.setdefault(SYLLABIC, str(exc))
+        c_ref, c_pred = counts
         se = scd = mismatch = semantic = phonetic = None
-        if SYLLABIC in components:
+        if SYLLABIC in components and SYLLABIC not in errors:
             try:
                 se = syllable_error(c_ref, c_pred, self.params)
                 scd = syllable_count_distance(c_ref, c_pred)

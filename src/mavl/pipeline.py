@@ -4,8 +4,8 @@ A line is translated by prompting a model through a staged recipe: segment
 the source line into syllables, draft a target-language syllable list of the
 same length, refine it, then emit a single JSON payload with the final text.
 The model's claimed counts are never trusted; we recount every candidate with
-the syllable module and re-prompt (up to a bound) whenever the count misses
-or the payload is missing.
+the syllable module and re-prompt (up to a bound) whenever the count misses,
+the text cannot be counted, or the payload is missing.
 
 Prompts are assembled from text templates shipped with the package.  The
 templates carry a tiny conditional syntax so one file covers every variant:
@@ -28,7 +28,12 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple, Sequence
 
-from .errors import ConfigError, MissingFinalAnswerError, PipelineError
+from .errors import (
+    ConfigError,
+    MissingFinalAnswerError,
+    NumberRangeError,
+    PipelineError,
+)
 from .languages import Language
 from .providers import (
     GenerationConfig,
@@ -40,7 +45,7 @@ from .providers import (
     TraceStore,
     generate,
 )
-from .syllables import NormalizationPolicy, count_syllables
+from .syllables import count_syllables
 
 __all__ = [
     "Modality",
@@ -241,7 +246,10 @@ def build_prompt(task: TranslationTask, variant: PipelineVariant) -> str:
 
 
 _BRACKET_BLOCK = re.compile(r"\[[^\[\]]*\]")
-_JSON_OBJECT = re.compile(r"\{[^{}]*\}")
+# A payload is {"translation": <string>} with JSON whitespace around the parts.
+_PAYLOAD_OPEN = re.compile(r'\{[ \t\n\r]*"translation"[ \t\n\r]*:[ \t\n\r]*(?=")')
+_PAYLOAD_CLOSE = re.compile(r"[ \t\n\r]*\}")
+_DECODER = json.JSONDecoder()
 
 
 def _quoted_lists(raw: str) -> list[tuple[str, ...]]:
@@ -266,20 +274,17 @@ def _final_payload(raw: str) -> str | None:
 
     Last, not first: staged prompts contain an example payload inside the
     instructions, and models frequently restate before the real answer.
+    Only the string value is JSON-decoded, so braces inside it do not hide
+    the payload, and no reply costs more than one pass over its strings.
     """
-    final: str | None = None
-    for block in _JSON_OBJECT.findall(raw):
+    for opening in reversed(list(_PAYLOAD_OPEN.finditer(raw))):
         try:
-            value = json.loads(block)
+            value, end = _DECODER.raw_decode(raw, opening.end())
         except json.JSONDecodeError:
             continue
-        if (
-            isinstance(value, dict)
-            and set(value.keys()) == {"translation"}
-            and isinstance(value["translation"], str)
-        ):
-            final = value["translation"]
-    return final
+        if _PAYLOAD_CLOSE.match(raw, end):
+            return value
+    return None
 
 
 def _assemble_trace(raw: str, lists: Sequence[tuple[str, ...]], final: str | None) -> StageTrace:
@@ -310,6 +315,7 @@ def parse_trace(raw: str) -> StageTrace:
 
 
 def validate(result_text: str, task: TranslationTask) -> ValidationFlags:
+    """Recount a candidate; raises NumberRangeError if it cannot be counted."""
     stripped = result_text.strip()
     achieved = count_syllables(task.target_lang, stripped) if stripped else 0
     return ValidationFlags(
@@ -340,6 +346,14 @@ def _count_feedback(task: TranslationTask, flags: ValidationFlags, text: str) ->
     )
 
 
+def _uncountable_feedback(text: str, exc: NumberRangeError) -> str:
+    return (
+        f'The syllables of your final translation "{text}" could not be counted: '
+        f"{exc}. Please write every number out in words, and output the final "
+        "result as a single JSON in the same format."
+    )
+
+
 _FORMAT_FEEDBACK = (
     "Your previous response did not contain the final result as a single JSON "
     'object. Please output the final result in the format '
@@ -356,25 +370,20 @@ def translate_line(
     config: GenerationConfig | None = None,
     retry: RetryPolicy | None = None,
     trace_store: TraceStore | None = None,
-    policy: NormalizationPolicy | None = None,
     resend_media: bool = True,
     media_margin: float = 2.0,
 ) -> TranslationResult:
     """Translate one line, re-prompting until the syllable count lands.
 
     The loop issues at most ``1 + max_reprompts`` model calls.  A miss (wrong
-    count, or no parsable payload) appends the model's reply and a corrective
-    instruction to the running prompt, so refinement happens in context.  The
-    returned attempt is the best one seen: constraint met if possible,
-    otherwise the smallest count gap, earliest attempt on ties.
+    count, an answer that cannot be counted, or no parsable payload) appends
+    the model's reply and a corrective instruction to the running prompt, so
+    refinement happens in context.  The returned attempt is the best one
+    seen: constraint met if possible, otherwise the smallest count gap,
+    earliest attempt on ties.
     """
     if max_reprompts < 0:
         raise ConfigError("max_reprompts must be >= 0")
-    if policy is not None:
-        # recount with the caller's normalization choices
-        counter = lambda text: count_syllables(task.target_lang, text, policy=policy)
-    else:
-        counter = lambda text: count_syllables(task.target_lang, text)
 
     media = tuple(
         m.widened(media_margin)
@@ -389,6 +398,7 @@ def translate_line(
     all_lists: list[tuple[str, ...]] = []
     candidates: list[_Candidate] = []
     attempts = 0
+    uncountable = False
 
     for attempt in range(1, max_reprompts + 2):
         request = GenerationRequest(
@@ -412,24 +422,25 @@ def translate_line(
             feedback = _FORMAT_FEEDBACK
         else:
             stripped = final.strip()
-            achieved = counter(stripped) if stripped else 0
-            flags = ValidationFlags(
-                achieved_count=achieved,
-                constraint_met=achieved == task.required_count,
-                non_empty=bool(stripped),
-                single_line="\n" not in stripped,
-            )
-            candidates.append(_Candidate(attempt, stripped, flags))
-            if flags.constraint_met:
-                break
-            feedback = _count_feedback(task, flags, stripped)
+            try:
+                flags = validate(stripped, task)
+            except NumberRangeError as exc:
+                # an answer that cannot be counted cannot meet the constraint
+                uncountable = True
+                feedback = _uncountable_feedback(stripped, exc)
+            else:
+                candidates.append(_Candidate(attempt, stripped, flags))
+                if flags.constraint_met:
+                    break
+                feedback = _count_feedback(task, flags, stripped)
         conversation = f"{conversation}\n\n{raw}\n\n{feedback}"
 
     merged_raw = "\n\n".join(responses)
     if not candidates:
         trace = _assemble_trace(merged_raw, all_lists, None)
+        problem = "countable" if uncountable else "parsable"
         raise PipelineError(
-            f"no parsable final answer in {attempts} attempt(s)", trace=trace
+            f"no {problem} final answer in {attempts} attempt(s)", trace=trace
         )
 
     best = min(

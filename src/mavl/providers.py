@@ -143,32 +143,28 @@ class GenerationRequest:
 @dataclass(frozen=True)
 class EmbeddingRequest:
     texts: tuple[str, ...]
-    model_id: str = "default"
 
     def __post_init__(self) -> None:
         if not self.texts:
             raise EmbeddingError("embedding request needs at least one text")
 
 
-def request_digest(request: GenerationRequest | EmbeddingRequest) -> str:
+def request_digest(request: GenerationRequest) -> str:
     """Stable short fingerprint of a request, for trace correlation."""
-    if isinstance(request, GenerationRequest):
-        payload = {
-            "prompt": request.prompt_text,
-            "media": [
-                [m.kind.value, m.location, list(m.time_span) if m.time_span else None]
-                for m in request.media
-            ],
-            "config": [
-                request.config.temperature,
-                request.config.top_p,
-                request.config.top_k,
-                request.config.max_output_tokens,
-                request.config.presence_penalty,
-            ],
-        }
-    else:
-        payload = {"texts": list(request.texts), "model": request.model_id}
+    payload = {
+        "prompt": request.prompt_text,
+        "media": [
+            [m.kind.value, m.location, list(m.time_span) if m.time_span else None]
+            for m in request.media
+        ],
+        "config": [
+            request.config.temperature,
+            request.config.top_p,
+            request.config.top_k,
+            request.config.max_output_tokens,
+            request.config.presence_penalty,
+        ],
+    }
     blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -499,7 +495,7 @@ class RemoteProvider:
 
     def embed_batch(self, request: EmbeddingRequest) -> list[list[float]]:
         body = self._post(
-            "/embed", {"model": request.model_id, "texts": list(request.texts)}
+            "/embed", {"model": self.model_id, "texts": list(request.texts)}
         )
         try:
             return [list(map(float, v)) for v in body["vectors"]]

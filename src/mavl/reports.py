@@ -20,6 +20,8 @@ from .metrics import CorpusReport, GroupStats, LineScore, ReferenceKind
 __all__ = [
     "EvaluationRow",
     "rows_to_csv",
+    "report_payload",
+    "dump_json",
     "report_to_json",
     "render_report_table",
     "render_grid",
@@ -124,7 +126,8 @@ def rows_to_csv(rows: list[EvaluationRow]) -> str:
     return buf.getvalue()
 
 
-def report_to_json(report: CorpusReport) -> str:
+def report_payload(report: CorpusReport) -> dict:
+    """The report as plain JSON values; groups are keyed "<LANG>/<kind>"."""
     groups = {}
     for (lang, kind), stats in report.groups.items():
         groups[f"{lang.value}/{kind.value}"] = {
@@ -135,13 +138,20 @@ def report_to_json(report: CorpusReport) -> str:
             "mean_semantic": stats.mean_semantic,
             "mean_phonetic": stats.mean_phonetic,
         }
-    payload = {
+    return {
         "provider": report.provider,
         "line_count": report.line_count,
         "error_rate": report.error_rate,
         "groups": groups,
     }
+
+
+def dump_json(payload) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
+def report_to_json(report: CorpusReport) -> str:
+    return dump_json(report_payload(report))
 
 
 _METRIC_ROWS = [

@@ -15,6 +15,8 @@ from mavl.dataset import (
 )
 from mavl.errors import ConfigError, DatasetValidationError, ProviderAuthError
 from mavl.harness import (
+    MODALITY_GRID,
+    STAGE_GRID,
     HypothesisSet,
     RunConfig,
     ThresholdExceededError,
@@ -29,7 +31,7 @@ from mavl.harness import (
 )
 from mavl.languages import Language
 from mavl.metrics import ReferenceKind
-from mavl.pipeline import Modality, PipelineVariant
+from mavl.pipeline import Modality, PipelineVariant, PromptStyle
 
 
 def write_corpus(tmp_path, structure, media_url=None, name="corpus.json"):
@@ -75,6 +77,14 @@ def small_corpus(tmp_path, **kwargs):
         **kwargs,
     )
 
+
+# one reply that cannot be counted (1000000 is past the numeral expander)
+NUMERAL_SCRIPT = {
+    "keyed": {
+        "And there's a butterfly": ['{"translation": "나비 1000000"}'] * 3,
+        "Remember me": ['{"translation": "날 잊지 마 슬퍼하지는 마"}'],
+    }
+}
 
 GOOD_SCRIPT = {
     "keyed": {
@@ -329,7 +339,53 @@ class TestTranslate:
         )
 
 
+    def test_uncountable_reply_is_a_line_failure(self, tmp_path):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, NUMERAL_SCRIPT)
+        outcome = cmd_translate(base_config(corpus, script, tmp_path / "runs"))
+        assert outcome.failures == [
+            {"song_id": "alpha", "language": "KO", "section": 0, "line": 0,
+             "category": "pipeline",
+             "reason": "no countable final answer in 3 attempt(s)"},
+        ]
+        assert [r["line"] for r in outcome.line_results] == [1]
+        for name in ("hypotheses.jsonl", "failures.json", "results.jsonl"):
+            assert (outcome.run_dir / name).exists()
+
+    def test_uncountable_source_line_is_a_data_failure(self, tmp_path):
+        corpus = write_corpus(
+            tmp_path,
+            {"alpha": {Language.EN: [["And 1000000 butterflies",
+                                      "Remember me, don't let it make you cry"]]}},
+        )
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        outcome = cmd_translate(base_config(corpus, script, tmp_path / "runs"))
+        assert [(f["line"], f["category"]) for f in outcome.failures] == [(0, "data")]
+        assert "exceeds supported range" in outcome.failures[0]["reason"]
+        assert [r["line"] for r in outcome.line_results] == [1]
+
+
 class TestEvaluate:
+    def test_uncountable_hypothesis_is_a_component_error(self, tmp_path):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        config = base_config(corpus, script, tmp_path / "runs")
+        hyp = HypothesisSet(provenance="x")
+        hyp.entries[("alpha", Language.KO, 0, 0)] = "나비 1000000"
+        hyp.entries[("alpha", Language.KO, 0, 1)] = "날 잊지 마 슬퍼하지는 마"
+        outcome = cmd_evaluate(config, hyp)
+        bad = next(row for row in outcome.rows if row.line == 0)
+        for score in (bad.original_score, bad.dubbed_score):
+            assert (score.c_ref, score.c_pred) == (6, None)
+            assert "syllabic" in score.component_errors
+            assert score.semantic is not None and score.phonetic is not None
+        ko_dubbed = outcome.report.groups[(Language.KO, ReferenceKind.DUBBED)]
+        assert ko_dubbed.line_count == 2
+        assert ko_dubbed.error_rate == 0.0
+        assert (outcome.run_dir / "report.json").exists()
+        assert "exceeds supported range" in (
+            outcome.run_dir / "scores.csv").read_text(encoding="utf-8")
+
     def test_dubbed_self_comparison_zeros(self, tmp_path):
         corpus = small_corpus(tmp_path)
         script = write_script(tmp_path, GOOD_SCRIPT)
@@ -404,41 +460,135 @@ class TestEvaluate:
         assert first.run_dir != second.run_dir
 
 
+STAGE_LABELS = {
+    "T nolist+norefine", "T nolist+refine", "T list+norefine", "T list+refine",
+}
+MODALITY_LABELS = {
+    "T list+refine", "T+V list+refine", "T+A list+refine", "T+A+V list+refine",
+}
+
+
+def group_line_counts(summary):
+    return {
+        key: group["line_count"]
+        for key, group in summary["report"]["groups"].items()
+    }
+
+
 class TestAblate:
     def test_stage_grid_runs_four_variants(self, tmp_path):
         corpus = small_corpus(tmp_path)
         script = write_script(tmp_path, GOOD_SCRIPT)
         config = base_config(corpus, script, tmp_path / "runs")
         outcome = cmd_ablate(config, grid="stages")
-        assert set(outcome.summaries) == {"✗✗", "✗✓",
-                                          "✓✗", "✓✓"}
+        grid = [
+            PipelineVariant(use_syllable_list=use_list, use_refine=use_refine)
+            for use_list, use_refine in STAGE_GRID
+        ]
+        assert set(outcome.summaries) == STAGE_LABELS == {v.label() for v in grid}
         for summary in outcome.summaries.values():
-            assert summary["lines"] == 2
+            assert group_line_counts(summary) == {"KO/original_en": 2, "KO/dubbed": 2}
             assert summary["failures"] == 0
         sub_translates = list(outcome.run_dir.glob("translate-*"))
         assert len(sub_translates) == 4
-        assert (outcome.run_dir / "comparison.txt").exists()
+        assert (outcome.run_dir / "comparison.txt").read_text(
+            encoding="utf-8") == outcome.table
+        comparison = json.loads(
+            (outcome.run_dir / "comparison.json").read_text(encoding="utf-8"))
+        assert comparison == outcome.summaries
         for label in outcome.summaries:
-            assert label in outcome.table
+            assert f"provider: mock:{label}" in outcome.table.splitlines()
+
+    def test_summary_is_the_evaluate_report(self, tmp_path):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        config = base_config(corpus, script, tmp_path / "runs")
+        outcome = cmd_ablate(config, grid="stages")
+        written = {}
+        for sub in outcome.run_dir.glob("evaluate-*"):
+            report = json.loads((sub / "report.json").read_text(encoding="utf-8"))
+            written[report["provider"]] = report
+            assert (sub / "report.txt").read_text(encoding="utf-8") in outcome.table
+        assert written == {
+            f"mock:{label}": summary["report"]
+            for label, summary in outcome.summaries.items()
+        }
+
+    def test_references_stay_apart(self, tmp_path):
+        # the translation matches the EN count (6) but not the dub's (5)
+        corpus = write_corpus(
+            tmp_path,
+            {"alpha": {Language.EN: [["And there's a butterfly"]],
+                       Language.KO: [["나비 날아와"]]}},
+        )
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        config = base_config(corpus, script, tmp_path / "runs")
+        outcome = cmd_ablate(config, grid="stages")
+        for summary in outcome.summaries.values():
+            groups = summary["report"]["groups"]
+            assert set(groups) == {"KO/original_en", "KO/dubbed"}
+            assert groups["KO/original_en"]["line_count"] == 1
+            assert groups["KO/original_en"]["error_rate"] == 0.0
+            assert groups["KO/original_en"]["mean_se"] == 0.0
+            assert groups["KO/dubbed"]["line_count"] == 1
+            assert groups["KO/dubbed"]["error_rate"] == 1.0
+            assert groups["KO/dubbed"]["mean_se"] == 2.0
+
+    def test_comparison_files_identical_across_reruns(self, tmp_path):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        config = base_config(corpus, script, tmp_path / "runs")
+        first = cmd_ablate(config, grid="modalities")
+        second = cmd_ablate(config, grid="modalities")
+        assert first.run_dir != second.run_dir
+        for name in ("comparison.json", "comparison.txt"):
+            assert (first.run_dir / name).read_bytes() == (
+                second.run_dir / name).read_bytes()
+
+    def test_case_with_no_scored_lines(self, tmp_path):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, ["no payload here"] * 6)
+        config = base_config(corpus, script, tmp_path / "runs")
+        outcome = cmd_ablate(config, grid="stages")
+        assert outcome.summaries == {
+            label: {"failures": 2, "report": None} for label in STAGE_LABELS
+        }
+        for label in STAGE_LABELS:
+            assert f"{label}: no scored lines" in outcome.table.splitlines()
+
+    def test_stage_grid_rejects_direct_variant(self, tmp_path):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        config = base_config(
+            corpus, script, tmp_path / "runs",
+            variant=PipelineVariant(style=PromptStyle.DIRECT),
+        )
+        with pytest.raises(ConfigError):
+            cmd_ablate(config, grid="stages")
+        assert not (tmp_path / "runs").exists()
 
     def test_modality_grid_skips_av_without_media(self, tmp_path):
         corpus = small_corpus(tmp_path)
         script = write_script(tmp_path, GOOD_SCRIPT)
         config = base_config(corpus, script, tmp_path / "runs")
         outcome = cmd_ablate(config, grid="modalities")
-        assert set(outcome.summaries) == {"T", "T+A", "T+V", "T+A+V"}
-        assert "skipped" in outcome.summaries["T+A"]
-        assert "skipped" in outcome.summaries["T+A+V"]
-        assert outcome.summaries["T"]["lines"] == 2
-        assert "skipped" in outcome.table
+        grid = [PipelineVariant(modalities=mods) for mods in MODALITY_GRID]
+        assert set(outcome.summaries) == MODALITY_LABELS == {v.label() for v in grid}
+        for label in ("T+A list+refine", "T+V list+refine", "T+A+V list+refine"):
+            assert outcome.summaries[label] == {"skipped": "no media in dataset"}
+            assert f"{label}: skipped, no media in dataset" in outcome.table.splitlines()
+        assert group_line_counts(outcome.summaries["T list+refine"]) == {
+            "KO/original_en": 2, "KO/dubbed": 2,
+        }
 
     def test_modality_grid_runs_with_media(self, tmp_path):
         corpus = small_corpus(tmp_path, media_url="https://example.test/video.mp4")
         script = write_script(tmp_path, GOOD_SCRIPT)
         config = base_config(corpus, script, tmp_path / "runs")
         outcome = cmd_ablate(config, grid="modalities")
+        assert set(outcome.summaries) == MODALITY_LABELS
         for summary in outcome.summaries.values():
-            assert summary["lines"] == 2
+            assert group_line_counts(summary) == {"KO/original_en": 2, "KO/dubbed": 2}
 
     def test_unknown_grid_rejected(self, tmp_path):
         corpus = small_corpus(tmp_path)
@@ -495,6 +645,21 @@ class TestStats:
 
 
 class TestCli:
+    def test_uncountable_numerals_do_not_abort(self, tmp_path, capsys):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, NUMERAL_SCRIPT)
+        common = ["--dataset", str(corpus), "--target-lang", "KO",
+                  "--mock-script", str(script), "--out", str(tmp_path / "runs")]
+        assert main(["translate", *common]) == 0
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(
+            '{"provenance": "x"}\n'
+            '{"song_id": "alpha", "language": "KO", "section": 0, "line": 0, '
+            '"text": "나비 1000000"}\n',
+            encoding="utf-8",
+        )
+        assert main(["evaluate", *common, "--hypotheses", str(hyp)]) == 0
+
     def test_stats_command(self, tmp_path, capsys):
         corpus = small_corpus(tmp_path)
         assert main(["stats", "--dataset", str(corpus)]) == 0
@@ -646,5 +811,6 @@ class TestCli:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "✓✓" in out and "✗✗" in out
+        lines = capsys.readouterr().out.splitlines()
+        for label in STAGE_LABELS:
+            assert f"provider: mock:{label}" in lines

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mavl.errors import EmbeddingError, MetricDomainError
 from mavl.languages import Language
@@ -117,6 +117,9 @@ class TestCosine:
         assert -1.0 <= cosine_similarity(a, b) <= 1.0
 
     @given(vectors, st.floats(0.001, 1000))
+    # sums of squares that underflow into subnormals once lost precision
+    @example(a=[0.0, 1.6e-159], lam=0.001)
+    @example(a=[0.0, 1.5e-159], lam=0.125)
     def test_scale_invariant(self, a, lam):
         scaled_norm = self.norm([lam * x for x in a])
         if self.norm(a) == 0 or scaled_norm == 0:
@@ -173,6 +176,51 @@ class TestScoreLine:
         assert score.semantic is None
         assert "semantic" in score.component_errors
         assert score.se is not None
+
+    def test_uncountable_hypothesis_is_a_syllabic_error(self):
+        scorer = LineScorer(embedder=fake_embedder)
+        score = scorer.score_line("나비가 날아와", "나비 1000000",
+                                  Language.KO, Language.KO,
+                                  ReferenceKind.DUBBED)
+        assert (score.c_ref, score.c_pred) == (6, None)
+        assert score.se is None and score.scd is None and score.mismatch is None
+        assert "exceeds supported range" in score.component_errors[SYLLABIC]
+        assert score.semantic is not None
+        assert score.phonetic is not None
+        assert set(score.component_errors) == {SYLLABIC}
+
+    def test_uncountable_reference_keeps_the_hypothesis_count(self):
+        scorer = LineScorer(embedder=fake_embedder)
+        score = scorer.score_line("나비 1000000", "나비가 날아와",
+                                  Language.KO, Language.KO,
+                                  ReferenceKind.DUBBED)
+        assert (score.c_ref, score.c_pred) == (None, 6)
+        assert set(score.component_errors) == {SYLLABIC}
+
+    def test_uncountable_text_is_no_error_when_syllabic_not_requested(self):
+        scorer = LineScorer(embedder=fake_embedder)
+        score = scorer.score_line("나비가 날아와", "나비 1000000",
+                                  Language.KO, Language.KO,
+                                  ReferenceKind.DUBBED,
+                                  components=frozenset({"semantic"}))
+        assert (score.c_ref, score.c_pred) == (6, None)
+        assert score.semantic is not None
+        assert score.component_errors == {}
+
+    @given(st.one_of(st.text(), st.integers(0, 10**12).map(lambda n: f"나비 {n}")))
+    def test_any_hypothesis_scores_or_records_errors(self, hyp):
+        scorer = LineScorer(embedder=fake_embedder)
+        for gt, lang_gt, kind in (
+            ("And there's a butterfly", Language.EN, ReferenceKind.ORIGINAL_EN),
+            ("나비가 날아와", Language.KO, ReferenceKind.DUBBED),
+        ):
+            score = scorer.score_line(gt, hyp, lang_gt, Language.KO, kind)
+            if score.se is None:
+                assert SYLLABIC in score.component_errors
+            if score.semantic is None:
+                assert "semantic" in score.component_errors
+            if score.phonetic is None:
+                assert "phonetic" in score.component_errors
 
     def test_unknown_component(self):
         scorer = LineScorer()

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from mavl.errors import ConfigError, MissingFinalAnswerError, PipelineError
 from mavl.languages import Language
@@ -354,6 +357,10 @@ class TestParseTrace:
         with pytest.raises(MissingFinalAnswerError):
             parse_trace('{"translation": "x", "note": "y"}')
 
+    def test_braces_inside_the_translation(self):
+        raw = 'Draft: {"translation": "나비"}\nFinal: {"translation": "나비 {날아} 와"}'
+        assert parse_trace(raw).final_translation == "나비 {날아} 와"
+
 
 class TestValidate:
     def test_exact_count(self):
@@ -495,6 +502,77 @@ class TestTranslateLine:
         )
         assert provider.requests[0].media
         assert provider.requests[1].media == ()
+
+    def test_brace_in_translation_accepted_on_first_attempt(self):
+        provider = RecordingProvider(['{"translation": "나비 {날아} 와"}'])
+        result = translate_line(
+            butterfly_task(required_count=5), PipelineVariant(modalities=TEXT),
+            provider,
+        )
+        assert result.translation == "나비 {날아} 와"
+        assert result.attempts == 1
+        assert result.constraint_met is True
+
+    def test_uncountable_answer_is_reprompted_with_the_error(self):
+        provider = RecordingProvider(
+            ['{"translation": "나비 1000000"}', '{"translation": "나비가 날아와"}']
+        )
+        result = translate_line(
+            butterfly_task(), PipelineVariant(modalities=TEXT), provider
+        )
+        assert result.translation == "나비가 날아와"
+        assert result.attempts == 2
+        second_prompt = provider.requests[1].prompt_text
+        assert "could not be counted" in second_prompt
+        assert "1000000" in second_prompt
+
+    def test_only_uncountable_answers_is_pipeline_error(self):
+        provider = RecordingProvider(['{"translation": "나비 1000000"}'] * 3)
+        with pytest.raises(PipelineError, match="no countable final answer in 3"):
+            translate_line(
+                butterfly_task(), PipelineVariant(modalities=TEXT), provider,
+                max_reprompts=2,
+            )
+
+    def test_deeply_nested_reply_is_pipeline_error(self):
+        provider = RecordingProvider(['{"a":' * 5000] * 2)
+        with pytest.raises(PipelineError, match="no parsable final answer in 2"):
+            translate_line(
+                butterfly_task(), PipelineVariant(modalities=TEXT), provider,
+                max_reprompts=1,
+            )
+
+    def test_payload_after_deep_nesting_is_found(self):
+        reply = '{"a":' * 5000 + '\n{"translation": "나비가 날아와"}'
+        result = translate_line(
+            butterfly_task(), PipelineVariant(modalities=TEXT),
+            RecordingProvider([reply]),
+        )
+        assert result.translation == "나비가 날아와"
+        assert result.attempts == 1
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.integers(1, 5000).map(lambda n: '{"a":' * n),
+            st.integers(1, 5000).map(lambda n: '{"translation":' * n),
+            st.text().map(lambda t: json.dumps({"translation": t}, ensure_ascii=False)),
+            st.integers(0, 10**12).map(
+                lambda n: json.dumps({"translation": f"나비 {n}"}, ensure_ascii=False)
+            ),
+        )
+    )
+    def test_any_reply_returns_or_raises_pipeline_error(self, reply):
+        provider = RecordingProvider([reply] * 3)
+        try:
+            result = translate_line(
+                butterfly_task(), PipelineVariant(modalities=TEXT), provider,
+                max_reprompts=2,
+            )
+        except PipelineError:
+            return
+        flags = validate(result.translation, butterfly_task())
+        assert result.achieved_count == flags.achieved_count
 
     def test_mock_determinism(self):
         def run():

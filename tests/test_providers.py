@@ -334,10 +334,10 @@ class TestRemoteProvider:
         provider, calls = self.make(
             monkeypatch, [FakeResponse(body={"vectors": [[0.1, 0.2]]})]
         )
-        vectors = provider.embed_batch(EmbeddingRequest(("hola",), model_id="emb-1"))
+        vectors = provider.embed_batch(EmbeddingRequest(("hola",)))
         assert vectors == [[0.1, 0.2]]
         assert calls[0]["url"].endswith("/embed")
-        assert calls[0]["json"]["model"] == "emb-1"
+        assert calls[0]["json"] == {"model": "lyric-xl", "texts": ["hola"]}
 
     def test_malformed_body_is_provider_error(self, monkeypatch):
         provider, _ = self.make(monkeypatch, [FakeResponse(body={"oops": 1})])
