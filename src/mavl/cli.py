@@ -38,6 +38,7 @@ from .harness import (
     cmd_evaluate,
     cmd_stats,
     cmd_translate,
+    _eval_languages,
     _load_dataset,
 )
 from .languages import Language
@@ -263,10 +264,7 @@ def _load_hypotheses(args: argparse.Namespace, config: RunConfig) -> HypothesisS
         raise ConfigError("pass either --hypotheses or --from-dubbed, not both")
     if args.from_dubbed:
         dataset = _load_dataset(config.dataset_path)
-        languages = list(config.target_langs) or [
-            lang for lang in Language if lang is not config.source_lang
-        ]
-        return HypothesisSet.from_dubbed(dataset, languages)
+        return HypothesisSet.from_dubbed(dataset, _eval_languages(config, dataset))
     if not args.hypotheses:
         raise ConfigError("evaluate needs --hypotheses or --from-dubbed")
     try:

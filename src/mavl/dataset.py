@@ -128,34 +128,27 @@ def reconstruct_song(entry: SongEntry, candidate_lines: list[str],
     for section in entry.sections:
         lines: list[LyricLine] = []
         for line in section.lines:
-            if line.resolved_text is not None:
-                cursor = _advance(line.rep, candidate_lines, cursor,
-                                  entry.language, tokenizer)
-                lines.append(replace(line))
-                continue
-            found = None
-            for j in range(cursor, len(candidate_lines)):
-                if match_line(line.rep, candidate_lines[j], entry.language,
-                              tokenizer):
-                    found = j
-                    break
-            if found is None:
-                unmatched.append((section.index, line.index))
-                lines.append(replace(line))
-            else:
+            found = _find_candidate(line.rep, candidate_lines, cursor,
+                                    entry.language, tokenizer)
+            text = line.resolved_text
+            if found is not None:
                 cursor = found + 1
-                lines.append(replace(line,
-                                     resolved_text=candidate_lines[found]))
+                if text is None:
+                    text = candidate_lines[found]
+            elif text is None:
+                unmatched.append((section.index, line.index))
+            lines.append(replace(line, resolved_text=text))
         sections.append(replace(section, lines=lines))
     return replace(entry, sections=sections), unmatched
 
 
-def _advance(rep: CompactLineRep, candidates: list[str], cursor: int,
-             lang: Language, tokenizer: TokenizerHandle) -> int:
-    for j in range(cursor, len(candidates)):
+def _find_candidate(rep: CompactLineRep, candidates: list[str], start: int,
+                    lang: Language, tokenizer: TokenizerHandle) -> int | None:
+    """Index of the first candidate at or after ``start`` matching ``rep``."""
+    for j in range(start, len(candidates)):
         if match_line(rep, candidates[j], lang, tokenizer):
-            return j + 1
-    return cursor
+            return j
+    return None
 
 
 # ----------------------------------------------------------- parse side

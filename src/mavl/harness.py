@@ -20,6 +20,7 @@ import os
 import random
 import tempfile
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 
 from . import syllables
@@ -214,23 +215,12 @@ class HypothesisSet:
     entries: dict[LineKey, str] = field(default_factory=dict)
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"provenance": self.provenance}, ensure_ascii=False)]
-        for (song_id, lang, section, line), text in sorted(
-            self.entries.items(), key=lambda kv: (kv[0][0], kv[0][1].value, kv[0][2], kv[0][3])
-        ):
-            lines.append(
-                json.dumps(
-                    {
-                        "song_id": song_id,
-                        "language": lang.value,
-                        "section": section,
-                        "line": line,
-                        "text": text,
-                    },
-                    ensure_ascii=False,
-                )
-            )
-        return "\n".join(lines) + "\n"
+        records = sorted(
+            (_key_fields(key, text=text) for key, text in self.entries.items()),
+            key=_RECORD_ORDER,
+        )
+        lines = [{"provenance": self.provenance}] + records
+        return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "HypothesisSet":
@@ -295,6 +285,16 @@ def _find_line(entry: SongEntry, section_index: int, line_index: int) -> LyricLi
                 if line.index == line_index:
                     return line
     return None
+
+
+def _key_fields(key: LineKey, **fields) -> dict:
+    """A per-line output record: the line key's four fields, then ``fields``."""
+    song_id, lang, section, line = key
+    return {"song_id": song_id, "language": lang.value, "section": section,
+            "line": line, **fields}
+
+
+_RECORD_ORDER = itemgetter("song_id", "language", "section", "line")
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +386,14 @@ def _line_media(entry: SongEntry, line: LyricLine) -> tuple[MediaAttachment, ...
     )
 
 
-def cmd_translate(config: RunConfig) -> TranslateOutcome:
-    config.require_paths()
-    dataset = _load_dataset(config.dataset_path)
-    run_dir = make_run_dir(config, "translate")
-    hyp = HypothesisSet(provenance=f"{config.provider}:{config.variant.label()}")
+def _translation_tasks(
+    config: RunConfig, dataset: Dataset
+) -> tuple[list[tuple[LineKey, TranslationTask]], list[dict], list[str]]:
+    """One task per (source line, target); a line that cannot be a task is a
+    ``data`` failure, so it never aborts the run."""
+    tasks: list[tuple[LineKey, TranslationTask]] = []
     failures: list[dict] = []
     warnings: list[str] = []
-
-    if not config.target_langs:
-        warnings.append("no target languages selected; nothing to translate")
-        atomic_write(run_dir / "hypotheses.jsonl", hyp.to_jsonl())
-        atomic_write(run_dir / "failures.json", "[]\n")
-        _write_config_echo(run_dir, config)
-        return TranslateOutcome(run_dir, hyp, failures, [], warnings)
-
-    tasks: list[tuple[LineKey, TranslationTask]] = []
     for song_id in sorted(dataset.songs):
         entry = dataset.songs[song_id].get(config.source_lang)
         if entry is None:
@@ -422,21 +414,34 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
                     except NumberRangeError as exc:
                         failures.append(_failure(key, "data", f"source line: {exc}"))
                         continue
-                tasks.append(
-                    (
-                        key,
-                        TranslationTask(
-                            source_text=line.resolved_text,
-                            source_lang=config.source_lang,
-                            target_lang=target,
-                            required_count=required,
-                            media=_line_media(entry, line),
-                            task_id=f"{song_id}/{target.value}/{section.index}/{line.index}",
-                        ),
-                    )
+                if required < 1:
+                    reason = "source line has no countable syllables"
+                    failures.append(_failure(key, "data", reason))
+                    continue
+                task = TranslationTask(
+                    source_text=line.resolved_text,
+                    source_lang=config.source_lang,
+                    target_lang=target,
+                    required_count=required,
+                    media=_line_media(entry, line),
+                    task_id=f"{song_id}/{target.value}/{section.index}/{line.index}",
                 )
+                tasks.append((key, task))
+    return tasks, failures, warnings
 
-    provider = _generation_provider(config)
+
+def cmd_translate(config: RunConfig) -> TranslateOutcome:
+    config.require_paths()
+    dataset = _load_dataset(config.dataset_path)
+    run_dir = make_run_dir(config, "translate")
+    hyp = HypothesisSet(provenance=f"{config.provider}:{config.variant.label()}")
+
+    if config.target_langs:
+        tasks, failures, warnings = _translation_tasks(config, dataset)
+        provider = _generation_provider(config)
+    else:
+        tasks, failures, provider = [], [], None
+        warnings = ["no target languages selected; nothing to translate"]
     trace = TraceStore(str(run_dir / "trace.jsonl"))
     retry = RetryPolicy()
 
@@ -470,17 +475,14 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
         if status == "ok":
             hyp.entries[key] = payload.translation
             line_results.append(
-                {
-                    "song_id": key[0],
-                    "language": key[1].value,
-                    "section": key[2],
-                    "line": key[3],
-                    "translation": payload.translation,
-                    "required_count": payload.task.required_count,
-                    "achieved_count": payload.achieved_count,
-                    "constraint_met": payload.constraint_met,
-                    "attempts": payload.attempts,
-                }
+                _key_fields(
+                    key,
+                    translation=payload.translation,
+                    required_count=payload.task.required_count,
+                    achieved_count=payload.achieved_count,
+                    constraint_met=payload.constraint_met,
+                    attempts=payload.attempts,
+                )
             )
         else:
             if status == "provider":
@@ -488,10 +490,8 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
             failures.append(_failure(key, status, payload))
 
     total = len(tasks) + sum(1 for f in failures if f["category"] == "data")
-    failures.sort(key=lambda f: (f["song_id"], f["language"], f["section"], f["line"]))
-    line_results.sort(
-        key=lambda r: (r["song_id"], r["language"], r["section"], r["line"])
-    )
+    failures.sort(key=_RECORD_ORDER)
+    line_results.sort(key=_RECORD_ORDER)
 
     atomic_write(run_dir / "hypotheses.jsonl", hyp.to_jsonl())
     atomic_write(
@@ -518,14 +518,7 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
 
 
 def _failure(key: LineKey, category: str, reason: str) -> dict:
-    return {
-        "song_id": key[0],
-        "language": key[1].value,
-        "section": key[2],
-        "line": key[3],
-        "category": category,
-        "reason": reason,
-    }
+    return _key_fields(key, category=category, reason=reason)
 
 
 def _write_config_echo(run_dir: Path, config: RunConfig) -> None:
@@ -544,7 +537,10 @@ class EvaluateOutcome:
     run_dir: Path
     rows: list[EvaluationRow]
     report: object
-    skipped: int = 0
+
+    @property
+    def skipped(self) -> int:
+        return sum(1 for row in self.rows if row.skip_reason)
 
 
 def _eval_languages(config: RunConfig, dataset: Dataset) -> list[Language]:
@@ -578,8 +574,6 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet) -> EvaluateOutcome:
     languages = _eval_languages(config, dataset)
     rows: list[EvaluationRow] = []
     scores: list[LineScore] = []
-    skipped = 0
-
     for song_id in sorted(dataset.songs):
         entries = dataset.songs[song_id]
         entry_en = entries.get(config.source_lang)
@@ -588,66 +582,27 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet) -> EvaluateOutcome:
             if entry is None:
                 continue
             for section, line in entry.lines():
-                key: LineKey = (song_id, lang, section.index, line.index)
-                hyp_text = hyp.entries.get(key)
-                original_text = None
-                if entry_en is not None:
-                    en_line = _find_line(entry_en, section.index, line.index)
-                    if en_line is not None:
-                        original_text = en_line.resolved_text
-                dubbed_text = line.resolved_text
-
+                en_line = entry_en and _find_line(entry_en, section.index, line.index)
+                original_text = en_line and en_line.resolved_text
+                # reference kind -> (reference language, text or None)
+                references = {
+                    ReferenceKind.ORIGINAL_EN: (config.source_lang, original_text),
+                    ReferenceKind.DUBBED: (lang, line.resolved_text),
+                }
+                hyp_text = hyp.entries.get((song_id, lang, section.index, line.index))
+                skip_reason = None
                 if hyp_text is None:
-                    skipped += 1
-                    rows.append(
-                        EvaluationRow(
-                            song_id=song_id,
-                            language=lang,
-                            section=section.index,
-                            line=line.index,
-                            skip_reason="no hypothesis for this line",
-                            original_reference=original_text,
-                            dubbed_reference=dubbed_text,
+                    skip_reason = "no hypothesis for this line"
+                elif all(text is None for _, text in references.values()):
+                    skip_reason = "no reference text for this line"
+                line_scores: dict[ReferenceKind, LineScore] = {}
+                for kind, (ref_lang, ref_text) in references.items():
+                    if skip_reason is None and ref_text is not None:
+                        line_scores[kind] = scorer.score_line(
+                            ref_text, hyp_text, ref_lang, lang, kind,
+                            components=config.components, song_id=song_id,
                         )
-                    )
-                    continue
-                if original_text is None and dubbed_text is None:
-                    skipped += 1
-                    rows.append(
-                        EvaluationRow(
-                            song_id=song_id,
-                            language=lang,
-                            section=section.index,
-                            line=line.index,
-                            hypothesis=hyp_text,
-                            skip_reason="no reference text for this line",
-                        )
-                    )
-                    continue
-
-                original_score = dubbed_score = None
-                if original_text is not None:
-                    original_score = scorer.score_line(
-                        original_text,
-                        hyp_text,
-                        config.source_lang,
-                        lang,
-                        ReferenceKind.ORIGINAL_EN,
-                        components=config.components,
-                        song_id=song_id,
-                    )
-                    scores.append(original_score)
-                if dubbed_text is not None:
-                    dubbed_score = scorer.score_line(
-                        dubbed_text,
-                        hyp_text,
-                        lang,
-                        lang,
-                        ReferenceKind.DUBBED,
-                        components=config.components,
-                        song_id=song_id,
-                    )
-                    scores.append(dubbed_score)
+                        scores.append(line_scores[kind])
                 rows.append(
                     EvaluationRow(
                         song_id=song_id,
@@ -655,10 +610,11 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet) -> EvaluateOutcome:
                         section=section.index,
                         line=line.index,
                         hypothesis=hyp_text,
+                        skip_reason=skip_reason,
                         original_reference=original_text,
-                        dubbed_reference=dubbed_text,
-                        original_score=original_score,
-                        dubbed_score=dubbed_score,
+                        dubbed_reference=line.resolved_text,
+                        original_score=line_scores.get(ReferenceKind.ORIGINAL_EN),
+                        dubbed_score=line_scores.get(ReferenceKind.DUBBED),
                     )
                 )
 
@@ -668,7 +624,7 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet) -> EvaluateOutcome:
         atomic_write(run_dir / "report.json", report_to_json(report))
         atomic_write(run_dir / "report.txt", render_report_table(report))
     _write_config_echo(run_dir, config)
-    return EvaluateOutcome(run_dir, rows, report, skipped)
+    return EvaluateOutcome(run_dir, rows, report)
 
 
 # ---------------------------------------------------------------------------

@@ -114,14 +114,11 @@ class LineScorer:
     """Bundles the providers needed to score lines.
 
     ``embedder`` maps a list of texts to one vector each; without it
-    the semantic component reports an error instead of a value. G2P
-    rules default to the shipped tables.
+    the semantic component reports an error instead of a value.
     """
 
     params: SyllableErrorParams = field(default_factory=SyllableErrorParams)
-    policy: syllables.NormalizationPolicy = syllables.DEFAULT_POLICY
     embedder: Embedder | None = None
-    rules_by_lang: dict[Language, phonetics.G2PRuleSet] | None = None
 
     def score_line(self, gt_text: str, pred_text: str,
                    lang_gt: Language, lang_pred: Language,
@@ -135,7 +132,7 @@ class LineScorer:
         counts: list[int | None] = []
         for lang, text in ((lang_gt, gt_text), (lang_pred, pred_text)):
             try:
-                counts.append(syllables.count_syllables(lang, text, self.policy))
+                counts.append(syllables.count_syllables(lang, text))
             except NumberRangeError as exc:
                 # one uncountable text leaves the other count set
                 counts.append(None)
@@ -159,8 +156,7 @@ class LineScorer:
         if PHONETIC in components:
             try:
                 phonetic = phonetics.phonetic_distance(
-                    lang_gt, gt_text, lang_pred, pred_text,
-                    self.rules_by_lang)
+                    lang_gt, gt_text, lang_pred, pred_text)
             except Exception as exc:
                 errors[PHONETIC] = str(exc)
         return LineScore(c_ref=c_ref, c_pred=c_pred,

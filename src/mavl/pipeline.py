@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -36,7 +36,6 @@ from .errors import (
 )
 from .languages import Language
 from .providers import (
-    GenerationConfig,
     GenerationProvider,
     GenerationRequest,
     MediaAttachment,
@@ -354,6 +353,9 @@ def _uncountable_feedback(text: str, exc: NumberRangeError) -> str:
     )
 
 
+# Seconds of context added on each side of a line's media span.
+MEDIA_MARGIN_S = 2.0
+
 _FORMAT_FEEDBACK = (
     "Your previous response did not contain the final result as a single JSON "
     'object. Please output the final result in the format '
@@ -367,11 +369,9 @@ def translate_line(
     provider: GenerationProvider,
     *,
     max_reprompts: int = 2,
-    config: GenerationConfig | None = None,
     retry: RetryPolicy | None = None,
     trace_store: TraceStore | None = None,
     resend_media: bool = True,
-    media_margin: float = 2.0,
 ) -> TranslationResult:
     """Translate one line, re-prompting until the syllable count lands.
 
@@ -386,12 +386,11 @@ def translate_line(
         raise ConfigError("max_reprompts must be >= 0")
 
     media = tuple(
-        m.widened(media_margin)
+        m.widened(MEDIA_MARGIN_S)
         for m in task.media
         if (m.kind is MediaKind.AUDIO and variant.has_audio)
         or (m.kind is MediaKind.VIDEO and variant.has_video)
     )
-    config = config or GenerationConfig()
 
     conversation = build_prompt(task, variant)
     responses: list[str] = []
@@ -404,7 +403,6 @@ def translate_line(
         request = GenerationRequest(
             prompt_text=conversation,
             media=media if (attempt == 1 or resend_media) else (),
-            config=config,
         )
         raw = generate(
             request,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dataset import StatsReport
 from .languages import Language
@@ -45,7 +45,6 @@ class EvaluationRow:
     dubbed_reference: str | None = None
     original_score: LineScore | None = None
     dubbed_score: LineScore | None = None
-    notes: dict = field(default_factory=dict)
 
     @property
     def status(self) -> str:
@@ -65,21 +64,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_SCORE_FIELDS = ["c_ref", "c_pred", "se", "scd", "mismatch", "semantic", "phonetic"]
+
+
 def _score_cells(score: LineScore | None) -> list[str]:
     if score is None:
-        return [""] * 7
-    return [
-        _fmt(score.c_ref),
-        _fmt(score.c_pred),
-        _fmt(score.se),
-        _fmt(score.scd),
-        _fmt(score.mismatch),
-        _fmt(score.semantic),
-        _fmt(score.phonetic),
-    ]
+        return [""] * len(_SCORE_FIELDS)
+    return [_fmt(getattr(score, name)) for name in _SCORE_FIELDS]
 
-
-_SCORE_FIELDS = ["c_ref", "c_pred", "se", "scd", "mismatch", "semantic", "phonetic"]
 
 CSV_HEADER = (
     ["song_id", "language", "section", "line", "status", "skip_reason", "hypothesis"]
@@ -193,26 +185,24 @@ def render_grid(title: str, col_labels: list[str], row_labels: list[str],
     return "\n".join(lines) + "\n"
 
 
-def render_report_table(report: CorpusReport,
-                        languages: list[Language] | None = None) -> str:
+def render_report_table(report: CorpusReport) -> str:
     """Metric-by-language grid, one block per reference kind.
 
     Languages with no scored lines show dashes so the layout is stable no
     matter which subset of the corpus was evaluated.
     """
-    languages = languages or LANGUAGE_ORDER
     blocks = []
     for kind in (ReferenceKind.ORIGINAL_EN, ReferenceKind.DUBBED):
         cells = []
         for label, attr, fmt in _METRIC_ROWS:
             row = []
-            for lang in languages:
+            for lang in LANGUAGE_ORDER:
                 stats = report.groups.get((lang, kind))
                 row.append(_stat_cell(stats, attr, fmt))
             cells.append(row)
         title = f"vs {kind.value}"
         blocks.append(
-            render_grid(title, [lang.value for lang in languages],
+            render_grid(title, [lang.value for lang in LANGUAGE_ORDER],
                         [label for label, _, _ in _METRIC_ROWS], cells)
         )
     footer = ""
@@ -221,24 +211,22 @@ def render_report_table(report: CorpusReport,
     return "\n".join(blocks) + footer
 
 
-def render_stats_table(stats: StatsReport,
-                       languages: list[Language] | None = None) -> str:
+def render_stats_table(stats: StatsReport) -> str:
     """Songs/sections/lines per language.
 
     A language absent from a non-empty corpus renders as dashes; a fully
     empty corpus renders zeros (nothing is "missing", there is just no data).
     """
-    languages = languages or LANGUAGE_ORDER
     empty_corpus = not stats.per_language
     cells = []
     row_labels = ["songs", "sections", "lines"]
     for attr in row_labels:
         row = []
-        for lang in languages:
+        for lang in LANGUAGE_ORDER:
             per = stats.per_language.get(lang)
             if per is None:
                 row.append("0" if empty_corpus else "-")
             else:
                 row.append(str(getattr(per, attr)))
         cells.append(row)
-    return render_grid("", [lang.value for lang in languages], row_labels, cells)
+    return render_grid("", [lang.value for lang in LANGUAGE_ORDER], row_labels, cells)

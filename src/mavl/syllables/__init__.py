@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..errors import NumberRangeError
 from ..languages import Language
 from . import common, english, french, japanese, korean, spanish
 from .lexicon import Lexicon, load_lexicon, parse_lexicon, shipped_lexicon
@@ -57,7 +58,7 @@ def normalize(lang: Language, text: str,
     if policy.expand_numbers:
         glue = "" if lang in (Language.KO, Language.JA) else " "
         out = _DIGITS.sub(
-            lambda m: f"{glue}{expand_number(lang, int(m.group()))}{glue}", out)
+            lambda m: f"{glue}{_spell_digits(lang, m.group())}{glue}", out)
     if lang is Language.JA:
         out = japanese.apply_annotations(out)
     if policy.strip_punctuation_for_counting:
@@ -70,6 +71,19 @@ def normalize(lang: Language, text: str,
                 table[ord(ch)] = " "
         out = out.translate(table)
     return " ".join(out.split())
+
+
+def _spell_digits(lang: Language, digits: str) -> str:
+    """Cardinal words for a digit run; raises NumberRangeError past the range.
+
+    A run too long to be in range is refused before ``int()``, which cannot
+    parse runs past the interpreter's digit limit; leading zeros don't count.
+    """
+    significant = digits.lstrip("0")
+    if len(significant) > len(str(MAX_SUPPORTED)):
+        raise NumberRangeError(
+            f"{len(significant)}-digit number exceeds supported range {MAX_SUPPORTED}")
+    return expand_number(lang, int(significant or "0"))
 
 
 def count_syllables(lang: Language, text: str,

@@ -99,8 +99,3 @@ def segment_word(core: str) -> list[str]:
     if suffix:
         units[-1] += suffix
     return units
-
-
-def count_word(core: str) -> int:
-    body, _ = strip_contraction(core)
-    return max(1, len(nuclei(body.lower())))

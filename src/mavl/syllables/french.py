@@ -81,7 +81,3 @@ def segment_word(core: str, *, mute_final_e: bool = True) -> list[str]:
     spans = nuclei(core.lower(), mute_final_e=mute_final_e)
     units = split_on_nuclei(core, spans, CLUSTERS)
     return units if units else [core]
-
-
-def count_word(core: str, *, mute_final_e: bool = True) -> int:
-    return max(1, len(nuclei(core.lower(), mute_final_e=mute_final_e)))

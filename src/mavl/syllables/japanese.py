@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Protocol
 
-from ..languages import is_kana, is_kanji, katakana_to_hiragana
+from ..languages import is_kana, is_kanji
 
 _SMALL_KANA = set("ぁぃぅぇぉゃゅょゎァィゥェォャュョヮ")
 
@@ -95,7 +95,8 @@ def _resolve_kanji_run(run: str, readings: ReadingProvider | None) -> list[str]:
     return units
 
 
-def mora_units(text: str, readings: ReadingProvider | None = None) -> list[str]:
+def segment(text: str, readings: ReadingProvider | None = None) -> list[str]:
+    """Mora units of ``text``; annotations are applied first."""
     text = apply_annotations(text)
     units: list[str] = []
     i = 0
@@ -117,16 +118,3 @@ def mora_units(text: str, readings: ReadingProvider | None = None) -> list[str]:
         else:
             i += 1
     return units
-
-
-def count(text: str, readings: ReadingProvider | None = None) -> int:
-    return len(mora_units(text, readings))
-
-
-def segment(text: str, readings: ReadingProvider | None = None) -> list[str]:
-    return mora_units(text, readings)
-
-
-def normalize_kana(text: str) -> str:
-    """Katakana folded to hiragana; everything else untouched."""
-    return katakana_to_hiragana(text)

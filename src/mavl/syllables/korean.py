@@ -9,9 +9,5 @@ from __future__ import annotations
 from ..languages import is_hangul_syllable
 
 
-def count(text: str) -> int:
-    return sum(1 for ch in text if is_hangul_syllable(ch))
-
-
 def segment(text: str) -> list[str]:
     return [ch for ch in text if is_hangul_syllable(ch)]

@@ -62,7 +62,3 @@ def nuclei(word: str) -> list[tuple[int, int]]:
 def segment_word(core: str) -> list[str]:
     units = split_on_nuclei(core, nuclei(core.lower()), CLUSTERS)
     return units if units else [core]
-
-
-def count_word(core: str) -> int:
-    return max(1, len(nuclei(core.lower())))

@@ -263,6 +263,8 @@ class TestTranslate:
         assert outcome.hypotheses.entries == {}
         assert outcome.warnings
         assert (outcome.run_dir / "hypotheses.jsonl").exists()
+        assert (outcome.run_dir / "failures.json").read_text(encoding="utf-8") == "[]\n"
+        assert (outcome.run_dir / "results.jsonl").read_text(encoding="utf-8") == ""
 
     def test_mock_provider_requires_script(self, tmp_path):
         corpus = small_corpus(tmp_path)
@@ -364,6 +366,31 @@ class TestTranslate:
         assert "exceeds supported range" in outcome.failures[0]["reason"]
         assert [r["line"] for r in outcome.line_results] == [1]
 
+    @pytest.mark.parametrize("text, syllable_count", [
+        ("!!!", None),
+        ("Remember me, don't let it make you cry", 0),
+    ])
+    def test_source_line_without_syllables_is_a_data_failure(
+        self, tmp_path, text, syllable_count
+    ):
+        corpus = write_corpus(
+            tmp_path, {"alpha": {Language.EN: [["And there's a butterfly", text]]}}
+        )
+        if syllable_count is not None:
+            doc = json.loads(corpus.read_text(encoding="utf-8"))
+            doc["alpha"]["en"]["sections"][0]["lines"][1]["syllable_count"] = syllable_count
+            corpus.write_text(json.dumps(doc), encoding="utf-8")
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        code = main(["translate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--mock-script", str(script), "--out", str(tmp_path / "runs")])
+        assert code == 0
+        run_dir = next((tmp_path / "runs").glob("translate-*"))
+        failures = json.loads((run_dir / "failures.json").read_text(encoding="utf-8"))
+        assert failures == [
+            {"song_id": "alpha", "language": "KO", "section": 0, "line": 1,
+             "category": "data", "reason": "source line has no countable syllables"},
+        ]
+
 
 class TestEvaluate:
     def test_uncountable_hypothesis_is_a_component_error(self, tmp_path):
@@ -421,6 +448,35 @@ class TestEvaluate:
         assert outcome.skipped == 1
         skipped = [r for r in outcome.rows if r.skip_reason]
         assert skipped[0].skip_reason == "no hypothesis for this line"
+
+    def test_line_without_reference_text_is_skipped(self, tmp_path):
+        # both the EN line and the KO line are stored unresolved
+        text = "나비가 날아와"
+        ds = Dataset({"alpha": {
+            lang: SongEntry(
+                title="alpha", source_url="https://example.test/lyrics",
+                media_url=None, language=lang,
+                sections=[Section(index=0, lines=[
+                    LyricLine(index=0, rep=encode_line(lang, line))])],
+            )
+            for lang, line in ((Language.EN, "And there's a butterfly"),
+                               (Language.KO, text))
+        }})
+        corpus = tmp_path / "corpus.json"
+        corpus.write_bytes(serialize_dataset(ds))
+        config = base_config(corpus, write_script(tmp_path, GOOD_SCRIPT), tmp_path / "runs")
+        hyp = HypothesisSet(provenance="x")
+        hyp.entries[("alpha", Language.KO, 0, 0)] = text
+        outcome = cmd_evaluate(config, hyp)
+        assert outcome.skipped == 1
+        assert outcome.report is None
+        (row,) = outcome.rows
+        assert row.skip_reason == "no reference text for this line"
+        assert row.hypothesis == text
+        assert row.original_score is None and row.dubbed_score is None
+        assert not (outcome.run_dir / "report.json").exists()
+        assert "no reference text for this line" in (
+            outcome.run_dir / "scores.csv").read_text(encoding="utf-8")
 
     def test_both_reference_blocks_scored(self, tmp_path):
         corpus = small_corpus(tmp_path)

@@ -208,6 +208,8 @@ class TestScoreLine:
         assert score.component_errors == {}
 
     @given(st.one_of(st.text(), st.integers(0, 10**12).map(lambda n: f"나비 {n}")))
+    @example("1" * 5000)
+    @example("나비 " + "1" * 5000)
     def test_any_hypothesis_scores_or_records_errors(self, hyp):
         scorer = LineScorer(embedder=fake_embedder)
         for gt, lang_gt, kind in (

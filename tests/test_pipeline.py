@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mavl.errors import ConfigError, MissingFinalAnswerError, PipelineError
 from mavl.languages import Language
@@ -562,6 +562,10 @@ class TestTranslateLine:
             ),
         )
     )
+    @example("1" * 5000)
+    @example("나비 " + "1" * 5000)
+    @example(json.dumps({"translation": "1" * 5000}))
+    @example(json.dumps({"translation": "나비 " + "1" * 5000}, ensure_ascii=False))
     def test_any_reply_returns_or_raises_pipeline_error(self, reply):
         provider = RecordingProvider([reply] * 3)
         try:

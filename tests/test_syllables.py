@@ -92,8 +92,13 @@ class TestNormalize:
         assert normalize(EN, "2 cats", policy) == "2 cats"
 
     def test_out_of_range_number(self):
-        with pytest.raises(NumberRangeError):
-            normalize(EN, "1000000 lights")
+        # the second run is past the digit limit of int()
+        for text in ("1000000 lights", "1" * 5000 + " lights"):
+            with pytest.raises(NumberRangeError):
+                normalize(EN, text)
+
+    def test_leading_zeros_do_not_count(self):
+        assert normalize(EN, "0" * 5000 + "7 lights") == "seven lights"
 
     def test_hyphen_splits_words(self):
         assert count_syllables(EN, "twenty-one") == 3
