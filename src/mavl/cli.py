@@ -101,7 +101,7 @@ def load_config_file(path: str) -> dict:
                     )
                 key, _, value = line.partition("=")
                 values[key.strip().lower().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return values
 
@@ -187,10 +187,12 @@ def _known_dests(parser: argparse.ArgumentParser) -> set[str]:
     return dests - {"help", "command"}
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    if "--config" not in argv:
-        return argv
-    path = argv[argv.index("--config") + 1]
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    # a first pass reads the path as the final parse will, so "--config=FILE"
+    # and abbreviations such as "--conf FILE" load it, and a missing value exits 2
+    path = getattr(parser.parse_known_args(argv)[0], "config", None)
+    if path is None:
+        return
     values = load_config_file(path)
     known = _known_dests(parser)
     defaults = {}
@@ -210,7 +212,6 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         for action in current._actions:
             if isinstance(action, argparse._SubParsersAction):
                 stack.extend(action.choices.values())
-    return argv
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -269,9 +270,13 @@ def _load_hypotheses(args: argparse.Namespace, config: RunConfig) -> HypothesisS
         raise ConfigError("evaluate needs --hypotheses or --from-dubbed")
     try:
         with open(args.hypotheses, encoding="utf-8") as fh:
-            return HypothesisSet.from_jsonl(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read hypotheses: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"hypotheses are not UTF-8 at byte {exc.start}: "
+                                f"{exc.reason}", byte_offset=exc.start) from None
+    return HypothesisSet.from_jsonl(text)
 
 
 def _run_evaluate(args: argparse.Namespace) -> int:
@@ -337,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
     except ConfigError as exc:

@@ -154,7 +154,11 @@ def _find_candidate(rep: CompactLineRep, candidates: list[str], start: int,
 # ----------------------------------------------------------- parse side
 
 def parse_dataset(data: bytes | str, *, strict: bool = False) -> Dataset:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}",
+                                byte_offset=exc.start) from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -193,6 +197,8 @@ def _parse_entry(raw, lang: Language, loc: str, strict: bool) -> SongEntry:
     except KeyError as exc:
         raise DatasetValidationError(f"missing field {exc.args[0]!r}",
                                      location=loc) from None
+    if not isinstance(sections_raw, list):
+        raise DatasetValidationError("sections must be an array", location=loc)
     sections = [
         _parse_section(s, f"{loc}/section[{i}]", strict)
         for i, s in enumerate(sections_raw)
@@ -207,9 +213,12 @@ def _parse_section(raw, loc: str, strict: bool) -> Section:
     if not isinstance(raw, dict):
         raise DatasetValidationError("section must be an object", location=loc)
     _check_keys(raw, _SECTION_KEYS, loc, strict)
+    lines_raw = raw.get("lines", [])
+    if not isinstance(lines_raw, list):
+        raise DatasetValidationError("lines must be an array", location=loc)
     lines = [
         _parse_line(l, f"{loc}/line[{i}]", strict)
-        for i, l in enumerate(raw.get("lines", []))
+        for i, l in enumerate(lines_raw)
     ]
     extras = {k: v for k, v in raw.items() if k not in _SECTION_KEYS}
     return Section(index=raw.get("index", -1), lines=lines, extras=extras)
@@ -232,10 +241,17 @@ def _parse_line(raw, loc: str, strict: bool) -> LyricLine:
             raise DatasetValidationError("time_span must be [start_ms, end_ms]",
                                          location=loc)
         span = (span[0], span[1])
+    count = raw.get("syllable_count")
+    if count is not None and (isinstance(count, bool) or not isinstance(count, int)):
+        raise DatasetValidationError("syllable_count must be an integer",
+                                     location=loc)
+    text = raw.get("text")
+    if text is not None and not isinstance(text, str):
+        raise DatasetValidationError("text must be a string", location=loc)
     extras = {k: v for k, v in raw.items() if k not in _LINE_KEYS}
     return LyricLine(index=raw.get("index", -1), rep=rep,
-                     resolved_text=raw.get("text"), time_span=span,
-                     syllable_count=raw.get("syllable_count"), extras=extras)
+                     resolved_text=text, time_span=span,
+                     syllable_count=count, extras=extras)
 
 
 def _check_keys(raw: dict, allowed: set, loc: str, strict: bool) -> None:

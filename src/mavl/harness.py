@@ -224,26 +224,33 @@ class HypothesisSet:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "HypothesisSet":
-        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
-        if not rows or "provenance" not in rows[0]:
+        rows: list[tuple[str, dict]] = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if line.strip():
+                where = f"line {lineno}"
+                rows.append((where, _json_record(line, where)))
+        if not rows or "provenance" not in rows[0][1]:
             raise DatasetValidationError(
                 "hypothesis file must start with a provenance record",
-                location="line 1",
+                location=rows[0][0] if rows else "line 1",
             )
-        out = cls(provenance=rows[0]["provenance"])
-        for i, row in enumerate(rows[1:], start=2):
+        out = cls(provenance=rows[0][1]["provenance"])
+        for where, row in rows[1:]:
             try:
                 key = (
                     row["song_id"],
-                    Language.parse(row["language"]),
+                    Language.parse(str(row["language"])),
                     int(row["section"]),
                     int(row["line"]),
                 )
-                out.entries[key] = row["text"]
-            except (KeyError, ValueError) as exc:
+                hyp_text = row["text"]
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetValidationError(
-                    f"bad hypothesis record: {exc}", location=f"line {i}"
-                ) from exc
+                    f"bad hypothesis record: {exc!r}", location=where
+                ) from None
+            if not isinstance(hyp_text, str):
+                raise DatasetValidationError("text must be a string", location=where)
+            out.entries[key] = hyp_text
         return out
 
     def validate_against(self, dataset: Dataset) -> None:
@@ -278,6 +285,17 @@ class HypothesisSet:
         return out
 
 
+def _json_record(line: str, where: str) -> dict:
+    try:
+        row = json.loads(line)
+    except ValueError as exc:
+        raise DatasetValidationError(
+            f"not a JSON record: {exc}", location=where) from None
+    if not isinstance(row, dict):
+        raise DatasetValidationError("record must be an object", location=where)
+    return row
+
+
 def _find_line(entry: SongEntry, section_index: int, line_index: int) -> LyricLine | None:
     for section in entry.sections:
         if section.index == section_index:
@@ -308,8 +326,11 @@ def load_mock_script(path: str) -> ScriptedProvider:
     with optional "sequence" (shared queue) and "keyed" (map from a prompt
     substring to that task's own queue) members.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read mock script {path}: {exc}") from None
     script: dict[str | None, list[str]] = {}
     if isinstance(raw, list):
         script[None] = [str(item) for item in raw]

@@ -79,7 +79,11 @@ def cosine_similarity(e_gt: Sequence[float], e_pred: Sequence[float]) -> float:
         raise EmbeddingError("empty vectors")
     sq_gt = sum(x * x for x in e_gt)
     sq_pred = sum(y * y for y in e_pred)
-    if sq_gt < _TINY_SUM_OF_SQUARES or sq_pred < _TINY_SUM_OF_SQUARES:
+    # a NaN sum fails both bounds; an inf sum is an inf component or an overflow
+    if not (_TINY_SUM_OF_SQUARES <= sq_gt < math.inf
+            and _TINY_SUM_OF_SQUARES <= sq_pred < math.inf):
+        if not all(map(math.isfinite, e_gt)) or not all(map(math.isfinite, e_pred)):
+            raise EmbeddingError("embedding has a non-finite component")
         # cosine is scale-free; rescaling only here keeps the common path's bits
         e_gt, e_pred = _max_abs_scaled(e_gt), _max_abs_scaled(e_pred)
         sq_gt = sum(x * x for x in e_gt)
@@ -210,13 +214,11 @@ def _group_stats(scores: list[LineScore]) -> GroupStats:
     )
 
 
-def aggregate(scores: Iterable[LineScore], *, provider: str | None = None,
-              per_song: bool = False) -> CorpusReport:
+def aggregate(scores: Iterable[LineScore], *,
+              provider: str | None = None) -> CorpusReport:
     scores = list(scores)
     if not scores:
         raise MetricDomainError("aggregate needs at least one score")
-    if per_song:
-        return _aggregate_per_song(scores, provider)
     groups: dict[tuple[Language, ReferenceKind], list[LineScore]] = {}
     for s in scores:
         groups.setdefault((s.language, s.reference_kind), []).append(s)
@@ -227,37 +229,3 @@ def aggregate(scores: Iterable[LineScore], *, provider: str | None = None,
         groups={key: _group_stats(group) for key, group in groups.items()},
         provider=provider,
     )
-
-
-def _aggregate_per_song(scores: list[LineScore],
-                        provider: str | None) -> CorpusReport:
-    """Mean of per-song means; lines without a song id stand alone."""
-    groups: dict[tuple[Language, ReferenceKind], dict] = {}
-    for idx, s in enumerate(scores):
-        key = (s.language, s.reference_kind)
-        song = s.song_id if s.song_id is not None else f"<line-{idx}>"
-        groups.setdefault(key, {}).setdefault(song, []).append(s)
-    out: dict[tuple[Language, ReferenceKind], GroupStats] = {}
-    all_song_rates: list[float] = []
-    total = 0
-    for key, by_song in groups.items():
-        per_song_stats = [_group_stats(lines) for lines in by_song.values()]
-        n_lines = sum(g.line_count for g in per_song_stats)
-        total += n_lines
-        rates = [g.error_rate for g in per_song_stats
-                 if g.error_rate is not None]
-        all_song_rates.extend(rates)
-        out[key] = GroupStats(
-            line_count=n_lines,
-            error_rate=_mean(rates),
-            mean_se=_mean([g.mean_se for g in per_song_stats
-                           if g.mean_se is not None]),
-            mean_scd=_mean([g.mean_scd for g in per_song_stats
-                            if g.mean_scd is not None]),
-            mean_semantic=_mean([g.mean_semantic for g in per_song_stats
-                                 if g.mean_semantic is not None]),
-            mean_phonetic=_mean([g.mean_phonetic for g in per_song_stats
-                                 if g.mean_phonetic is not None]),
-        )
-    return CorpusReport(line_count=total, error_rate=_mean(all_song_rates),
-                        groups=out, provider=provider)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 from .errors import MissingRuleTableError
 from .languages import (
@@ -50,8 +49,7 @@ class G2PRule:
 
 
 class G2PRuleSet:
-    def __init__(self, language: Language, rules: list[G2PRule]):
-        self.language = language
+    def __init__(self, rules: list[G2PRule]):
         # longest grapheme first; stable sort keeps file order within a length
         self.rules = sorted(rules, key=lambda r: -len(r.grapheme))
 
@@ -79,8 +77,7 @@ def _side_ok(pattern: str, neighborhood: str, *, prefix: bool) -> bool:
     return neighborhood.endswith(pattern)
 
 
-def parse_rules(lines, language: Language,
-                source: str = "<rules>") -> G2PRuleSet:
+def parse_rules(lines, source: str = "<rules>") -> G2PRuleSet:
     rules: list[G2PRule] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -96,13 +93,7 @@ def parse_rules(lines, language: Language,
         if len(parts) == 3 and parts[2]:
             left, _, right = parts[2].partition("/")
         rules.append(G2PRule(grapheme, output, left, right))
-    return G2PRuleSet(language, rules)
-
-
-def load_rules(path: str | Path, language: Language) -> G2PRuleSet:
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        return parse_rules(fh, language, source=str(path))
+    return G2PRuleSet(rules)
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +103,7 @@ def shipped_rules(language: Language) -> G2PRuleSet:
     if not candidate.is_file():
         raise MissingRuleTableError(f"no shipped rule table for {language}")
     with candidate.open("r", encoding="utf-8") as fh:
-        return parse_rules(fh, language, source=name)
+        return parse_rules(fh, source=name)
 
 
 def _decompose_hangul(text: str) -> str:
@@ -131,13 +122,8 @@ def _decompose_hangul(text: str) -> str:
     return "".join(out)
 
 
-def transcribe(lang: Language, text: str,
-               rules: G2PRuleSet | None = None) -> IpaString:
-    if rules is None:
-        rules = shipped_rules(lang)
-    if rules.language is not lang:
-        raise MissingRuleTableError(
-            f"rule table is for {rules.language}, not {lang}")
+def transcribe(lang: Language, text: str) -> IpaString:
+    rules = shipped_rules(lang)
     if lang is Language.KO:
         text = _decompose_hangul(text)
     elif lang is Language.JA:
@@ -178,16 +164,5 @@ def edit_distance(a: IpaString, b: IpaString) -> int:
 
 
 def phonetic_distance(lang_gt: Language, gt: str,
-                      lang_pred: Language, pred: str,
-                      rules_by_lang: dict[Language, G2PRuleSet] | None = None
-                      ) -> int:
-    def pick(lang: Language) -> G2PRuleSet | None:
-        if rules_by_lang is None:
-            return None
-        if lang not in rules_by_lang:
-            raise MissingRuleTableError(f"no rule table supplied for {lang}")
-        return rules_by_lang[lang]
-
-    ipa_gt = transcribe(lang_gt, gt, pick(lang_gt))
-    ipa_pred = transcribe(lang_pred, pred, pick(lang_pred))
-    return edit_distance(ipa_gt, ipa_pred)
+                      lang_pred: Language, pred: str) -> int:
+    return edit_distance(transcribe(lang_gt, gt), transcribe(lang_pred, pred))

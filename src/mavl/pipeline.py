@@ -158,8 +158,6 @@ class TranslationResult:
 class ValidationFlags(NamedTuple):
     achieved_count: int
     constraint_met: bool
-    non_empty: bool
-    single_line: bool
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +315,7 @@ def validate(result_text: str, task: TranslationTask) -> ValidationFlags:
     """Recount a candidate; raises NumberRangeError if it cannot be counted."""
     stripped = result_text.strip()
     achieved = count_syllables(task.target_lang, stripped) if stripped else 0
-    return ValidationFlags(
-        achieved_count=achieved,
-        constraint_met=achieved == task.required_count,
-        non_empty=bool(stripped),
-        single_line="\n" not in stripped,
-    )
+    return ValidationFlags(achieved, achieved == task.required_count)
 
 
 # ---------------------------------------------------------------------------
@@ -371,16 +364,15 @@ def translate_line(
     max_reprompts: int = 2,
     retry: RetryPolicy | None = None,
     trace_store: TraceStore | None = None,
-    resend_media: bool = True,
 ) -> TranslationResult:
     """Translate one line, re-prompting until the syllable count lands.
 
     The loop issues at most ``1 + max_reprompts`` model calls.  A miss (wrong
     count, an answer that cannot be counted, or no parsable payload) appends
     the model's reply and a corrective instruction to the running prompt, so
-    refinement happens in context.  The returned attempt is the best one
-    seen: constraint met if possible, otherwise the smallest count gap,
-    earliest attempt on ties.
+    refinement happens in context, and every call carries the line's media.
+    The returned attempt is the best one seen: constraint met if possible,
+    otherwise the smallest count gap, earliest attempt on ties.
     """
     if max_reprompts < 0:
         raise ConfigError("max_reprompts must be >= 0")
@@ -400,10 +392,7 @@ def translate_line(
     uncountable = False
 
     for attempt in range(1, max_reprompts + 2):
-        request = GenerationRequest(
-            prompt_text=conversation,
-            media=media if (attempt == 1 or resend_media) else (),
-        )
+        request = GenerationRequest(prompt_text=conversation, media=media)
         raw = generate(
             request,
             provider,

@@ -463,7 +463,10 @@ class RemoteProvider:
             raise TransientProviderError(f"server error (HTTP {status})")
         if status >= 400:
             raise ProviderError(f"request rejected (HTTP {status})")
-        return response.json()
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise ProviderError(f"reply is not JSON (HTTP {status}): {exc}") from exc
 
     def complete(self, request: GenerationRequest) -> str:
         cfg = request.config
@@ -488,10 +491,10 @@ class RemoteProvider:
                 for m in request.media
             ]
         body = self._post("/complete", payload)
-        try:
-            return body["text"]
-        except (KeyError, TypeError) as exc:
-            raise ProviderError(f"malformed completion response: {body!r}") from exc
+        text = body.get("text") if isinstance(body, dict) else None
+        if not isinstance(text, str):
+            raise ProviderError(f"malformed completion response: {body!r}")
+        return text
 
     def embed_batch(self, request: EmbeddingRequest) -> list[list[float]]:
         body = self._post(

@@ -2,8 +2,8 @@
 
 Vowel groups (including digraphs like eau, ou, ai) count once. A
 diaeresis or a group following é opens a hiatus (noël, créer, poésie).
-The word-final mute e (chante, portes) is dropped by default; callers
-who want sung-style schwas can keep it via the policy switch.
+The word-final mute e (chante, portes) is always dropped, so sung-style
+schwas are not counted.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _hiatus(last: str, ch: str) -> bool:
     return False
 
 
-def nuclei(word: str, *, mute_final_e: bool = True) -> list[tuple[int, int]]:
+def nuclei(word: str) -> list[tuple[int, int]]:
     spans: list[tuple[int, int]] = []
     i = 0
     while i < len(word):
@@ -70,14 +70,13 @@ def nuclei(word: str, *, mute_final_e: bool = True) -> list[tuple[int, int]]:
             last = ch
             i += 1
         spans.append((start, i))
-    if mute_final_e and len(spans) > 1:
+    if len(spans) > 1:
         s, e = spans[-1]
         if e - s == 1 and word[s] == "e" and word[e:] in ("", "s"):
             spans.pop()
     return spans
 
 
-def segment_word(core: str, *, mute_final_e: bool = True) -> list[str]:
-    spans = nuclei(core.lower(), mute_final_e=mute_final_e)
-    units = split_on_nuclei(core, spans, CLUSTERS)
+def segment_word(core: str) -> list[str]:
+    units = split_on_nuclei(core, nuclei(core.lower()), CLUSTERS)
     return units if units else [core]

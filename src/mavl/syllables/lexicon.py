@@ -2,71 +2,48 @@
 
 TSV, one entry per line::
 
-    word<TAB>3            # count only
-    word<TAB>syl|la|bles  # explicit units, count is implied
+    word<TAB>syl|la|bles
 
-Lookups are case-insensitive. An explicit unit split must concatenate
-back to the word; entries that do not are rejected at load time.
+Lookups are case-insensitive. A unit split must concatenate back to the
+word; entries that do not are rejected at load time.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 from ..errors import ConfigError
 from ..languages import Language
 
-
-class Lexicon:
-    def __init__(self, entries: dict[str, tuple[int, tuple[str, ...] | None]]):
-        self._entries = entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, word: str) -> tuple[int, tuple[str, ...] | None] | None:
-        return self._entries.get(word.lower())
-
-    @classmethod
-    def empty(cls) -> "Lexicon":
-        return cls({})
+# lowercased word -> its syllable units, as written in the entry
+Lexicon = dict[str, tuple[str, ...]]
 
 
 def parse_lexicon(lines, source: str = "<lexicon>") -> Lexicon:
-    entries: dict[str, tuple[int, tuple[str, ...] | None]] = {}
+    entries: Lexicon = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         word, _, value = line.partition("\t")
         word = word.strip()
-        value = value.strip()
-        if not word or not value:
-            raise ConfigError(f"{source}:{lineno}: need word<TAB>value")
-        if value.isdigit():
-            entries[word.lower()] = (int(value), None)
-            continue
-        units = tuple(part for part in value.split("|") if part)
+        units = tuple(part for part in value.strip().split("|") if part)
+        if not word or not units:
+            raise ConfigError(f"{source}:{lineno}: need word<TAB>units")
         if "".join(units).lower() != word.lower():
             raise ConfigError(
                 f"{source}:{lineno}: units {units!r} do not spell {word!r}")
-        entries[word.lower()] = (len(units), units)
-    return Lexicon(entries)
+        entries[word.lower()] = units
+    return entries
 
 
-def load_lexicon(path: str | Path) -> Lexicon:
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        return parse_lexicon(fh, source=str(path))
-
-
+@lru_cache(maxsize=None)
 def shipped_lexicon(lang: Language) -> Lexicon:
     """Bundled exceptions for ``lang``; empty if none are shipped."""
     name = f"{lang.value.lower()}.tsv"
-    root = resources.files("mavl").joinpath("data", "lexicons")
-    candidate = root.joinpath(name)
+    candidate = resources.files("mavl").joinpath("data", "lexicons", name)
     if not candidate.is_file():
-        return Lexicon.empty()
+        return {}
     with candidate.open("r", encoding="utf-8") as fh:
         return parse_lexicon(fh, source=name)

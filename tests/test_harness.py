@@ -844,6 +844,82 @@ class TestCli:
         assert echoed["beta"] == 3.0
         assert echoed["target_langs"] == ["KO"]
 
+    @pytest.mark.parametrize("spelling", [
+        ["--config", "{cfg}"],
+        ["--config={cfg}"],
+        ["--conf", "{cfg}"],
+        ["--conf={cfg}"],
+    ], ids=["separate", "equals", "abbreviated", "abbreviated-equals"])
+    def test_config_file_spellings(self, tmp_path, capsys, spelling):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"beta=3.0\nmax-reprompts=1\ntarget_lang=KO\nmock-script={script}\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "runs"
+        flags = [part.format(cfg=cfg) for part in spelling]
+        code = main(["translate", "--dataset", str(corpus), *flags,
+                     "--beta", "4.5", "--out", str(out_dir)])
+        assert code == 0
+        echoed = json.loads(
+            next(out_dir.glob("translate-*/config.json")).read_text(encoding="utf-8")
+        )
+        assert echoed["beta"] == 4.5
+        assert echoed["max_reprompts"] == 1
+        assert echoed["target_langs"] == ["KO"]
+
+    def test_config_flag_without_value_exits_2(self, tmp_path, capsys):
+        corpus = small_corpus(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["translate", "--dataset", str(corpus), "--config"])
+        assert excinfo.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,bad_file,content,code,where", [
+        ("evaluate", "dataset", None, 3, "byte"),
+        ("evaluate", "dataset", lambda en: en["sections"][0]["lines"][0].update(
+            syllable_count="6"), 3, "alpha/en/section[0]/line[0]"),
+        ("evaluate", "dataset", lambda en: en["sections"][0]["lines"][0].update(
+            text=6), 3, "alpha/en/section[0]/line[0]"),
+        ("evaluate", "dataset", lambda en: en["sections"][0].update(lines=None),
+         3, "alpha/en/section[0]"),
+        ("evaluate", "dataset", lambda en: en.update(sections=None), 3, "alpha/en"),
+        ("evaluate", "hypotheses", b"not json\n", 3, "line 2"),
+        ("evaluate", "hypotheses", b"[1, 2]\n", 3, "line 2"),
+        ("evaluate", "hypotheses", b'{"song_id": "alpha", "language": "KO", '
+         b'"section": null, "line": 0, "text": "x"}\n', 3, "line 2"),
+        ("evaluate", "hypotheses", b'{"song_id": "alpha", "language": "KO", '
+         b'"section": 0, "line": 0, "text": 6}\n', 3, "line 2"),
+        ("translate", "script", b"{not json", 2, "mock script"),
+    ], ids=["dataset-not-utf8", "dataset-count-string", "dataset-number-text",
+            "dataset-null-lines", "dataset-null-sections", "hyp-not-json",
+            "hyp-not-object", "hyp-null-section", "hyp-number-text",
+            "script-not-json"])
+    def test_bad_input_file_exits_with_location(self, tmp_path, capsys, command,
+                                                bad_file, content, code, where):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"provenance": "x"}\n', encoding="utf-8")
+        if bad_file == "dataset" and content is None:
+            corpus.write_bytes(corpus.read_bytes().replace(b'"alpha"', b'"\xff"', 1))
+        elif bad_file == "dataset":
+            doc = json.loads(corpus.read_text(encoding="utf-8"))
+            content(doc["alpha"]["en"])
+            corpus.write_text(json.dumps(doc), encoding="utf-8")
+        elif bad_file == "hypotheses":
+            hyp.write_bytes(hyp.read_bytes() + content)
+        else:
+            script.write_bytes(content)
+        argv = [command, "--dataset", str(corpus), "--target-lang", "KO",
+                "--mock-script", str(script), "--out", str(tmp_path / "runs")]
+        if command == "evaluate":
+            argv += ["--hypotheses", str(hyp)]
+        assert main(argv) == code
+        assert where in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         corpus = small_corpus(tmp_path)
         cfg = tmp_path / "run.cfg"

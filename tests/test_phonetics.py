@@ -8,7 +8,6 @@ from mavl.phonetics import (
     edit_distance,
     parse_rules,
     phonetic_distance,
-    shipped_rules,
     transcribe,
 )
 
@@ -101,13 +100,9 @@ class TestTranscribe:
         out = transcribe(Language.ES, "la casa")
         assert out.dropped == 0
 
-    def test_wrong_table_rejected(self):
-        with pytest.raises(MissingRuleTableError):
-            transcribe(Language.EN, "go", shipped_rules(Language.ES))
-
     def test_rule_file_syntax_error(self):
         with pytest.raises(MissingRuleTableError):
-            parse_rules(["just-one-field"], Language.EN)
+            parse_rules(["just-one-field"])
 
     def test_deterministic(self):
         a = transcribe(Language.FR, "lumière")
@@ -127,11 +122,6 @@ class TestPhoneticDistance:
         d = phonetic_distance(Language.EN, "go", Language.KO, "나")
         assert d == edit_distance(transcribe(Language.EN, "go"),
                                   transcribe(Language.KO, "나"))
-
-    def test_missing_language_in_mapping(self):
-        rules = {Language.EN: shipped_rules(Language.EN)}
-        with pytest.raises(MissingRuleTableError):
-            phonetic_distance(Language.EN, "go", Language.KO, "나", rules)
 
     @given(st.text(alphabet="aeiou bcdfg", max_size=20),
            st.text(alphabet="aeiou bcdfg", max_size=20))

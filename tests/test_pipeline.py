@@ -365,19 +365,18 @@ class TestParseTrace:
 class TestValidate:
     def test_exact_count(self):
         flags = validate("나비가 날아와", butterfly_task())
-        assert flags == (6, True, True, True)
+        assert flags == (6, True)
 
     def test_empty_text(self):
         flags = validate("", butterfly_task())
-        assert flags == (0, False, False, True)
+        assert flags == (0, False)
 
     def test_short_answer(self):
         flags = validate("날 잊지 마", remember_task())
-        assert flags == (4, False, True, True)
+        assert flags == (4, False)
 
     def test_multiline_flagged(self):
         flags = validate("나비가\n날아와", butterfly_task())
-        assert flags.single_line is False
         assert flags.achieved_count == 6
 
 
@@ -495,13 +494,6 @@ class TestTranslateLine:
         provider = RecordingProvider(list(responses))
         translate_line(task, PipelineVariant(modalities=TA), provider)
         assert provider.requests[0].media and provider.requests[1].media
-
-        provider = RecordingProvider(list(responses))
-        translate_line(
-            task, PipelineVariant(modalities=TA), provider, resend_media=False
-        )
-        assert provider.requests[0].media
-        assert provider.requests[1].media == ()
 
     def test_brace_in_translation_accepted_on_first_attempt(self):
         provider = RecordingProvider(['{"translation": "나비 {날아} 와"}'])

@@ -269,6 +269,13 @@ class FakeResponse:
         return self._body
 
 
+class NotJsonResponse(FakeResponse):
+    """A 200 reply whose body does not decode, as ``requests`` reports it."""
+
+    def json(self):
+        return json.loads("<html>busy</html>")
+
+
 class TestRemoteProvider:
     def make(self, monkeypatch, responses, env_key="sekrit"):
         calls = []
@@ -343,6 +350,23 @@ class TestRemoteProvider:
         provider, _ = self.make(monkeypatch, [FakeResponse(body={"oops": 1})])
         with pytest.raises(ProviderError):
             provider.complete(GenerationRequest("hi"))
+
+    @pytest.mark.parametrize("response", [
+        NotJsonResponse(),
+        FakeResponse(body={"text": None}),
+        FakeResponse(body={"text": 7}),
+        FakeResponse(body=["text"]),
+    ], ids=["not-json", "null-text", "number-text", "array"])
+    def test_odd_reply_is_provider_error(self, monkeypatch, response):
+        provider, calls = self.make(monkeypatch, [response])
+        with pytest.raises(ProviderError, match="not JSON|malformed"):
+            generate(GenerationRequest("hi"), provider, policy=no_sleep())
+        assert len(calls) == 1
+
+    def test_embed_reply_not_json_is_provider_error(self, monkeypatch):
+        provider, _ = self.make(monkeypatch, [NotJsonResponse()])
+        with pytest.raises(ProviderError, match="not JSON"):
+            provider.embed_batch(EmbeddingRequest(("hola",)))
 
 
 class TestMapBounded:

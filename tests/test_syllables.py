@@ -3,13 +3,7 @@ from hypothesis import given, strategies as st
 
 from mavl.errors import NumberRangeError
 from mavl.languages import Language, is_hangul_syllable
-from mavl.syllables import (
-    NormalizationPolicy,
-    count_syllables,
-    normalize,
-    parse_lexicon,
-    segment,
-)
+from mavl.syllables import count_syllables, normalize, segment
 
 EN = Language.EN
 ES = Language.ES
@@ -83,14 +77,6 @@ class TestNormalize:
     def test_punctuation_stripped(self):
         assert normalize(EN, "Hello, world!") == "Hello world"
 
-    def test_policy_keeps_punctuation(self):
-        policy = NormalizationPolicy(strip_punctuation_for_counting=False)
-        assert normalize(EN, "Hello, world!", policy) == "Hello, world!"
-
-    def test_numbers_can_be_left_alone(self):
-        policy = NormalizationPolicy(expand_numbers=False)
-        assert normalize(EN, "2 cats", policy) == "2 cats"
-
     def test_out_of_range_number(self):
         # the second run is past the digit limit of int()
         for text in ("1000000 lights", "1" * 5000 + " lights"):
@@ -155,14 +141,6 @@ class TestFrenchRules:
     def test_words_mute(self, word, want):
         assert count_syllables(FR, word) == want
 
-    @pytest.mark.parametrize("word,mute,sounded", [
-        ("belle", 1, 2), ("monde", 1, 2), ("toutes", 1, 2), ("vie", 1, 1),
-    ])
-    def test_sounded_mode(self, word, mute, sounded):
-        policy = NormalizationPolicy(french_final_e_mode="sounded")
-        assert count_syllables(FR, word) == mute
-        assert count_syllables(FR, word, policy) == sounded
-
 
 class TestJapaneseMorae:
     def test_small_kana_merges(self):
@@ -189,14 +167,9 @@ class TestJapaneseMorae:
 
 
 class TestLexiconPrecedence:
-    def test_count_entry(self):
-        lex = parse_lexicon(["cat\t2"])
-        assert count_syllables(EN, "cat", lexicon=lex) == 2
-
     def test_units_entry(self):
-        lex = parse_lexicon(["fire\tfi|re"])
-        s = segment(EN, "fire", lexicon=lex)
-        assert list(s.units) == ["fi", "re"]
+        s = segment(EN, "quiet")
+        assert list(s.units) == ["qui", "et"]
         assert s.count == 2
 
     def test_default_heuristic_without_lexicon(self):
