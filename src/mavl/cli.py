@@ -38,8 +38,6 @@ from .harness import (
     cmd_evaluate,
     cmd_stats,
     cmd_translate,
-    _eval_languages,
-    _load_dataset,
 )
 from .languages import Language
 from .metrics import ALL_COMPONENTS
@@ -113,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, provider: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dataset", required=True, help="path to the dataset JSON")
         p.add_argument("--config", help="KEY=VALUE file with flag defaults")
         p.add_argument("--source-lang", default="EN")
@@ -142,12 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
             default="syllabic,semantic,phonetic",
             help="comma-separated metric components to compute",
         )
-        if provider:
-            p.add_argument("--provider", choices=["mock", "remote"], default="mock")
-            p.add_argument("--mock-script", default=None)
-            p.add_argument("--endpoint", default=None)
-            p.add_argument("--model-id", default=None)
-            p.add_argument("--api-key-env", default="MAVL_API_KEY")
+        p.add_argument("--provider", choices=["mock", "remote"], default="mock")
+        p.add_argument("--mock-script", default=None)
+        p.add_argument("--endpoint", default=None)
+        p.add_argument("--model-id", default=None)
+        p.add_argument("--api-key-env", default="MAVL_API_KEY")
 
     p_translate = sub.add_parser("translate", help="translate dataset lines")
     add_common(p_translate)
@@ -233,11 +230,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         source_lang=_parse_language(args.source_lang),
         target_langs=targets,
         variant=PipelineVariant(**variant_fields),
-        provider=getattr(args, "provider", "mock"),
-        mock_script=getattr(args, "mock_script", None),
-        endpoint=getattr(args, "endpoint", None),
-        model_id=getattr(args, "model_id", None),
-        api_key_env=getattr(args, "api_key_env", "MAVL_API_KEY"),
+        provider=args.provider,
+        mock_script=args.mock_script,
+        endpoint=args.endpoint,
+        model_id=args.model_id,
+        api_key_env=args.api_key_env,
         components=components,
         beta=float(args.beta),
         out_dir=args.out,
@@ -260,12 +257,13 @@ def _run_translate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_hypotheses(args: argparse.Namespace, config: RunConfig) -> HypothesisSet:
+def _load_hypotheses(args: argparse.Namespace) -> HypothesisSet | None:
+    """The ``--hypotheses`` file; None for ``--from-dubbed``, which evaluate
+    builds from the dataset it loads."""
     if args.from_dubbed and args.hypotheses:
         raise ConfigError("pass either --hypotheses or --from-dubbed, not both")
     if args.from_dubbed:
-        dataset = _load_dataset(config.dataset_path)
-        return HypothesisSet.from_dubbed(dataset, _eval_languages(config, dataset))
+        return None
     if not args.hypotheses:
         raise ConfigError("evaluate needs --hypotheses or --from-dubbed")
     try:
@@ -281,9 +279,7 @@ def _load_hypotheses(args: argparse.Namespace, config: RunConfig) -> HypothesisS
 
 def _run_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    config.require_paths()
-    hyp = _load_hypotheses(args, config)
-    outcome = cmd_evaluate(config, hyp)
+    outcome = cmd_evaluate(config, _load_hypotheses(args))
     if config.fmt == "csv":
         sys.stdout.write(rows_to_csv(outcome.rows))
     elif config.fmt == "json":

@@ -63,7 +63,6 @@ from .providers import (
     MediaAttachment,
     MediaKind,
     RemoteProvider,
-    RetryPolicy,
     ScriptedProvider,
     TraceStore,
     embed,
@@ -130,6 +129,8 @@ class RunConfig:
             raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.provider not in {"mock", "remote"}:
             raise ConfigError(f"unknown provider kind {self.provider!r}")
+        if self.provider == "remote" and not (self.endpoint and self.model_id):
+            raise ConfigError("remote provider needs an endpoint and a model id")
         if self.source_lang in self.target_langs:
             raise ConfigError("source language cannot also be a target")
 
@@ -237,20 +238,22 @@ class HypothesisSet:
         out = cls(provenance=rows[0][1]["provenance"])
         for where, row in rows[1:]:
             try:
-                key = (
-                    row["song_id"],
-                    Language.parse(str(row["language"])),
-                    int(row["section"]),
-                    int(row["line"]),
-                )
-                hyp_text = row["text"]
-            except (KeyError, TypeError, ValueError) as exc:
+                song_id, section, line, hyp_text = (
+                    row[name] for name in ("song_id", "section", "line", "text"))
+                lang = Language.parse(str(row["language"]))
+            except (KeyError, ValueError) as exc:
                 raise DatasetValidationError(
                     f"bad hypothesis record: {exc!r}", location=where
                 ) from None
+            if not isinstance(song_id, str):
+                raise DatasetValidationError("song_id must be a string", location=where)
+            # JSON integers only: int() would key 0.9, true or "0" to a real line
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in (section, line)):
+                raise DatasetValidationError(
+                    "section and line must be integers", location=where)
             if not isinstance(hyp_text, str):
                 raise DatasetValidationError("text must be a string", location=where)
-            out.entries[key] = hyp_text
+            out.entries[(song_id, lang, section, line)] = hyp_text
         return out
 
     def validate_against(self, dataset: Dataset) -> None:
@@ -350,27 +353,20 @@ def load_mock_script(path: str) -> ScriptedProvider:
         raise ConfigError("mock script must be a JSON array or object")
     if not script:
         raise ConfigError("mock script defines no responses")
-    return ScriptedProvider(script, name="mock")
+    return ScriptedProvider(script)
+
+
+def _remote_provider(config: RunConfig) -> RemoteProvider:
+    """The endpoint a remote run completes and embeds through."""
+    return RemoteProvider(config.endpoint, config.model_id, api_key_env=config.api_key_env)
 
 
 def _generation_provider(config: RunConfig):
-    if config.provider == "mock":
-        if config.mock_script is None:
-            raise ConfigError("mock provider needs --mock-script")
-        return load_mock_script(config.mock_script)
-    if not config.endpoint or not config.model_id:
-        raise ConfigError("remote provider needs an endpoint and a model id")
-    return RemoteProvider(
-        config.endpoint, config.model_id, api_key_env=config.api_key_env
-    )
-
-
-def _embedding_provider(config: RunConfig):
-    if config.provider == "remote" and config.endpoint and config.model_id:
-        return RemoteProvider(
-            config.endpoint, config.model_id, api_key_env=config.api_key_env
-        )
-    return HashEmbeddingProvider()
+    if config.provider == "remote":
+        return _remote_provider(config)
+    if config.mock_script is None:
+        raise ConfigError("mock provider needs --mock-script")
+    return load_mock_script(config.mock_script)
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +450,15 @@ def _translation_tasks(
 def cmd_translate(config: RunConfig) -> TranslateOutcome:
     config.require_paths()
     dataset = _load_dataset(config.dataset_path)
-    run_dir = make_run_dir(config, "translate")
-    hyp = HypothesisSet(provenance=f"{config.provider}:{config.variant.label()}")
-
     if config.target_langs:
         tasks, failures, warnings = _translation_tasks(config, dataset)
         provider = _generation_provider(config)
     else:
         tasks, failures, provider = [], [], None
         warnings = ["no target languages selected; nothing to translate"]
+    run_dir = make_run_dir(config, "translate")
+    hyp = HypothesisSet(provenance=f"{config.provider}:{config.variant.label()}")
     trace = TraceStore(str(run_dir / "trace.jsonl"))
-    retry = RetryPolicy()
 
     if config.order_seed is not None:
         random.Random(config.order_seed).shuffle(tasks)
@@ -477,7 +471,6 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
                 config.variant,
                 provider,
                 max_reprompts=config.max_reprompts,
-                retry=retry,
                 trace_store=trace,
             )
             return ("ok", key, result)
@@ -576,13 +569,21 @@ def _eval_languages(config: RunConfig, dataset: Dataset) -> list[Language]:
     return [lang for lang in Language if lang in present]
 
 
-def cmd_evaluate(config: RunConfig, hyp: HypothesisSet) -> EvaluateOutcome:
+def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> EvaluateOutcome:
+    """Score ``hyp`` against the dataset; without one, score the dubbed lines
+    themselves (the human baseline)."""
     config.require_paths()
     dataset = _load_dataset(config.dataset_path)
-    hyp.validate_against(dataset)
+    languages = _eval_languages(config, dataset)
+    if hyp is None:
+        hyp = HypothesisSet.from_dubbed(dataset, languages)
+    else:
+        hyp.validate_against(dataset)
     run_dir = make_run_dir(config, "evaluate")
 
-    embedder_provider = _embedding_provider(config)
+    embedder_provider = (
+        _remote_provider(config) if config.provider == "remote" else HashEmbeddingProvider()
+    )
 
     def embedder(texts):
         return embed(EmbeddingRequest(tuple(texts)), embedder_provider)
@@ -592,7 +593,6 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet) -> EvaluateOutcome:
         embedder=embedder,
     )
 
-    languages = _eval_languages(config, dataset)
     rows: list[EvaluationRow] = []
     scores: list[LineScore] = []
     for song_id in sorted(dataset.songs):
@@ -621,7 +621,7 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet) -> EvaluateOutcome:
                     if skip_reason is None and ref_text is not None:
                         line_scores[kind] = scorer.score_line(
                             ref_text, hyp_text, ref_lang, lang, kind,
-                            components=config.components, song_id=song_id,
+                            components=config.components,
                         )
                         scores.append(line_scores[kind])
                 rows.append(

@@ -109,7 +109,6 @@ class LineScore:
     mismatch: bool | None = None
     semantic: float | None = None
     phonetic: int | None = None
-    song_id: str | None = None
     component_errors: Mapping[str, str] = field(default_factory=dict)
 
 
@@ -127,8 +126,7 @@ class LineScorer:
     def score_line(self, gt_text: str, pred_text: str,
                    lang_gt: Language, lang_pred: Language,
                    reference_kind: ReferenceKind,
-                   components: frozenset[str] = ALL_COMPONENTS,
-                   song_id: str | None = None) -> LineScore:
+                   components: frozenset[str] = ALL_COMPONENTS) -> LineScore:
         unknown = set(components) - ALL_COMPONENTS
         if unknown:
             raise MetricDomainError(f"unknown components {sorted(unknown)}")
@@ -167,7 +165,7 @@ class LineScorer:
                          reference_kind=reference_kind, language=lang_pred,
                          se=se, scd=scd, mismatch=mismatch,
                          semantic=semantic, phonetic=phonetic,
-                         song_id=song_id, component_errors=errors)
+                         component_errors=errors)
 
     def _semantic(self, gt_text: str, pred_text: str) -> float:
         if self.embedder is None:

@@ -20,7 +20,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Protocol, Sequence
 
@@ -36,8 +36,6 @@ from .errors import (
 )
 
 __all__ = [
-    "GenerationConfig",
-    "QWEN_CONFIG",
     "MediaKind",
     "MediaAttachment",
     "GenerationRequest",
@@ -59,40 +57,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Request shapes
 
+# sampling settings sent with every remote completion, in payload order
+_SAMPLING = {"temperature": 0.6, "top_p": 0.95, "max_output_tokens": 8192, "top_k": 40}
 
-@dataclass(frozen=True)
-class GenerationConfig:
-    """Sampling knobs passed through to the backend.
-
-    Defaults match the settings we use for the main translation model;
-    ``QWEN_CONFIG`` below is the preset for the open-weights alternative,
-    which wants a presence penalty instead of top-k.
-    """
-
-    temperature: float = 0.6
-    top_p: float = 0.95
-    top_k: int | None = 40
-    max_output_tokens: int = 8192
-    presence_penalty: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0.0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.top_k is not None and self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.max_output_tokens < 1:
-            raise ConfigError("max_output_tokens must be >= 1")
-
-
-QWEN_CONFIG = GenerationConfig(
-    temperature=0.7,
-    top_p=0.8,
-    top_k=None,
-    max_output_tokens=4096,
-    presence_penalty=1.05,
-)
+_HASH_DIM = 128
 
 
 class MediaKind(Enum):
@@ -133,7 +101,6 @@ class MediaAttachment:
 class GenerationRequest:
     prompt_text: str
     media: tuple[MediaAttachment, ...] = ()
-    config: GenerationConfig = field(default_factory=GenerationConfig)
 
     def __post_init__(self) -> None:
         if not self.prompt_text.strip():
@@ -157,13 +124,6 @@ def request_digest(request: GenerationRequest) -> str:
             [m.kind.value, m.location, list(m.time_span) if m.time_span else None]
             for m in request.media
         ],
-        "config": [
-            request.config.temperature,
-            request.config.top_p,
-            request.config.top_k,
-            request.config.max_output_tokens,
-            request.config.presence_penalty,
-        ],
     }
     blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -176,14 +136,10 @@ def request_digest(request: GenerationRequest) -> str:
 class GenerationProvider(Protocol):
     """One raw completion attempt.  Retry logic lives outside."""
 
-    name: str
-
     def complete(self, request: GenerationRequest) -> str: ...
 
 
 class EmbeddingProvider(Protocol):
-    name: str
-
     def embed_batch(self, request: EmbeddingRequest) -> list[list[float]]: ...
 
 
@@ -220,9 +176,8 @@ class TraceStore:
     a lock so concurrent workers interleave whole lines, never fragments.
     """
 
-    def __init__(self, path: str, clock: Callable[[], float] = time.time) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self._clock = clock
         self._lock = threading.Lock()
 
     def append(
@@ -234,7 +189,7 @@ class TraceStore:
         *,
         started: float | None = None,
     ) -> None:
-        now = self._clock()
+        now = time.time()
         record = {
             "task_id": task_id,
             "attempt": attempt,
@@ -285,7 +240,7 @@ def generate(
     digest = request_digest(request)
 
     def attempt_once(attempt: int) -> str:
-        started = trace._clock() if trace is not None else 0.0
+        started = time.time()
         text = provider.complete(request)
         if trace is not None:
             trace.append(task_id, attempt, digest, text, started=started)
@@ -294,19 +249,9 @@ def generate(
     return _with_retries(attempt_once, policy)
 
 
-def embed(
-    request: EmbeddingRequest,
-    provider: EmbeddingProvider,
-    *,
-    policy: RetryPolicy | None = None,
-) -> list[list[float]]:
+def embed(request: EmbeddingRequest, provider: EmbeddingProvider) -> list[list[float]]:
     """Embed a batch with retries; enforces one equal-length vector per text."""
-    policy = policy or RetryPolicy()
-
-    def attempt_once(attempt: int) -> list[list[float]]:
-        return provider.embed_batch(request)
-
-    vectors = _with_retries(attempt_once, policy)
+    vectors = _with_retries(lambda attempt: provider.embed_batch(request), RetryPolicy())
     if len(vectors) != len(request.texts):
         raise EmbeddingError(
             f"provider returned {len(vectors)} vectors for {len(request.texts)} texts"
@@ -335,10 +280,7 @@ class ScriptedProvider:
     def __init__(
         self,
         script: dict[str | None, Sequence[str | Exception]] | Sequence[str | Exception],
-        *,
-        name: str = "scripted",
     ) -> None:
-        self.name = name
         if isinstance(script, dict):
             self._queues = {key: list(turns) for key, turns in script.items()}
         else:
@@ -369,29 +311,23 @@ class ScriptedProvider:
 class HashEmbeddingProvider:
     """Embeddings from character n-gram hashing.  No model, no network.
 
-    Each text is mapped to a fixed-dimension bag of 1- to 3-grams, bucketed
+    Each text is mapped to a 128-dimension bag of 1- to 3-grams, bucketed
     by CRC32 and L2-normalized.  Identical texts always get identical
     vectors, and a one-character edit moves the vector, which is all the
     offline evaluation path needs.
     """
 
-    def __init__(self, dim: int = 128, *, name: str = "hash-ngram") -> None:
-        if dim < 8:
-            raise ConfigError("embedding dimension too small to be useful")
-        self.dim = dim
-        self.name = name
-
     def _vector(self, text: str) -> list[float]:
         import zlib
 
-        vec = [0.0] * self.dim
+        vec = [0.0] * _HASH_DIM
         if not text:
             vec[0] = 1.0
             return vec
         for n in (1, 2, 3):
             for i in range(len(text) - n + 1):
                 gram = text[i : i + n]
-                bucket = zlib.crc32(gram.encode("utf-8")) % self.dim
+                bucket = zlib.crc32(gram.encode("utf-8")) % _HASH_DIM
                 vec[bucket] += 1.0
         norm = sum(x * x for x in vec) ** 0.5
         return [x / norm for x in vec]
@@ -418,14 +354,12 @@ class RemoteProvider:
         model_id: str,
         *,
         api_key_env: str = "MAVL_API_KEY",
-        name: str | None = None,
         timeout: float = 60.0,
         transport: Callable[..., "object"] | None = None,
     ) -> None:
         self.endpoint = endpoint.rstrip("/")
         self.model_id = model_id
         self.api_key_env = api_key_env
-        self.name = name if name is not None else model_id
         self.timeout = timeout
         self._transport = transport
 
@@ -469,18 +403,11 @@ class RemoteProvider:
             raise ProviderError(f"reply is not JSON (HTTP {status}): {exc}") from exc
 
     def complete(self, request: GenerationRequest) -> str:
-        cfg = request.config
         payload: dict = {
             "model": self.model_id,
             "prompt": request.prompt_text,
-            "temperature": cfg.temperature,
-            "top_p": cfg.top_p,
-            "max_output_tokens": cfg.max_output_tokens,
+            **_SAMPLING,
         }
-        if cfg.top_k is not None:
-            payload["top_k"] = cfg.top_k
-        if cfg.presence_penalty is not None:
-            payload["presence_penalty"] = cfg.presence_penalty
         if request.media:
             payload["media"] = [
                 {

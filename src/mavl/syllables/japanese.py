@@ -27,9 +27,10 @@ def apply_annotations(text: str) -> str:
 
 
 def segment(text: str) -> list[str]:
-    """Mora units of ``text``; annotations are applied first."""
+    """Mora units of normalized ``text``, whose annotations ``normalize`` has
+    already replaced by their readings."""
     units: list[str] = []
-    for ch in apply_annotations(text):
+    for ch in text:
         if is_kana(ch):
             if ch in _SMALL_KANA and units and is_kana(units[-1][-1]):
                 units[-1] += ch

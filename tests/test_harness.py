@@ -817,6 +817,65 @@ class TestCli:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("missing", ["--endpoint", "--model-id"])
+    def test_remote_evaluate_needs_endpoint_and_model(self, tmp_path, capsys, missing):
+        corpus = small_corpus(tmp_path)
+        flags = {"--endpoint": "https://models.example", "--model-id": "m"}
+        del flags[missing]
+        argv = ["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                "--from-dubbed", "--provider", "remote", "--out", str(tmp_path / "runs")]
+        for flag, value in flags.items():
+            argv += [flag, value]
+        assert main(argv) == 2
+        assert "endpoint and a model id" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_bad_mock_script_leaves_no_run_directory(self, tmp_path, capsys):
+        corpus = small_corpus(tmp_path)
+        script = tmp_path / "script.json"
+        script.write_text("{not json", encoding="utf-8")
+        out_dir = tmp_path / "runs"
+        out_dir.mkdir()
+        code = main(["translate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--mock-script", str(script), "--out", str(out_dir)])
+        assert code == 2
+        assert list(out_dir.iterdir()) == []
+
+    def test_from_dubbed_parses_the_dataset_once(self, tmp_path, capsys, monkeypatch):
+        import mavl.harness
+
+        calls = []
+        parse = mavl.harness.parse_dataset
+
+        def counting_parse(data):
+            calls.append(1)
+            return parse(data)
+
+        monkeypatch.setattr(mavl.harness, "parse_dataset", counting_parse)
+        corpus = small_corpus(tmp_path)
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--from-dubbed", "--out", str(tmp_path / "runs")])
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("section", 0.9), ("section", True), ("section", "0"),
+        ("line", 0.9), ("line", True), ("line", "0"),
+        ("song_id", ["alpha"]),
+    ], ids=["section-float", "section-bool", "section-string", "line-float",
+            "line-bool", "line-string", "song_id-array"])
+    def test_hypothesis_key_of_wrong_type_exits_3(self, tmp_path, capsys, field, value):
+        corpus = small_corpus(tmp_path)
+        record = {"song_id": "alpha", "language": "KO", "section": 0, "line": 0,
+                  "text": "나비가 날아와", field: value}
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"provenance": "x"}\n' + json.dumps(record) + "\n",
+                       encoding="utf-8")
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--hypotheses", str(hyp), "--out", str(tmp_path / "runs")])
+        assert code == 3
+        assert "line 2" in capsys.readouterr().err
+
     def test_config_file_defaults_with_flag_override(self, tmp_path, capsys):
         corpus = small_corpus(tmp_path)
         script = write_script(tmp_path, GOOD_SCRIPT)

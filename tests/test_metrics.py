@@ -253,12 +253,11 @@ class TestScoreLine:
                               components=frozenset({"rhythm"}))
 
 
-def mk(c_ref, c_pred, lang=Language.KO, kind=ReferenceKind.ORIGINAL_EN,
-       song=None, **extra):
+def mk(c_ref, c_pred, lang=Language.KO, kind=ReferenceKind.ORIGINAL_EN, **extra):
     return LineScore(c_ref=c_ref, c_pred=c_pred, reference_kind=kind,
                      language=lang, se=se_oracle(c_ref, c_pred, 2.0),
                      scd=syllable_count_distance(c_ref, c_pred),
-                     mismatch=c_ref != c_pred, song_id=song, **extra)
+                     mismatch=c_ref != c_pred, **extra)
 
 
 class TestAggregate:
