@@ -79,19 +79,8 @@ class RetriesExhaustedError(ProviderError):
         self.last_error = last_error
 
 
-class MissingFinalAnswerError(MavlError):
-    """Model output contained no well-formed final-answer payload.
-
-    Recoverable: the pipeline re-prompts on this.
-    """
-
-
 class PipelineError(MavlError):
-    """All pipeline attempts failed; carries the merged stage trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """No attempt of the refinement loop gave a countable final answer."""
 
 
 class ConfigError(MavlError):

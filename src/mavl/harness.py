@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import tempfile
@@ -119,10 +120,12 @@ class RunConfig:
     fmt: str = "table"
 
     def __post_init__(self) -> None:
-        if self.beta < 1:
-            raise ConfigError(f"beta must be >= 1, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 1):
+            raise ConfigError(f"beta must be finite and >= 1, got {self.beta}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        if self.max_reprompts < 0:
+            raise ConfigError("max_reprompts must be >= 0")
         if not 0.0 <= self.failure_threshold <= 1.0:
             raise ConfigError("failure_threshold must be within [0, 1]")
         if self.fmt not in {"csv", "json", "table"}:
@@ -253,7 +256,11 @@ class HypothesisSet:
                     "section and line must be integers", location=where)
             if not isinstance(hyp_text, str):
                 raise DatasetValidationError("text must be a string", location=where)
-            out.entries[(song_id, lang, section, line)] = hyp_text
+            key = (song_id, lang, section, line)
+            if key in out.entries:
+                raise DatasetValidationError(
+                    "duplicate hypothesis key", location=where)
+            out.entries[key] = hyp_text
         return out
 
     def validate_against(self, dataset: Dataset) -> None:
@@ -300,11 +307,12 @@ def _json_record(line: str, where: str) -> dict:
 
 
 def _find_line(entry: SongEntry, section_index: int, line_index: int) -> LyricLine | None:
-    for section in entry.sections:
-        if section.index == section_index:
-            for line in section.lines:
-                if line.index == line_index:
-                    return line
+    # validate_dataset guarantees sections[i].index == i and lines[j].index == j;
+    # the bounds check keeps a negative key from counting from the end
+    if 0 <= section_index < len(entry.sections):
+        lines = entry.sections[section_index].lines
+        if 0 <= line_index < len(lines):
+            return lines[line_index]
     return None
 
 

@@ -39,8 +39,8 @@ class SyllableErrorParams:
     beta: float = 2.0
 
     def __post_init__(self):
-        if self.beta < 1:
-            raise MetricDomainError("beta must be >= 1")
+        if not (math.isfinite(self.beta) and self.beta >= 1):
+            raise MetricDomainError("beta must be finite and >= 1")
 
 
 def syllable_error(c_ref: int, c_pred: int,

@@ -50,31 +50,34 @@ class G2PRule:
 
 class G2PRuleSet:
     def __init__(self, rules: list[G2PRule]):
-        # longest grapheme first; stable sort keeps file order within a length
-        self.rules = sorted(rules, key=lambda r: -len(r.grapheme))
+        # Rules bucketed by first character; within a bucket, longest grapheme
+        # first, and the stable sort keeps file order within a length.
+        self._by_first: dict[str, list[G2PRule]] = {}
+        for rule in sorted(rules, key=lambda r: -len(r.grapheme)):
+            self._by_first.setdefault(rule.grapheme[0], []).append(rule)
 
     def match(self, text: str, i: int) -> G2PRule | None:
-        for rule in self.rules:
+        for rule in self._by_first.get(text[i], ()):
             end = i + len(rule.grapheme)
-            if text[i:end] != rule.grapheme:
-                continue
-            if not _side_ok(rule.left, text[:i], prefix=False):
-                continue
-            if not _side_ok(rule.right, text[end:], prefix=True):
-                continue
-            return rule
+            if (text.startswith(rule.grapheme, i)
+                    and _left_ok(rule.left, text, i)
+                    and _right_ok(rule.right, text, end)):
+                return rule
         return None
 
 
-def _side_ok(pattern: str, neighborhood: str, *, prefix: bool) -> bool:
-    if not pattern:
-        return True
+def _left_ok(pattern: str, text: str, i: int) -> bool:
+    """Does ``text[:i]`` end with ``pattern`` (``#``: a word boundary)?"""
     if pattern == "#":
-        return not neighborhood or (
-            neighborhood[0].isspace() if prefix else neighborhood[-1].isspace())
-    if prefix:
-        return neighborhood.startswith(pattern)
-    return neighborhood.endswith(pattern)
+        return i == 0 or text[i - 1].isspace()
+    return text.endswith(pattern, 0, i)
+
+
+def _right_ok(pattern: str, text: str, end: int) -> bool:
+    """Does ``text[end:]`` start with ``pattern`` (``#``: a word boundary)?"""
+    if pattern == "#":
+        return end == len(text) or text[end].isspace()
+    return text.startswith(pattern, end)
 
 
 def parse_rules(lines, source: str = "<rules>") -> G2PRuleSet:
@@ -88,6 +91,9 @@ def parse_rules(lines, source: str = "<rules>") -> G2PRuleSet:
             raise MissingRuleTableError(
                 f"{source}:{lineno}: expected grapheme<TAB>ipa[<TAB>ctx]")
         grapheme = parts[0]
+        if not grapheme:
+            # an empty grapheme would match everywhere without advancing
+            raise MissingRuleTableError(f"{source}:{lineno}: empty grapheme")
         output = () if parts[1] == "∅" else tuple(parts[1].split())
         left = right = ""
         if len(parts) == 3 and parts[2]:

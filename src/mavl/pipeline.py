@@ -3,7 +3,9 @@
 A line is translated by prompting a model through a staged recipe: segment
 the source line into syllables, draft a target-language syllable list of the
 same length, refine it, then emit a single JSON payload with the final text.
-The model's claimed counts are never trusted; we recount every candidate with
+Only that final payload is read from a reply; the working before it (the
+syllable lists) reaches the trace file verbatim and is never parsed.  The
+model's claimed counts are never trusted; we recount every candidate with
 the syllable module and re-prompt (up to a bound) whenever the count misses,
 the text cannot be counted, or the payload is missing.
 
@@ -26,21 +28,15 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .errors import (
-    ConfigError,
-    MissingFinalAnswerError,
-    NumberRangeError,
-    PipelineError,
-)
+from .errors import ConfigError, NumberRangeError, PipelineError
 from .languages import Language
 from .providers import (
     GenerationProvider,
     GenerationRequest,
     MediaAttachment,
     MediaKind,
-    RetryPolicy,
     TraceStore,
     generate,
 )
@@ -51,11 +47,9 @@ __all__ = [
     "PromptStyle",
     "PipelineVariant",
     "TranslationTask",
-    "StageTrace",
     "TranslationResult",
     "ValidationFlags",
     "build_prompt",
-    "parse_trace",
     "validate",
     "translate_line",
 ]
@@ -129,30 +123,12 @@ class TranslationTask:
 
 
 @dataclass(frozen=True)
-class StageTrace:
-    """What we could recover from the model's visible working.
-
-    ``refinement_rounds`` holds every syllable list the model wrote after the
-    source segmentation, in order, with consecutive repeats collapsed; each
-    entry pairs the list with its length.  ``raw_text`` is the verbatim model
-    output (all attempts joined, when the loop ran more than once).
-    """
-
-    source_segmentation: tuple[str, ...] | None
-    target_syllable_list: tuple[str, ...] | None
-    refinement_rounds: tuple[tuple[tuple[str, ...], int], ...]
-    final_translation: str | None
-    raw_text: str
-
-
-@dataclass(frozen=True)
 class TranslationResult:
     task: TranslationTask
     translation: str
     achieved_count: int
     constraint_met: bool
     attempts: int
-    trace: StageTrace
 
 
 class ValidationFlags(NamedTuple):
@@ -239,31 +215,13 @@ def build_prompt(task: TranslationTask, variant: PipelineVariant) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Trace parsing
+# Reading a reply
 
 
-_BRACKET_BLOCK = re.compile(r"\[[^\[\]]*\]")
 # A payload is {"translation": <string>} with JSON whitespace around the parts.
 _PAYLOAD_OPEN = re.compile(r'\{[ \t\n\r]*"translation"[ \t\n\r]*:[ \t\n\r]*(?=")')
 _PAYLOAD_CLOSE = re.compile(r"[ \t\n\r]*\}")
 _DECODER = json.JSONDecoder()
-
-
-def _quoted_lists(raw: str) -> list[tuple[str, ...]]:
-    """Square-bracketed, comma-separated, quoted items; anything else ignored."""
-    found: list[tuple[str, ...]] = []
-    for block in _BRACKET_BLOCK.findall(raw):
-        try:
-            value = json.loads(block)
-        except json.JSONDecodeError:
-            continue
-        if (
-            isinstance(value, list)
-            and value
-            and all(isinstance(item, str) for item in value)
-        ):
-            found.append(tuple(value))
-    return found
 
 
 def _final_payload(raw: str) -> str | None:
@@ -282,33 +240,6 @@ def _final_payload(raw: str) -> str | None:
         if _PAYLOAD_CLOSE.match(raw, end):
             return value
     return None
-
-
-def _assemble_trace(raw: str, lists: Sequence[tuple[str, ...]], final: str | None) -> StageTrace:
-    source = lists[0] if lists else None
-    rounds: list[tuple[tuple[str, ...], int]] = []
-    for candidate in lists[1:]:
-        if candidate == source:
-            continue  # the model echoing its own segmentation back
-        if rounds and rounds[-1][0] == candidate:
-            continue
-        rounds.append((candidate, len(candidate)))
-    return StageTrace(
-        source_segmentation=source,
-        target_syllable_list=rounds[0][0] if rounds else None,
-        refinement_rounds=tuple(rounds),
-        final_translation=final,
-        raw_text=raw,
-    )
-
-
-def parse_trace(raw: str) -> StageTrace:
-    if not raw:
-        raise MissingFinalAnswerError("empty model output")
-    final = _final_payload(raw)
-    if final is None:
-        raise MissingFinalAnswerError("no final-answer payload in model output")
-    return _assemble_trace(raw, _quoted_lists(raw), final)
 
 
 def validate(result_text: str, task: TranslationTask) -> ValidationFlags:
@@ -362,7 +293,6 @@ def translate_line(
     provider: GenerationProvider,
     *,
     max_reprompts: int = 2,
-    retry: RetryPolicy | None = None,
     trace_store: TraceStore | None = None,
 ) -> TranslationResult:
     """Translate one line, re-prompting until the syllable count lands.
@@ -385,10 +315,7 @@ def translate_line(
     )
 
     conversation = build_prompt(task, variant)
-    responses: list[str] = []
-    all_lists: list[tuple[str, ...]] = []
     candidates: list[_Candidate] = []
-    attempts = 0
     uncountable = False
 
     for attempt in range(1, max_reprompts + 2):
@@ -396,14 +323,9 @@ def translate_line(
         raw = generate(
             request,
             provider,
-            policy=retry,
             trace=trace_store,
             task_id=task.task_id or task.source_text,
         )
-        attempts = attempt
-        responses.append(raw)
-        all_lists.extend(_quoted_lists(raw))
-
         final = _final_payload(raw)
         if final is None:
             feedback = _FORMAT_FEEDBACK
@@ -422,13 +344,9 @@ def translate_line(
                 feedback = _count_feedback(task, flags, stripped)
         conversation = f"{conversation}\n\n{raw}\n\n{feedback}"
 
-    merged_raw = "\n\n".join(responses)
     if not candidates:
-        trace = _assemble_trace(merged_raw, all_lists, None)
         problem = "countable" if uncountable else "parsable"
-        raise PipelineError(
-            f"no {problem} final answer in {attempts} attempt(s)", trace=trace
-        )
+        raise PipelineError(f"no {problem} final answer in {attempt} attempt(s)")
 
     best = min(
         candidates,
@@ -438,12 +356,10 @@ def translate_line(
             c.attempt,
         ),
     )
-    trace = _assemble_trace(merged_raw, all_lists, best.text)
     return TranslationResult(
         task=task,
         translation=best.text,
         achieved_count=best.flags.achieved_count,
         constraint_met=best.flags.constraint_met,
-        attempts=attempts,
-        trace=trace,
+        attempts=attempt,
     )

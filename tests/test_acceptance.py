@@ -220,7 +220,6 @@ def test_codec_round_trip_and_perturbation_rejection():
 # pipeline loop semantics
 
 NINE_LIST = ("날", "기", "억", "해", "줘", "울", "지", "는", "마")
-TEN_LIST = ("날", "잊", "지", "마", "슬", "퍼", "하", "지", "는", "마")
 
 FIRST_REPLY = """\
 1. Identify the Core Lyric and Perform Syllable Segmentation
@@ -260,6 +259,16 @@ Syllable list: `["나", "비", "가", "날", "아", "와"]`
 """
 
 
+class PromptRecordingProvider(ScriptedProvider):
+    def __init__(self, script):
+        super().__init__(script)
+        self.prompts: list[str] = []
+
+    def complete(self, request):
+        self.prompts.append(request.prompt_text)
+        return super().complete(request)
+
+
 def test_refinement_loop_semantics():
     task = TranslationTask(
         source_text="Remember me, don't let it make you cry",
@@ -267,13 +276,16 @@ def test_refinement_loop_semantics():
         target_lang=Language.KO,
         required_count=10,
     )
-    provider = ScriptedProvider([FIRST_REPLY, SECOND_REPLY])
+    provider = PromptRecordingProvider([FIRST_REPLY, SECOND_REPLY])
     result = translate_line(task, PipelineVariant(), provider)
     assert result.constraint_met is True
     assert result.attempts == 2
     assert result.translation == "날 잊지 마 슬퍼하지는 마"
-    lists = [entry[0] for entry in result.trace.refinement_rounds]
-    assert NINE_LIST in lists and TEN_LIST in lists
+    # the refinement happens in context: the 9-syllable first reply, list and
+    # all, is carried verbatim into the second prompt
+    second_prompt = provider.prompts[1]
+    assert FIRST_REPLY in second_prompt
+    assert json.dumps(list(NINE_LIST), ensure_ascii=False) in second_prompt
 
     task = TranslationTask(
         source_text="And there's a butterfly",

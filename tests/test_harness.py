@@ -114,10 +114,13 @@ def base_config(dataset_path, script_path, out_dir, **overrides):
 
 class TestRunConfig:
     def test_rejects_bad_values(self, tmp_path):
-        with pytest.raises(ConfigError):
-            RunConfig(dataset_path="x", beta=0.5)
+        for beta in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                RunConfig(dataset_path="x", beta=beta)
         with pytest.raises(ConfigError):
             RunConfig(dataset_path="x", parallelism=0)
+        with pytest.raises(ConfigError):
+            RunConfig(dataset_path="x", max_reprompts=-1)
         with pytest.raises(ConfigError):
             RunConfig(dataset_path="x", fmt="xml")
         with pytest.raises(ConfigError):
@@ -875,6 +878,52 @@ class TestCli:
                      "--hypotheses", str(hyp), "--out", str(tmp_path / "runs")])
         assert code == 3
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["evaluate", "--from-dubbed", "--beta", "nan"],
+        ["evaluate", "--from-dubbed", "--beta", "inf"],
+        ["translate", "--max-reprompts", "-1"],
+    ], ids=["beta-nan", "beta-inf", "max-reprompts-negative"])
+    def test_bad_number_exits_2_before_the_run_directory(self, tmp_path, capsys, flags):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, ['{"translation": "나비가 날아와"}'])
+        out_dir = tmp_path / "runs"
+        out_dir.mkdir()
+        code = main([flags[0], "--dataset", str(corpus), "--target-lang", "KO",
+                     "--mock-script", str(script), "--out", str(out_dir), *flags[1:]])
+        assert code == 2
+        assert list(out_dir.iterdir()) == []
+
+    def test_duplicate_hypothesis_key_exits_3(self, tmp_path, capsys):
+        corpus = small_corpus(tmp_path)
+        key = {"song_id": "alpha", "language": "KO", "section": 0, "line": 0}
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(
+            '{"provenance": "x"}\n'
+            + json.dumps({**key, "text": "나비가 날아와"}) + "\n"
+            + json.dumps({**key, "text": "나비"}) + "\n",
+            encoding="utf-8",
+        )
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--hypotheses", str(hyp), "--out", str(tmp_path / "runs")])
+        assert code == 3
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,line", [(-1, 0), (0, -1), (0, 2), (1, 0)],
+                             ids=["section-negative", "line-negative",
+                                  "line-past-end", "section-past-end"])
+    def test_hypothesis_key_outside_the_dataset_exits_3(self, tmp_path, capsys,
+                                                        section, line):
+        corpus = small_corpus(tmp_path)
+        record = {"song_id": "alpha", "language": "KO", "section": section,
+                  "line": line, "text": "나비가 날아와"}
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"provenance": "x"}\n' + json.dumps(record) + "\n",
+                       encoding="utf-8")
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--hypotheses", str(hyp), "--out", str(tmp_path / "runs")])
+        assert code == 3
+        assert "does not resolve to a dataset line" in capsys.readouterr().err
 
     def test_config_file_defaults_with_flag_override(self, tmp_path, capsys):
         corpus = small_corpus(tmp_path)

@@ -41,8 +41,9 @@ class TestSyllableError:
             syllable_error(0, 5)
 
     def test_beta_below_one_rejected(self):
-        with pytest.raises(MetricDomainError):
-            SyllableErrorParams(beta=0.5)
+        for beta in (0.5, float("nan"), float("inf")):
+            with pytest.raises(MetricDomainError):
+                SyllableErrorParams(beta=beta)
 
     @given(st.integers(1, 40), st.integers(0, 40),
            st.sampled_from([1.0, 1.5, 2.0]))

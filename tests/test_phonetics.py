@@ -104,6 +104,20 @@ class TestTranscribe:
         with pytest.raises(MissingRuleTableError):
             parse_rules(["just-one-field"])
 
+    def test_empty_grapheme_rejected_with_its_location(self):
+        # a rule with no grapheme matches everywhere without advancing
+        with pytest.raises(MissingRuleTableError, match=r"t\.tsv:3: empty grapheme"):
+            parse_rules(["a\tx", "# note", "\ty"], source="t.tsv")
+
+    def test_longest_grapheme_then_file_order_then_context(self):
+        rules = parse_rules(["a\tx", "ab\ty", "a\tz", "b\tp\t#/", "b\tb"])
+        assert rules.match("abc", 0).output == ("y",)
+        assert rules.match("ac", 0).output == ("x",)
+        assert rules.match("b", 0).output == ("p",)
+        assert rules.match("ab", 1).output == ("b",)
+        assert rules.match("a b", 2).output == ("p",)
+        assert rules.match("c", 0) is None
+
     def test_deterministic(self):
         a = transcribe(Language.FR, "lumière")
         b = transcribe(Language.FR, "lumière")

@@ -5,16 +5,14 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mavl.errors import ConfigError, MissingFinalAnswerError, PipelineError
+from mavl.errors import ConfigError, PipelineError
 from mavl.languages import Language
 from mavl.pipeline import (
     Modality,
     PipelineVariant,
     PromptStyle,
-    StageTrace,
     TranslationTask,
     build_prompt,
-    parse_trace,
     translate_line,
     validate,
 )
@@ -92,51 +90,6 @@ BUTTERFLY_TRACE = """\
 ```
 """
 
-NINE_LIST = ("날", "기", "억", "해", "줘", "울", "지", "는", "마")
-TEN_LIST = ("날", "잊", "지", "마", "슬", "퍼", "하", "지", "는", "마")
-
-# A trace where the model catches its own count error mid-reasoning: a 9-item
-# first attempt, the correction note, then the accepted 10-item list.
-REMEMBER_TRACE = """\
-1. Identify the Core Lyric and Perform Syllable Segmentation
-I begin with the original lyric "Remember me, don't let it make you cry" and note
-the natural break after "me." I segment the lyric into its constituent syllables
-as follows:
-`["Re", "mem", "ber", "me,", "don't", "let", "it", "make", "you", "cry"]`
-This gives a total of 10 syllables.
-
-2. Generate the Target Language Translation Syllable List
-The video shows a young boy singing to his elderly grandmother, who looks sad.
-Given the context, the translation should be comforting and gentle.
-My initial translation is:
-`["날", "기", "억", "해", "줘", "울", "지", "는", "마"]`
-This translation maintains the sentiment and cultural context.
-
-3. Iterate and Refine the Translation
-Upon reviewing the initial segmentation ["날", "기", "억", "해", "줘", "울", "지", "는", "마"],
-the primary issue is the syllable count.
-The list contains 9 syllables, not 10 as originally noted. This mismatch is crucial
-for accurately fitting the lyric to the song's original melody and rhythm, which is
-built on 10 syllables.
-Furthermore, the original lyric has a distinct 4+6 syllable structure with a natural
-break after the 4th syllable ("me,"). The initial translation has a 5+4 structure
-(["날", "기", "억", "해", "줘"] as the first part and ["울", "지", "는", "마"] as the
-second), causing the potential break point to fall after the 5th syllable instead
-of the 4th.
-
-Second attempt (adjusting for syllable count and naturalness):
-`["날", "잊", "지", "마", "슬", "퍼", "하", "지", "는", "마"]`
-The second attempt seems more natural and maintains the 10-syllable count.
-
-4. Generate the Final Translation
-The final syllable list is:
-`["날", "잊", "지", "마", "슬", "퍼", "하", "지", "는", "마"]`
-
-```json
-{"translation": "날 잊지 마 슬퍼하지는 마"}
-```
-"""
-
 # Two-turn variant of the same line: the first reply commits to the 9-count
 # translation; the corrective re-prompt produces the 10-count one.
 REMEMBER_TURN_1 = """\
@@ -169,8 +122,6 @@ Second attempt (adjusting for syllable count and naturalness):
 
 class RecordingProvider:
     """Replays fixed responses and keeps every request for inspection."""
-
-    name = "recording"
 
     def __init__(self, responses):
         self.responses = list(responses)
@@ -291,75 +242,40 @@ class TestBuildPrompt:
 
 
 class TestParseTrace:
-    def test_butterfly_trace(self):
-        trace = parse_trace(BUTTERFLY_TRACE)
-        assert trace.source_segmentation == ("And", "there's", "a", "but", "ter", "fly")
-        assert trace.final_translation == "나비가 날아와"
-        assert trace.target_syllable_list == ("나", "비", "가", "있", "어", "요")
-        rounds = trace.refinement_rounds
-        assert rounds[0] == (("나", "비", "가", "있", "어", "요"), 6)
-        assert rounds[-1] == (("나", "비", "가", "날", "아", "와"), 6)
-        assert trace.raw_text == BUTTERFLY_TRACE
+    """translate_line reads a reply for its last {"translation": ...} payload only."""
 
-    def test_remember_trace_keeps_rejected_then_accepted(self):
-        trace = parse_trace(REMEMBER_TRACE)
-        assert trace.source_segmentation == (
-            "Re", "mem", "ber", "me,", "don't", "let", "it", "make", "you", "cry",
+    @staticmethod
+    def read(reply, **task_overrides):
+        return translate_line(
+            butterfly_task(**task_overrides), PipelineVariant(modalities=TEXT),
+            RecordingProvider([reply]), max_reprompts=0,
         )
-        lists = [entry[0] for entry in trace.refinement_rounds]
-        assert NINE_LIST in lists
-        assert TEN_LIST in lists
-        assert lists.index(NINE_LIST) < lists.index(TEN_LIST)
-        assert trace.refinement_rounds[0] == (NINE_LIST, 9)
-        assert trace.refinement_rounds[-1] == (TEN_LIST, 10)
-        assert trace.final_translation == "날 잊지 마 슬퍼하지는 마"
-
-    def test_counts_equal_list_lengths(self):
-        trace = parse_trace(REMEMBER_TRACE)
-        for syllables, count in trace.refinement_rounds:
-            assert count == len(syllables)
-
-    def test_consecutive_duplicates_collapse(self):
-        raw = (
-            '["a", "b"]\nthen ["x", "y"]\nagain ["x", "y"]\nfinally '
-            '{"translation": "done"}'
-        )
-        trace = parse_trace(raw)
-        assert trace.refinement_rounds == ((("x", "y"), 2),)
-
-    def test_source_echoes_are_not_rounds(self):
-        raw = '["a", "b"]\nrestating ["a", "b"]\n{"translation": "ok"}'
-        trace = parse_trace(raw)
-        assert trace.source_segmentation == ("a", "b")
-        assert trace.refinement_rounds == ()
 
     def test_last_payload_wins(self):
-        raw = '{"translation": "draft"}\nwait, better:\n{"translation": "final"}'
-        assert parse_trace(raw).final_translation == "final"
+        # the earlier draft meets the count, but only the last payload is read
+        raw = '{"translation": "나비가 날아와"}\nwait, better:\n{"translation": "나비"}'
+        result = self.read(raw)
+        assert result.translation == "나비"
+        assert result.constraint_met is False
 
     def test_instruction_example_payload_is_skipped_in_favor_of_answer(self):
         raw = (
             'Format: {"translation": "final translation text"}\n'
             'Answer: {"translation": "나비가 날아와"}'
         )
-        assert parse_trace(raw).final_translation == "나비가 날아와"
-
-    def test_non_list_brackets_ignored(self):
-        raw = '[1, 2, 3] [verse] [] ["ok", "list"] {"translation": "x"}'
-        trace = parse_trace(raw)
-        assert trace.source_segmentation == ("ok", "list")
+        assert self.read(raw).translation == "나비가 날아와"
 
     def test_missing_payload_raises(self):
-        with pytest.raises(MissingFinalAnswerError):
-            parse_trace("no payload here, just prose")
+        with pytest.raises(PipelineError, match="no parsable final answer in 1"):
+            self.read("no payload here, just prose")
 
     def test_payload_with_extra_keys_not_a_final_answer(self):
-        with pytest.raises(MissingFinalAnswerError):
-            parse_trace('{"translation": "x", "note": "y"}')
+        with pytest.raises(PipelineError, match="no parsable final answer in 1"):
+            self.read('{"translation": "x", "note": "y"}')
 
     def test_braces_inside_the_translation(self):
         raw = 'Draft: {"translation": "나비"}\nFinal: {"translation": "나비 {날아} 와"}'
-        assert parse_trace(raw).final_translation == "나비 {날아} 와"
+        assert self.read(raw, required_count=5).translation == "나비 {날아} 와"
 
 
 class TestValidate:
@@ -390,9 +306,6 @@ class TestTranslateLine:
         assert result.achieved_count == 6
         assert result.constraint_met is True
         assert result.attempts == 1
-        assert result.trace.source_segmentation == (
-            "And", "there's", "a", "but", "ter", "fly",
-        )
 
     def test_miss_then_hit_takes_two_attempts(self):
         provider = RecordingProvider([REMEMBER_TURN_1, REMEMBER_TURN_2])
@@ -403,8 +316,6 @@ class TestTranslateLine:
         assert result.constraint_met is True
         assert result.translation == "날 잊지 마 슬퍼하지는 마"
         assert result.achieved_count == 10
-        lists = [entry[0] for entry in result.trace.refinement_rounds]
-        assert NINE_LIST in lists and TEN_LIST in lists
 
     def test_corrective_turn_states_counts_and_keeps_context(self):
         provider = RecordingProvider([REMEMBER_TURN_1, REMEMBER_TURN_2])
@@ -423,8 +334,7 @@ class TestTranslateLine:
                 max_reprompts=2,
             )
         assert len(provider.requests) == 3
-        assert isinstance(excinfo.value.trace, StageTrace)
-        assert "no json 1" in excinfo.value.trace.raw_text
+        assert "no parsable final answer in 3" in str(excinfo.value)
 
     def test_malformed_reprompt_mentions_format(self):
         provider = RecordingProvider(["not json", '{"translation": "나비가 날아와"}'])
