@@ -7,11 +7,14 @@ Four subcommands cover the experimental workflows:
     mavl ablate    --dataset corpus.json --mock-script s.json --grid stages
     mavl stats     --dataset corpus.json
 
+EN is always the source language; ``--target-lang`` picks the others.
+
 Flags may also come from a config file (``--config``) holding one KEY=VALUE
-pair per line, with ``#`` comments; explicit command-line flags win over file
-values.  Credentials are never accepted as flags or file values: remote
-providers read their key from the environment variable named by
-``--api-key-env``.
+pair per line, with ``#`` comments.  A key is a long flag name without its
+dashes (``format``, ``from-dubbed``); a flag that takes no value is set with
+``true`` or ``false``.  Explicit command-line flags win over file values.
+Credentials are never accepted as flags or file values: remote providers
+read their key from the environment variable named by ``--api-key-env``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .harness import (
     cmd_translate,
 )
 from .languages import Language
-from .metrics import ALL_COMPONENTS
 from .pipeline import Modality, PipelineVariant, PromptStyle
 from .reports import dump_json, render_report_table, report_to_json, rows_to_csv
 
@@ -85,7 +87,8 @@ def _parse_language(value: str) -> Language:
 
 
 def load_config_file(path: str) -> dict:
-    """KEY=VALUE per line; keys match long flag names (hyphens optional)."""
+    """KEY=VALUE per line; keys are long flag names, and an underscore may
+    stand for a hyphen."""
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -98,7 +101,7 @@ def load_config_file(path: str) -> dict:
                         f"{path}:{lineno}: expected KEY=VALUE, got {line!r}"
                     )
                 key, _, value = line.partition("=")
-                values[key.strip().lower().replace("-", "_")] = value.strip()
+                values[key.strip().lower().replace("_", "-")] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return values
@@ -114,12 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dataset", required=True, help="path to the dataset JSON")
         p.add_argument("--config", help="KEY=VALUE file with flag defaults")
-        p.add_argument("--source-lang", default="EN")
         p.add_argument(
             "--target-lang",
             action="append",
             default=None,
-            help="target language code; repeat for several",
+            help="target language code, not EN (the source); repeat for several",
         )
         p.add_argument("--variant", choices=sorted(VARIANT_CHOICES), default="full")
         p.add_argument(
@@ -129,16 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="runs", help="output root directory")
         p.add_argument("--parallelism", type=int, default=1)
         p.add_argument("--max-reprompts", type=int, default=2)
-        p.add_argument("--order-seed", type=int, default=None)
         p.add_argument("--failure-threshold", type=float, default=0.5)
         p.add_argument(
             "--format", choices=["csv", "json", "table"], default="table",
             dest="fmt",
-        )
-        p.add_argument(
-            "--components",
-            default="syllabic,semantic,phonetic",
-            help="comma-separated metric components to compute",
         )
         p.add_argument("--provider", choices=["mock", "remote"], default="mock")
         p.add_argument("--mock-script", default=None)
@@ -171,17 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _known_dests(parser: argparse.ArgumentParser) -> set[str]:
-    # argparse has no public way to enumerate destinations across subcommands
-    dests: set[str] = set()
+def _parser_tree(parser: argparse.ArgumentParser):
+    """The parser and every subcommand parser below it."""
+    # argparse has no public way to walk subcommands
     stack = [parser]
     while stack:
         current = stack.pop()
+        yield current
         for action in current._actions:
-            dests.add(action.dest)
             if isinstance(action, argparse._SubParsersAction):
                 stack.extend(action.choices.values())
-    return dests - {"help", "command"}
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
@@ -190,25 +185,30 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     path = getattr(parser.parse_known_args(argv)[0], "config", None)
     if path is None:
         return
-    values = load_config_file(path)
-    known = _known_dests(parser)
+    flags = {
+        option[2:]: action
+        for current in _parser_tree(parser)
+        for action in current._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
     defaults = {}
-    for key, value in values.items():
-        if key == "target_lang":
-            defaults["target_lang"] = [v.strip() for v in value.split(",") if v.strip()]
-        elif key in known:
-            defaults[key] = value
-        else:
+    for key, value in load_config_file(path).items():
+        action = flags.get(key)
+        if action is None:
             raise ConfigError(f"unknown config key {key!r}")
+        if action.dest == "target_lang":
+            defaults[action.dest] = [v.strip() for v in value.split(",") if v.strip()]
+        elif action.nargs == 0:
+            if value.lower() not in {"true", "false"}:
+                raise ConfigError(f"config key {key!r} takes true or false, got {value!r}")
+            defaults[action.dest] = value.lower() == "true"
+        else:
+            defaults[action.dest] = value
     # subcommands parse into their own namespace, so the file-provided
     # defaults must be planted on every parser in the tree to take effect
-    stack = [parser]
-    while stack:
-        current = stack.pop()
+    for current in _parser_tree(parser):
         current.set_defaults(**defaults)
-        for action in current._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -216,18 +216,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown variant {args.variant!r}")
     variant_fields = dict(VARIANT_CHOICES[args.variant])
     variant_fields["modalities"] = parse_modalities(args.modalities)
-    components = frozenset(
-        token.strip() for token in str(args.components).split(",") if token.strip()
-    )
-    unknown = components - ALL_COMPONENTS
-    if unknown:
-        raise ConfigError(f"unknown metric components: {sorted(unknown)}")
     targets = tuple(
         _parse_language(code) for code in (args.target_lang or [])
     )
     return RunConfig(
         dataset_path=args.dataset,
-        source_lang=_parse_language(args.source_lang),
         target_langs=targets,
         variant=PipelineVariant(**variant_fields),
         provider=args.provider,
@@ -235,12 +228,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         endpoint=args.endpoint,
         model_id=args.model_id,
         api_key_env=args.api_key_env,
-        components=components,
         beta=float(args.beta),
         out_dir=args.out,
         parallelism=int(args.parallelism),
         max_reprompts=int(args.max_reprompts),
-        order_seed=None if args.order_seed is None else int(args.order_seed),
         failure_threshold=float(args.failure_threshold),
         fmt=args.fmt,
     )

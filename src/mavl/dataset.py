@@ -13,18 +13,19 @@ File format (UTF-8 JSON)::
             { "index": 0, "rep": ["RmtIhtsg", "Remember", "goodbye"],
               "time_span": [12000, 15500], "syllable_count": 10 } ] } ] } } }
 
-A resolved line may additionally carry its recovered "text". Unknown
+A resolved line may additionally carry its recovered "text". Every song
+needs an "en" entry: EN is the source of every translation. Unknown
 fields are kept and re-emitted in lenient mode, rejected in strict.
 """
 
 from __future__ import annotations
 
 import json
+import unicodedata
 from dataclasses import dataclass, field, replace
 
 from .errors import DatasetParseError, DatasetValidationError, EmptyLineError
-from .languages import Language
-from .tokenize import TokenizerHandle, default_tokenizer
+from .languages import Language, is_hiragana, is_kanji, is_katakana
 
 _LINE_KEYS = {"index", "rep", "time_span", "syllable_count", "text"}
 _SECTION_KEYS = {"index", "lines"}
@@ -81,8 +82,46 @@ class Dataset:
 
 # ---------------------------------------------------------------- codec
 
-def encode_line(lang: Language, text: str,
-                tokenizer: TokenizerHandle | None = None) -> CompactLineRep:
+def tokenize(lang: Language, text: str) -> list[str]:
+    """The words of a line.
+
+    Space-delimited languages split on whitespace. Japanese has no
+    spaces, so a token is a run of one script class (kanji, hiragana,
+    katakana, other), which approximates morpheme boundaries; punctuation
+    joins the token before it so it never stands alone.
+    """
+    if lang.space_delimited:
+        return text.split()
+    tokens: list[str] = []
+    prev = None
+    for ch in text:
+        cls = _char_class(ch)
+        if cls == "space":
+            prev = None
+            continue
+        if tokens and (cls == prev or cls == "punct"):
+            tokens[-1] += ch
+        else:
+            tokens.append(ch)
+        prev = cls
+    return tokens
+
+
+def _char_class(ch: str) -> str:
+    if ch.isspace():
+        return "space"
+    if is_kanji(ch):
+        return "kanji"
+    if is_hiragana(ch):
+        return "hiragana"
+    if is_katakana(ch) or ch == "ー":
+        return "katakana"
+    if unicodedata.category(ch).startswith(("P", "S")):
+        return "punct"
+    return "other"
+
+
+def encode_line(lang: Language, text: str) -> CompactLineRep:
     """Fingerprint one lyric line.
 
     Tokens keep their punctuation; the signature is the first character
@@ -90,9 +129,7 @@ def encode_line(lang: Language, text: str,
     pairs (an odd trailing token stands alone) so the signature stays
     short despite fine-grained tokenization.
     """
-    if tokenizer is None:
-        tokenizer = default_tokenizer(lang)
-    tokens = tokenizer.tokens(text)
+    tokens = tokenize(lang, text)
     if not tokens:
         raise EmptyLineError("cannot encode an empty line")
     if lang is Language.JA:
@@ -101,16 +138,14 @@ def encode_line(lang: Language, text: str,
     return CompactLineRep(signature, tokens[0], tokens[-1])
 
 
-def match_line(rep: CompactLineRep, candidate: str, lang: Language,
-               tokenizer: TokenizerHandle | None = None) -> bool:
+def match_line(rep: CompactLineRep, candidate: str, lang: Language) -> bool:
     try:
-        return encode_line(lang, candidate, tokenizer) == rep
+        return encode_line(lang, candidate) == rep
     except EmptyLineError:
         return False
 
 
-def reconstruct_song(entry: SongEntry, candidate_lines: list[str],
-                     tokenizer: TokenizerHandle | None = None
+def reconstruct_song(entry: SongEntry, candidate_lines: list[str]
                      ) -> tuple[SongEntry, list[tuple[int, int]]]:
     """Match candidates to the entry's lines, greedily and in order.
 
@@ -120,8 +155,6 @@ def reconstruct_song(entry: SongEntry, candidate_lines: list[str],
     region. Returns the resolved copy plus (section, line) index pairs
     that found no match.
     """
-    if tokenizer is None:
-        tokenizer = default_tokenizer(entry.language)
     cursor = 0
     unmatched: list[tuple[int, int]] = []
     sections: list[Section] = []
@@ -129,7 +162,7 @@ def reconstruct_song(entry: SongEntry, candidate_lines: list[str],
         lines: list[LyricLine] = []
         for line in section.lines:
             found = _find_candidate(line.rep, candidate_lines, cursor,
-                                    entry.language, tokenizer)
+                                    entry.language)
             text = line.resolved_text
             if found is not None:
                 cursor = found + 1
@@ -143,10 +176,10 @@ def reconstruct_song(entry: SongEntry, candidate_lines: list[str],
 
 
 def _find_candidate(rep: CompactLineRep, candidates: list[str], start: int,
-                    lang: Language, tokenizer: TokenizerHandle) -> int | None:
+                    lang: Language) -> int | None:
     """Index of the first candidate at or after ``start`` matching ``rep``."""
     for j in range(start, len(candidates)):
-        if match_line(rep, candidates[j], lang, tokenizer):
+        if match_line(rep, candidates[j], lang):
             return j
     return None
 

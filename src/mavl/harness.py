@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import os
-import random
 import tempfile
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -44,7 +43,6 @@ from .errors import (
 )
 from .languages import Language
 from .metrics import (
-    ALL_COMPONENTS,
     LineScore,
     LineScorer,
     ReferenceKind,
@@ -102,7 +100,6 @@ class ThresholdExceededError(MavlError):
 @dataclass(frozen=True)
 class RunConfig:
     dataset_path: str
-    source_lang: Language = Language.EN
     target_langs: tuple[Language, ...] = ()
     variant: PipelineVariant = field(default_factory=PipelineVariant)
     provider: str = "mock"
@@ -110,12 +107,10 @@ class RunConfig:
     endpoint: str | None = None
     model_id: str | None = None
     api_key_env: str = "MAVL_API_KEY"
-    components: frozenset = ALL_COMPONENTS
     beta: float = 2.0
     out_dir: str = "runs"
     parallelism: int = 1
     max_reprompts: int = 2
-    order_seed: int | None = None
     failure_threshold: float = 0.5
     fmt: str = "table"
 
@@ -134,8 +129,10 @@ class RunConfig:
             raise ConfigError(f"unknown provider kind {self.provider!r}")
         if self.provider == "remote" and not (self.endpoint and self.model_id):
             raise ConfigError("remote provider needs an endpoint and a model id")
-        if self.source_lang in self.target_langs:
-            raise ConfigError("source language cannot also be a target")
+        if Language.EN in self.target_langs:
+            raise ConfigError("EN is the source language and cannot be a target")
+        if len(set(self.target_langs)) != len(self.target_langs):
+            raise ConfigError("a target language is given more than once")
 
     def require_paths(self) -> None:
         if not os.path.exists(self.dataset_path):
@@ -147,7 +144,6 @@ class RunConfig:
 def _config_payload(config: RunConfig) -> dict:
     return {
         "dataset_path": os.path.abspath(config.dataset_path),
-        "source_lang": config.source_lang.value,
         "target_langs": [lang.value for lang in config.target_langs],
         "variant": {
             "use_syllable_list": config.variant.use_syllable_list,
@@ -159,11 +155,9 @@ def _config_payload(config: RunConfig) -> dict:
         "mock_script": config.mock_script,
         "endpoint": config.endpoint,
         "model_id": config.model_id,
-        "components": sorted(config.components),
         "beta": config.beta,
         "parallelism": config.parallelism,
         "max_reprompts": config.max_reprompts,
-        "order_seed": config.order_seed,
         "failure_threshold": config.failure_threshold,
     }
 
@@ -238,7 +232,11 @@ class HypothesisSet:
                 "hypothesis file must start with a provenance record",
                 location=rows[0][0] if rows else "line 1",
             )
-        out = cls(provenance=rows[0][1]["provenance"])
+        provenance = rows[0][1]["provenance"]
+        if not isinstance(provenance, str):
+            raise DatasetValidationError("provenance must be a string",
+                                         location=rows[0][0])
+        out = cls(provenance=provenance)
         for where, row in rows[1:]:
             try:
                 song_id, section, line, hyp_text = (
@@ -413,17 +411,14 @@ def _line_media(entry: SongEntry, line: LyricLine) -> tuple[MediaAttachment, ...
 
 def _translation_tasks(
     config: RunConfig, dataset: Dataset
-) -> tuple[list[tuple[LineKey, TranslationTask]], list[dict], list[str]]:
-    """One task per (source line, target); a line that cannot be a task is a
+) -> tuple[list[tuple[LineKey, TranslationTask]], list[dict]]:
+    """One task per (EN line, target); a line that cannot be a task is a
     ``data`` failure, so it never aborts the run."""
     tasks: list[tuple[LineKey, TranslationTask]] = []
     failures: list[dict] = []
-    warnings: list[str] = []
     for song_id in sorted(dataset.songs):
-        entry = dataset.songs[song_id].get(config.source_lang)
-        if entry is None:
-            warnings.append(f"{song_id}: no {config.source_lang.value} lyrics; skipped")
-            continue
+        # validate_dataset guarantees every song an EN entry
+        entry = dataset.songs[song_id][Language.EN]
         for section, line in entry.lines():
             for target in config.target_langs:
                 key: LineKey = (song_id, target, section.index, line.index)
@@ -434,7 +429,7 @@ def _translation_tasks(
                 if required is None:
                     try:
                         required = syllables.count_syllables(
-                            config.source_lang, line.resolved_text
+                            Language.EN, line.resolved_text
                         )
                     except NumberRangeError as exc:
                         failures.append(_failure(key, "data", f"source line: {exc}"))
@@ -445,31 +440,29 @@ def _translation_tasks(
                     continue
                 task = TranslationTask(
                     source_text=line.resolved_text,
-                    source_lang=config.source_lang,
+                    source_lang=Language.EN,
                     target_lang=target,
                     required_count=required,
                     media=_line_media(entry, line),
                     task_id=f"{song_id}/{target.value}/{section.index}/{line.index}",
                 )
                 tasks.append((key, task))
-    return tasks, failures, warnings
+    return tasks, failures
 
 
 def cmd_translate(config: RunConfig) -> TranslateOutcome:
     config.require_paths()
     dataset = _load_dataset(config.dataset_path)
+    warnings: list[str] = []
     if config.target_langs:
-        tasks, failures, warnings = _translation_tasks(config, dataset)
+        tasks, failures = _translation_tasks(config, dataset)
         provider = _generation_provider(config)
     else:
         tasks, failures, provider = [], [], None
-        warnings = ["no target languages selected; nothing to translate"]
+        warnings.append("no target languages selected; nothing to translate")
     run_dir = make_run_dir(config, "translate")
     hyp = HypothesisSet(provenance=f"{config.provider}:{config.variant.label()}")
     trace = TraceStore(str(run_dir / "trace.jsonl"))
-
-    if config.order_seed is not None:
-        random.Random(config.order_seed).shuffle(tasks)
 
     def job(item: tuple[LineKey, TranslationTask]):
         key, task = item
@@ -572,7 +565,7 @@ def _eval_languages(config: RunConfig, dataset: Dataset) -> list[Language]:
         lang
         for entries in dataset.songs.values()
         for lang in entries
-        if lang is not config.source_lang
+        if lang is not Language.EN
     }
     return [lang for lang in Language if lang in present]
 
@@ -605,17 +598,17 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
     scores: list[LineScore] = []
     for song_id in sorted(dataset.songs):
         entries = dataset.songs[song_id]
-        entry_en = entries.get(config.source_lang)
+        entry_en = entries[Language.EN]
         for lang in languages:
             entry = entries.get(lang)
             if entry is None:
                 continue
             for section, line in entry.lines():
-                en_line = entry_en and _find_line(entry_en, section.index, line.index)
+                en_line = _find_line(entry_en, section.index, line.index)
                 original_text = en_line and en_line.resolved_text
                 # reference kind -> (reference language, text or None)
                 references = {
-                    ReferenceKind.ORIGINAL_EN: (config.source_lang, original_text),
+                    ReferenceKind.ORIGINAL_EN: (Language.EN, original_text),
                     ReferenceKind.DUBBED: (lang, line.resolved_text),
                 }
                 hyp_text = hyp.entries.get((song_id, lang, section.index, line.index))
@@ -628,9 +621,7 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
                 for kind, (ref_lang, ref_text) in references.items():
                     if skip_reason is None and ref_text is not None:
                         line_scores[kind] = scorer.score_line(
-                            ref_text, hyp_text, ref_lang, lang, kind,
-                            components=config.components,
-                        )
+                            ref_text, hyp_text, ref_lang, lang, kind)
                         scores.append(line_scores[kind])
                 rows.append(
                     EvaluationRow(

@@ -1,9 +1,10 @@
 """Line and corpus metrics for singability evaluation.
 
-Four signals per line, each optional: syllable error SE (asymmetric,
-over-count penalized by beta), syllable count distance SCD (symmetric,
-relative), semantic cosine similarity over multilingual embeddings, and
-phonetic Levenshtein distance over IPA. Every line is scored against a
+Four signals per line: syllable error SE (asymmetric, over-count
+penalized by beta), syllable count distance SCD (symmetric, relative),
+semantic cosine similarity over multilingual embeddings, and phonetic
+Levenshtein distance over IPA. A signal that cannot be computed stays
+None and its component names why. Every line is scored against a
 reference of a stated kind, either the original English lyric or the
 officially dubbed lyric in the target language, and aggregation keeps
 those two populations apart.
@@ -26,7 +27,6 @@ Embedder = Callable[[list[str]], list[list[float]]]
 SYLLABIC = "syllabic"
 SEMANTIC = "semantic"
 PHONETIC = "phonetic"
-ALL_COMPONENTS = frozenset({SYLLABIC, SEMANTIC, PHONETIC})
 
 
 class ReferenceKind(enum.Enum):
@@ -125,11 +125,7 @@ class LineScorer:
 
     def score_line(self, gt_text: str, pred_text: str,
                    lang_gt: Language, lang_pred: Language,
-                   reference_kind: ReferenceKind,
-                   components: frozenset[str] = ALL_COMPONENTS) -> LineScore:
-        unknown = set(components) - ALL_COMPONENTS
-        if unknown:
-            raise MetricDomainError(f"unknown components {sorted(unknown)}")
+                   reference_kind: ReferenceKind) -> LineScore:
         errors: dict[str, str] = {}
         counts: list[int | None] = []
         for lang, text in ((lang_gt, gt_text), (lang_pred, pred_text)):
@@ -138,11 +134,10 @@ class LineScorer:
             except NumberRangeError as exc:
                 # one uncountable text leaves the other count set
                 counts.append(None)
-                if SYLLABIC in components:
-                    errors.setdefault(SYLLABIC, str(exc))
+                errors.setdefault(SYLLABIC, str(exc))
         c_ref, c_pred = counts
         se = scd = mismatch = semantic = phonetic = None
-        if SYLLABIC in components and SYLLABIC not in errors:
+        if SYLLABIC not in errors:
             try:
                 se = syllable_error(c_ref, c_pred, self.params)
                 scd = syllable_count_distance(c_ref, c_pred)
@@ -150,17 +145,15 @@ class LineScorer:
             except MetricDomainError as exc:
                 errors[SYLLABIC] = str(exc)
                 se = scd = mismatch = None
-        if SEMANTIC in components:
-            try:
-                semantic = self._semantic(gt_text, pred_text)
-            except Exception as exc:
-                errors[SEMANTIC] = str(exc)
-        if PHONETIC in components:
-            try:
-                phonetic = phonetics.phonetic_distance(
-                    lang_gt, gt_text, lang_pred, pred_text)
-            except Exception as exc:
-                errors[PHONETIC] = str(exc)
+        try:
+            semantic = self._semantic(gt_text, pred_text)
+        except Exception as exc:
+            errors[SEMANTIC] = str(exc)
+        try:
+            phonetic = phonetics.phonetic_distance(
+                lang_gt, gt_text, lang_pred, pred_text)
+        except Exception as exc:
+            errors[PHONETIC] = str(exc)
         return LineScore(c_ref=c_ref, c_pred=c_pred,
                          reference_kind=reference_kind, language=lang_pred,
                          se=se, scd=scd, mismatch=mismatch,

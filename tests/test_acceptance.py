@@ -22,6 +22,7 @@ from mavl.dataset import (
     encode_line,
     match_line,
     serialize_dataset,
+    tokenize,
 )
 from mavl.harness import HypothesisSet, RunConfig, cmd_evaluate, cmd_translate, _load_dataset
 from mavl.languages import Language
@@ -42,7 +43,6 @@ from mavl.pipeline import (
 )
 from mavl.providers import ScriptedProvider
 from mavl.syllables import count_syllables
-from mavl.tokenize import default_tokenizer
 
 
 def ok(name: str) -> None:
@@ -184,7 +184,7 @@ def _random_line(lang: Language, rng: random.Random) -> str:
 
 
 def _drop_token(lang: Language, text: str) -> str:
-    tokens = default_tokenizer(lang).tokens(text)
+    tokens = tokenize(lang, text)
     sep = "" if lang is Language.JA else " "
     return sep.join(tokens[1:])
 

@@ -158,23 +158,17 @@ class TestEncode:
         assert rep.last_token == "cry"
 
     def test_japanese_pairs(self):
-        class Fixed:
-            def tokens(self, text):
-                return ["夜", "に", "駆け", "る"]
-
-        rep = encode_line(Language.JA, "夜に駆ける", tokenizer=Fixed())
+        # tokens 夜 / に / 駆 / ける pair up as 夜に / 駆ける
+        rep = encode_line(Language.JA, "夜に駆ける")
         assert rep.signature == "夜駆"
         assert rep.first_token == "夜に"
         assert rep.last_token == "駆ける"
 
     def test_japanese_odd_trailing_token(self):
-        class Fixed:
-            def tokens(self, text):
-                return ["a", "b", "c"]
-
-        rep = encode_line(Language.JA, "abc", tokenizer=Fixed())
-        assert rep.signature == "ac"
-        assert rep.last_token == "c"
+        # tokens 夜 / に / 駆: the third has no partner and stands alone
+        rep = encode_line(Language.JA, "夜に駆")
+        assert rep.signature == "夜駆"
+        assert rep.last_token == "駆"
 
     def test_empty_line_rejected(self):
         with pytest.raises(EmptyLineError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from mavl.harness import (
     cmd_ablate,
     cmd_evaluate,
     cmd_stats,
+    _config_payload,
     cmd_translate,
     config_digest,
     load_mock_script,
@@ -126,11 +128,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(dataset_path="x", provider="carrier-pigeon")
         with pytest.raises(ConfigError):
-            RunConfig(
-                dataset_path="x",
-                source_lang=Language.EN,
-                target_langs=(Language.EN,),
-            )
+            RunConfig(dataset_path="x", target_langs=(Language.EN,))
+        with pytest.raises(ConfigError):
+            RunConfig(dataset_path="x", target_langs=(Language.KO, Language.JA, Language.KO))
+
+    def test_digest_covers_every_run_setting(self):
+        # the key, the output root and the print format do not change a run's outputs
+        unhashed = {"api_key_env", "out_dir", "fmt"}
+        names = {f.name for f in dataclasses.fields(RunConfig)} - unhashed
+        assert set(_config_payload(RunConfig(dataset_path="x"))) == names
 
     def test_digest_stable_and_sensitive(self, tmp_path):
         a = RunConfig(dataset_path="x", beta=2.0)
@@ -330,18 +336,33 @@ class TestTranslate:
         with pytest.raises(ProviderAuthError):
             cmd_translate(config)
 
-    def test_order_seed_changes_issue_order_not_results(self, tmp_path):
-        corpus = small_corpus(tmp_path)
-        script = write_script(tmp_path, GOOD_SCRIPT)
-        plain = cmd_translate(base_config(corpus, script, tmp_path / "r1"))
-        shuffled = cmd_translate(
-            base_config(corpus, script, tmp_path / "r2", order_seed=99)
+    def test_parallel_run_writes_the_serial_outputs(self, tmp_path):
+        corpus = write_corpus(
+            tmp_path,
+            {
+                "alpha": {
+                    Language.EN: [
+                        ["And there's a butterfly",
+                         "Remember me, don't let it make you cry",
+                         "Three months of winter coolness",
+                         "!!!"],
+                    ],
+                },
+            },
         )
-        assert plain.hypotheses.entries == shuffled.hypotheses.entries
-        assert (
-            (plain.run_dir / "hypotheses.jsonl").read_text(encoding="utf-8")
-            == (shuffled.run_dir / "hypotheses.jsonl").read_text(encoding="utf-8")
+        script = write_script(tmp_path, {"keyed": {
+            **GOOD_SCRIPT["keyed"],
+            "And there's a butterfly": NUMERAL_SCRIPT["keyed"]["And there's a butterfly"],
+        }})
+        serial, parallel = (
+            cmd_translate(base_config(corpus, script, tmp_path / f"p{n}", parallelism=n))
+            for n in (1, 3)
         )
+        # one pipeline failure and one data failure ride along with two hypotheses
+        assert sorted(f["category"] for f in serial.failures) == ["data", "pipeline"]
+        assert len(serial.hypotheses.entries) == 2
+        for name in ("hypotheses.jsonl", "failures.json", "results.jsonl"):
+            assert (serial.run_dir / name).read_bytes() == (parallel.run_dir / name).read_bytes()
 
 
     def test_uncountable_reply_is_a_line_failure(self, tmp_path):
@@ -1036,6 +1057,70 @@ class TestCli:
             ["translate", "--dataset", str(corpus), "--config", str(cfg)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["format", "FORMAT"])
+    def test_config_key_is_the_long_flag_name(self, tmp_path, capsys, key):
+        corpus = small_corpus(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = json\nfrom-dubbed = true\n", encoding="utf-8")
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--config", str(cfg), "--out", str(tmp_path / "runs")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["provider"] == "human"
+
+    def test_config_key_is_not_the_internal_name(self, tmp_path, capsys):
+        corpus = small_corpus(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fmt = json\n", encoding="utf-8")
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--from-dubbed", "--config", str(cfg)])
+        assert code == 2
+        assert "unknown config key 'fmt'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,code", [
+        ("true", 0), ("True", 0), ("FALSE", 2), ("false", 2), ("yes", 2), ("1", 2),
+    ])
+    def test_config_flag_without_value_takes_true_or_false(self, tmp_path, capsys,
+                                                            value, code):
+        corpus = small_corpus(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"from_dubbed = {value}\n", encoding="utf-8")
+        out_dir = tmp_path / "runs"
+        # with from-dubbed off, evaluate has no hypotheses and exits 2
+        assert main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--config", str(cfg), "--out", str(out_dir)]) == code
+        err = capsys.readouterr().err
+        if value.lower() == "false":
+            assert "needs --hypotheses or --from-dubbed" in err
+        elif code == 2:
+            assert "takes true or false" in err
+            assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["translate", "evaluate"])
+    def test_repeated_target_language_exits_2(self, tmp_path, capsys, command):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        out_dir = tmp_path / "runs"
+        argv = [command, "--dataset", str(corpus), "--target-lang", "KO",
+                "--target-lang", "ko", "--mock-script", str(script),
+                "--out", str(out_dir)]
+        if command == "evaluate":
+            argv.append("--from-dubbed")
+        assert main(argv) == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("provenance", ["null", "[1, 2]", "7"])
+    def test_provenance_that_is_not_a_string_exits_3(self, tmp_path, capsys, provenance):
+        corpus = small_corpus(tmp_path)
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text(f'{{"provenance": {provenance}}}\n', encoding="utf-8")
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--hypotheses", str(hyp), "--out", str(tmp_path / "runs")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "provenance must be a string" in err
+        assert "line 1" in err
 
     def test_ablate_command(self, tmp_path, capsys):
         corpus = small_corpus(tmp_path)

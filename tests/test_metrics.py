@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 from mavl.errors import EmbeddingError, MetricDomainError
 from mavl.languages import Language
 from mavl.metrics import (
-    ALL_COMPONENTS,
+    SEMANTIC,
     SYLLABIC,
     CorpusReport,
     LineScore,
@@ -163,20 +163,19 @@ class TestScoreLine:
         scorer = LineScorer()
         score = scorer.score_line("And there's a butterfly", "나비가 날아와",
                                   Language.EN, Language.KO,
-                                  ReferenceKind.ORIGINAL_EN,
-                                  components=frozenset({SYLLABIC}))
+                                  ReferenceKind.ORIGINAL_EN)
         assert (score.c_ref, score.c_pred) == (6, 6)
         assert score.se == 0.0
         assert score.mismatch is False
         assert score.semantic is None
-        assert score.phonetic is None
+        assert score.phonetic is not None
+        assert set(score.component_errors) == {SEMANTIC}
 
     def test_ten_vs_nine(self):
         scorer = LineScorer()
         score = scorer.score_line("날 잊지 마 슬퍼하지는 마", "날 기억해줘 울지는 마",
                                   Language.KO, Language.KO,
-                                  ReferenceKind.DUBBED,
-                                  components=frozenset({SYLLABIC}))
+                                  ReferenceKind.DUBBED)
         assert (score.c_ref, score.c_pred) == (10, 9)
         assert score.se == 1.0
         assert abs(score.scd - 0.5 * (1 / 10 + 1 / 9)) < 1e-12
@@ -219,16 +218,6 @@ class TestScoreLine:
         assert "non-finite" in score.component_errors["semantic"]
         assert score.se == 0.0 and score.phonetic == 0
 
-    def test_uncountable_text_is_no_error_when_syllabic_not_requested(self):
-        scorer = LineScorer(embedder=fake_embedder)
-        score = scorer.score_line("나비가 날아와", "나비 1000000",
-                                  Language.KO, Language.KO,
-                                  ReferenceKind.DUBBED,
-                                  components=frozenset({"semantic"}))
-        assert (score.c_ref, score.c_pred) == (6, None)
-        assert score.semantic is not None
-        assert score.component_errors == {}
-
     @given(st.one_of(st.text(), st.integers(0, 10**12).map(lambda n: f"나비 {n}")))
     @example("1" * 5000)
     @example("나비 " + "1" * 5000)
@@ -245,13 +234,6 @@ class TestScoreLine:
                 assert "semantic" in score.component_errors
             if score.phonetic is None:
                 assert "phonetic" in score.component_errors
-
-    def test_unknown_component(self):
-        scorer = LineScorer()
-        with pytest.raises(MetricDomainError):
-            scorer.score_line("a", "b", Language.EN, Language.EN,
-                              ReferenceKind.ORIGINAL_EN,
-                              components=frozenset({"rhythm"}))
 
 
 def mk(c_ref, c_pred, lang=Language.KO, kind=ReferenceKind.ORIGINAL_EN, **extra):
