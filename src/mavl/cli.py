@@ -7,19 +7,24 @@ Four subcommands cover the experimental workflows:
     mavl ablate    --dataset corpus.json --mock-script s.json --grid stages
     mavl stats     --dataset corpus.json
 
-EN is always the source language; ``--target-lang`` picks the others.
+EN is always the source language; ``--target-lang`` picks the others.  Each
+command takes only the flags its run reads, and a run setting left off the
+command line takes ``RunConfig``'s default.
 
 Flags may also come from a config file (``--config``) holding one KEY=VALUE
-pair per line, with ``#`` comments.  A key is a long flag name without its
-dashes (``format``, ``from-dubbed``); a flag that takes no value is set with
-``true`` or ``false``.  Explicit command-line flags win over file values.
-Credentials are never accepted as flags or file values: remote providers
-read their key from the environment variable named by ``--api-key-env``.
+pair per line, with ``#`` comments.  A key is one of the command's long flag
+names without its dashes (``format``, ``from-dubbed``), but not ``dataset``
+or ``config``; a flag that takes no value is set with ``true`` or ``false``.
+Explicit command-line flags win over file values, and ``--target-lang``
+replaces the file's list.  Credentials are never accepted as flags or file
+values: remote providers read their key from the environment variable named
+by ``--api-key-env``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -27,10 +32,7 @@ from .errors import (
     ConfigError,
     DatasetParseError,
     DatasetValidationError,
-    EmptyLineError,
     MavlError,
-    MissingRuleTableError,
-    NumberRangeError,
     ProviderError,
 )
 from .harness import (
@@ -79,13 +81,6 @@ def parse_modalities(spec: str) -> frozenset:
     return frozenset(mods)
 
 
-def _parse_language(value: str) -> Language:
-    try:
-        return Language.parse(value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def load_config_file(path: str) -> dict:
     """KEY=VALUE per line; keys are long flag names, and an underscore may
     stand for a hyphen."""
@@ -107,6 +102,33 @@ def load_config_file(path: str) -> dict:
     return values
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="KEY=VALUE file with flag defaults")
+    p.add_argument(
+        "--target-lang", dest="target_langs", action="append", metavar="LANG",
+        help="target language code, not EN (the source); repeat for several",
+    )
+    p.add_argument("--out", dest="out_dir", metavar="DIR", help="output root directory")
+    p.add_argument("--provider", choices=["mock", "remote"])
+    p.add_argument("--endpoint")
+    p.add_argument("--model-id")
+    p.add_argument("--api-key-env")
+
+
+def _add_translate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", choices=sorted(VARIANT_CHOICES))
+    p.add_argument("--modalities", help="modality set, e.g. t, t+a, t+a+v")
+    p.add_argument("--mock-script")
+    p.add_argument("--parallelism", type=int)
+    p.add_argument("--max-reprompts", type=int)
+    p.add_argument("--failure-threshold", type=float)
+
+
+def _add_score_flags(p: argparse.ArgumentParser, formats: list[str]) -> None:
+    p.add_argument("--beta", type=float)
+    p.add_argument("--format", choices=formats, default="table", dest="fmt")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mavl",
@@ -114,127 +136,102 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dataset", required=True, help="path to the dataset JSON")
-        p.add_argument("--config", help="KEY=VALUE file with flag defaults")
-        p.add_argument(
-            "--target-lang",
-            action="append",
-            default=None,
-            help="target language code, not EN (the source); repeat for several",
-        )
-        p.add_argument("--variant", choices=sorted(VARIANT_CHOICES), default="full")
-        p.add_argument(
-            "--modalities", default="t", help="modality set, e.g. t, t+a, t+a+v"
-        )
-        p.add_argument("--beta", type=float, default=2.0)
-        p.add_argument("--out", default="runs", help="output root directory")
-        p.add_argument("--parallelism", type=int, default=1)
-        p.add_argument("--max-reprompts", type=int, default=2)
-        p.add_argument("--failure-threshold", type=float, default=0.5)
-        p.add_argument(
-            "--format", choices=["csv", "json", "table"], default="table",
-            dest="fmt",
-        )
-        p.add_argument("--provider", choices=["mock", "remote"], default="mock")
-        p.add_argument("--mock-script", default=None)
-        p.add_argument("--endpoint", default=None)
-        p.add_argument("--model-id", default=None)
-        p.add_argument("--api-key-env", default="MAVL_API_KEY")
+    def run_command(name: str, help_text: str) -> argparse.ArgumentParser:
+        # a run setting left out is left out of the namespace, so it takes
+        # RunConfig's default rather than a parser copy of it
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--dataset", dest="dataset_path", required=True, metavar="PATH",
+                       help="path to the dataset JSON")
+        _add_run_flags(p)
+        return p
 
-    p_translate = sub.add_parser("translate", help="translate dataset lines")
-    add_common(p_translate)
+    p_translate = run_command("translate", "translate dataset lines")
+    _add_translate_flags(p_translate)
 
-    p_evaluate = sub.add_parser("evaluate", help="score a hypothesis set")
-    add_common(p_evaluate)
-    p_evaluate.add_argument("--hypotheses", help="hypotheses.jsonl from a translate run")
+    p_evaluate = run_command("evaluate", "score a hypothesis set")
+    _add_score_flags(p_evaluate, ["csv", "json", "table"])
+    p_evaluate.add_argument(
+        "--hypotheses", default=None, help="hypotheses.jsonl from a translate run"
+    )
     p_evaluate.add_argument(
         "--from-dubbed",
         action="store_true",
+        default=False,
         help="score the dubbed reference lines themselves (human baseline)",
     )
 
-    p_ablate = sub.add_parser("ablate", help="run a variant comparison grid")
-    add_common(p_ablate)
+    p_ablate = run_command("ablate", "run a variant comparison grid")
+    _add_translate_flags(p_ablate)
+    _add_score_flags(p_ablate, ["json", "table"])
     p_ablate.add_argument("--grid", choices=["stages", "modalities"], default="stages")
 
     p_stats = sub.add_parser("stats", help="dataset summary table")
-    p_stats.add_argument("--dataset", required=True)
-    p_stats.add_argument(
-        "--format", choices=["json", "table"], default="table", dest="fmt"
-    )
+    p_stats.add_argument("--dataset", dest="dataset_path", required=True, metavar="PATH")
+    p_stats.add_argument("--format", choices=["json", "table"], default="table", dest="fmt")
 
     return parser
 
 
-def _parser_tree(parser: argparse.ArgumentParser):
-    """The parser and every subcommand parser below it."""
-    # argparse has no public way to walk subcommands
-    stack = [parser]
-    while stack:
-        current = stack.pop()
-        yield current
-        for action in current._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
+# a config file holds run flags, not its own path or the dataset a run reads
+_NOT_CONFIG_KEYS = {"help", "config", "dataset_path"}
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     # a first pass reads the path as the final parse will, so "--config=FILE"
     # and abbreviations such as "--conf FILE" load it, and a missing value exits 2
-    path = getattr(parser.parse_known_args(argv)[0], "config", None)
+    given = parser.parse_known_args(argv)[0]
+    path = getattr(given, "config", None)
     if path is None:
         return
+    # argparse has no public way to reach a subcommand's parser
+    command = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)).choices[given.command]
     flags = {
         option[2:]: action
-        for current in _parser_tree(parser)
-        for action in current._actions
+        for action in command._actions
         for option in action.option_strings
-        if option.startswith("--") and option != "--help"
+        if option.startswith("--") and action.dest not in _NOT_CONFIG_KEYS
     }
     defaults = {}
     for key, value in load_config_file(path).items():
         action = flags.get(key)
         if action is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if action.dest == "target_lang":
-            defaults[action.dest] = [v.strip() for v in value.split(",") if v.strip()]
+        if action.dest == "target_langs":
+            # "append" would extend the file's list; an explicit flag replaces it
+            if not hasattr(given, "target_langs"):
+                defaults[action.dest] = [v.strip() for v in value.split(",") if v.strip()]
         elif action.nargs == 0:
             if value.lower() not in {"true", "false"}:
                 raise ConfigError(f"config key {key!r} takes true or false, got {value!r}")
             defaults[action.dest] = value.lower() == "true"
+        elif action.choices is not None and value not in action.choices:
+            # argparse checks choices on the command line only
+            raise ConfigError(
+                f"config key {key!r} takes one of {', '.join(action.choices)}, "
+                f"got {value!r}"
+            )
         else:
             defaults[action.dest] = value
-    # subcommands parse into their own namespace, so the file-provided
-    # defaults must be planted on every parser in the tree to take effect
-    for current in _parser_tree(parser):
-        current.set_defaults(**defaults)
+    command.set_defaults(**defaults)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.variant not in VARIANT_CHOICES:
-        raise ConfigError(f"unknown variant {args.variant!r}")
-    variant_fields = dict(VARIANT_CHOICES[args.variant])
-    variant_fields["modalities"] = parse_modalities(args.modalities)
-    targets = tuple(
-        _parse_language(code) for code in (args.target_lang or [])
-    )
-    return RunConfig(
-        dataset_path=args.dataset,
-        target_langs=targets,
-        variant=PipelineVariant(**variant_fields),
-        provider=args.provider,
-        mock_script=args.mock_script,
-        endpoint=args.endpoint,
-        model_id=args.model_id,
-        api_key_env=args.api_key_env,
-        beta=float(args.beta),
-        out_dir=args.out,
-        parallelism=int(args.parallelism),
-        max_reprompts=int(args.max_reprompts),
-        failure_threshold=float(args.failure_threshold),
-        fmt=args.fmt,
-    )
+    """The run's settings from the parsed names; one left out takes its default."""
+    given = vars(args)
+    settings = {
+        f.name: given[f.name] for f in dataclasses.fields(RunConfig) if f.name in given
+    }
+    # these two fields are parsed from the codes and names the flags take
+    try:
+        settings["target_langs"] = tuple(map(Language.parse, given.get("target_langs", ())))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    variant = dict(VARIANT_CHOICES[given["variant"]]) if "variant" in given else {}
+    if "modalities" in given:
+        variant["modalities"] = parse_modalities(given["modalities"])
+    settings["variant"] = PipelineVariant(**variant)
+    return RunConfig(**settings)
 
 
 def _run_translate(args: argparse.Namespace) -> int:
@@ -269,11 +266,10 @@ def _load_hypotheses(args: argparse.Namespace) -> HypothesisSet | None:
 
 
 def _run_evaluate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    outcome = cmd_evaluate(config, _load_hypotheses(args))
-    if config.fmt == "csv":
+    outcome = cmd_evaluate(_config_from_args(args), _load_hypotheses(args))
+    if args.fmt == "csv":
         sys.stdout.write(rows_to_csv(outcome.rows))
-    elif config.fmt == "json":
+    elif args.fmt == "json":
         if outcome.report is not None:
             sys.stdout.write(report_to_json(outcome.report))
         else:
@@ -288,9 +284,8 @@ def _run_evaluate(args: argparse.Namespace) -> int:
 
 
 def _run_ablate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    outcome = cmd_ablate(config, grid=args.grid)
-    if config.fmt == "json":
+    outcome = cmd_ablate(_config_from_args(args), grid=args.grid)
+    if args.fmt == "json":
         sys.stdout.write(dump_json(outcome.summaries))
     else:
         sys.stdout.write(outcome.table)
@@ -299,7 +294,7 @@ def _run_ablate(args: argparse.Namespace) -> int:
 
 
 def _run_stats(args: argparse.Namespace) -> int:
-    stats, table = cmd_stats(args.dataset)
+    stats, table = cmd_stats(args.dataset_path)
     if args.fmt == "json":
         payload = {
             lang.value: {
@@ -335,13 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        DatasetParseError,
-        DatasetValidationError,
-        EmptyLineError,
-        NumberRangeError,
-        MissingRuleTableError,
-    ) as exc:
+    except (DatasetParseError, DatasetValidationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except ThresholdExceededError as exc:

@@ -112,7 +112,6 @@ class RunConfig:
     parallelism: int = 1
     max_reprompts: int = 2
     failure_threshold: float = 0.5
-    fmt: str = "table"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and self.beta >= 1):
@@ -123,8 +122,6 @@ class RunConfig:
             raise ConfigError("max_reprompts must be >= 0")
         if not 0.0 <= self.failure_threshold <= 1.0:
             raise ConfigError("failure_threshold must be within [0, 1]")
-        if self.fmt not in {"csv", "json", "table"}:
-            raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.provider not in {"mock", "remote"}:
             raise ConfigError(f"unknown provider kind {self.provider!r}")
         if self.provider == "remote" and not (self.endpoint and self.model_id):
@@ -133,12 +130,6 @@ class RunConfig:
             raise ConfigError("EN is the source language and cannot be a target")
         if len(set(self.target_langs)) != len(self.target_langs):
             raise ConfigError("a target language is given more than once")
-
-    def require_paths(self) -> None:
-        if not os.path.exists(self.dataset_path):
-            raise ConfigError(f"dataset not found: {self.dataset_path}")
-        if self.mock_script is not None and not os.path.exists(self.mock_script):
-            raise ConfigError(f"mock script not found: {self.mock_script}")
 
 
 def _config_payload(config: RunConfig) -> dict:
@@ -451,7 +442,6 @@ def _translation_tasks(
 
 
 def cmd_translate(config: RunConfig) -> TranslateOutcome:
-    config.require_paths()
     dataset = _load_dataset(config.dataset_path)
     warnings: list[str] = []
     if config.target_langs:
@@ -573,7 +563,6 @@ def _eval_languages(config: RunConfig, dataset: Dataset) -> list[Language]:
 def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> EvaluateOutcome:
     """Score ``hyp`` against the dataset; without one, score the dubbed lines
     themselves (the human baseline)."""
-    config.require_paths()
     dataset = _load_dataset(config.dataset_path)
     languages = _eval_languages(config, dataset)
     if hyp is None:
@@ -683,13 +672,16 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
     Each case's summary is its evaluate report, so the two reference kinds
     and the languages stay apart exactly as in ``report.json``.
     """
-    config.require_paths()
     if grid not in {"stages", "modalities"}:
         raise ConfigError(f"unknown ablation grid {grid!r}")
     if grid == "stages" and config.variant.style is PromptStyle.DIRECT:
         # a direct prompt has no stages: all four cases would share one label
         raise ConfigError("the stage grid needs a staged variant, not a direct one")
     dataset = _load_dataset(config.dataset_path)
+    if config.target_langs:
+        # a bad mock script exits before the run directory; each case's
+        # translate builds its own, since a script's queues are consumed
+        _generation_provider(config)
     run_dir = make_run_dir(config, "ablate")
 
     if grid == "stages":
@@ -741,7 +733,5 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
 
 
 def cmd_stats(dataset_path: str) -> tuple[StatsReport, str]:
-    if not os.path.exists(dataset_path):
-        raise ConfigError(f"dataset not found: {dataset_path}")
     stats = dataset_stats(_load_dataset(dataset_path))
     return stats, render_stats_table(stats)

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mavl.cli import main
+from mavl.cli import build_parser, main
 from mavl.dataset import (
     Dataset,
     LyricLine,
@@ -124,8 +127,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(dataset_path="x", max_reprompts=-1)
         with pytest.raises(ConfigError):
-            RunConfig(dataset_path="x", fmt="xml")
-        with pytest.raises(ConfigError):
             RunConfig(dataset_path="x", provider="carrier-pigeon")
         with pytest.raises(ConfigError):
             RunConfig(dataset_path="x", target_langs=(Language.EN,))
@@ -133,8 +134,8 @@ class TestRunConfig:
             RunConfig(dataset_path="x", target_langs=(Language.KO, Language.JA, Language.KO))
 
     def test_digest_covers_every_run_setting(self):
-        # the key, the output root and the print format do not change a run's outputs
-        unhashed = {"api_key_env", "out_dir", "fmt"}
+        # the key and the output root do not change a run's outputs
+        unhashed = {"api_key_env", "out_dir"}
         names = {f.name for f in dataclasses.fields(RunConfig)} - unhashed
         assert set(_config_payload(RunConfig(dataset_path="x"))) == names
 
@@ -729,8 +730,8 @@ class TestCli:
         corpus = small_corpus(tmp_path)
         script = write_script(tmp_path, NUMERAL_SCRIPT)
         common = ["--dataset", str(corpus), "--target-lang", "KO",
-                  "--mock-script", str(script), "--out", str(tmp_path / "runs")]
-        assert main(["translate", *common]) == 0
+                  "--out", str(tmp_path / "runs")]
+        assert main(["translate", *common, "--mock-script", str(script)]) == 0
         hyp = tmp_path / "hyp.jsonl"
         hyp.write_text(
             '{"provenance": "x"}\n'
@@ -910,9 +911,11 @@ class TestCli:
         script = write_script(tmp_path, ['{"translation": "나비가 날아와"}'])
         out_dir = tmp_path / "runs"
         out_dir.mkdir()
-        code = main([flags[0], "--dataset", str(corpus), "--target-lang", "KO",
-                     "--mock-script", str(script), "--out", str(out_dir), *flags[1:]])
-        assert code == 2
+        argv = [flags[0], "--dataset", str(corpus), "--target-lang", "KO",
+                "--out", str(out_dir), *flags[1:]]
+        if flags[0] == "translate":
+            argv += ["--mock-script", str(script)]
+        assert main(argv) == 2
         assert list(out_dir.iterdir()) == []
 
     def test_duplicate_hypothesis_key_exits_3(self, tmp_path, capsys):
@@ -952,7 +955,7 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "# experiment defaults\n"
-            "beta=3.0\n"
+            "failure-threshold=0.3\n"
             "target_lang=KO\n"
             f"mock-script={script}\n",
             encoding="utf-8",
@@ -970,7 +973,7 @@ class TestCli:
         echoed = json.loads(
             next(out_dir.glob("translate-*/config.json")).read_text(encoding="utf-8")
         )
-        assert echoed["beta"] == 3.0
+        assert echoed["failure_threshold"] == 0.3
         assert echoed["target_langs"] == ["KO"]
 
     @pytest.mark.parametrize("spelling", [
@@ -984,18 +987,19 @@ class TestCli:
         script = write_script(tmp_path, GOOD_SCRIPT)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            f"beta=3.0\nmax-reprompts=1\ntarget_lang=KO\nmock-script={script}\n",
+            f"failure-threshold=0.3\nmax-reprompts=1\ntarget_lang=KO\n"
+            f"mock-script={script}\n",
             encoding="utf-8",
         )
         out_dir = tmp_path / "runs"
         flags = [part.format(cfg=cfg) for part in spelling]
         code = main(["translate", "--dataset", str(corpus), *flags,
-                     "--beta", "4.5", "--out", str(out_dir)])
+                     "--failure-threshold", "0.45", "--out", str(out_dir)])
         assert code == 0
         echoed = json.loads(
             next(out_dir.glob("translate-*/config.json")).read_text(encoding="utf-8")
         )
-        assert echoed["beta"] == 4.5
+        assert echoed["failure_threshold"] == 0.45
         assert echoed["max_reprompts"] == 1
         assert echoed["target_langs"] == ["KO"]
 
@@ -1043,9 +1047,11 @@ class TestCli:
         else:
             script.write_bytes(content)
         argv = [command, "--dataset", str(corpus), "--target-lang", "KO",
-                "--mock-script", str(script), "--out", str(tmp_path / "runs")]
+                "--out", str(tmp_path / "runs")]
         if command == "evaluate":
             argv += ["--hypotheses", str(hyp)]
+        else:
+            argv += ["--mock-script", str(script)]
         assert main(argv) == code
         assert where in capsys.readouterr().err
 
@@ -1057,6 +1063,112 @@ class TestCli:
             ["translate", "--dataset", str(corpus), "--config", str(cfg)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("translate", "--beta", "3.0"),
+        ("translate", "--format", "json"),
+        ("evaluate", "--variant", "direct"),
+        ("evaluate", "--modalities", "t+a"),
+        ("evaluate", "--mock-script", "script.json"),
+        ("evaluate", "--parallelism", "4"),
+        ("evaluate", "--max-reprompts", "9"),
+        ("evaluate", "--failure-threshold", "0.9"),
+        ("ablate", "--format", "csv"),
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, command,
+                                                    flag, value):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        out_dir = tmp_path / "runs"
+        argv = [command, "--dataset", str(corpus), "--target-lang", "KO",
+                "--out", str(out_dir), flag, value]
+        if command == "evaluate":
+            argv.append("--from-dubbed")
+        else:
+            argv += ["--mock-script", str(script)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command,line", [
+        ("translate", "from-dubbed = true"),
+        ("evaluate", "parallelism = 3"),
+        ("evaluate", "dataset = other.json"),
+        ("translate", "config = other.cfg"),
+    ], ids=["translate-from-dubbed", "evaluate-parallelism", "dataset", "config"])
+    def test_config_key_the_command_does_not_take_exits_2(self, tmp_path, capsys,
+                                                          command, line):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        out_dir = tmp_path / "runs"
+        argv = [command, "--dataset", str(corpus), "--target-lang", "KO",
+                "--config", str(cfg), "--out", str(out_dir)]
+        if command == "evaluate":
+            argv.append("--from-dubbed")
+        else:
+            argv += ["--mock-script", str(script)]
+        assert main(argv) == 2
+        key = line.partition(" =")[0]
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("evaluate", "format", "xml"),
+        ("translate", "variant", "bogus"),
+        ("ablate", "format", "csv"),
+    ])
+    def test_config_value_outside_the_flag_choices_exits_2(self, tmp_path, capsys,
+                                                           command, key, value):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        out_dir = tmp_path / "runs"
+        argv = [command, "--dataset", str(corpus), "--target-lang", "KO",
+                "--config", str(cfg), "--out", str(out_dir)]
+        if command == "evaluate":
+            argv.append("--from-dubbed")
+        else:
+            argv += ["--mock-script", str(script)]
+        assert main(argv) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["ES", "KO"])
+    def test_target_lang_flag_replaces_the_config_list(self, tmp_path, capsys, flag):
+        corpus = small_corpus(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("target-lang = KO\n", encoding="utf-8")
+        out_dir = tmp_path / "runs"
+        code = main(["evaluate", "--dataset", str(corpus), "--from-dubbed",
+                     "--config", str(cfg), "--target-lang", flag,
+                     "--out", str(out_dir)])
+        assert code == 0
+        run_dir = next(out_dir.glob("evaluate-*"))
+        echoed = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+        assert echoed["target_langs"] == [flag]
+        languages = {row.split(",")[1] for row in
+                     (run_dir / "scores.csv").read_text(encoding="utf-8").splitlines()[1:]}
+        assert languages <= {flag}
+
+    def test_readme_examples_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                            flags=re.MULTILINE | re.DOTALL)
+        commands = [
+            shlex.split(line)[1:]
+            for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("mavl ")
+        ]
+        assert len(commands) >= 5
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
     @pytest.mark.parametrize("key", ["format", "FORMAT"])
     def test_config_key_is_the_long_flag_name(self, tmp_path, capsys, key):
@@ -1102,10 +1214,11 @@ class TestCli:
         script = write_script(tmp_path, GOOD_SCRIPT)
         out_dir = tmp_path / "runs"
         argv = [command, "--dataset", str(corpus), "--target-lang", "KO",
-                "--target-lang", "ko", "--mock-script", str(script),
-                "--out", str(out_dir)]
+                "--target-lang", "ko", "--out", str(out_dir)]
         if command == "evaluate":
             argv.append("--from-dubbed")
+        else:
+            argv += ["--mock-script", str(script)]
         assert main(argv) == 2
         assert "more than once" in capsys.readouterr().err
         assert not out_dir.exists()
