@@ -121,7 +121,6 @@ def _add_translate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mock-script")
     p.add_argument("--parallelism", type=int)
     p.add_argument("--max-reprompts", type=int)
-    p.add_argument("--failure-threshold", type=float)
 
 
 def _add_score_flags(p: argparse.ArgumentParser, formats: list[str]) -> None:
@@ -147,6 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_translate = run_command("translate", "translate dataset lines")
     _add_translate_flags(p_translate)
+    # ablate runs every case to the end, whatever fails
+    p_translate.add_argument("--failure-threshold", type=float)
 
     p_evaluate = run_command("evaluate", "score a hypothesis set")
     _add_score_flags(p_evaluate, ["csv", "json", "table"])

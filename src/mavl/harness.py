@@ -43,7 +43,7 @@ from .errors import (
 )
 from .languages import Language
 from .metrics import (
-    LineScore,
+    LinePair,
     LineScorer,
     ReferenceKind,
     SyllableErrorParams,
@@ -583,8 +583,10 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
         embedder=embedder,
     )
 
-    rows: list[EvaluationRow] = []
-    scores: list[LineScore] = []
+    # one pass over the lines: the pairs to score, and per row one flat tuple
+    # of its EvaluationRow fields before the scores, then its pairs' indices
+    pairs: list[LinePair] = []
+    plan: list[tuple] = []
     for song_id in sorted(dataset.songs):
         entries = dataset.songs[song_id]
         entry_en = entries[Language.EN]
@@ -595,38 +597,33 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
             for section, line in entry.lines():
                 en_line = _find_line(entry_en, section.index, line.index)
                 original_text = en_line and en_line.resolved_text
-                # reference kind -> (reference language, text or None)
-                references = {
-                    ReferenceKind.ORIGINAL_EN: (Language.EN, original_text),
-                    ReferenceKind.DUBBED: (lang, line.resolved_text),
-                }
+                references = (
+                    (original_text, Language.EN, ReferenceKind.ORIGINAL_EN),
+                    (line.resolved_text, lang, ReferenceKind.DUBBED),
+                )
                 hyp_text = hyp.entries.get((song_id, lang, section.index, line.index))
                 skip_reason = None
                 if hyp_text is None:
                     skip_reason = "no hypothesis for this line"
-                elif all(text is None for _, text in references.values()):
+                elif all(text is None for text, _, _ in references):
                     skip_reason = "no reference text for this line"
-                line_scores: dict[ReferenceKind, LineScore] = {}
-                for kind, (ref_lang, ref_text) in references.items():
+                at: list[int | None] = []
+                for ref_text, ref_lang, kind in references:
                     if skip_reason is None and ref_text is not None:
-                        line_scores[kind] = scorer.score_line(
-                            ref_text, hyp_text, ref_lang, lang, kind)
-                        scores.append(line_scores[kind])
-                rows.append(
-                    EvaluationRow(
-                        song_id=song_id,
-                        language=lang,
-                        section=section.index,
-                        line=line.index,
-                        hypothesis=hyp_text,
-                        skip_reason=skip_reason,
-                        original_reference=original_text,
-                        dubbed_reference=line.resolved_text,
-                        original_score=line_scores.get(ReferenceKind.ORIGINAL_EN),
-                        dubbed_score=line_scores.get(ReferenceKind.DUBBED),
-                    )
-                )
+                        at.append(len(pairs))
+                        pairs.append((ref_text, hyp_text, ref_lang, lang, kind))
+                    else:
+                        at.append(None)
+                plan.append((song_id, lang, section.index, line.index, hyp_text,
+                             skip_reason, original_text, line.resolved_text, *at))
 
+    scores = scorer.score_pairs(pairs)
+    del pairs
+    rows = [
+        EvaluationRow(*row[:-2], *(None if i is None else scores[i] for i in row[-2:]))
+        for row in plan
+    ]
+    del plan
     report = aggregate(scores, provider=hyp.provenance) if scores else None
     atomic_write(run_dir / "scores.csv", rows_to_csv(rows))
     if report is not None:

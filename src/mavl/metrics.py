@@ -16,6 +16,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import phonetics, syllables
@@ -77,8 +78,8 @@ def cosine_similarity(e_gt: Sequence[float], e_pred: Sequence[float]) -> float:
             f"dimension mismatch: {len(e_gt)} vs {len(e_pred)}")
     if len(e_gt) == 0:
         raise EmbeddingError("empty vectors")
-    sq_gt = sum(x * x for x in e_gt)
-    sq_pred = sum(y * y for y in e_pred)
+    sq_gt = sum(map(mul, e_gt, e_gt))
+    sq_pred = sum(map(mul, e_pred, e_pred))
     # a NaN sum fails both bounds; an inf sum is an inf component or an overflow
     if not (_TINY_SUM_OF_SQUARES <= sq_gt < math.inf
             and _TINY_SUM_OF_SQUARES <= sq_pred < math.inf):
@@ -86,9 +87,9 @@ def cosine_similarity(e_gt: Sequence[float], e_pred: Sequence[float]) -> float:
             raise EmbeddingError("embedding has a non-finite component")
         # cosine is scale-free; rescaling only here keeps the common path's bits
         e_gt, e_pred = _max_abs_scaled(e_gt), _max_abs_scaled(e_pred)
-        sq_gt = sum(x * x for x in e_gt)
-        sq_pred = sum(y * y for y in e_pred)
-    dot = sum(x * y for x, y in zip(e_gt, e_pred))
+        sq_gt = sum(map(mul, e_gt, e_gt))
+        sq_pred = sum(map(mul, e_pred, e_pred))
+    dot = sum(map(mul, e_gt, e_pred))
     norm_gt = math.sqrt(sq_gt)
     norm_pred = math.sqrt(sq_pred)
     if norm_gt == 0.0 or norm_pred == 0.0:
@@ -112,6 +113,52 @@ class LineScore:
     component_errors: Mapping[str, str] = field(default_factory=dict)
 
 
+# What ``score_line`` takes: the reference text, the hypothesis text, their
+# languages and the reference kind.
+LinePair = tuple[str, str, Language, Language, ReferenceKind]
+
+# most texts in one embedder call
+EMBED_BATCH = 64
+
+
+@dataclass(frozen=True)
+class _Failed:
+    """Stands in for a count, transcription or vector that could not be made."""
+
+    message: str
+
+
+def _first_failure(*values) -> str | None:
+    return next((v.message for v in values if isinstance(v, _Failed)), None)
+
+
+def _component(errors: dict[str, str], name: str, compute: Callable, *inputs):
+    """``compute(*inputs)``, or None with ``errors[name]`` saying why not."""
+    failure = _first_failure(*inputs)
+    if failure is not None:
+        errors[name] = failure
+        return None
+    try:
+        return compute(*inputs)
+    except Exception as exc:
+        errors[name] = str(exc)
+        return None
+
+
+def _count(lang: Language, text: str) -> int | _Failed:
+    try:
+        return syllables.count_syllables(lang, text)
+    except NumberRangeError as exc:
+        return _Failed(str(exc))
+
+
+def _transcribe(lang: Language, text: str) -> phonetics.IpaString | _Failed:
+    try:
+        return phonetics.transcribe(lang, text)
+    except Exception as exc:
+        return _Failed(str(exc))
+
+
 @dataclass
 class LineScorer:
     """Bundles the providers needed to score lines.
@@ -126,47 +173,84 @@ class LineScorer:
     def score_line(self, gt_text: str, pred_text: str,
                    lang_gt: Language, lang_pred: Language,
                    reference_kind: ReferenceKind) -> LineScore:
+        return self.score_pairs(
+            [(gt_text, pred_text, lang_gt, lang_pred, reference_kind)])[0]
+
+    def score_pairs(self, pairs: Sequence[LinePair]) -> list[LineScore]:
+        """Score each pair as ``score_line`` does; the scores keep pair order.
+
+        Each distinct (language, text) is counted and transcribed once, and
+        each distinct text is embedded once: texts go to the embedder in
+        first-use order, at most ``EMBED_BATCH`` per call, and a call that
+        fails is a ``semantic`` error on exactly the pairs with a text in
+        it.  A text's count, transcription and vector are dropped after its
+        last pair, so memory stays flat over a long corpus.
+        """
+        last_key: dict[tuple[Language, str], int] = {}
+        last_text: dict[str, int] = {}
+        order: list[str] = []  # distinct texts, in first-use order
+        for i, (gt, pred, lang_gt, lang_pred, _) in enumerate(pairs):
+            last_key[lang_gt, gt] = last_key[lang_pred, pred] = i
+            for text in (gt, pred):
+                if text not in last_text:
+                    order.append(text)
+                last_text[text] = i
+
+        # (language, text) -> (count, transcription); text -> vector
+        known: dict[tuple[Language, str], tuple] = {}
+        vectors: dict[str, Sequence[float] | _Failed] = {}
+        sent = 0
+        scores: list[LineScore] = []
+        for i, (gt, pred, lang_gt, lang_pred, kind) in enumerate(pairs):
+            keys = ((lang_gt, gt), (lang_pred, pred))
+            for key in keys:
+                if key not in known:
+                    known[key] = (_count(*key), _transcribe(*key))
+            while gt not in vectors or pred not in vectors:
+                batch = order[sent:sent + EMBED_BATCH]
+                sent += len(batch)
+                vectors.update(self._embed(batch))
+            scores.append(self._score(known[keys[0]], known[keys[1]],
+                                      vectors[gt], vectors[pred], lang_pred, kind))
+            for key in keys:
+                if last_key[key] == i:
+                    known.pop(key, None)
+            for text in (gt, pred):
+                if last_text[text] == i:
+                    vectors.pop(text, None)
+        return scores
+
+    def _embed(self, batch: list[str]) -> dict[str, Sequence[float] | _Failed]:
+        if self.embedder is None:
+            return dict.fromkeys(batch, _Failed("no embedding provider configured"))
+        try:
+            vectors = self.embedder(batch)
+            if len(vectors) != len(batch):
+                raise EmbeddingError("embedder returned wrong vector count")
+        except Exception as exc:
+            return dict.fromkeys(batch, _Failed(str(exc)))
+        return dict(zip(batch, vectors))
+
+    def _syllabic(self, c_ref: int, c_pred: int) -> tuple[float, float, bool]:
+        return (syllable_error(c_ref, c_pred, self.params),
+                syllable_count_distance(c_ref, c_pred), c_ref != c_pred)
+
+    def _score(self, ref: tuple, hyp: tuple, v_ref, v_hyp,
+               language: Language, reference_kind: ReferenceKind) -> LineScore:
+        (c_ref, ipa_ref), (c_pred, ipa_hyp) = ref, hyp
         errors: dict[str, str] = {}
-        counts: list[int | None] = []
-        for lang, text in ((lang_gt, gt_text), (lang_pred, pred_text)):
-            try:
-                counts.append(syllables.count_syllables(lang, text))
-            except NumberRangeError as exc:
-                # one uncountable text leaves the other count set
-                counts.append(None)
-                errors.setdefault(SYLLABIC, str(exc))
-        c_ref, c_pred = counts
-        se = scd = mismatch = semantic = phonetic = None
-        if SYLLABIC not in errors:
-            try:
-                se = syllable_error(c_ref, c_pred, self.params)
-                scd = syllable_count_distance(c_ref, c_pred)
-                mismatch = c_ref != c_pred
-            except MetricDomainError as exc:
-                errors[SYLLABIC] = str(exc)
-                se = scd = mismatch = None
-        try:
-            semantic = self._semantic(gt_text, pred_text)
-        except Exception as exc:
-            errors[SEMANTIC] = str(exc)
-        try:
-            phonetic = phonetics.phonetic_distance(
-                lang_gt, gt_text, lang_pred, pred_text)
-        except Exception as exc:
-            errors[PHONETIC] = str(exc)
+        se, scd, mismatch = _component(errors, SYLLABIC, self._syllabic,
+                                       c_ref, c_pred) or (None, None, None)
+        # one uncountable text leaves the other count set
+        c_ref, c_pred = (None if isinstance(c, _Failed) else c for c in (c_ref, c_pred))
+        semantic = _component(errors, SEMANTIC, cosine_similarity, v_ref, v_hyp)
+        phonetic = _component(errors, PHONETIC, phonetics.edit_distance,
+                              ipa_ref, ipa_hyp)
         return LineScore(c_ref=c_ref, c_pred=c_pred,
-                         reference_kind=reference_kind, language=lang_pred,
+                         reference_kind=reference_kind, language=language,
                          se=se, scd=scd, mismatch=mismatch,
                          semantic=semantic, phonetic=phonetic,
                          component_errors=errors)
-
-    def _semantic(self, gt_text: str, pred_text: str) -> float:
-        if self.embedder is None:
-            raise EmbeddingError("no embedding provider configured")
-        vectors = self.embedder([gt_text, pred_text])
-        if len(vectors) != 2:
-            raise EmbeddingError("embedder returned wrong vector count")
-        return cosine_similarity(vectors[0], vectors[1])
 
 
 @dataclass(frozen=True)

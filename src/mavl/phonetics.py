@@ -154,19 +154,41 @@ def transcribe(lang: Language, text: str) -> IpaString:
 
 
 def edit_distance(a: IpaString, b: IpaString) -> int:
-    """Symbol-level Levenshtein distance, unit costs."""
+    """Symbol-level Levenshtein distance, unit costs.
+
+    Bit-parallel (Myers 1999, in Hyyrö's form for a global distance): bit i
+    of each vector is row i of one DP column over the longer string, so the
+    loop runs once per symbol of the shorter one.  Python ints are as wide as
+    the string needs.
+    """
     xs, ys = a.symbols, b.symbols
     if len(xs) < len(ys):
         xs, ys = ys, xs
-    prev = list(range(len(ys) + 1))
-    for i, x in enumerate(xs, start=1):
-        cur = [i] + [0] * len(ys)
-        for j, y in enumerate(ys, start=1):
-            cur[j] = min(prev[j] + 1,
-                         cur[j - 1] + 1,
-                         prev[j - 1] + (x != y))
-        prev = cur
-    return prev[-1]
+    if not ys:
+        return len(xs)
+    peq: dict[str, int] = {}
+    for i, x in enumerate(xs):
+        peq[x] = peq.get(x, 0) | (1 << i)
+    mask = (1 << len(xs)) - 1
+    last = 1 << (len(xs) - 1)
+    # vertical deltas +1 (pv) and -1 (mv) down the column; dist is its last cell
+    pv, mv, dist = mask, 0, len(xs)
+    for y in ys:
+        eq = peq.get(y, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # row 0 of each column is one more than in the column before
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def phonetic_distance(lang_gt: Language, gt: str,

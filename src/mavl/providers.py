@@ -22,6 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import mul
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import (
@@ -329,7 +330,7 @@ class HashEmbeddingProvider:
                 gram = text[i : i + n]
                 bucket = zlib.crc32(gram.encode("utf-8")) % _HASH_DIM
                 vec[bucket] += 1.0
-        norm = sum(x * x for x in vec) ** 0.5
+        norm = sum(map(mul, vec, vec)) ** 0.5
         return [x / norm for x in vec]
 
     def embed_batch(self, request: EmbeddingRequest) -> list[list[float]]:

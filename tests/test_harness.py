@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -17,7 +19,12 @@ from mavl.dataset import (
     encode_line,
     serialize_dataset,
 )
-from mavl.errors import ConfigError, DatasetValidationError, ProviderAuthError
+from mavl.errors import (
+    ConfigError,
+    DatasetValidationError,
+    ProviderAuthError,
+    TransientProviderError,
+)
 from mavl.harness import (
     MODALITY_GRID,
     STAGE_GRID,
@@ -37,6 +44,7 @@ from mavl.harness import (
 from mavl.languages import Language
 from mavl.metrics import ReferenceKind
 from mavl.pipeline import Modality, PipelineVariant, PromptStyle
+from mavl.providers import HashEmbeddingProvider, RetryPolicy
 
 
 def write_corpus(tmp_path, structure, media_url=None, name="corpus.json"):
@@ -539,6 +547,94 @@ class TestEvaluate:
         csv_b = (second.run_dir / "scores.csv").read_bytes()
         assert csv_a == csv_b
         assert first.run_dir != second.run_dir
+
+
+class CountingEmbedder:
+    """An EmbeddingProvider that records each batch it is sent, and spoils
+    the answer to any batch holding ``marker``."""
+
+    def __init__(self, marker=None, spoil=None):
+        self.marker, self.spoil = marker, spoil
+        self.calls = []
+
+    def embed_batch(self, request):
+        self.calls.append(request.texts)
+        vectors = HashEmbeddingProvider().embed_batch(request)
+        if self.marker in request.texts:
+            return self.spoil(vectors)
+        return vectors
+
+
+def raise_transient(vectors):
+    raise TransientProviderError("endpoint hiccup")
+
+
+def drop_one_vector(vectors):
+    return vectors[:-1]
+
+
+class TestEmbedBatching:
+    """evaluate embeds each distinct text once, at most 64 texts per call."""
+
+    LINES = 50
+
+    def evaluate(self, tmp_path, monkeypatch, embedder, out):
+        monkeypatch.setattr("mavl.harness.HashEmbeddingProvider", lambda: embedder)
+        monkeypatch.setattr(RetryPolicy, "delay_for", lambda self, attempt: 0.0)
+        n = self.LINES
+        corpus = write_corpus(tmp_path, {"alpha": {
+            Language.EN: [[f"we sing {i} times" for i in range(n)]],
+            Language.KO: [[f"나비 {i} 마리" for i in range(n)]],
+        }})
+        hyp = HypothesisSet(provenance="x", entries={
+            ("alpha", Language.KO, 0, i): f"나비가 {i}" for i in range(n)})
+        hyp_path = tmp_path / "hyp.jsonl"
+        hyp_path.write_text(hyp.to_jsonl(), encoding="utf-8")
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--hypotheses", str(hyp_path), "--out", str(tmp_path / out)])
+        (scores,) = (tmp_path / out).glob("evaluate-*/scores.csv")
+        with open(scores, encoding="utf-8", newline="") as fh:
+            return code, list(csv.DictReader(fh))
+
+    def test_each_distinct_text_is_sent_once(self, tmp_path, monkeypatch, capsys):
+        embedder = CountingEmbedder()
+        code, rows = self.evaluate(tmp_path, monkeypatch, embedder, "runs")
+        assert code == 0
+        sent = [text for call in embedder.calls for text in call]
+        texts = {row[name] for row in rows
+                 for name in ("original_reference", "dubbed_reference", "hypothesis")}
+        assert len(texts) == 3 * self.LINES
+        assert sorted(sent) == sorted(texts)
+        assert len(embedder.calls) == math.ceil(len(texts) / 64)
+        assert all(len(call) <= 64 for call in embedder.calls)
+
+    @pytest.mark.parametrize("spoil,attempts", [
+        (raise_transient, RetryPolicy().max_attempts),
+        (drop_one_vector, 1),
+    ], ids=["raises-after-retries", "wrong-vector-count"])
+    def test_failed_batch_is_a_semantic_error_on_its_lines_alone(
+            self, tmp_path, monkeypatch, capsys, spoil, attempts):
+        _, good = self.evaluate(tmp_path, monkeypatch, CountingEmbedder(), "good")
+        # the middle batch: a row's texts fall on both sides of its bounds
+        embedder = CountingEmbedder(marker="나비가 30", spoil=spoil)
+        code, rows = self.evaluate(tmp_path, monkeypatch, embedder, "spoiled")
+        assert code == 0
+        spoiled = [call for call in embedder.calls if "나비가 30" in call]
+        assert len(spoiled) == attempts and len(set(spoiled)) == 1
+        failed = set(spoiled[0])
+        hit = 0
+        for row, want in zip(rows, good, strict=True):
+            for kind in ("original", "dubbed"):
+                expect = bool({row[f"{kind}_reference"], row["hypothesis"]} & failed)
+                hit += expect
+                assert ("semantic: " in row[f"{kind}_errors"]) == expect
+                assert (row[f"{kind}_semantic"] == "") == expect
+                for name in ("c_ref", "c_pred", "se", "scd", "mismatch", "phonetic"):
+                    assert row[f"{kind}_{name}"] == want[f"{kind}_{name}"]
+                if not expect:
+                    assert row[f"{kind}_semantic"] == want[f"{kind}_semantic"]
+                    assert row[f"{kind}_errors"] == want[f"{kind}_errors"] == ""
+        assert 0 < hit < 2 * self.LINES
 
 
 STAGE_LABELS = {
@@ -1074,6 +1170,7 @@ class TestCli:
         ("evaluate", "--max-reprompts", "9"),
         ("evaluate", "--failure-threshold", "0.9"),
         ("ablate", "--format", "csv"),
+        ("ablate", "--failure-threshold", "0.9"),
     ])
     def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, command,
                                                     flag, value):

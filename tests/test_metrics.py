@@ -209,8 +209,17 @@ class TestScoreLine:
         assert (score.c_ref, score.c_pred) == (None, 6)
         assert set(score.component_errors) == {SYLLABIC}
 
+    def test_two_uncountable_texts_keep_the_reference_error(self):
+        scorer = LineScorer(embedder=fake_embedder)
+        score = scorer.score_line("나비 1000000", "나비 20000000",
+                                  Language.KO, Language.KO,
+                                  ReferenceKind.DUBBED)
+        assert (score.c_ref, score.c_pred) == (None, None)
+        assert score.component_errors[SYLLABIC].startswith("7-digit")
+
     def test_nan_embedding_is_a_semantic_error(self):
-        scorer = LineScorer(embedder=lambda texts: [[math.nan, 1.0], [1.0, 1.0]])
+        # one vector per text: the two equal texts are one text to embed
+        scorer = LineScorer(embedder=lambda texts: [[math.nan, 1.0] for _ in texts])
         score = scorer.score_line("나비가 날아와", "나비가 날아와",
                                   Language.KO, Language.KO,
                                   ReferenceKind.DUBBED)
@@ -234,6 +243,31 @@ class TestScoreLine:
                 assert "semantic" in score.component_errors
             if score.phonetic is None:
                 assert "phonetic" in score.component_errors
+
+
+# texts that repeat across pairs, in all five languages, with the odd ones:
+# no text, no syllables, and two numerals past the expander's range, whose
+# errors differ, so a pair of them shows which text's error is kept
+POOL_TEXTS = [
+    "", "!!!", "나비 1000000", "cantamos 20000000 veces",
+    "And there's a butterfly", "Remember me, don't let it make you cry",
+    "Recuérdame, hoy me tengo que ir", "Souviens-toi de moi",
+    "나비가 날아와", "날 잊지 마 슬퍼하지는 마", "シンデレラ", "蝶[ちょう]が飛ぶ",
+]
+
+line_pairs = st.lists(
+    st.tuples(st.sampled_from(POOL_TEXTS), st.sampled_from(POOL_TEXTS),
+              st.sampled_from(Language), st.sampled_from(Language),
+              st.sampled_from(ReferenceKind)),
+    max_size=12,
+)
+
+
+class TestScorePairs:
+    @given(line_pairs)
+    def test_equals_score_line_on_each_pair(self, pairs):
+        scorer = LineScorer(embedder=fake_embedder)
+        assert scorer.score_pairs(pairs) == [scorer.score_line(*p) for p in pairs]
 
 
 def mk(c_ref, c_pred, lang=Language.KO, kind=ReferenceKind.ORIGINAL_EN, **extra):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mavl.errors import MissingRuleTableError
 from mavl.languages import Language
@@ -30,6 +30,12 @@ def dp_oracle(xs, ys):
     return table[n][m]
 
 
+def symbol_lists(alphabet, max_size=150):
+    """Lists whose length is drawn first, so long ones are as likely as short."""
+    return st.integers(0, max_size).flatmap(
+        lambda n: st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+
+
 class TestEditDistance:
     def test_identical(self):
         a = IpaString(("k", "a", "s", "a"))
@@ -46,8 +52,13 @@ class TestEditDistance:
         b = IpaString(("s", "ɪ", "t", "ɪ", "ŋ"))
         assert edit_distance(a, b) == 3
 
-    @given(st.lists(st.sampled_from("abcd"), max_size=12),
-           st.lists(st.sampled_from("abcd"), max_size=12))
+    # lengths either side of one 64-bit word; each side has symbols the
+    # other lacks, which match no bit of the longer side's masks
+    @given(symbol_lists("abcd"), symbol_lists("cdef"))
+    @example(xs=list("abcd" * 16), ys=list("cdef" * 16) + ["c"])
+    @example(xs=list("abcd" * 16) + ["a"], ys=list("cdef" * 16))
+    @example(xs=[], ys=list("cdef" * 25))
+    @example(xs=list("abcd" * 25), ys=[])
     def test_matches_full_matrix(self, xs, ys):
         a = IpaString(tuple(xs))
         b = IpaString(tuple(ys))
