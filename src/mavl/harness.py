@@ -472,7 +472,10 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
         except ProviderError as exc:
             return ("provider", key, str(exc))
 
-    outcomes = map_bounded(job, tasks, config.parallelism)
+    try:
+        outcomes = map_bounded(job, tasks, config.parallelism)
+    finally:
+        trace.close()
 
     line_results: list[dict] = []
     provider_failures = 0

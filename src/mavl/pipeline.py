@@ -197,6 +197,12 @@ def _substitute(text: str, task: TranslationTask) -> str:
 
 
 def build_prompt(task: TranslationTask, variant: PipelineVariant) -> str:
+    return _substitute(_variant_prompt(variant), task)
+
+
+@lru_cache(maxsize=None)
+def _variant_prompt(variant: PipelineVariant) -> str:
+    """A variant's prompt before substitution; it depends on nothing else."""
     audio, video = variant.has_audio, variant.has_video
     flags = {
         "audio": audio,
@@ -210,8 +216,7 @@ def build_prompt(task: TranslationTask, variant: PipelineVariant) -> str:
     }
     rendered = _render(_template_text(variant.style), flags)
     # collapse the blank-line runs left behind by removed blocks
-    rendered = re.sub(r"\n{3,}", "\n\n", rendered).strip("\n") + "\n"
-    return _substitute(rendered, task)
+    return re.sub(r"\n{3,}", "\n\n", rendered).strip("\n") + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from operator import mul
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence, TextIO
 
 from .errors import (
     ConfigError,
@@ -175,11 +175,14 @@ class TraceStore:
     text, and wall-clock timestamps.  Reports never read this file; it exists
     for auditing and for replaying a run by hand.  Writes are serialized with
     a lock so concurrent workers interleave whole lines, never fragments.
+    The file is opened on the first append, so a run that makes no model
+    call leaves none, and stays open, line-buffered, until :meth:`close`.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._lock = threading.Lock()
+        self._fh: TextIO | None = None
 
     def append(
         self,
@@ -201,8 +204,15 @@ class TraceStore:
         }
         line = json.dumps(record, ensure_ascii=False)
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            if self._fh is None:
+                self._fh = open(self.path, "a", encoding="utf-8", buffering=1)
+            self._fh.write(line + "\n")
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def read_all(self) -> list[dict]:
         with open(self.path, encoding="utf-8") as fh:
@@ -267,15 +277,29 @@ def embed(request: EmbeddingRequest, provider: EmbeddingProvider) -> list[list[f
 # Deterministic providers
 
 
+# Script keys are found by sampling the prompt, not by trying every key.  A
+# key of at least _KEY_GRAM + _KEY_STRIDE - 1 characters is indexed by its
+# grams (substrings) of _KEY_GRAM characters at offsets 0 .. _KEY_STRIDE - 1.
+# The prompt is cut into _KEY_GRAM-character windows every _KEY_STRIDE
+# characters; wherever such a key occurs, one window lies wholly inside it at
+# one of those offsets, so the key becomes a candidate.  Shorter keys are
+# always candidates, and a candidate wins only if it occurs in the prompt.
+# The index holds at most _KEY_STRIDE short strings per key, where a
+# character trie of the keys costs over ten times the memory.
+_KEY_GRAM = 8
+_KEY_STRIDE = 4
+
+
 class ScriptedProvider:
     """Replays canned responses; raises canned exceptions.
 
     The script maps a task key to a list of turns, each either a response
     string or an exception instance to raise.  Keys are matched against the
-    prompt: the first script key found as a substring of the prompt text
-    selects that task's queue.  A ``None`` key (or no match) falls through to
-    the default queue.  Queues are consumed in order and running past the end
-    is a hard error, so tests notice extra calls.
+    prompt: the first script key, in script order, found as a substring of
+    the prompt text selects that task's queue (an empty key matches every
+    prompt).  A ``None`` key (or no match) falls through to the default
+    queue.  Queues are consumed in order and running past the end is a hard
+    error, so tests notice extra calls.
     """
 
     def __init__(
@@ -286,21 +310,41 @@ class ScriptedProvider:
             self._queues = {key: list(turns) for key, turns in script.items()}
         else:
             self._queues = {None: list(script)}
+        self._keys = [key for key in self._queues if key is not None]
+        self._short: list[int] = []
+        self._grams: dict[str, tuple[int, ...]] = {}
+        for i, key in enumerate(self._keys):
+            if len(key) < _KEY_GRAM + _KEY_STRIDE - 1:
+                self._short.append(i)
+                continue
+            for gram in {key[d : d + _KEY_GRAM] for d in range(_KEY_STRIDE)}:
+                self._grams[gram] = self._grams.get(gram, ()) + (i,)
         self._lock = threading.Lock()
         self.calls = 0
 
-    def _queue_for(self, prompt: str) -> list[str | Exception]:
-        for key, queue in self._queues.items():
-            if key is not None and key in prompt:
-                return queue
-        if None in self._queues:
-            return self._queues[None]
-        raise ProviderError("no script entry matches this prompt")
+    def _queue_for(self, prompt: str) -> list[str | Exception] | None:
+        """The matched queue, else the ``None`` queue, else None.
+
+        Reads only what ``__init__`` built, so it needs no lock.
+        """
+        sampled = {
+            prompt[pos : pos + _KEY_GRAM]
+            for pos in range(0, len(prompt) - _KEY_GRAM + 1, _KEY_STRIDE)
+        }
+        candidates = set(self._short)
+        for gram in sampled & self._grams.keys():
+            candidates.update(self._grams[gram])
+        for i in sorted(candidates):
+            if self._keys[i] in prompt:
+                return self._queues[self._keys[i]]
+        return self._queues.get(None)
 
     def complete(self, request: GenerationRequest) -> str:
+        queue = self._queue_for(request.prompt_text)
         with self._lock:
             self.calls += 1
-            queue = self._queue_for(request.prompt_text)
+            if queue is None:
+                raise ProviderError("no script entry matches this prompt")
             if not queue:
                 raise ProviderError("script exhausted")
             turn = queue.pop(0)

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,7 +46,7 @@ from mavl.harness import (
 from mavl.languages import Language
 from mavl.metrics import ReferenceKind
 from mavl.pipeline import Modality, PipelineVariant, PromptStyle
-from mavl.providers import HashEmbeddingProvider, RetryPolicy
+from mavl.providers import HashEmbeddingProvider, RetryPolicy, ScriptedProvider, TraceStore
 
 
 def write_corpus(tmp_path, structure, media_url=None, name="corpus.json"):
@@ -283,6 +285,42 @@ class TestTranslate:
         assert (outcome.run_dir / "hypotheses.jsonl").exists()
         assert (outcome.run_dir / "failures.json").read_text(encoding="utf-8") == "[]\n"
         assert (outcome.run_dir / "results.jsonl").read_text(encoding="utf-8") == ""
+
+    def test_no_target_language_leaves_no_trace_file(self, tmp_path, monkeypatch):
+        # the benchmark's seed-3 translate corpus and script
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        monkeypatch.delitem(sys.modules, "corpus", raising=False)
+        built = importlib.import_module("corpus").build_translate_mock(3)
+        for name, data in built.files.items():
+            (tmp_path / name).write_bytes(data)
+        config = base_config(
+            tmp_path / "corpus.json", tmp_path / "script.json", tmp_path / "runs",
+            target_langs=(),
+        )
+        outcome = cmd_translate(config)
+        assert outcome.warnings
+        assert (outcome.run_dir / "hypotheses.jsonl").exists()
+        assert not (outcome.run_dir / "trace.jsonl").exists()
+
+    def test_trace_file_is_closed_when_a_run_aborts(self, tmp_path, monkeypatch):
+        closed: list[str] = []
+
+        class RecordingTrace(TraceStore):
+            def close(self):
+                closed.append(self.path)
+                super().close()
+
+        provider = ScriptedProvider({
+            "And there's a butterfly": ['{"translation": "나비가 날아와"}'],
+            "Remember me": [ProviderAuthError("key revoked")],
+        })
+        monkeypatch.setattr("mavl.harness.TraceStore", RecordingTrace)
+        monkeypatch.setattr("mavl.harness._generation_provider", lambda config: provider)
+        config = base_config(small_corpus(tmp_path), "unused.json", tmp_path / "runs")
+        with pytest.raises(ProviderAuthError):
+            cmd_translate(config)
+        assert len(closed) == 1
+        assert len(TraceStore(closed[0]).read_all()) == 1
 
     def test_mock_provider_requires_script(self, tmp_path):
         corpus = small_corpus(tmp_path)

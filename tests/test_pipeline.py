@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import json
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mavl import pipeline
 from mavl.errors import ConfigError, PipelineError
 from mavl.languages import Language
 from mavl.pipeline import (
@@ -239,6 +242,39 @@ class TestBuildPrompt:
         assert build_prompt(butterfly_task(), variant) == build_prompt(
             butterfly_task(), variant
         )
+
+    def test_cached_variant_text_equals_a_fresh_render(self):
+        for style, use_list, use_refine, modalities in itertools.product(
+            PromptStyle, (True, False), (True, False), (TEXT, TA, TV, TAV)
+        ):
+            variant = PipelineVariant(use_list, use_refine, modalities, style)
+            audio, video = Modality.AUDIO in modalities, Modality.VIDEO in modalities
+            flags = {
+                "audio": audio,
+                "video": video,
+                "syllable_list": use_list,
+                "refine": use_refine,
+                "audio_and_video": audio and video,
+                "audio_only": audio and not video,
+                "video_only": video and not audio,
+                "text_only": not audio and not video,
+            }
+            rendered = pipeline._render(pipeline._template_text(style), flags)
+            rendered = re.sub(r"\n{3,}", "\n\n", rendered).strip("\n") + "\n"
+            for task in (butterfly_task(), remember_task(), butterfly_task()):
+                assert build_prompt(task, variant) == pipeline._substitute(rendered, task)
+
+    def test_unknown_template_flag_raises_on_every_call(self, monkeypatch):
+        monkeypatch.setattr(
+            pipeline, "_template_text", lambda style: "%if bogus\nline\n%endif\n"
+        )
+        pipeline._variant_prompt.cache_clear()
+        try:
+            for _ in range(2):
+                with pytest.raises(ConfigError, match="unknown flag 'bogus'"):
+                    build_prompt(butterfly_task(), PipelineVariant())
+        finally:
+            pipeline._variant_prompt.cache_clear()
 
 
 class TestParseTrace:

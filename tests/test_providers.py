@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
+import string
+import sys
 import threading
+import tracemalloc
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from mavl.errors import (
     ConfigError,
@@ -116,6 +121,35 @@ class TestRetries:
             generate(req, provider, policy=no_sleep({"max_attempts": 1}))
 
 
+# Few symbols, so generated keys and prompts overlap often; the Hangul and
+# kana make some prompts wide strings.
+KEY_ALPHABET = "ab 나비かな"
+
+
+def linear_match(keys, prompt):
+    """The documented rule, as a plain scan: first key in script order that
+    occurs in the prompt."""
+    for key in keys:
+        if key in prompt:
+            return key
+    return None
+
+
+@st.composite
+def keyed_scripts(draw):
+    """(keys in script order, prompt, position of the ``None`` queue or None)."""
+    keys = draw(st.lists(st.text(KEY_ALPHABET, min_size=6, max_size=16), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        # a prefix, suffix or infix of a drawn key, maybe empty
+        key = draw(st.sampled_from(keys))
+        start = draw(st.integers(0, len(key)))
+        keys.append(key[start : draw(st.integers(start, len(key)))])
+    keys = list(dict.fromkeys(draw(st.permutations(keys))))
+    pieces = st.sampled_from(keys) | st.text(KEY_ALPHABET + "xy", max_size=12)
+    prompt = "".join(draw(st.lists(pieces, min_size=1, max_size=6)))
+    return keys, prompt, draw(st.none() | st.integers(0, len(keys)))
+
+
 class TestScriptedProvider:
     def test_keyed_scripts_match_on_prompt_substring(self):
         provider = ScriptedProvider(
@@ -133,6 +167,80 @@ class TestScriptedProvider:
         provider = ScriptedProvider({"specific": ["x"]})
         with pytest.raises(ProviderError):
             provider.complete(GenerationRequest("other"))
+        assert provider.calls == 1
+
+    @given(keyed_scripts())
+    # the empty key matches every prompt, wherever it stands in the script
+    @example((["", "ab"], "xab", None))
+    @example((["ab", ""], "b", 2))
+    # a suffix of a longer key that comes first in the script
+    @example((["ab 나비かなab abab", "나비かなab abab"], "xy나비かなab ababx", None))
+    # the shortest keys that are indexed and unindexed, each placed so that
+    # only one sampled window, or none, lies inside it
+    @example((["ab 나비かなab"], "xyab 나비かなabx", None))
+    @example((["ab 나비かなab a"], "xab 나비かなab ay", None))
+    @example((["ab 나비かなab a"], "xyxyxab 나비かなab a", None))
+    # an infix of a longer key
+    @example((["かなab ab 나비かなab", "ab ab"], "x ab ab x", 0))
+    # nothing matches: the fallback queue, or an error without one
+    @example((["abab나비abab나비"], "abab나비abab", 1))
+    @example((["abab나비abab나비"], "abab나비abab", None))
+    def test_lookup_agrees_with_a_linear_scan(self, case):
+        keys, prompt, fallback_at = case
+        assume(prompt.strip())
+        items = [(key, [f"#{i}"]) for i, key in enumerate(keys)]
+        if fallback_at is not None:
+            items.insert(fallback_at, (None, ["fallback"]))
+        provider = ScriptedProvider(dict(items))
+        expected = linear_match(keys, prompt)
+        if expected is not None:
+            assert provider.complete(GenerationRequest(prompt)) == f"#{keys.index(expected)}"
+        elif fallback_at is not None:
+            assert provider.complete(GenerationRequest(prompt)) == "fallback"
+        else:
+            with pytest.raises(ProviderError, match="no script entry"):
+                provider.complete(GenerationRequest(prompt))
+
+    def test_index_of_2000_keys_stays_under_2_mib(self):
+        rng = random.Random(7)
+        letters = string.ascii_letters + " "
+        keys: set[str] = set()
+        while len(keys) < 2000:
+            keys.add("".join(rng.choice(letters) for _ in range(40)))
+        script = {key: ["reply"] for key in sorted(keys)}
+        tracemalloc.start()
+        try:
+            ScriptedProvider(script)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_concurrent_calls_pop_every_turn_once(self):
+        keys = [f"verse {i} of the song" for i in range(4)]
+        turns = {key: [f"{key} #{n}" for n in range(60)] for key in keys}
+        provider = ScriptedProvider(turns)
+        replies: list[str] = []
+
+        def worker(key):
+            for _ in range(30):
+                replies.append(provider.complete(GenerationRequest(f"sing: {key}!")))
+
+        threads = [threading.Thread(target=worker, args=(key,)) for key in keys * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(replies) == sorted(r for queue in turns.values() for r in queue)
+        assert provider.calls == 240
+        with pytest.raises(ProviderError, match="script exhausted"):
+            provider.complete(GenerationRequest(f"sing: {keys[0]}!"))
 
 
 class TestTraceStore:
@@ -154,6 +262,7 @@ class TestTraceStore:
         assert records[0]["response_text"] == "done"
         assert len(records[0]["request_digest"]) == 16
         assert records[0]["finished_at"] >= records[0]["started_at"]
+        store.close()
 
     def test_concurrent_appends_keep_lines_whole(self, tmp_path):
         store = TraceStore(str(tmp_path / "trace.jsonl"))
@@ -168,9 +277,23 @@ class TestTraceStore:
         for t in threads:
             t.join()
         records = store.read_all()
+        store.close()
         assert len(records) == 40
         for rec in records:
             assert rec["response_text"] == "payload " * 20
+
+    def test_read_all_sees_each_append_before_close(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        store = TraceStore(str(path))
+        assert not path.exists()
+        for attempt in (1, 2, 3):
+            store.append("task", attempt, "0" * 16, f"reply {attempt}")
+            assert [r["attempt"] for r in store.read_all()] == list(range(1, attempt + 1))
+        store.close()
+        store.close()
+        store.append("task", 4, "0" * 16, "after close")
+        store.close()
+        assert [r["attempt"] for r in store.read_all()] == [1, 2, 3, 4]
 
     def test_digest_is_stable_and_config_sensitive(self):
         a = GenerationRequest("same text")
