@@ -269,7 +269,7 @@ def _load_hypotheses(args: argparse.Namespace) -> HypothesisSet | None:
 def _run_evaluate(args: argparse.Namespace) -> int:
     outcome = cmd_evaluate(_config_from_args(args), _load_hypotheses(args))
     if args.fmt == "csv":
-        sys.stdout.write(rows_to_csv(outcome.rows))
+        rows_to_csv(outcome.rows, sys.stdout)
     elif args.fmt == "json":
         if outcome.report is not None:
             sys.stdout.write(report_to_json(outcome.report))

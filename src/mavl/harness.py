@@ -19,9 +19,11 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import syllables
 from .dataset import (
@@ -124,8 +126,11 @@ class RunConfig:
             raise ConfigError("failure_threshold must be within [0, 1]")
         if self.provider not in {"mock", "remote"}:
             raise ConfigError(f"unknown provider kind {self.provider!r}")
-        if self.provider == "remote" and not (self.endpoint and self.model_id):
-            raise ConfigError("remote provider needs an endpoint and a model id")
+        if self.provider == "remote":
+            if not (self.endpoint and self.model_id):
+                raise ConfigError("remote provider needs an endpoint and a model id")
+            if not self.endpoint.lower().startswith(("http://", "https://")):
+                raise ConfigError(f"endpoint must be an http(s) URL, got {self.endpoint!r}")
         if Language.EN in self.target_langs:
             raise ConfigError("EN is the source language and cannot be a target")
         if len(set(self.target_langs)) != len(self.target_langs):
@@ -171,18 +176,26 @@ def make_run_dir(config: RunConfig, op: str) -> Path:
     return candidate
 
 
-def atomic_write(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see halves."""
+@contextmanager
+def _atomic_file(path: Path) -> Iterator[TextIO]:
+    """A sibling temp file to write, renamed over ``path`` once the block
+    completes, so readers never see halves."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` via a sibling temp file and rename."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +442,17 @@ def _translation_tasks(
                     reason = "source line has no countable syllables"
                     failures.append(_failure(key, "data", reason))
                     continue
+                try:
+                    media = _line_media(entry, line)
+                except (OverflowError, ConfigError) as exc:
+                    failures.append(_failure(key, "data", f"time span: {exc}"))
+                    continue
                 task = TranslationTask(
                     source_text=line.resolved_text,
                     source_lang=Language.EN,
                     target_lang=target,
                     required_count=required,
-                    media=_line_media(entry, line),
+                    media=media,
                     task_id=f"{song_id}/{target.value}/{section.index}/{line.index}",
                 )
                 tasks.append((key, task))
@@ -628,7 +646,8 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
     ]
     del plan
     report = aggregate(scores, provider=hyp.provenance) if scores else None
-    atomic_write(run_dir / "scores.csv", rows_to_csv(rows))
+    with _atomic_file(run_dir / "scores.csv") as fh:
+        rows_to_csv(rows, fh)
     if report is not None:
         atomic_write(run_dir / "report.json", report_to_json(report))
         atomic_write(run_dir / "report.txt", render_report_table(report))

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from operator import mul
 from typing import Callable, Iterable, Protocol, Sequence, TextIO
 
@@ -87,7 +89,8 @@ class MediaAttachment:
             raise ConfigError("media attachment needs a location")
         if self.time_span is not None:
             start, end = self.time_span
-            if start < 0 or end < start:
+            # NaN fails every comparison, so NaN and infinite spans fail too
+            if not 0 <= start <= end < math.inf:
                 raise ConfigError(f"bad time span {self.time_span!r}")
 
     def widened(self, margin: float) -> "MediaAttachment":
@@ -385,6 +388,53 @@ class HashEmbeddingProvider:
 # Remote backend
 
 
+def _check_status(status: int) -> None:
+    """Map an HTTP status onto the provider error ladder; 2xx and 3xx pass."""
+    if status in (401, 403):
+        raise ProviderAuthError(f"authentication rejected (HTTP {status})")
+    if status == 429:
+        raise ProviderRateLimitError("rate limited (HTTP 429)")
+    if status >= 500:
+        raise TransientProviderError(f"server error (HTTP {status})")
+    if status >= 400:
+        raise ProviderError(f"request rejected (HTTP {status})")
+
+
+def _urlopen(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, bytes]:
+    """POST ``payload`` as JSON; the status and body bytes of the reply.
+
+    An error status comes back as a status with an empty body, for
+    :func:`_check_status` to map; a failure to get a whole reply raises.  The
+    HTTP modules load here, so offline runs never import them.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload, allow_nan=False).encode("utf-8"),
+        headers={**headers, "Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return exc.code, b""
+    except TimeoutError as exc:
+        raise ProviderTimeoutError(f"no reply within {timeout} s: {exc}") from exc
+    except urllib.error.URLError as exc:
+        # a connect timeout arrives wrapped in URLError
+        if isinstance(exc.reason, TimeoutError):
+            raise ProviderTimeoutError(f"no connection within {timeout} s: {exc.reason}") from exc
+        raise TransientProviderError(str(exc)) from exc
+    except (OSError, http.client.HTTPException) as exc:
+        # HTTPException covers IncompleteRead, which is not an OSError
+        raise TransientProviderError(f"{type(exc).__name__}: {exc}") from exc
+
+
 class RemoteProvider:
     """HTTP backend for both completion and embedding.
 
@@ -417,33 +467,18 @@ class RemoteProvider:
         return key
 
     def _post(self, path: str, payload: dict) -> dict:
+        url = self.endpoint + path
         headers = {"Authorization": f"Bearer {self._api_key()}"}
         if self._transport is not None:
-            response = self._transport(
-                self.endpoint + path, json=payload, headers=headers, timeout=self.timeout
-            )
+            response = self._transport(url, json=payload, headers=headers, timeout=self.timeout)
+            status = getattr(response, "status_code", 200)
+            decode = response.json
         else:
-            import requests
-
-            try:
-                response = requests.post(
-                    self.endpoint + path, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.Timeout as exc:
-                raise ProviderTimeoutError(str(exc)) from exc
-            except requests.RequestException as exc:
-                raise TransientProviderError(str(exc)) from exc
-        status = getattr(response, "status_code", 200)
-        if status in (401, 403):
-            raise ProviderAuthError(f"authentication rejected (HTTP {status})")
-        if status == 429:
-            raise ProviderRateLimitError("rate limited (HTTP 429)")
-        if status >= 500:
-            raise TransientProviderError(f"server error (HTTP {status})")
-        if status >= 400:
-            raise ProviderError(f"request rejected (HTTP {status})")
+            status, raw = _urlopen(url, payload, headers, self.timeout)
+            decode = partial(json.loads, raw)
+        _check_status(status)
         try:
-            return response.json()
+            return decode()
         except ValueError as exc:
             raise ProviderError(f"reply is not JSON (HTTP {status}): {exc}") from exc
 

@@ -9,9 +9,9 @@ are sorted explicitly and floats are formatted with fixed precision.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
+from typing import TextIO
 
 from .dataset import StatsReport
 from .languages import Language
@@ -92,10 +92,10 @@ def _errors_cell(score: LineScore | None) -> str:
     )
 
 
-def rows_to_csv(rows: list[EvaluationRow]) -> str:
-    """One CSV row per dataset line, both reference blocks side by side."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def rows_to_csv(rows: list[EvaluationRow], out: TextIO) -> None:
+    """Write one CSV row per dataset line to ``out``, both reference blocks
+    side by side."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in sorted(rows, key=EvaluationRow.sort_key):
         writer.writerow(
@@ -115,7 +115,6 @@ def rows_to_csv(rows: list[EvaluationRow]) -> str:
             + _score_cells(row.dubbed_score)
             + [_errors_cell(row.dubbed_score)]
         )
-    return buf.getvalue()
 
 
 def report_payload(report: CorpusReport) -> dict:

@@ -18,12 +18,15 @@ from ..languages import is_kana, is_kanji
 
 _SMALL_KANA = set("ぁぃぅぇぉゃゅょゎァィゥェォャュョヮ")
 
-_ANNOTATION = re.compile(r"([^\s\[\]]+?)\[([ぁ-ゖァ-ヺー]+)\]")
+# the code points of languages.is_kanji
+_KANJI = "[\u3400-\u4dbf\u4e00-\u9fff々]"
+# the surface is the kanji run right before the brackets, no more
+_ANNOTATION = re.compile(_KANJI + r"+\[([ぁ-ゖァ-ヺー]+)\]")
 
 
 def apply_annotations(text: str) -> str:
-    """Replace ``surface[reading]`` spans with their kana reading."""
-    return _ANNOTATION.sub(lambda m: m.group(2), text)
+    """Replace ``漢字[かんじ]`` spans with their kana reading."""
+    return _ANNOTATION.sub(r"\1", text)
 
 
 def segment(text: str) -> list[str]:

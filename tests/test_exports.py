@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,50 @@ def test_bench_tracer_hooks_resolve(monkeypatch):
     finally:
         tracer.uninstall()
     assert mavl.harness.translate_line is original
+
+
+HTTP_MODULES = ("urllib.request", "http.client", "requests")
+
+# run in a fresh interpreter: importing the CLI, then one remote completion
+# against a loopback server started in the same process
+_HTTP_PROBE = textwrap.dedent(f"""
+    import json, sys, threading
+    import mavl.cli
+    after_import = sorted(m for m in {HTTP_MODULES!r} if m in sys.modules)
+
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+    from mavl.providers import GenerationRequest, RemoteProvider
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            body = b'{{"text": "ok"}}'
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    url = f"http://127.0.0.1:{{server.server_address[1]}}"
+    text = RemoteProvider(url, "m", timeout=5.0).complete(GenerationRequest("hi"))
+    server.shutdown()
+    print(json.dumps({{"after_import": after_import, "text": text,
+                       "requests_loaded": "requests" in sys.modules}}))
+""")
+
+
+def test_http_modules_load_only_for_a_remote_call():
+    """Importing the CLI loads no HTTP client; a remote call loads no ``requests``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, MAVL_API_KEY="sekrit",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _HTTP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "after_import": [], "text": "ok", "requests_loaded": False,
+    }

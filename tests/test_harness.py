@@ -462,6 +462,24 @@ class TestTranslate:
              "category": "data", "reason": "source line has no countable syllables"},
         ]
 
+    # a JSON int past any float overflows the conversion to seconds
+    @pytest.mark.parametrize("span", [[0, 10**400], [-5, 10]], ids=["huge", "negative"])
+    def test_odd_time_span_is_a_data_failure(self, tmp_path, span):
+        corpus = small_corpus(tmp_path, media_url="https://example.test/video.mp4")
+        doc = json.loads(corpus.read_text(encoding="utf-8"))
+        doc["alpha"]["en"]["sections"][0]["lines"][0]["time_span"] = span
+        corpus.write_text(json.dumps(doc), encoding="utf-8")
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        code = main(["translate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--mock-script", str(script), "--out", str(tmp_path / "runs")])
+        assert code == 0
+        run_dir = next((tmp_path / "runs").glob("translate-*"))
+        failures = json.loads((run_dir / "failures.json").read_text(encoding="utf-8"))
+        assert [(f["line"], f["category"]) for f in failures] == [(0, "data")]
+        assert failures[0]["reason"].startswith("time span: ")
+        results = (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(r)["line"] for r in results] == [1]
+
 
 class TestEvaluate:
     def test_uncountable_hypothesis_is_a_component_error(self, tmp_path):
@@ -987,6 +1005,15 @@ class TestCli:
             argv += [flag, value]
         assert main(argv) == 2
         assert "endpoint and a model id" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_remote_endpoint_needs_http_scheme(self, tmp_path, capsys):
+        corpus = small_corpus(tmp_path)
+        code = main(["translate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--provider", "remote", "--endpoint", "models.example:8000",
+                     "--model-id", "m", "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert "http(s) URL" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_bad_mock_script_leaves_no_run_directory(self, tmp_path, capsys):

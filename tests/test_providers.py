@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import string
 import sys
 import threading
 import tracemalloc
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -16,7 +18,9 @@ from mavl.errors import (
     ProviderAuthError,
     ProviderError,
     ProviderRateLimitError,
+    ProviderTimeoutError,
     RetriesExhaustedError,
+    TransientProviderError,
 )
 from mavl.metrics import cosine_similarity
 from mavl.providers import (
@@ -51,6 +55,13 @@ class TestConfigs:
     def test_media_span_validation(self):
         with pytest.raises(ConfigError):
             MediaAttachment(MediaKind.AUDIO, "a.wav", time_span=(5.0, 3.0))
+
+    @pytest.mark.parametrize("span", [
+        (0.0, float("inf")), (float("nan"), 1.0), (0.0, float("nan")),
+    ], ids=["inf-end", "nan-start", "nan-end"])
+    def test_media_span_must_be_finite(self, span):
+        with pytest.raises(ConfigError):
+            MediaAttachment(MediaKind.AUDIO, "a.wav", time_span=span)
 
     def test_media_widening_floors_at_zero(self):
         clip = MediaAttachment(MediaKind.VIDEO, "v.mp4", time_span=(1.0, 4.0))
@@ -363,7 +374,7 @@ class FakeResponse:
 
 
 class NotJsonResponse(FakeResponse):
-    """A 200 reply whose body does not decode, as ``requests`` reports it."""
+    """A 200 reply whose body does not decode: ``json()`` raises ValueError."""
 
     def json(self):
         return json.loads("<html>busy</html>")
@@ -469,6 +480,179 @@ class TestRemoteProvider:
         provider, _ = self.make(monkeypatch, [NotJsonResponse()])
         with pytest.raises(ProviderError, match="not JSON"):
             provider.embed_batch(EmbeddingRequest(("hola",)))
+
+
+def reply(status, body=b"", *, length=None):
+    """A loopback handler action: answer with ``status`` and ``body``; a
+    ``length`` past the body announces bytes that never come."""
+
+    def send(handler):
+        handler.send_response(status)
+        handler.send_header("Content-Type", "application/json")
+        handler.send_header("Content-Length", str(len(body) if length is None else length))
+        handler.end_headers()
+        handler.wfile.write(body)
+
+    return send
+
+
+class Loopback:
+    """A ``ThreadingHTTPServer`` on 127.0.0.1, run in a thread.
+
+    Each POST is recorded (path, headers, body bytes) and answered by the
+    next action in ``actions``; an action may also stall until ``release``
+    is set, which teardown does, so no handler outlives its test.
+    """
+
+    def __init__(self):
+        self.actions = []
+        self.received = []
+        self.release = threading.Event()
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+                pass
+
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                outer.received.append(
+                    {"path": self.path, "headers": self.headers, "body": body}
+                )
+                outer.actions.pop(0)(self)
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.handle_error = lambda request, address: None
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1"
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        self.thread.start()
+
+    def stall(self, handler):
+        self.release.wait(5.0)
+
+    def close(self):
+        self.release.set()
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join()
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    monkeypatch.setenv("MAVL_API_KEY", "sekrit")
+    server = Loopback()
+    yield server
+    server.close()
+
+
+class TestRemoteProviderHttp:
+    """The real HTTP path of ``RemoteProvider``, against a loopback server."""
+
+    def test_body_and_headers(self, loopback):
+        loopback.actions = [reply(200, b'{"text": "bonjour"}')]
+        provider = RemoteProvider(loopback.url + "/", "lyric-xl", timeout=5.0)
+        clip = MediaAttachment(MediaKind.AUDIO, "s3://clip.wav", time_span=(3.0, 9.5))
+        out = provider.complete(GenerationRequest("héllo 夢 \"x\"", media=(clip,)))
+        assert out == "bonjour"
+        payload = {
+            "model": "lyric-xl",
+            "prompt": "héllo 夢 \"x\"",
+            "temperature": 0.6,
+            "top_p": 0.95,
+            "max_output_tokens": 8192,
+            "top_k": 40,
+            "media": [
+                {"kind": "audio", "location": "s3://clip.wav", "time_span": [3.0, 9.5]}
+            ],
+        }
+        (got,) = loopback.received
+        assert got["path"] == "/v1/complete"
+        assert got["body"] == json.dumps(payload, allow_nan=False).encode()
+        assert got["headers"]["Authorization"] == "Bearer sekrit"
+        assert got["headers"]["Content-Type"] == "application/json"
+
+    def test_embed_body(self, loopback):
+        loopback.actions = [reply(200, b'{"vectors": [[0.5, 1]]}')]
+        provider = RemoteProvider(loopback.url, "lyric-xl", timeout=5.0)
+        assert provider.embed_batch(EmbeddingRequest(("hola",))) == [[0.5, 1.0]]
+        (got,) = loopback.received
+        assert got["path"] == "/v1/embed"
+        assert got["body"] == json.dumps(
+            {"model": "lyric-xl", "texts": ["hola"]}, allow_nan=False
+        ).encode()
+
+    @pytest.mark.parametrize("status, error, retryable", [
+        (401, ProviderAuthError, False),
+        (403, ProviderAuthError, False),
+        (429, ProviderRateLimitError, True),
+        (503, TransientProviderError, True),
+        (404, ProviderError, False),
+    ])
+    def test_status_ladder(self, loopback, status, error, retryable):
+        loopback.actions = [reply(status, b'{"error": "no"}')]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(error) as excinfo:
+            provider.complete(GenerationRequest("hi"))
+        assert type(excinfo.value) is error
+        assert excinfo.value.retryable is retryable
+        assert f"HTTP {status}" in str(excinfo.value)
+
+    def test_reply_not_json(self, loopback):
+        loopback.actions = [reply(200, b"<html>busy</html>")]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(ProviderError, match="not JSON") as excinfo:
+            provider.complete(GenerationRequest("hi"))
+        assert type(excinfo.value) is ProviderError
+
+    def test_handler_past_timeout(self, loopback):
+        loopback.actions = [loopback.stall]
+        provider = RemoteProvider(loopback.url, "m", timeout=0.2)
+        with pytest.raises(ProviderTimeoutError):
+            provider.complete(GenerationRequest("hi"))
+
+    def test_connect_timeout(self, monkeypatch):
+        import urllib.error
+        import urllib.request
+
+        def urlopen(request, timeout):
+            raise urllib.error.URLError(TimeoutError("timed out"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.setenv("MAVL_API_KEY", "sekrit")
+        provider = RemoteProvider("http://127.0.0.1:9", "m", timeout=0.2)
+        with pytest.raises(ProviderTimeoutError):
+            provider.complete(GenerationRequest("hi"))
+
+    def test_refused_port(self, monkeypatch):
+        monkeypatch.setenv("MAVL_API_KEY", "sekrit")
+        # a bound socket that never listens refuses every connection
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            provider = RemoteProvider(
+                f"http://127.0.0.1:{sock.getsockname()[1]}", "m", timeout=5.0
+            )
+            with pytest.raises(TransientProviderError) as excinfo:
+                provider.complete(GenerationRequest("hi"))
+        assert type(excinfo.value) is TransientProviderError
+
+    def test_connection_dropped_mid_reply(self, loopback):
+        loopback.actions = [reply(200, b'{"text": "bon', length=100)]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(TransientProviderError) as excinfo:
+            provider.complete(GenerationRequest("hi"))
+        assert type(excinfo.value) is TransientProviderError
+        assert "IncompleteRead" in str(excinfo.value)
+
+    def test_rate_limit_then_success_through_generate(self, loopback):
+        loopback.actions = [reply(429), reply(200, b'{"text": "fin"}')]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        slept = []
+        policy = RetryPolicy(sleeper=slept.append)
+        assert generate(GenerationRequest("hi"), provider, policy=policy) == "fin"
+        assert len(loopback.received) == 2
+        assert slept == [policy.delay_for(1)]
 
 
 class TestMapBounded:

@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from mavl.errors import NumberRangeError
-from mavl.languages import Language, is_hangul_syllable
-from mavl.syllables import count_syllables, normalize, segment
+from mavl.languages import Language, is_hangul_syllable, is_kana, is_kanji
+from mavl.syllables import count_syllables, japanese, normalize, segment
 
 EN = Language.EN
 ES = Language.ES
@@ -162,6 +164,21 @@ class TestJapaneseMorae:
     def test_reading_annotation(self):
         assert count_syllables(JA, "蝶[ちょう]") == 2
 
+    @pytest.mark.parametrize("text, reading, count", [
+        ("きみの夢[ゆめ]", "きみのゆめ", 5),
+        ("夢[ゆめ]を見[み]る", "ゆめをみる", 5),
+        ("ぼくは空[そら]を飛[と]ぶ", "ぼくはそらをとぶ", 8),
+    ], ids=["kana-before", "two-annotations", "okurigana"])
+    def test_annotation_replaces_only_its_kanji(self, text, reading, count):
+        assert normalize(JA, text) == reading
+        assert count_syllables(JA, text) == count
+
+    def test_annotation_surface_is_is_kanji(self):
+        surface = re.compile(japanese._KANJI)
+        for cp in range(0x10000):
+            ch = chr(cp)
+            assert bool(surface.fullmatch(ch)) == is_kanji(ch), hex(cp)
+
     def test_no_countable_units(self):
         assert count_syllables(JA, "abc !") == 0
 
@@ -178,6 +195,8 @@ class TestLexiconPrecedence:
 
 hangul = st.text(st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3),
                  min_size=0, max_size=20)
+kana = st.text(st.sampled_from([chr(cp) for cp in range(0x3041, 0x3100) if is_kana(chr(cp))]),
+               max_size=20)
 en_words = st.lists(
     st.text(st.sampled_from("abcdefghijklmnopqrstuvwxy"), min_size=1,
             max_size=10),
@@ -189,6 +208,10 @@ class TestProperties:
     def test_korean_is_block_scan(self, text):
         want = sum(1 for ch in text if is_hangul_syllable(ch))
         assert count_syllables(KO, text) == want
+
+    @given(kana)
+    def test_annotation_adds_its_reading(self, text):
+        assert count_syllables(JA, text + "夢[ゆめ]") == count_syllables(JA, text) + 2
 
     @given(en_words)
     def test_english_word_floor(self, words):
