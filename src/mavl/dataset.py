@@ -15,7 +15,7 @@ File format (UTF-8 JSON)::
 
 A resolved line may additionally carry its recovered "text". Every song
 needs an "en" entry: EN is the source of every translation. Unknown
-fields are kept and re-emitted in lenient mode, rejected in strict.
+fields are kept and re-emitted.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _find_candidate(rep: CompactLineRep, candidates: list[str], start: int,
 
 # ----------------------------------------------------------- parse side
 
-def parse_dataset(data: bytes | str, *, strict: bool = False) -> Dataset:
+def parse_dataset(data: bytes | str) -> Dataset:
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
@@ -211,18 +211,25 @@ def parse_dataset(data: bytes | str, *, strict: bool = False) -> Dataset:
             except ValueError as exc:
                 raise DatasetValidationError(str(exc),
                                              location=song_id) from None
-            entries[lang] = _parse_entry(raw, lang, f"{song_id}/{code}",
-                                         strict)
+            entries[lang] = _parse_entry(raw, lang, f"{song_id}/{code}")
         songs[song_id] = entries
     dataset = Dataset(songs)
     validate_dataset(dataset)
     return dataset
 
 
-def _parse_entry(raw, lang: Language, loc: str, strict: bool) -> SongEntry:
+def _index(raw: dict, loc: str) -> int:
+    # a missing index reads -1, which validation reports as out of order;
+    # type() rather than isinstance(), since Python's bool is an int
+    index = raw.get("index", -1)
+    if type(index) is not int:
+        raise DatasetValidationError("index must be an integer", location=loc)
+    return index
+
+
+def _parse_entry(raw, lang: Language, loc: str) -> SongEntry:
     if not isinstance(raw, dict):
         raise DatasetValidationError("entry must be an object", location=loc)
-    _check_keys(raw, _ENTRY_KEYS, loc, strict)
     try:
         title = raw["title"]
         source_url = raw["source_url"]
@@ -230,37 +237,42 @@ def _parse_entry(raw, lang: Language, loc: str, strict: bool) -> SongEntry:
     except KeyError as exc:
         raise DatasetValidationError(f"missing field {exc.args[0]!r}",
                                      location=loc) from None
+    if not (isinstance(title, str) and isinstance(source_url, str)):
+        raise DatasetValidationError("title and source_url must be strings",
+                                     location=loc)
+    media_url = raw.get("media_url")
+    if media_url is not None and not isinstance(media_url, str):
+        raise DatasetValidationError("media_url must be a string or null",
+                                     location=loc)
     if not isinstance(sections_raw, list):
         raise DatasetValidationError("sections must be an array", location=loc)
     sections = [
-        _parse_section(s, f"{loc}/section[{i}]", strict)
+        _parse_section(s, f"{loc}/section[{i}]")
         for i, s in enumerate(sections_raw)
     ]
     extras = {k: v for k, v in raw.items() if k not in _ENTRY_KEYS}
     return SongEntry(title=title, source_url=source_url,
-                     media_url=raw.get("media_url"), language=lang,
+                     media_url=media_url, language=lang,
                      sections=sections, extras=extras)
 
 
-def _parse_section(raw, loc: str, strict: bool) -> Section:
+def _parse_section(raw, loc: str) -> Section:
     if not isinstance(raw, dict):
         raise DatasetValidationError("section must be an object", location=loc)
-    _check_keys(raw, _SECTION_KEYS, loc, strict)
     lines_raw = raw.get("lines", [])
     if not isinstance(lines_raw, list):
         raise DatasetValidationError("lines must be an array", location=loc)
     lines = [
-        _parse_line(l, f"{loc}/line[{i}]", strict)
+        _parse_line(l, f"{loc}/line[{i}]")
         for i, l in enumerate(lines_raw)
     ]
     extras = {k: v for k, v in raw.items() if k not in _SECTION_KEYS}
-    return Section(index=raw.get("index", -1), lines=lines, extras=extras)
+    return Section(index=_index(raw, loc), lines=lines, extras=extras)
 
 
-def _parse_line(raw, loc: str, strict: bool) -> LyricLine:
+def _parse_line(raw, loc: str) -> LyricLine:
     if not isinstance(raw, dict):
         raise DatasetValidationError("line must be an object", location=loc)
-    _check_keys(raw, _LINE_KEYS, loc, strict)
     rep_raw = raw.get("rep")
     if (not isinstance(rep_raw, list) or len(rep_raw) != 3
             or not all(isinstance(x, str) for x in rep_raw)):
@@ -270,29 +282,21 @@ def _parse_line(raw, loc: str, strict: bool) -> LyricLine:
     span = raw.get("time_span")
     if span is not None:
         if (not isinstance(span, list) or len(span) != 2
-                or not all(isinstance(x, int) for x in span)):
+                or not all(type(x) is int for x in span)):
             raise DatasetValidationError("time_span must be [start_ms, end_ms]",
                                          location=loc)
         span = (span[0], span[1])
     count = raw.get("syllable_count")
-    if count is not None and (isinstance(count, bool) or not isinstance(count, int)):
+    if count is not None and type(count) is not int:
         raise DatasetValidationError("syllable_count must be an integer",
                                      location=loc)
     text = raw.get("text")
     if text is not None and not isinstance(text, str):
         raise DatasetValidationError("text must be a string", location=loc)
     extras = {k: v for k, v in raw.items() if k not in _LINE_KEYS}
-    return LyricLine(index=raw.get("index", -1), rep=rep,
+    return LyricLine(index=_index(raw, loc), rep=rep,
                      resolved_text=text, time_span=span,
                      syllable_count=count, extras=extras)
-
-
-def _check_keys(raw: dict, allowed: set, loc: str, strict: bool) -> None:
-    if strict:
-        unknown = set(raw) - allowed
-        if unknown:
-            raise DatasetValidationError(
-                f"unknown fields {sorted(unknown)}", location=loc)
 
 
 def validate_dataset(dataset: Dataset) -> None:

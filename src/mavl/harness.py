@@ -6,7 +6,7 @@ collecting failures without aborting the run, and writing results to disk.
 
 Output layout.  Each run gets its own directory under the configured output
 root, named ``<op>-<digest>`` where the digest is a content hash of the run
-configuration; rerunning the same configuration appends ``-2``, ``-3``, so
+settings it reads; rerunning with the same ones appends ``-2``, ``-3``, so
 evidence from earlier runs is never clobbered.  Files are written to a
 temporary name and renamed into place, and none of them embed timestamps,
 which keeps repeated runs byte-comparable.
@@ -137,8 +137,18 @@ class RunConfig:
             raise ConfigError("a target language is given more than once")
 
 
-def _config_payload(config: RunConfig) -> dict:
-    return {
+# the hashed settings each command does not read, and so leaves out of its
+# config.json and its run digest
+_UNREAD = {
+    "translate": {"beta"},
+    "evaluate": {"variant", "mock_script", "parallelism", "max_reprompts",
+                 "failure_threshold"},
+    "ablate": {"failure_threshold"},
+}
+
+
+def _config_payload(config: RunConfig, op: str) -> dict:
+    payload = {
         "dataset_path": os.path.abspath(config.dataset_path),
         "target_langs": [lang.value for lang in config.target_langs],
         "variant": {
@@ -156,17 +166,18 @@ def _config_payload(config: RunConfig) -> dict:
         "max_reprompts": config.max_reprompts,
         "failure_threshold": config.failure_threshold,
     }
+    return {key: value for key, value in payload.items() if key not in _UNREAD[op]}
 
 
-def config_digest(config: RunConfig) -> str:
-    blob = json.dumps(_config_payload(config), sort_keys=True)
+def config_digest(config: RunConfig, op: str) -> str:
+    blob = json.dumps(_config_payload(config, op), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:10]
 
 
 def make_run_dir(config: RunConfig, op: str) -> Path:
     base = Path(config.out_dir)
     base.mkdir(parents=True, exist_ok=True)
-    stem = f"{op}-{config_digest(config)}"
+    stem = f"{op}-{config_digest(config, op)}"
     candidate = base / stem
     suffix = 1
     while candidate.exists():
@@ -528,7 +539,7 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
         run_dir / "results.jsonl",
         "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in line_results),
     )
-    _write_config_echo(run_dir, config)
+    _write_config_echo(run_dir, config, "translate")
 
     if tasks and provider_failures == len(tasks):
         raise ProviderError(
@@ -547,10 +558,10 @@ def _failure(key: LineKey, category: str, reason: str) -> dict:
     return _key_fields(key, category=category, reason=reason)
 
 
-def _write_config_echo(run_dir: Path, config: RunConfig) -> None:
+def _write_config_echo(run_dir: Path, config: RunConfig, op: str) -> None:
     atomic_write(
         run_dir / "config.json",
-        json.dumps(_config_payload(config), indent=2, sort_keys=True) + "\n",
+        json.dumps(_config_payload(config, op), indent=2, sort_keys=True) + "\n",
     )
 
 
@@ -651,7 +662,7 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
     if report is not None:
         atomic_write(run_dir / "report.json", report_to_json(report))
         atomic_write(run_dir / "report.txt", render_report_table(report))
-    _write_config_echo(run_dir, config)
+    _write_config_echo(run_dir, config, "evaluate")
     return EvaluateOutcome(run_dir, rows, report)
 
 

@@ -6,10 +6,10 @@ batch of texts.  Real backends sit behind :class:`RemoteProvider`; tests and
 offline runs use :class:`ScriptedProvider` and :class:`HashEmbeddingProvider`,
 which are fully deterministic.
 
-Retries live here rather than in each provider so that every backend gets the
-same policy: exponential backoff, a hard cap on total attempts, and immediate
+Retries live here rather than in each provider so that every call gets the
+same schedule: three attempts in all, 0.5 s and then 1 s apart, and immediate
 give-up on errors marked non-retryable (bad credentials will not fix
-themselves).  The sleeper is injectable so tests never actually wait.
+themselves).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from operator import mul
 from typing import Callable, Iterable, Protocol, Sequence, TextIO
 
@@ -151,24 +150,15 @@ class EmbeddingProvider(Protocol):
 # Retry policy and call tracing
 
 
-@dataclass(frozen=True)
 class RetryPolicy:
-    """``max_attempts`` counts every try, including the first one."""
+    """The one retry schedule: ``attempts`` tries in all, the first included,
+    waiting 0.5 s after the first failure and 1 s after the second."""
 
-    max_attempts: int = 3
-    base_delay: float = 0.5
-    multiplier: float = 2.0
-    sleeper: Callable[[float], None] = time.sleep
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if self.base_delay < 0 or self.multiplier < 1.0:
-            raise ConfigError("backoff parameters out of range")
+    attempts = 3
 
     def delay_for(self, attempt: int) -> float:
-        """Delay after the given 1-based attempt fails."""
-        return self.base_delay * self.multiplier ** (attempt - 1)
+        """Seconds to wait after the given 1-based attempt fails."""
+        return 0.5 * 2.0 ** (attempt - 1)
 
 
 class TraceStore:
@@ -222,21 +212,22 @@ class TraceStore:
             return [json.loads(line) for line in fh if line.strip()]
 
 
-def _with_retries(call, policy: RetryPolicy):
+def _with_retries(call):
+    policy = RetryPolicy()
     last: ProviderError | None = None
-    for attempt in range(1, policy.max_attempts + 1):
+    for attempt in range(1, policy.attempts + 1):
         try:
             return call(attempt)
         except ProviderError as exc:
             if not exc.retryable:
                 raise
             last = exc
-            if attempt < policy.max_attempts:
-                policy.sleeper(policy.delay_for(attempt))
+            if attempt < policy.attempts:
+                time.sleep(policy.delay_for(attempt))
     assert last is not None
     raise RetriesExhaustedError(
-        f"gave up after {policy.max_attempts} attempt(s): {last}",
-        policy.max_attempts,
+        f"gave up after {policy.attempts} attempt(s): {last}",
+        policy.attempts,
         last,
     )
 
@@ -245,12 +236,10 @@ def generate(
     request: GenerationRequest,
     provider: GenerationProvider,
     *,
-    policy: RetryPolicy | None = None,
     trace: TraceStore | None = None,
     task_id: str = "",
 ) -> str:
     """Run one completion with retries, logging every attempt if tracing."""
-    policy = policy or RetryPolicy()
     digest = request_digest(request)
 
     def attempt_once(attempt: int) -> str:
@@ -260,12 +249,12 @@ def generate(
             trace.append(task_id, attempt, digest, text, started=started)
         return text
 
-    return _with_retries(attempt_once, policy)
+    return _with_retries(attempt_once)
 
 
 def embed(request: EmbeddingRequest, provider: EmbeddingProvider) -> list[list[float]]:
     """Embed a batch with retries; enforces one equal-length vector per text."""
-    vectors = _with_retries(lambda attempt: provider.embed_batch(request), RetryPolicy())
+    vectors = _with_retries(lambda attempt: provider.embed_batch(request))
     if len(vectors) != len(request.texts):
         raise EmbeddingError(
             f"provider returned {len(vectors)} vectors for {len(request.texts)} texts"
@@ -439,8 +428,7 @@ class RemoteProvider:
     """HTTP backend for both completion and embedding.
 
     Credentials come from the environment (never from config files): the
-    variable named by ``api_key_env`` must hold the key.  The transport is a
-    plain callable so tests can substitute a fake without touching sockets.
+    variable named by ``api_key_env`` must hold the key.
     """
 
     def __init__(
@@ -450,13 +438,11 @@ class RemoteProvider:
         *,
         api_key_env: str = "MAVL_API_KEY",
         timeout: float = 60.0,
-        transport: Callable[..., "object"] | None = None,
     ) -> None:
         self.endpoint = endpoint.rstrip("/")
         self.model_id = model_id
         self.api_key_env = api_key_env
         self.timeout = timeout
-        self._transport = transport
 
     def _api_key(self) -> str:
         key = os.environ.get(self.api_key_env, "")
@@ -469,16 +455,10 @@ class RemoteProvider:
     def _post(self, path: str, payload: dict) -> dict:
         url = self.endpoint + path
         headers = {"Authorization": f"Bearer {self._api_key()}"}
-        if self._transport is not None:
-            response = self._transport(url, json=payload, headers=headers, timeout=self.timeout)
-            status = getattr(response, "status_code", 200)
-            decode = response.json
-        else:
-            status, raw = _urlopen(url, payload, headers, self.timeout)
-            decode = partial(json.loads, raw)
+        status, raw = _urlopen(url, payload, headers, self.timeout)
         _check_status(status)
         try:
-            return decode()
+            return json.loads(raw)
         except ValueError as exc:
             raise ProviderError(f"reply is not JSON (HTTP {status}): {exc}") from exc
 
@@ -507,10 +487,13 @@ class RemoteProvider:
         body = self._post(
             "/embed", {"model": self.model_id, "texts": list(request.texts)}
         )
-        try:
-            return [list(map(float, v)) for v in body["vectors"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EmbeddingError(f"malformed embedding response: {body!r}") from exc
+        vectors = body.get("vectors") if isinstance(body, dict) else None
+        # JSON numbers only: float() would also take "0.5" and true
+        if not isinstance(vectors, list) or not all(
+            isinstance(v, list) and {*map(type, v)} <= {int, float} for v in vectors
+        ):
+            raise EmbeddingError(f"malformed embedding response: {body!r}")
+        return [list(map(float, v)) for v in vectors]
 
 
 # ---------------------------------------------------------------------------

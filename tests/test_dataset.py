@@ -88,19 +88,41 @@ class TestParse:
         with pytest.raises(DatasetValidationError):
             parse_dataset(json.dumps(doc))
 
-    def test_strict_rejects_unknown_fields(self):
-        doc = json.loads(json.dumps(ONE_SONG_DOC))
-        doc["song-1"]["en"]["genre"] = "pop"
-        parse_dataset(json.dumps(doc))  # lenient default
-        with pytest.raises(DatasetValidationError):
-            parse_dataset(json.dumps(doc), strict=True)
-
     def test_lenient_preserves_unknown_fields(self):
         doc = json.loads(json.dumps(ONE_SONG_DOC))
         doc["song-1"]["en"]["genre"] = "pop"
+        doc["song-1"]["en"]["sections"][0]["mood"] = "calm"
+        doc["song-1"]["en"]["sections"][0]["lines"][0]["singer"] = "Ernesto"
         ds = parse_dataset(json.dumps(doc))
         again = parse_dataset(serialize_dataset(ds))
-        assert again.songs["song-1"][Language.EN].extras == {"genre": "pop"}
+        entry = again.songs["song-1"][Language.EN]
+        assert entry.extras == {"genre": "pop"}
+        assert entry.sections[0].extras == {"mood": "calm"}
+        assert entry.sections[0].lines[0].extras == {"singer": "Ernesto"}
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("section", "index", False),
+        ("section", "index", 0.0),
+        ("line", "index", False),
+        ("line", "index", 0.0),
+        ("line", "time_span", [False, True]),
+        ("line", "time_span", [0, 1.5]),
+        ("line", "syllable_count", True),
+        ("entry", "title", 5),
+        ("entry", "title", None),
+        ("entry", "source_url", 7),
+        ("entry", "media_url", True),
+        ("entry", "media_url", ["clip.mp4"]),
+    ])
+    def test_field_of_the_wrong_json_type(self, where, key, value):
+        doc = json.loads(json.dumps(ONE_SONG_DOC))
+        entry = doc["song-1"]["en"]
+        owner = {"entry": entry, "section": entry["sections"][0],
+                 "line": entry["sections"][0]["lines"][0]}[where]
+        owner[key] = value
+        with pytest.raises(DatasetValidationError, match=key) as err:
+            parse_dataset(json.dumps(doc))
+        assert "song-1/en" in str(err.value)
 
     def test_non_contiguous_section_index(self):
         doc = json.loads(json.dumps(ONE_SONG_DOC))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -30,6 +31,28 @@ def test_exports_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_hooks():
+    """``HOOKS`` of bench/spans.py, loaded without putting bench/ on the path."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return [(module_name, path) for module_name, path, _, _ in spans.HOOKS]
+
+
+@pytest.mark.parametrize("module_name, path", _bench_hooks())
+def test_bench_hook_target_exists(module_name, path):
+    """A hook whose target is gone would time nothing, silently.  Look the
+    target up where the tracer patches it, and wrap nothing."""
+    owner = importlib.import_module(module_name)
+    *outer, attr = path.split(".")
+    for part in outer:
+        owner = getattr(owner, part)
+    assert callable(vars(owner).get(attr))
 
 
 def test_bench_tracer_hooks_resolve(monkeypatch):

@@ -144,17 +144,28 @@ class TestRunConfig:
             RunConfig(dataset_path="x", target_langs=(Language.KO, Language.JA, Language.KO))
 
     def test_digest_covers_every_run_setting(self):
-        # the key and the output root do not change a run's outputs
+        # the key and the output root do not change a run's outputs; each
+        # command hashes and echoes only the other settings it reads
         unhashed = {"api_key_env", "out_dir"}
         names = {f.name for f in dataclasses.fields(RunConfig)} - unhashed
-        assert set(_config_payload(RunConfig(dataset_path="x"))) == names
+        reads = {
+            "translate": names - {"beta"},
+            "evaluate": {"dataset_path", "target_langs", "provider", "endpoint",
+                         "model_id", "beta"},
+            "ablate": names - {"failure_threshold"},
+        }
+        config = RunConfig(dataset_path="x")
+        for op, read in reads.items():
+            assert set(_config_payload(config, op)) == read, op
 
     def test_digest_stable_and_sensitive(self, tmp_path):
         a = RunConfig(dataset_path="x", beta=2.0)
         b = RunConfig(dataset_path="x", beta=2.0)
         c = RunConfig(dataset_path="x", beta=1.5)
-        assert config_digest(a) == config_digest(b)
-        assert config_digest(a) != config_digest(c)
+        assert config_digest(a, "evaluate") == config_digest(b, "evaluate")
+        assert config_digest(a, "evaluate") != config_digest(c, "evaluate")
+        # translate does not read beta, so it keeps one run name
+        assert config_digest(a, "translate") == config_digest(c, "translate")
 
     def test_run_dirs_never_clobber(self, tmp_path):
         config = RunConfig(dataset_path="x", out_dir=str(tmp_path / "runs"))
@@ -665,7 +676,7 @@ class TestEmbedBatching:
         assert all(len(call) <= 64 for call in embedder.calls)
 
     @pytest.mark.parametrize("spoil,attempts", [
-        (raise_transient, RetryPolicy().max_attempts),
+        (raise_transient, RetryPolicy.attempts),
         (drop_one_vector, 1),
     ], ids=["raises-after-retries", "wrong-vector-count"])
     def test_failed_batch_is_a_semantic_error_on_its_lines_alone(
@@ -1313,6 +1324,8 @@ class TestCli:
         run_dir = next(out_dir.glob("evaluate-*"))
         echoed = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
         assert echoed["target_langs"] == [flag]
+        assert set(echoed) == {"dataset_path", "target_langs", "provider", "endpoint",
+                               "model_id", "beta"}
         languages = {row.split(",")[1] for row in
                      (run_dir / "scores.csv").read_text(encoding="utf-8").splitlines()[1:]}
         assert languages <= {flag}

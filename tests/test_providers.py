@@ -6,12 +6,15 @@ import socket
 import string
 import sys
 import threading
+import time
 import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from mavl import providers
 from mavl.errors import (
     ConfigError,
     EmbeddingError,
@@ -40,11 +43,17 @@ from mavl.providers import (
 )
 
 
-def no_sleep(policy_kwargs=None):
-    kwargs = {"sleeper": lambda _s: None}
-    if policy_kwargs:
-        kwargs.update(policy_kwargs)
-    return RetryPolicy(**kwargs)
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retries skip their waits; lists each attempt that was followed by one."""
+    waited = []
+
+    def delay_for(self, attempt):
+        waited.append(attempt)
+        return 0.0
+
+    monkeypatch.setattr(RetryPolicy, "delay_for", delay_for)
+    return waited
 
 
 class TestConfigs:
@@ -75,61 +84,56 @@ class TestConfigs:
 
 
 class TestRetries:
-    def test_fail_twice_then_succeed_within_cap(self):
+    def test_fail_twice_then_succeed_within_cap(self, no_backoff):
         provider = ScriptedProvider(
             [ProviderRateLimitError("slow down"), ProviderRateLimitError("again"), "ok"]
         )
-        text = generate(
-            GenerationRequest("hello"), provider, policy=no_sleep({"max_attempts": 3})
-        )
-        assert text == "ok"
+        assert generate(GenerationRequest("hello"), provider) == "ok"
         assert provider.calls == 3
+        assert no_backoff == [1, 2]
 
-    def test_cap_one_gives_up_after_first_failure(self):
+    def test_exhausted_error_carries_last_cause(self, no_backoff):
         provider = ScriptedProvider(
-            [ProviderRateLimitError("nope"), ProviderRateLimitError("nope")]
+            [ProviderRateLimitError("first"), ProviderRateLimitError("second"),
+             ProviderRateLimitError("final"), "too late"]
         )
         with pytest.raises(RetriesExhaustedError) as excinfo:
-            generate(
-                GenerationRequest("hello"), provider, policy=no_sleep({"max_attempts": 1})
-            )
-        assert excinfo.value.attempts == 1
-        assert provider.calls == 1
-
-    def test_exhausted_error_carries_last_cause(self):
-        provider = ScriptedProvider(
-            [ProviderRateLimitError("first"), ProviderRateLimitError("final")]
-        )
-        with pytest.raises(RetriesExhaustedError) as excinfo:
-            generate(
-                GenerationRequest("hello"), provider, policy=no_sleep({"max_attempts": 2})
-            )
+            generate(GenerationRequest("hello"), provider)
         assert "final" in str(excinfo.value.last_error)
+        assert excinfo.value.attempts == provider.calls == 3
 
-    def test_auth_errors_never_retried(self):
+    def test_auth_errors_never_retried(self, no_backoff):
         provider = ScriptedProvider([ProviderAuthError("bad key"), "would succeed"])
         with pytest.raises(ProviderAuthError):
-            generate(
-                GenerationRequest("hello"), provider, policy=no_sleep({"max_attempts": 5})
-            )
+            generate(GenerationRequest("hello"), provider)
         assert provider.calls == 1
+        assert no_backoff == []
 
-    def test_backoff_schedule_is_exponential(self):
-        delays = []
-        policy = RetryPolicy(
-            max_attempts=4, base_delay=0.5, multiplier=2.0, sleeper=delays.append
-        )
-        provider = ScriptedProvider([ProviderRateLimitError("x")] * 4)
+    def test_backoff_schedule_is_exponential(self, monkeypatch):
+        # generate and embed share one schedule: three attempts, 0.5 s then 1 s
+        slept = []
+        monkeypatch.setattr(providers, "time", SimpleNamespace(sleep=slept.append,
+                                                               time=time.time))
+        completer = ScriptedProvider([ProviderRateLimitError("x")] * 4)
         with pytest.raises(RetriesExhaustedError):
-            generate(GenerationRequest("hello"), provider, policy=policy)
-        assert delays == [0.5, 1.0, 2.0]
+            generate(GenerationRequest("hello"), completer)
+
+        class Flaky:
+            def embed_batch(self, request):
+                raise TransientProviderError("x")
+
+        with pytest.raises(RetriesExhaustedError):
+            embed(EmbeddingRequest(("a",)), Flaky())
+        assert completer.calls == 3
+        assert slept == [0.5, 1.0] * 2
 
     def test_script_exhaustion_is_loud(self):
         provider = ScriptedProvider(["only one"])
         req = GenerationRequest("hello")
-        assert generate(req, provider, policy=no_sleep()) == "only one"
-        with pytest.raises(ProviderError):
-            generate(req, provider, policy=no_sleep({"max_attempts": 1}))
+        assert generate(req, provider) == "only one"
+        with pytest.raises(ProviderError, match="script exhausted"):
+            generate(req, provider)
+        assert provider.calls == 2
 
 
 # Few symbols, so generated keys and prompts overlap often; the Hangul and
@@ -255,13 +259,12 @@ class TestScriptedProvider:
 
 
 class TestTraceStore:
-    def test_records_every_attempt(self, tmp_path):
+    def test_records_every_attempt(self, tmp_path, no_backoff):
         store = TraceStore(str(tmp_path / "trace.jsonl"))
         provider = ScriptedProvider([ProviderRateLimitError("x"), "done"])
         generate(
             GenerationRequest("hello"),
             provider,
-            policy=no_sleep(),
             trace=store,
             task_id="song-1/0/0",
         )
@@ -362,124 +365,6 @@ class TestHashEmbeddings:
 
         with pytest.raises(EmbeddingError):
             embed(EmbeddingRequest(("a", "b")), Short())
-
-
-class FakeResponse:
-    def __init__(self, status_code=200, body=None):
-        self.status_code = status_code
-        self._body = body or {}
-
-    def json(self):
-        return self._body
-
-
-class NotJsonResponse(FakeResponse):
-    """A 200 reply whose body does not decode: ``json()`` raises ValueError."""
-
-    def json(self):
-        return json.loads("<html>busy</html>")
-
-
-class TestRemoteProvider:
-    def make(self, monkeypatch, responses, env_key="sekrit"):
-        calls = []
-
-        def transport(url, json=None, headers=None, timeout=None):
-            calls.append({"url": url, "json": json, "headers": headers})
-            return responses.pop(0)
-
-        if env_key is None:
-            monkeypatch.delenv("MAVL_API_KEY", raising=False)
-        else:
-            monkeypatch.setenv("MAVL_API_KEY", env_key)
-        provider = RemoteProvider(
-            "https://models.example/v1", "lyric-xl", transport=transport
-        )
-        return provider, calls
-
-    def test_missing_key_is_auth_error_before_any_call(self, monkeypatch):
-        provider, calls = self.make(monkeypatch, [], env_key=None)
-        with pytest.raises(ProviderAuthError):
-            provider.complete(GenerationRequest("hi"))
-        assert calls == []
-
-    def test_success_path_sends_config_and_media(self, monkeypatch):
-        provider, calls = self.make(
-            monkeypatch, [FakeResponse(body={"text": "bonjour"})]
-        )
-        clip = MediaAttachment(MediaKind.AUDIO, "s3://clip.wav", time_span=(3.0, 9.0))
-        out = provider.complete(GenerationRequest("hi", media=(clip,)))
-        assert out == "bonjour"
-        sent = calls[0]["json"]
-        assert sent == {
-            "model": "lyric-xl",
-            "prompt": "hi",
-            "temperature": 0.6,
-            "top_p": 0.95,
-            "max_output_tokens": 8192,
-            "top_k": 40,
-            "media": [
-                {"kind": "audio", "location": "s3://clip.wav", "time_span": [3.0, 9.0]}
-            ],
-        }
-        assert list(sent) == [
-            "model", "prompt", "temperature", "top_p", "max_output_tokens", "top_k",
-            "media",
-        ]
-        assert calls[0]["headers"]["Authorization"] == "Bearer sekrit"
-
-    def test_http_status_mapping(self, monkeypatch):
-        provider, _ = self.make(monkeypatch, [FakeResponse(status_code=401)])
-        with pytest.raises(ProviderAuthError):
-            provider.complete(GenerationRequest("hi"))
-        provider, _ = self.make(monkeypatch, [FakeResponse(status_code=429)])
-        with pytest.raises(ProviderRateLimitError) as excinfo:
-            provider.complete(GenerationRequest("hi"))
-        assert excinfo.value.retryable
-        provider, _ = self.make(monkeypatch, [FakeResponse(status_code=503)])
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(GenerationRequest("hi"))
-        assert excinfo.value.retryable
-
-    def test_rate_limit_then_success_via_retry_wrapper(self, monkeypatch):
-        provider, calls = self.make(
-            monkeypatch,
-            [FakeResponse(status_code=429), FakeResponse(body={"text": "fin"})],
-        )
-        out = generate(GenerationRequest("hi"), provider, policy=no_sleep())
-        assert out == "fin"
-        assert len(calls) == 2
-
-    def test_embed_endpoint(self, monkeypatch):
-        provider, calls = self.make(
-            monkeypatch, [FakeResponse(body={"vectors": [[0.1, 0.2]]})]
-        )
-        vectors = provider.embed_batch(EmbeddingRequest(("hola",)))
-        assert vectors == [[0.1, 0.2]]
-        assert calls[0]["url"].endswith("/embed")
-        assert calls[0]["json"] == {"model": "lyric-xl", "texts": ["hola"]}
-
-    def test_malformed_body_is_provider_error(self, monkeypatch):
-        provider, _ = self.make(monkeypatch, [FakeResponse(body={"oops": 1})])
-        with pytest.raises(ProviderError):
-            provider.complete(GenerationRequest("hi"))
-
-    @pytest.mark.parametrize("response", [
-        NotJsonResponse(),
-        FakeResponse(body={"text": None}),
-        FakeResponse(body={"text": 7}),
-        FakeResponse(body=["text"]),
-    ], ids=["not-json", "null-text", "number-text", "array"])
-    def test_odd_reply_is_provider_error(self, monkeypatch, response):
-        provider, calls = self.make(monkeypatch, [response])
-        with pytest.raises(ProviderError, match="not JSON|malformed"):
-            generate(GenerationRequest("hi"), provider, policy=no_sleep())
-        assert len(calls) == 1
-
-    def test_embed_reply_not_json_is_provider_error(self, monkeypatch):
-        provider, _ = self.make(monkeypatch, [NotJsonResponse()])
-        with pytest.raises(ProviderError, match="not JSON"):
-            provider.embed_batch(EmbeddingRequest(("hola",)))
 
 
 def reply(status, body=b"", *, length=None):
@@ -599,12 +484,51 @@ class TestRemoteProviderHttp:
         assert excinfo.value.retryable is retryable
         assert f"HTTP {status}" in str(excinfo.value)
 
-    def test_reply_not_json(self, loopback):
+    def test_missing_key_is_auth_error_before_any_call(self, loopback, monkeypatch):
+        monkeypatch.delenv("MAVL_API_KEY")
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(ProviderAuthError, match="MAVL_API_KEY"):
+            provider.complete(GenerationRequest("hi"))
+        with pytest.raises(ProviderAuthError):
+            provider.embed_batch(EmbeddingRequest(("hola",)))
+        assert loopback.received == []
+
+    def test_reply_not_json(self, loopback, no_backoff):
         loopback.actions = [reply(200, b"<html>busy</html>")]
         provider = RemoteProvider(loopback.url, "m", timeout=5.0)
         with pytest.raises(ProviderError, match="not JSON") as excinfo:
-            provider.complete(GenerationRequest("hi"))
+            generate(GenerationRequest("hi"), provider)
         assert type(excinfo.value) is ProviderError
+        assert len(loopback.received) == 1
+
+    @pytest.mark.parametrize("body", [
+        b'{"oops": 1}', b'{"text": null}', b'{"text": 7}', b'["text"]',
+    ], ids=["no-text", "null-text", "number-text", "array"])
+    def test_odd_reply_is_provider_error(self, loopback, no_backoff, body):
+        loopback.actions = [reply(200, body)]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(ProviderError, match="malformed completion") as excinfo:
+            generate(GenerationRequest("hi"), provider)
+        assert type(excinfo.value) is ProviderError
+        assert len(loopback.received) == 1
+
+    def test_embed_reply_not_json_is_provider_error(self, loopback):
+        loopback.actions = [reply(200, b"<html>busy</html>")]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(ProviderError, match="not JSON"):
+            provider.embed_batch(EmbeddingRequest(("hola",)))
+
+    @pytest.mark.parametrize("body", [
+        b'{"oops": 1}', b'{"vectors": 5}', b'{"vectors": [5]}',
+        b'{"vectors": [["a", 1]]}', b'{"vectors": [["0.5"]]}', b'{"vectors": [[true]]}',
+        b'[[0.5]]',
+    ], ids=["no-vectors", "number", "number-row", "letter", "numeric-string", "bool",
+            "array"])
+    def test_embed_reply_malformed(self, loopback, body):
+        loopback.actions = [reply(200, body)]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(EmbeddingError, match="malformed embedding"):
+            provider.embed_batch(EmbeddingRequest(("hola",)))
 
     def test_handler_past_timeout(self, loopback):
         loopback.actions = [loopback.stall]
@@ -645,14 +569,12 @@ class TestRemoteProviderHttp:
         assert type(excinfo.value) is TransientProviderError
         assert "IncompleteRead" in str(excinfo.value)
 
-    def test_rate_limit_then_success_through_generate(self, loopback):
+    def test_rate_limit_then_success_through_generate(self, loopback, no_backoff):
         loopback.actions = [reply(429), reply(200, b'{"text": "fin"}')]
         provider = RemoteProvider(loopback.url, "m", timeout=5.0)
-        slept = []
-        policy = RetryPolicy(sleeper=slept.append)
-        assert generate(GenerationRequest("hi"), provider, policy=policy) == "fin"
+        assert generate(GenerationRequest("hi"), provider) == "fin"
         assert len(loopback.received) == 2
-        assert slept == [policy.delay_for(1)]
+        assert no_backoff == [1]
 
 
 class TestMapBounded:
