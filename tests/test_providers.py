@@ -432,6 +432,95 @@ def loopback(monkeypatch):
     server.close()
 
 
+class TestRemoteProvider:
+    """What ``RemoteProvider`` sends and how it reads replies, on loopback HTTP."""
+
+    def test_missing_key_is_auth_error_before_any_call(self, loopback, monkeypatch):
+        monkeypatch.delenv("MAVL_API_KEY")
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(ProviderAuthError, match="MAVL_API_KEY"):
+            provider.complete(GenerationRequest("hi"))
+        with pytest.raises(ProviderAuthError):
+            provider.embed_batch(EmbeddingRequest(("hola",)))
+        assert loopback.received == []
+
+    def test_success_path_sends_config_and_media(self, loopback):
+        loopback.actions = [reply(200, b'{"text": "un"}'), reply(200, b'{"text": "deux"}')]
+        provider = RemoteProvider(loopback.url, "lyric-xl", timeout=5.0)
+        film = MediaAttachment(MediaKind.VIDEO, "s3://film.mp4")
+        clip = MediaAttachment(MediaKind.AUDIO, "s3://clip.wav", time_span=(3.0, 9.0))
+        assert provider.complete(GenerationRequest("hi", media=(film, clip))) == "un"
+        assert provider.complete(GenerationRequest("hi")) == "deux"
+        with_media, bare = (json.loads(got["body"]) for got in loopback.received)
+        assert list(with_media) == [
+            "model", "prompt", "temperature", "top_p", "max_output_tokens", "top_k",
+            "media",
+        ]
+        assert with_media["media"] == [
+            {"kind": "video", "location": "s3://film.mp4", "time_span": None},
+            {"kind": "audio", "location": "s3://clip.wav", "time_span": [3.0, 9.0]},
+        ]
+        assert bare == {
+            "model": "lyric-xl",
+            "prompt": "hi",
+            "temperature": 0.6,
+            "top_p": 0.95,
+            "max_output_tokens": 8192,
+            "top_k": 40,
+        }
+        assert all(
+            got["headers"]["Authorization"] == "Bearer sekrit" for got in loopback.received
+        )
+
+    def test_rate_limit_then_success_via_retry_wrapper(self, loopback, no_backoff):
+        # embeddings go through the same retry schedule as completions
+        loopback.actions = [reply(429), reply(200, b'{"vectors": [[0.1, 0.2]]}')]
+        provider = RemoteProvider(loopback.url, "lyric-xl", timeout=5.0)
+        assert embed(EmbeddingRequest(("hola",)), provider) == [[0.1, 0.2]]
+        assert [got["path"] for got in loopback.received] == ["/v1/embed", "/v1/embed"]
+        assert no_backoff == [1]
+
+    def test_embed_endpoint(self, loopback):
+        loopback.actions = [reply(200, b'{"vectors": [[1, 0], [0.25, 0.75]]}')]
+        provider = RemoteProvider(loopback.url, "lyric-xl", timeout=5.0)
+        vectors = provider.embed_batch(EmbeddingRequest(("hola", "adiós")))
+        assert vectors == [[1.0, 0.0], [0.25, 0.75]]
+        assert all(type(x) is float for v in vectors for x in v)
+        (got,) = loopback.received
+        assert got["path"] == "/v1/embed"
+        assert json.loads(got["body"]) == {"model": "lyric-xl", "texts": ["hola", "adiós"]}
+
+    @pytest.mark.parametrize("body", [
+        b"<html>busy</html>",
+        b'{"oops": 1}', b'{"text": null}', b'{"text": 7}', b'["text"]',
+    ], ids=["not-json", "no-text", "null-text", "number-text", "array"])
+    def test_odd_reply_is_provider_error(self, loopback, no_backoff, body):
+        loopback.actions = [reply(200, body)]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(ProviderError, match="not JSON|malformed completion") as excinfo:
+            generate(GenerationRequest("hi"), provider)
+        assert type(excinfo.value) is ProviderError
+        assert len(loopback.received) == 1
+
+    def test_embed_reply_not_json_is_provider_error(self, loopback):
+        loopback.actions = [reply(200, b"<html>busy</html>")]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(ProviderError, match="not JSON"):
+            provider.embed_batch(EmbeddingRequest(("hola",)))
+
+    @pytest.mark.parametrize("body", [
+        b'{"oops": 1}', b'{"vectors": 5}', b'{"vectors": [5]}',
+        b'{"vectors": [["a", 1]]}', b'{"vectors": [["0.5"]]}', b'{"vectors": [[true]]}',
+        b'[[0.5]]',
+    ], ids=["no-vectors", "number", "number-row", "letter", "numeric-string", "bool",
+            "array"])
+    def test_embed_reply_malformed(self, loopback, body):
+        loopback.actions = [reply(200, body)]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(EmbeddingError, match="malformed embedding"):
+            provider.embed_batch(EmbeddingRequest(("hola",)))
+
+
 class TestRemoteProviderHttp:
     """The real HTTP path of ``RemoteProvider``, against a loopback server."""
 
@@ -484,51 +573,12 @@ class TestRemoteProviderHttp:
         assert excinfo.value.retryable is retryable
         assert f"HTTP {status}" in str(excinfo.value)
 
-    def test_missing_key_is_auth_error_before_any_call(self, loopback, monkeypatch):
-        monkeypatch.delenv("MAVL_API_KEY")
-        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
-        with pytest.raises(ProviderAuthError, match="MAVL_API_KEY"):
-            provider.complete(GenerationRequest("hi"))
-        with pytest.raises(ProviderAuthError):
-            provider.embed_batch(EmbeddingRequest(("hola",)))
-        assert loopback.received == []
-
-    def test_reply_not_json(self, loopback, no_backoff):
+    def test_reply_not_json(self, loopback):
         loopback.actions = [reply(200, b"<html>busy</html>")]
         provider = RemoteProvider(loopback.url, "m", timeout=5.0)
         with pytest.raises(ProviderError, match="not JSON") as excinfo:
-            generate(GenerationRequest("hi"), provider)
+            provider.complete(GenerationRequest("hi"))
         assert type(excinfo.value) is ProviderError
-        assert len(loopback.received) == 1
-
-    @pytest.mark.parametrize("body", [
-        b'{"oops": 1}', b'{"text": null}', b'{"text": 7}', b'["text"]',
-    ], ids=["no-text", "null-text", "number-text", "array"])
-    def test_odd_reply_is_provider_error(self, loopback, no_backoff, body):
-        loopback.actions = [reply(200, body)]
-        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
-        with pytest.raises(ProviderError, match="malformed completion") as excinfo:
-            generate(GenerationRequest("hi"), provider)
-        assert type(excinfo.value) is ProviderError
-        assert len(loopback.received) == 1
-
-    def test_embed_reply_not_json_is_provider_error(self, loopback):
-        loopback.actions = [reply(200, b"<html>busy</html>")]
-        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
-        with pytest.raises(ProviderError, match="not JSON"):
-            provider.embed_batch(EmbeddingRequest(("hola",)))
-
-    @pytest.mark.parametrize("body", [
-        b'{"oops": 1}', b'{"vectors": 5}', b'{"vectors": [5]}',
-        b'{"vectors": [["a", 1]]}', b'{"vectors": [["0.5"]]}', b'{"vectors": [[true]]}',
-        b'[[0.5]]',
-    ], ids=["no-vectors", "number", "number-row", "letter", "numeric-string", "bool",
-            "array"])
-    def test_embed_reply_malformed(self, loopback, body):
-        loopback.actions = [reply(200, body)]
-        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
-        with pytest.raises(EmbeddingError, match="malformed embedding"):
-            provider.embed_batch(EmbeddingRequest(("hola",)))
 
     def test_handler_past_timeout(self, loopback):
         loopback.actions = [loopback.stall]
