@@ -348,7 +348,7 @@ def load_mock_script(path: str) -> ScriptedProvider:
 
     Accepted shapes: a plain array (one shared response queue), or an object
     with optional "sequence" (shared queue) and "keyed" (map from a prompt
-    substring to that task's own queue) members.
+    substring to that task's own queue) members.  Every turn is a string.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -357,24 +357,38 @@ def load_mock_script(path: str) -> ScriptedProvider:
         raise ConfigError(f"cannot read mock script {path}: {exc}") from None
     script: dict[str | None, list[str]] = {}
     if isinstance(raw, list):
-        script[None] = [str(item) for item in raw]
+        script[None] = _script_turns(raw, "array")
     elif isinstance(raw, dict):
+        unknown = sorted(raw.keys() - {"keyed", "sequence"})
+        if unknown:
+            names = ", ".join(json.dumps(name, ensure_ascii=False) for name in unknown)
+            raise ConfigError(
+                f'mock script member {names} unknown; the members are "keyed" and "sequence"'
+            )
         keyed = raw.get("keyed", {})
         if not isinstance(keyed, dict):
             raise ConfigError('mock script "keyed" member must be an object')
         for key, turns in keyed.items():
-            if not isinstance(turns, list):
-                raise ConfigError(f"mock script queue for {key!r} must be an array")
-            script[key] = [str(t) for t in turns]
+            where = f'"keyed" queue {json.dumps(key, ensure_ascii=False)}'
+            script[key] = _script_turns(turns, where)
         if "sequence" in raw:
-            if not isinstance(raw["sequence"], list):
-                raise ConfigError('mock script "sequence" member must be an array')
-            script[None] = [str(t) for t in raw["sequence"]]
+            script[None] = _script_turns(raw["sequence"], '"sequence"')
     else:
         raise ConfigError("mock script must be a JSON array or object")
     if not script:
         raise ConfigError("mock script defines no responses")
     return ScriptedProvider(script)
+
+
+def _script_turns(turns: object, where: str) -> list[str]:
+    """A mock-script queue, checked: an array of strings."""
+    if not isinstance(turns, list):
+        raise ConfigError(f"mock script {where} must be an array")
+    for n, turn in enumerate(turns):
+        if not isinstance(turn, str):
+            shown = json.dumps(turn, ensure_ascii=False)
+            raise ConfigError(f"mock script {where}, turn {n}: expected a string, got {shown}")
+    return turns
 
 
 def _remote_provider(config: RunConfig) -> RemoteProvider:
@@ -424,39 +438,44 @@ def _line_media(entry: SongEntry, line: LyricLine) -> tuple[MediaAttachment, ...
     )
 
 
+def _source_line(
+    entry: SongEntry, line: LyricLine
+) -> tuple[str | None, int, tuple[MediaAttachment, ...]]:
+    """Why an EN line cannot be a task, else None, its count and its media."""
+    if not line.resolved_text:
+        return "source line has no text", 0, ()
+    required = line.syllable_count
+    if required is None:
+        try:
+            required = syllables.count_syllables(Language.EN, line.resolved_text)
+        except NumberRangeError as exc:
+            return f"source line: {exc}", 0, ()
+    if required < 1:
+        return "source line has no countable syllables", 0, ()
+    try:
+        media = _line_media(entry, line)
+    except (OverflowError, ConfigError) as exc:
+        return f"time span: {exc}", 0, ()
+    return None, required, media
+
+
 def _translation_tasks(
     config: RunConfig, dataset: Dataset
 ) -> tuple[list[tuple[LineKey, TranslationTask]], list[dict]]:
     """One task per (EN line, target); a line that cannot be a task is a
-    ``data`` failure, so it never aborts the run."""
+    ``data`` failure for each target, so it never aborts the run."""
     tasks: list[tuple[LineKey, TranslationTask]] = []
     failures: list[dict] = []
     for song_id in sorted(dataset.songs):
         # validate_dataset guarantees every song an EN entry
         entry = dataset.songs[song_id][Language.EN]
         for section, line in entry.lines():
+            # each line is read once, whatever the number of targets
+            reason, required, media = _source_line(entry, line)
             for target in config.target_langs:
                 key: LineKey = (song_id, target, section.index, line.index)
-                if not line.resolved_text:
-                    failures.append(_failure(key, "data", "source line has no text"))
-                    continue
-                required = line.syllable_count
-                if required is None:
-                    try:
-                        required = syllables.count_syllables(
-                            Language.EN, line.resolved_text
-                        )
-                    except NumberRangeError as exc:
-                        failures.append(_failure(key, "data", f"source line: {exc}"))
-                        continue
-                if required < 1:
-                    reason = "source line has no countable syllables"
+                if reason is not None:
                     failures.append(_failure(key, "data", reason))
-                    continue
-                try:
-                    media = _line_media(entry, line)
-                except (OverflowError, ConfigError) as exc:
-                    failures.append(_failure(key, "data", f"time span: {exc}"))
                     continue
                 task = TranslationTask(
                     source_text=line.resolved_text,

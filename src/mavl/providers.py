@@ -14,6 +14,7 @@ themselves).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -272,14 +273,19 @@ def embed(request: EmbeddingRequest, provider: EmbeddingProvider) -> list[list[f
 # Script keys are found by sampling the prompt, not by trying every key.  A
 # key of at least _KEY_GRAM + _KEY_STRIDE - 1 characters is indexed by its
 # grams (substrings) of _KEY_GRAM characters at offsets 0 .. _KEY_STRIDE - 1.
-# The prompt is cut into _KEY_GRAM-character windows every _KEY_STRIDE
+# A line is cut into _KEY_GRAM-character windows every _KEY_STRIDE
 # characters; wherever such a key occurs, one window lies wholly inside it at
 # one of those offsets, so the key becomes a candidate.  Shorter keys are
-# always candidates, and a candidate wins only if it occurs in the prompt.
+# always candidates, and a candidate wins only if it occurs in the line.
 # The index holds at most _KEY_STRIDE short strings per key, where a
 # character trie of the keys costs over ten times the memory.
+#
+# A key without a newline occurs in a prompt only inside one of its lines,
+# and prompts built from one template share most of their lines, so each
+# line's first key is remembered for the last _LINE_MEMO distinct lines.
 _KEY_GRAM = 8
 _KEY_STRIDE = 4
+_LINE_MEMO = 256
 
 
 class ScriptedProvider:
@@ -292,6 +298,11 @@ class ScriptedProvider:
     prompt).  A ``None`` key (or no match) falls through to the default
     queue.  Queues are consumed in order and running past the end is a hard
     error, so tests notice extra calls.
+
+    The prompt is read line by line, split on ``"\\n"`` alone, and each
+    line's first matching key is remembered for the most recent distinct
+    lines, so template lines shared by every prompt are scanned once.  Keys
+    that contain a newline are tested against the whole prompt on every call.
     """
 
     def __init__(
@@ -304,31 +315,52 @@ class ScriptedProvider:
             self._queues = {None: list(script)}
         self._keys = [key for key in self._queues if key is not None]
         self._short: list[int] = []
+        self._multiline: list[int] = []
         self._grams: dict[str, tuple[int, ...]] = {}
         for i, key in enumerate(self._keys):
-            if len(key) < _KEY_GRAM + _KEY_STRIDE - 1:
+            if "\n" in key:
+                self._multiline.append(i)
+            elif len(key) < _KEY_GRAM + _KEY_STRIDE - 1:
                 self._short.append(i)
-                continue
-            for gram in {key[d : d + _KEY_GRAM] for d in range(_KEY_STRIDE)}:
-                self._grams[gram] = self._grams.get(gram, ()) + (i,)
+            else:
+                for gram in {key[d : d + _KEY_GRAM] for d in range(_KEY_STRIDE)}:
+                    self._grams[gram] = self._grams.get(gram, ()) + (i,)
+        # per instance, so the memo dies with its provider
+        self._scan_line = functools.lru_cache(maxsize=_LINE_MEMO)(self._first_in_line)
         self._lock = threading.Lock()
         self.calls = 0
 
-    def _queue_for(self, prompt: str) -> list[str | Exception] | None:
-        """The matched queue, else the ``None`` queue, else None.
-
-        Reads only what ``__init__`` built, so it needs no lock.
-        """
+    def _first_in_line(self, line: str) -> int:
+        """Index of the first one-line key that occurs in ``line``, else the
+        number of keys."""
         sampled = {
-            prompt[pos : pos + _KEY_GRAM]
-            for pos in range(0, len(prompt) - _KEY_GRAM + 1, _KEY_STRIDE)
+            line[pos : pos + _KEY_GRAM]
+            for pos in range(0, len(line) - _KEY_GRAM + 1, _KEY_STRIDE)
         }
         candidates = set(self._short)
         for gram in sampled & self._grams.keys():
             candidates.update(self._grams[gram])
         for i in sorted(candidates):
+            if self._keys[i] in line:
+                return i
+        return len(self._keys)
+
+    def _queue_for(self, prompt: str) -> list[str | Exception] | None:
+        """The matched queue, else the ``None`` queue, else None.
+
+        Reads only what ``__init__`` built and the thread-safe line memo, so
+        it needs no lock.
+        """
+        # not splitlines(): a one-line key may hold "\r" or "\u2028"
+        first = min(map(self._scan_line, prompt.split("\n")))
+        for i in self._multiline:
+            if i > first:
+                break
             if self._keys[i] in prompt:
-                return self._queues[self._keys[i]]
+                first = i
+                break
+        if first < len(self._keys):
+            return self._queues[self._keys[first]]
         return self._queues.get(None)
 
     def complete(self, request: GenerationRequest) -> str:

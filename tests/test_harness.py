@@ -244,12 +244,22 @@ class TestMockScript:
         assert provider.complete(GenerationRequest("has alpha inside")) == "A"
         assert provider.complete(GenerationRequest("other")) == "fallback"
 
-    @pytest.mark.parametrize(
-        "payload", ["just a string", {"keyed": "nope"}, {"keyed": {"a": "nope"}}, {}]
-    )
-    def test_bad_shapes_rejected(self, tmp_path, payload):
+    @pytest.mark.parametrize("payload, where", [
+        ("just a string", "JSON array or object"),
+        ({"keyed": "nope"}, '"keyed" member'),
+        ({"keyed": {"a": "nope"}}, '"keyed" queue "a" must'),
+        ({}, "no responses"),
+        # a reply must be the model's text, not the object it would encode
+        ({"keyed": {"a": ["ok", {"translation": "나비"}]}},
+         '"keyed" queue "a", turn 1: expected a string, got {"translation": "나비"}'),
+        ({"sequence": ["ok", "ok", None]}, '"sequence", turn 2: expected a string, got null'),
+        (["ok", 7], "array, turn 1: expected a string, got 7"),
+        ({"keyd": {"a": ["ok"]}, "sequence": ["ok"]}, 'member "keyd" unknown'),
+    ], ids=["just a string", "payload1", "payload2", "payload3", "object-turn",
+            "null-turn", "number-turn", "unknown-member"])
+    def test_bad_shapes_rejected(self, tmp_path, payload, where):
         path = write_script(tmp_path, payload)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(where)):
             load_mock_script(str(path))
 
 
@@ -447,6 +457,30 @@ class TestTranslate:
         assert [(f["line"], f["category"]) for f in outcome.failures] == [(0, "data")]
         assert "exceeds supported range" in outcome.failures[0]["reason"]
         assert [r["line"] for r in outcome.line_results] == [1]
+
+    def test_each_source_line_is_counted_once_for_two_targets(self, tmp_path, monkeypatch):
+        import mavl.harness
+
+        counted = []
+        count = mavl.harness.syllables.count_syllables
+
+        def spy(lang, text):
+            if lang is Language.EN:
+                counted.append(text)
+            return count(lang, text)
+
+        monkeypatch.setattr(mavl.harness.syllables, "count_syllables", spy)
+        texts = ["And 1000000 butterflies", "Remember me, don't let it make you cry"]
+        corpus = write_corpus(tmp_path, {"alpha": {Language.EN: [texts]}})
+        script = write_script(tmp_path, {"sequence": ['{"translation": "나비가 날아와"}'] * 6})
+        config = base_config(corpus, script, tmp_path / "runs",
+                             target_langs=(Language.KO, Language.JA))
+        outcome = cmd_translate(config)
+        data = [f for f in outcome.failures if f["category"] == "data"]
+        assert sorted((f["language"], f["line"]) for f in data) == [("JA", 0), ("KO", 0)]
+        assert all(f["reason"].startswith("source line: ") for f in data)
+        assert all("exceeds supported range" in f["reason"] for f in data)
+        assert counted == texts
 
     @pytest.mark.parametrize("text, syllable_count", [
         ("!!!", None),
@@ -1198,10 +1232,12 @@ class TestCli:
         ("evaluate", "hypotheses", b'{"song_id": "alpha", "language": "KO", '
          b'"section": 0, "line": 0, "text": 6}\n', 3, "line 2"),
         ("translate", "script", b"{not json", 2, "mock script"),
+        ("translate", "script", b'{"keyed": {"And": [{"translation": "x"}]}}', 2,
+         '"keyed" queue "And", turn 0'),
     ], ids=["dataset-not-utf8", "dataset-count-string", "dataset-number-text",
             "dataset-null-lines", "dataset-null-sections", "hyp-not-json",
             "hyp-not-object", "hyp-null-section", "hyp-number-text",
-            "script-not-json"])
+            "script-not-json", "script-object-turn"])
     def test_bad_input_file_exits_with_location(self, tmp_path, capsys, command,
                                                 bad_file, content, code, where):
         corpus = small_corpus(tmp_path)

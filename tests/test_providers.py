@@ -137,8 +137,9 @@ class TestRetries:
 
 
 # Few symbols, so generated keys and prompts overlap often; the Hangul and
-# kana make some prompts wide strings.
-KEY_ALPHABET = "ab 나비かな"
+# kana make some prompts wide strings.  Prompts are read line by line, split
+# on "\n" alone, so keys and prompts also hold "\n" and two other breaks.
+KEY_ALPHABET = "ab 나비かな\n\r\u2028"
 
 
 def linear_match(keys, prompt):
@@ -200,6 +201,15 @@ class TestScriptedProvider:
     # nothing matches: the fallback queue, or an error without one
     @example((["abab나비abab나비"], "abab나비abab", 1))
     @example((["abab나비abab나비"], "abab나비abab", None))
+    # a key holding a newline wins over a later one-line key
+    @example((["b\na", "ab 나비かなab"], "xab 나비かなab\nab", None))
+    @example((["\n", "ab"], "ab\nab", None))
+    # keys that occur only across a line break, indexed length or not
+    @example((["ab 나비\nかなab ab", "ab"], "xyab 나비\nかなab abx", 2))
+    @example((["b\na"], "ab\nab", 1))
+    # "\r" and "\u2028" do not end a line
+    @example((["ab\r나비かなab ab", "나비"], "xab\r나비かなab abx", None))
+    @example((["a\r", "b\u2028"], "xb\u2028a\r", 0))
     def test_lookup_agrees_with_a_linear_scan(self, case):
         keys, prompt, fallback_at = case
         assume(prompt.strip())
@@ -229,6 +239,28 @@ class TestScriptedProvider:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_line_memo_of_20000_distinct_lines_stays_under_2_mib(self):
+        rng = random.Random(11)
+        letters = string.ascii_letters + " "
+        keys = sorted({"".join(rng.choice(letters) for _ in range(40)) for _ in range(2000)})
+        script = {key: ["reply"] for key in keys}
+        script[None] = ["fallback"] * 20000
+        head = "Translate the line below.\nKeep its syllable count.\n"
+        tracemalloc.start()
+        try:
+            provider = ScriptedProvider(script)
+            for n in range(20000):
+                # a distinct ~200-character line, holding a key in every 100th
+                line = rng.randbytes(100).hex()
+                if n % 100 == 0:
+                    line += keys[n // 100]
+                provider.complete(GenerationRequest(f"{head}{line}\nReply in JSON."))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert provider.calls == 20000
         assert peak < 2 * 2**20
 
     def test_concurrent_calls_pop_every_turn_once(self):
