@@ -179,39 +179,52 @@ class LineScorer:
     def score_pairs(self, pairs: Sequence[LinePair]) -> list[LineScore]:
         """Score each pair as ``score_line`` does; the scores keep pair order.
 
-        Each distinct (language, text) is counted and transcribed once, and
-        each distinct text is embedded once: texts go to the embedder in
-        first-use order, at most ``EMBED_BATCH`` per call, and a call that
-        fails is a ``semantic`` error on exactly the pairs with a text in
-        it.  A text's count, transcription and vector are dropped after its
-        last pair, so memory stays flat over a long corpus.
+        Each distinct pair is scored once, and a repeat of it gets the same
+        ``LineScore``.  Each distinct (language, text) is counted and
+        transcribed once, and each distinct text is embedded once: texts go
+        to the embedder in first-use order, at most ``EMBED_BATCH`` per
+        call, and a call that fails is a ``semantic`` error on exactly the
+        pairs with a text in it.  A pair's score and a text's count,
+        transcription and vector are dropped after their last use, so memory
+        stays flat over a long corpus.
         """
+        last_pair: dict[LinePair, int] = {}
         last_key: dict[tuple[Language, str], int] = {}
         last_text: dict[str, int] = {}
         order: list[str] = []  # distinct texts, in first-use order
-        for i, (gt, pred, lang_gt, lang_pred, _) in enumerate(pairs):
+        for i, pair in enumerate(pairs):
+            gt, pred, lang_gt, lang_pred, _ = pair
+            last_pair[pair] = i
             last_key[lang_gt, gt] = last_key[lang_pred, pred] = i
             for text in (gt, pred):
                 if text not in last_text:
                     order.append(text)
                 last_text[text] = i
 
-        # (language, text) -> (count, transcription); text -> vector
+        # pair -> score; (language, text) -> (count, transcription); text -> vector
+        done: dict[LinePair, LineScore] = {}
         known: dict[tuple[Language, str], tuple] = {}
         vectors: dict[str, Sequence[float] | _Failed] = {}
         sent = 0
         scores: list[LineScore] = []
-        for i, (gt, pred, lang_gt, lang_pred, kind) in enumerate(pairs):
+        for i, pair in enumerate(pairs):
+            gt, pred, lang_gt, lang_pred, kind = pair
             keys = ((lang_gt, gt), (lang_pred, pred))
-            for key in keys:
-                if key not in known:
-                    known[key] = (_count(*key), _transcribe(*key))
-            while gt not in vectors or pred not in vectors:
-                batch = order[sent:sent + EMBED_BATCH]
-                sent += len(batch)
-                vectors.update(self._embed(batch))
-            scores.append(self._score(known[keys[0]], known[keys[1]],
-                                      vectors[gt], vectors[pred], lang_pred, kind))
+            score = done.get(pair)
+            if score is None:
+                for key in keys:
+                    if key not in known:
+                        known[key] = (_count(*key), _transcribe(*key))
+                while gt not in vectors or pred not in vectors:
+                    batch = order[sent:sent + EMBED_BATCH]
+                    sent += len(batch)
+                    vectors.update(self._embed(batch))
+                score = done[pair] = self._score(
+                    known[keys[0]], known[keys[1]],
+                    vectors[gt], vectors[pred], lang_pred, kind)
+            scores.append(score)
+            if last_pair[pair] == i:
+                del done[pair]
             for key in keys:
                 if last_key[key] == i:
                     known.pop(key, None)

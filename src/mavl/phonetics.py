@@ -98,6 +98,10 @@ def parse_rules(lines, source: str = "<rules>") -> G2PRuleSet:
         left = right = ""
         if len(parts) == 3 and parts[2]:
             left, _, right = parts[2].partition("/")
+        if any(ch.isspace() for ch in grapheme + left + right):
+            # transcribe walks one word at a time, so no rule may span words
+            raise MissingRuleTableError(
+                f"{source}:{lineno}: whitespace in grapheme or context")
         rules.append(G2PRule(grapheme, output, left, right))
     return G2PRuleSet(rules)
 
@@ -128,8 +132,20 @@ def _decompose_hangul(text: str) -> str:
     return "".join(out)
 
 
+# A lyric corpus reuses a small vocabulary, so the transcriptions of the
+# last _WORD_MEMO distinct (language, word) pairs are remembered.
+_WORD_MEMO = 4096
+
+
 def transcribe(lang: Language, text: str) -> IpaString:
-    rules = shipped_rules(lang)
+    """IPA symbols of ``text``, with ``dropped`` counting unmatched graphemes.
+
+    Korean is decomposed to jamo, Japanese katakana folded to hiragana and
+    other text lowercased, then each whitespace-separated word is
+    transcribed on its own.  That equals one walk over the whole text,
+    because no rule has whitespace in its grapheme or context and ``#``
+    tests the same whitespace that ``str.split`` cuts at.
+    """
     if lang is Language.KO:
         text = _decompose_hangul(text)
     elif lang is Language.JA:
@@ -138,19 +154,29 @@ def transcribe(lang: Language, text: str) -> IpaString:
         text = text.lower()
     symbols: list[str] = []
     dropped = 0
+    for word in text.split():
+        word_symbols, word_dropped = _transcribe_word(lang, word)
+        symbols += word_symbols
+        dropped += word_dropped
+    return IpaString(tuple(symbols), dropped=dropped)
+
+
+@lru_cache(maxsize=_WORD_MEMO)
+def _transcribe_word(lang: Language, word: str) -> tuple[tuple[str, ...], int]:
+    """(symbols, dropped) of one folded word that holds no whitespace."""
+    rules = shipped_rules(lang)
+    symbols: list[str] = []
+    dropped = 0
     i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        rule = rules.match(text, i)
+    while i < len(word):
+        rule = rules.match(word, i)
         if rule is None:
             dropped += 1
             i += 1
             continue
         symbols.extend(rule.output)
         i += len(rule.grapheme)
-    return IpaString(tuple(symbols), dropped=dropped)
+    return tuple(symbols), dropped
 
 
 def edit_distance(a: IpaString, b: IpaString) -> int:

@@ -121,16 +121,18 @@ class EmbeddingRequest:
 
 
 def request_digest(request: GenerationRequest) -> str:
-    """Stable short fingerprint of a request, for trace correlation."""
-    payload = {
-        "prompt": request.prompt_text,
-        "media": [
-            [m.kind.value, m.location, list(m.time_span) if m.time_span else None]
-            for m in request.media
-        ],
-    }
-    blob = json.dumps(payload, ensure_ascii=False, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    """Stable short fingerprint of a request, for trace correlation.
+
+    Hashes the media as one JSON line, then the prompt's UTF-8 bytes: JSON
+    escapes newlines, so the first one ends the media.
+    """
+    media = json.dumps([
+        [m.kind.value, m.location, list(m.time_span) if m.time_span else None]
+        for m in request.media
+    ])
+    digest = hashlib.sha256(f"{media}\n".encode("utf-8"))
+    digest.update(request.prompt_text.encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

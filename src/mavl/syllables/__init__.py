@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import NumberRangeError
 from ..languages import Language
 from . import common, english, french, japanese, korean, spanish
-from .lexicon import Lexicon, parse_lexicon, shipped_lexicon
+from .lexicon import parse_lexicon, shipped_lexicon
 from .numbers import MAX_SUPPORTED, expand_number
 
 __all__ = [
@@ -81,21 +82,27 @@ def segment(lang: Language, text: str) -> SyllableSegmentation:
     elif lang is Language.JA:
         units = japanese.segment(prepared)
     else:
-        lexicon = shipped_lexicon(lang)
         units = []
         for token in prepared.split():
             core = common.word_core(token)
             if core:
-                units.extend(_latin_word_units(lang, core, lexicon))
+                units.extend(_latin_word_units(lang, core))
     return SyllableSegmentation(tuple(units), len(units), lang)
 
 
-def _latin_word_units(lang: Language, core: str, lexicon: Lexicon) -> list[str]:
-    explicit = lexicon.get(core.lower())
+# A lyric corpus reuses a small vocabulary, so the units of the last
+# _WORD_MEMO distinct (language, word) pairs are remembered.  KO and JA are
+# not split per word: JA small kana attach across spaces.
+_WORD_MEMO = 4096
+
+
+@lru_cache(maxsize=_WORD_MEMO)
+def _latin_word_units(lang: Language, core: str) -> tuple[str, ...]:
+    explicit = shipped_lexicon(lang).get(core.lower())
     if explicit is not None:
-        return list(explicit)
+        return explicit
     if lang is Language.EN:
-        return english.segment_word(core)
+        return tuple(english.segment_word(core))
     if lang is Language.ES:
-        return spanish.segment_word(core)
-    return french.segment_word(core)
+        return tuple(spanish.segment_word(core))
+    return tuple(french.segment_word(core))

@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mavl import phonetics
 from mavl.errors import EmbeddingError, MetricDomainError
 from mavl.languages import Language
 from mavl.metrics import (
+    EMBED_BATCH,
     SEMANTIC,
     SYLLABIC,
     CorpusReport,
@@ -18,6 +20,7 @@ from mavl.metrics import (
     syllable_count_distance,
     syllable_error,
 )
+from mavl.phonetics import edit_distance
 
 
 def se_oracle(c_ref, c_pred, beta):
@@ -268,6 +271,61 @@ class TestScorePairs:
     def test_equals_score_line_on_each_pair(self, pairs):
         scorer = LineScorer(embedder=fake_embedder)
         assert scorer.score_pairs(pairs) == [scorer.score_line(*p) for p in pairs]
+
+
+# 90 distinct pairs of 180 distinct texts, which fill three embedder calls;
+# repeats of earlier pairs come between them and after them
+DISTINCT_PAIRS = [(f"line number {i}", f"verso numero {i}", Language.EN,
+                   Language.ES, ReferenceKind.ORIGINAL_EN) for i in range(90)]
+REPEATED_PAIRS = [
+    pair for i, first in enumerate(DISTINCT_PAIRS)
+    for pair in ([first, DISTINCT_PAIRS[i // 2]] if i % 3 == 0 else [first])
+] + DISTINCT_PAIRS[::7]
+
+
+def recording_embedder(batches, failing_text=None):
+    def embedder(texts):
+        batches.append(list(texts))
+        if failing_text in texts:
+            raise EmbeddingError("endpoint down")
+        return fake_embedder(texts)
+    return embedder
+
+
+class TestRepeatedPairs:
+    def test_each_distinct_pair_is_scored_once(self, monkeypatch):
+        edits = []
+
+        def counting_edit_distance(a, b):
+            edits.append((a, b))
+            return edit_distance(a, b)
+
+        monkeypatch.setattr(phonetics, "edit_distance", counting_edit_distance)
+        scorer = LineScorer(embedder=fake_embedder)
+        scores = scorer.score_pairs(REPEATED_PAIRS)
+        assert len(edits) == len(DISTINCT_PAIRS) < len(REPEATED_PAIRS)
+        assert scores == [scorer.score_line(*p) for p in REPEATED_PAIRS]
+
+    def test_embedder_gets_the_batches_of_the_distinct_pairs(self):
+        with_repeats, distinct = [], []
+        LineScorer(embedder=recording_embedder(with_repeats)).score_pairs(REPEATED_PAIRS)
+        LineScorer(embedder=recording_embedder(distinct)).score_pairs(DISTINCT_PAIRS)
+        assert with_repeats == distinct
+        assert [len(b) for b in distinct] == [EMBED_BATCH, EMBED_BATCH, 180 - 2 * EMBED_BATCH]
+
+    def test_failed_batch_is_a_semantic_error_on_every_copy(self):
+        batches = []
+        scorer = LineScorer(embedder=recording_embedder(batches, "verso numero 70"))
+        scores = scorer.score_pairs(REPEATED_PAIRS)
+        failed = set(next(b for b in batches if "verso numero 70" in b))
+        copies = [p for p in REPEATED_PAIRS if p[0] in failed]
+        assert len(copies) > len(set(copies))
+        for (gt, pred, *_), score in zip(REPEATED_PAIRS, scores):
+            if gt in failed or pred in failed:
+                assert score.semantic is None
+                assert score.component_errors == {SEMANTIC: "endpoint down"}
+            else:
+                assert score.semantic is not None and score.component_errors == {}
 
 
 def mk(c_ref, c_pred, lang=Language.KO, kind=ReferenceKind.ORIGINAL_EN, **extra):

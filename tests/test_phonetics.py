@@ -1,13 +1,20 @@
+import random
+import string
+import tracemalloc
+from importlib import resources
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mavl import phonetics
 from mavl.errors import MissingRuleTableError
-from mavl.languages import Language
+from mavl.languages import Language, katakana_to_hiragana
 from mavl.phonetics import (
     IpaString,
     edit_distance,
     parse_rules,
     phonetic_distance,
+    shipped_rules,
     transcribe,
 )
 
@@ -120,6 +127,14 @@ class TestTranscribe:
         with pytest.raises(MissingRuleTableError, match=r"t\.tsv:3: empty grapheme"):
             parse_rules(["a\tx", "# note", "\ty"], source="t.tsv")
 
+    @pytest.mark.parametrize("line", [
+        "a b\tx", "a\tx\t /#", "a\tx\t#/\xa0", "a\u3000\tx", "a\tx\tb\x1c/",
+    ])
+    def test_whitespace_in_grapheme_or_context_rejected_with_its_location(self, line):
+        # transcribe walks one word at a time, so no rule may span words
+        with pytest.raises(MissingRuleTableError, match=r"t\.tsv:2: whitespace"):
+            parse_rules(["a\tx", line], source="t.tsv")
+
     def test_longest_grapheme_then_file_order_then_context(self):
         rules = parse_rules(["a\tx", "ab\ty", "a\tz", "b\tp\t#/", "b\tb"])
         assert rules.match("abc", 0).output == ("y",)
@@ -155,3 +170,86 @@ class TestPhoneticDistance:
         want = dp_oracle(list(transcribe(Language.EN, a).symbols),
                          list(transcribe(Language.EN, b).symbols))
         assert got == want
+
+
+def whole_text_walk(lang, text):
+    """``transcribe`` as one walk over the whole folded text, kept as the oracle
+    for the word-at-a-time walk: (symbols, dropped)."""
+    rules = shipped_rules(lang)
+    if lang is Language.KO:
+        text = phonetics._decompose_hangul(text)
+    elif lang is Language.JA:
+        text = katakana_to_hiragana(text)
+    else:
+        text = text.lower()
+    symbols, dropped, i = [], 0, 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+            continue
+        rule = rules.match(text, i)
+        if rule is None:
+            dropped += 1
+            i += 1
+            continue
+        symbols.extend(rule.output)
+        i += len(rule.grapheme)
+    return tuple(symbols), dropped
+
+
+# the separators str.split() and the "#" context both treat as whitespace
+WHITESPACE = [" ", "\t", "\n", "\xa0", "\u3000", "\x1c"]
+
+
+def _rule_chars(lang):
+    """Every character of the shipped table's graphemes and contexts."""
+    name = f"{lang.value.lower()}.tsv"
+    table = resources.files("mavl").joinpath("data", "g2p", name).read_text("utf-8")
+    return sorted({ch for line in table.splitlines() if not line.startswith("#")
+                   for field in line.split("\t")[::2] for ch in field})
+
+
+# text the table covers, plus what it folds to that (Hangul blocks,
+# katakana, a capital whose lowercase is longer) and what it lacks
+def _texts(lang):
+    extra = {
+        Language.KO: st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3),
+        Language.JA: st.characters(min_codepoint=0x30A1, max_codepoint=0x30FA),
+    }.get(lang, st.sampled_from("İGONY"))
+    return st.text(st.one_of(st.sampled_from(_rule_chars(lang)),
+                             st.sampled_from(WHITESPACE), extra,
+                             st.sampled_from("9!x")), max_size=40)
+
+
+languages_and_texts = st.sampled_from(Language).flatmap(
+    lambda lang: st.tuples(st.just(lang), _texts(lang)))
+
+
+class TestWordAtATime:
+    @given(languages_and_texts)
+    @example((Language.EN, "go go"))
+    @example((Language.EN, "go\tno\ncry\xa0you\u3000by\x1cgo"))
+    @example((Language.EN, "İgo go"))
+    @example((Language.FR, "İ eau  beau"))
+    @example((Language.ES, "  casa\tllama\n"))
+    @example((Language.KO, "나비가 날아와\t밤"))
+    @example((Language.JA, "きょう は\u3000ちょ トー"))
+    def test_equals_whole_text_walk(self, lang_text):
+        lang, text = lang_text
+        got = transcribe(lang, text)
+        assert (got.symbols, got.dropped) == whole_text_walk(lang, text)
+
+    def test_memo_of_20000_distinct_words_stays_under_3_mib(self):
+        # ~1.9 MiB at the peak with the memo's bound, ~5.8 MiB without one
+        rng = random.Random(13)
+        words = ["".join(rng.choices(string.ascii_lowercase, k=8)) for _ in range(20000)]
+        phonetics._transcribe_word.cache_clear()
+        tracemalloc.start()
+        try:
+            for word in words:
+                transcribe(Language.EN, word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            phonetics._transcribe_word.cache_clear()
+        assert peak < 3 * 2**20

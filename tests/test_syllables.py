@@ -1,11 +1,15 @@
+import random
 import re
+import string
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from mavl import syllables
 from mavl.errors import NumberRangeError
 from mavl.languages import Language, is_hangul_syllable, is_kana, is_kanji
-from mavl.syllables import count_syllables, japanese, normalize, segment
+from mavl.syllables import common, count_syllables, japanese, normalize, segment
 
 EN = Language.EN
 ES = Language.ES
@@ -232,3 +236,52 @@ class TestProperties:
         except NumberRangeError:
             return
         assert count_syllables(lang, text) == seg.count == len(seg.units)
+
+
+def uncached_units(lang, text):
+    """EN/ES/FR units of ``text``, each word through the uncached word rules."""
+    units = []
+    for token in normalize(lang, text).split():
+        core = common.word_core(token)
+        if core:
+            units.extend(syllables._latin_word_units.__wrapped__(lang, core))
+    return tuple(units)
+
+
+# words in several cases (the memo must not fold case: units keep the
+# word's letters), lexicon entries, and the whitespace str.split() cuts at
+CASED_WORDS = ["Love", "love", "LOVE", "lOvE", "quiet", "Quiet", "QUIET",
+               "Día", "día", "Cœur", "cœur", "fire", "Fire", "toi", "TOI"]
+WHITESPACE = [" ", "\t", "\n", "\xa0", "\u3000", "\x1c"]
+latin_texts = st.lists(
+    st.one_of(st.sampled_from(CASED_WORDS), st.sampled_from(WHITESPACE),
+              st.text(st.sampled_from(string.ascii_letters + "éèñü'-!"), max_size=8)),
+    max_size=12).map("".join)
+
+
+class TestWordMemo:
+    @given(st.sampled_from([EN, ES, FR]), latin_texts)
+    @example(EN, "Love love")
+    @example(EN, "love Love LOVE")
+    @example(EN, "Quiet\tquiet\nQUIET")
+    @example(ES, "Día\xa0día\u3000DÍA")
+    @example(FR, "Cœur\x1ccœur")
+    def test_equals_uncached_word_rules(self, lang, text):
+        seg = segment(lang, text)
+        assert seg.units == uncached_units(lang, text)
+        assert count_syllables(lang, text) == seg.count
+
+    def test_memo_of_20000_distinct_words_stays_under_3_mib(self):
+        # ~1.7 MiB at the peak with the memo's bound, ~4.7 MiB without one
+        rng = random.Random(13)
+        words = ["".join(rng.choices(string.ascii_lowercase, k=8)) for _ in range(20000)]
+        syllables._latin_word_units.cache_clear()
+        tracemalloc.start()
+        try:
+            for word in words:
+                count_syllables(EN, word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            syllables._latin_word_units.cache_clear()
+        assert peak < 3 * 2**20
