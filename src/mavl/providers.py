@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -411,8 +412,15 @@ class HashEmbeddingProvider:
 # Remote backend
 
 
-def _check_status(status: int) -> None:
-    """Map an HTTP status onto the provider error ladder; 2xx and 3xx pass."""
+def _check_status(status: int, location: str | None = None) -> None:
+    """Map an HTTP status onto the provider error ladder; only 2xx passes.
+
+    A redirect is not followed: re-sent elsewhere, the POST would reach a
+    service that the endpoint setting does not name.
+    """
+    if 300 <= status < 400:
+        where = f" to {location}" if location else ""
+        raise ProviderError(f"redirect{where} not followed (HTTP {status})")
     if status in (401, 403):
         raise ProviderAuthError(f"authentication rejected (HTTP {status})")
     if status == 429:
@@ -423,38 +431,162 @@ def _check_status(status: int) -> None:
         raise ProviderError(f"request rejected (HTTP {status})")
 
 
-def _urlopen(url: str, payload: dict, headers: dict, timeout: float) -> tuple[int, bytes]:
-    """POST ``payload`` as JSON; the status and body bytes of the reply.
+# http.client's bound on one line of a reply; here it bounds the whole head too
+_MAX_HEAD = 65536
+_RECV = 65536  # bytes asked of each recv
+_STATUS_LINE = re.compile(rb"HTTP/\d\.\d ([1-9]\d\d)(?: .*)?")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+# what may not appear in a request target or Host (as http.client rejects),
+# and in a header value: controls, and anything past Latin-1
+_BAD_URL = re.compile(r"[^\x21-\x7e]")
+_BAD_VALUE = re.compile(r"[^\t\x20-\x7e\x80-\xff]")
 
-    An error status comes back as a status with an empty body, for
-    :func:`_check_status` to map; a failure to get a whole reply raises.  The
-    HTTP modules load here, so offline runs never import them.
+
+class _Reply:
+    """The reply waiting on a socket, read only as far as it is needed."""
+
+    def __init__(self, sock) -> None:
+        self.sock = sock
+        self.buf = bytearray()
+        self.pos = 0
+
+    def _fill(self) -> bool:
+        """Read more of the reply; False once the server has closed."""
+        chunk = self.sock.recv(_RECV)
+        self.buf += chunk
+        return bool(chunk)
+
+    def line(self) -> bytes:
+        """The next line, without its line break (LF, or CR LF)."""
+        while (end := self.buf.find(b"\n", self.pos)) < 0:
+            if len(self.buf) - self.pos > _MAX_HEAD:
+                raise TransientProviderError(f"reply line over {_MAX_HEAD} bytes")
+            if not self._fill():
+                raise TransientProviderError("connection closed mid-line of the reply")
+        line = bytes(self.buf[self.pos : end]).rstrip(b"\r")
+        self.pos = end + 1
+        return line
+
+    def take(self, n: int) -> bytes:
+        """The next ``n`` bytes."""
+        while len(self.buf) - self.pos < n:
+            if not self._fill():
+                got = len(self.buf) - self.pos
+                raise TransientProviderError(
+                    f"IncompleteRead({got} bytes read, {n - got} more expected)"
+                )
+        out = bytes(self.buf[self.pos : self.pos + n])
+        self.pos += n
+        return out
+
+    def head(self) -> tuple[int, dict[str, str]]:
+        """Status and headers (lower-case names, first of each) of one reply."""
+        start = self.pos
+        status_line = self.line()
+        found = _STATUS_LINE.fullmatch(status_line)
+        if found is None:
+            raise TransientProviderError(f"malformed status line {status_line[:80]!r}")
+        headers: dict[str, str] = {}
+        while line := self.line():
+            if self.pos - start > _MAX_HEAD:
+                raise TransientProviderError(f"reply header section over {_MAX_HEAD} bytes")
+            name, colon, value = line.partition(b":")
+            if colon:
+                headers.setdefault(
+                    name.strip().lower().decode("latin-1"), value.strip().decode("latin-1")
+                )
+        return int(found[1]), headers
+
+    def chunked(self) -> bytes:
+        """A chunked body, its chunks joined; trailer fields are skipped."""
+        chunks = []
+        while True:
+            size = self.line().partition(b";")[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise TransientProviderError(f"malformed chunk size {size[:80]!r}")
+            if not int(size, 16):
+                break
+            chunks.append(self.take(int(size, 16)))
+            self.line()  # the line break after the chunk's data
+        while self.line():
+            pass
+        return b"".join(chunks)
+
+    def read(self) -> tuple[int, dict[str, str], bytes]:
+        """The final reply's status, headers and body.
+
+        The body ends at its ``Content-Length`` or at the last chunk of a
+        chunked body, without waiting for the server to close; else at close.
+        """
+        status, headers = self.head()
+        while status < 200:  # interim replies, such as 100 Continue
+            status, headers = self.head()
+        length = headers.get("content-length", "")
+        if headers.get("transfer-encoding", "").lower() == "chunked":
+            body = self.chunked()
+        elif length.isdecimal():
+            body = self.take(int(length))
+        else:
+            while self._fill():
+                pass
+            body = bytes(self.buf[self.pos :])
+        return status, headers, body
+
+
+def _http_post(
+    url: str, payload: dict, headers: dict, timeout: float, tls: Callable
+) -> tuple[int, dict[str, str], bytes]:
+    """POST ``payload`` as JSON over one new connection: the reply's status,
+    headers and body.
+
+    HTTP/1.1 with ``Connection: close``; head and body go in one send.  An
+    ``https://`` URL is wrapped in the context that ``tls()`` returns.  No
+    proxy is used and no redirect followed.  A timeout, a socket or TLS
+    failure and a reply cut short or garbled raise.  ``socket`` loads here,
+    so offline runs never import it.
     """
-    import http.client
-    import urllib.error
-    import urllib.request
+    import socket
+    from urllib.parse import urlsplit
 
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload, allow_nan=False).encode("utf-8"),
-        headers={**headers, "Content-Type": "application/json"},
-        method="POST",
-    )
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as exc:
-        exc.close()
-        return exc.code, b""
+        parts = urlsplit(url)
+        port = parts.port or (443 if parts.scheme == "https" else 80)
+    except ValueError as exc:
+        raise ProviderError(f"bad endpoint URL {url!r}: {exc}") from exc
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    authority = parts.netloc.rpartition("@")[2]
+    if (
+        parts.scheme not in ("http", "https")
+        or not parts.hostname
+        or _BAD_URL.search(target + authority)
+    ):
+        raise ProviderError(f"bad endpoint URL {url!r}")
+    for name, value in headers.items():
+        if _BAD_VALUE.search(value):
+            # the value is the API key: name it, never echo it
+            raise ProviderError(f"the {name} header holds a character HTTP cannot carry")
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    head = "".join(
+        [
+            f"POST {target} HTTP/1.1\r\nHost: {authority}\r\n",
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n",
+            *(f"{name}: {value}\r\n" for name, value in headers.items()),
+            "Connection: close\r\n\r\n",
+        ]
+    ).encode("latin-1")
+    try:
+        sock = socket.create_connection((parts.hostname, port), timeout)
+        try:
+            if parts.scheme == "https":
+                sock = tls().wrap_socket(sock, server_hostname=parts.hostname)
+            sock.sendall(head + body)
+            return _Reply(sock).read()
+        finally:
+            sock.close()
     except TimeoutError as exc:
         raise ProviderTimeoutError(f"no reply within {timeout} s: {exc}") from exc
-    except urllib.error.URLError as exc:
-        # a connect timeout arrives wrapped in URLError
-        if isinstance(exc.reason, TimeoutError):
-            raise ProviderTimeoutError(f"no connection within {timeout} s: {exc.reason}") from exc
-        raise TransientProviderError(str(exc)) from exc
-    except (OSError, http.client.HTTPException) as exc:
-        # HTTPException covers IncompleteRead, which is not an OSError
+    except OSError as exc:
+        # refused, reset, unresolvable, or a failed TLS handshake
         raise TransientProviderError(f"{type(exc).__name__}: {exc}") from exc
 
 
@@ -477,6 +609,8 @@ class RemoteProvider:
         self.model_id = model_id
         self.api_key_env = api_key_env
         self.timeout = timeout
+        self._tls = None
+        self._tls_lock = threading.Lock()
 
     def _api_key(self) -> str:
         key = os.environ.get(self.api_key_env, "")
@@ -486,11 +620,24 @@ class RemoteProvider:
             )
         return key
 
+    def _tls_context(self):
+        """The TLS context of every ``https://`` request, made on the first:
+        ``ssl.create_default_context()``, so the system CA store, or
+        ``SSL_CERT_FILE`` when it is set."""
+        with self._tls_lock:
+            if self._tls is None:
+                import ssl
+
+                self._tls = ssl.create_default_context()
+            return self._tls
+
     def _post(self, path: str, payload: dict) -> dict:
         url = self.endpoint + path
         headers = {"Authorization": f"Bearer {self._api_key()}"}
-        status, raw = _urlopen(url, payload, headers, self.timeout)
-        _check_status(status)
+        status, reply_headers, raw = _http_post(
+            url, payload, headers, self.timeout, self._tls_context
+        )
+        _check_status(status, reply_headers.get("location"))
         try:
             return json.loads(raw)
         except ValueError as exc:

@@ -73,7 +73,7 @@ def test_bench_tracer_hooks_resolve(monkeypatch):
     assert mavl.harness.translate_line is original
 
 
-HTTP_MODULES = ("urllib.request", "http.client", "requests")
+HTTP_MODULES = ("urllib.request", "http.client", "requests", "ssl", "socket")
 
 # run in a fresh interpreter: importing the CLI, then one remote completion
 # against a loopback server started in the same process
@@ -103,12 +103,14 @@ _HTTP_PROBE = textwrap.dedent(f"""
     text = RemoteProvider(url, "m", timeout=5.0).complete(GenerationRequest("hi"))
     server.shutdown()
     print(json.dumps({{"after_import": after_import, "text": text,
-                       "requests_loaded": "requests" in sys.modules}}))
+                       "requests_loaded": "requests" in sys.modules,
+                       "urllib_request_loaded": "urllib.request" in sys.modules}}))
 """)
 
 
 def test_http_modules_load_only_for_a_remote_call():
-    """Importing the CLI loads no HTTP client; a remote call loads no ``requests``."""
+    """Importing the CLI loads no HTTP client, socket or TLS module; an
+    ``http://`` call loads neither ``requests`` nor ``urllib.request``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, MAVL_API_KEY="sekrit",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -117,4 +119,5 @@ def test_http_modules_load_only_for_a_remote_call():
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
         "after_import": [], "text": "ok", "requests_loaded": False,
+        "urllib_request_loaded": False,
     }

@@ -413,15 +413,28 @@ def reply(status, body=b"", *, length=None):
     return send
 
 
+def raw(data, *, hold=None):
+    """A loopback handler action: write ``data`` as the whole reply, then,
+    given an event as ``hold``, keep the connection open until it is set."""
+
+    def send(handler):
+        handler.wfile.write(data)
+        if hold is not None:
+            hold.wait(5.0)
+
+    return send
+
+
 class Loopback:
-    """A ``ThreadingHTTPServer`` on 127.0.0.1, run in a thread.
+    """A ``ThreadingHTTPServer`` on 127.0.0.1, run in a thread; given an
+    ``ssl`` server context as ``tls``, it speaks HTTPS.
 
     Each POST is recorded (path, headers, body bytes) and answered by the
     next action in ``actions``; an action may also stall until ``release``
     is set, which teardown does, so no handler outlives its test.
     """
 
-    def __init__(self):
+    def __init__(self, tls=None):
         self.actions = []
         self.received = []
         self.release = threading.Event()
@@ -440,7 +453,11 @@ class Loopback:
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.server.handle_error = lambda request, address: None
-        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1"
+        scheme = "http"
+        if tls is not None:
+            self.server.socket = tls.wrap_socket(self.server.socket, server_side=True)
+            scheme = "https"
+        self.url = f"{scheme}://127.0.0.1:{self.server.server_address[1]}/v1"
         self.thread = threading.Thread(
             target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
         )
@@ -578,6 +595,8 @@ class TestRemoteProviderHttp:
         assert got["body"] == json.dumps(payload, allow_nan=False).encode()
         assert got["headers"]["Authorization"] == "Bearer sekrit"
         assert got["headers"]["Content-Type"] == "application/json"
+        assert got["headers"]["Host"] == loopback.url.split("/")[2]
+        assert got["headers"]["Connection"] == "close"
 
     def test_embed_body(self, loopback):
         loopback.actions = [reply(200, b'{"vectors": [[0.5, 1]]}')]
@@ -595,6 +614,8 @@ class TestRemoteProviderHttp:
         (429, ProviderRateLimitError, True),
         (503, TransientProviderError, True),
         (404, ProviderError, False),
+        (301, ProviderError, False),
+        (307, ProviderError, False),
     ])
     def test_status_ladder(self, loopback, status, error, retryable):
         loopback.actions = [reply(status, b'{"error": "no"}')]
@@ -604,6 +625,20 @@ class TestRemoteProviderHttp:
         assert type(excinfo.value) is error
         assert excinfo.value.retryable is retryable
         assert f"HTTP {status}" in str(excinfo.value)
+
+    def test_redirect_names_its_location_and_is_not_retried(self, loopback, no_backoff):
+        loopback.actions = [raw(
+            b"HTTP/1.1 302 Found\r\nLocation: https://elsewhere.example/v1/complete\r\n"
+            b"Content-Length: 0\r\n\r\n"
+        )]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(ProviderError) as excinfo:
+            generate(GenerationRequest("hi"), provider)
+        assert type(excinfo.value) is ProviderError
+        assert str(excinfo.value) == (
+            "redirect to https://elsewhere.example/v1/complete not followed (HTTP 302)"
+        )
+        assert len(loopback.received) == 1
 
     def test_reply_not_json(self, loopback):
         loopback.actions = [reply(200, b"<html>busy</html>")]
@@ -619,13 +654,10 @@ class TestRemoteProviderHttp:
             provider.complete(GenerationRequest("hi"))
 
     def test_connect_timeout(self, monkeypatch):
-        import urllib.error
-        import urllib.request
+        def create_connection(address, timeout):
+            raise TimeoutError("timed out")
 
-        def urlopen(request, timeout):
-            raise urllib.error.URLError(TimeoutError("timed out"))
-
-        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.setattr(socket, "create_connection", create_connection)
         monkeypatch.setenv("MAVL_API_KEY", "sekrit")
         provider = RemoteProvider("http://127.0.0.1:9", "m", timeout=0.2)
         with pytest.raises(ProviderTimeoutError):
@@ -657,6 +689,156 @@ class TestRemoteProviderHttp:
         assert generate(GenerationRequest("hi"), provider) == "fin"
         assert len(loopback.received) == 2
         assert no_backoff == [1]
+
+    @pytest.mark.parametrize("endpoint, key", [
+        (None, "sek\r\nX-Injected: 1"),
+        (None, "sekrit\n"),
+        ("http://127.0.0.1:99999/v1", "sekrit"),
+        ("http://bad host/v1", "sekrit"),
+        ("ftp://127.0.0.1/v1", "sekrit"),
+    ], ids=["key-with-crlf", "key-with-newline", "port-out-of-range", "space-in-host",
+            "other-scheme"])
+    def test_unsendable_request_is_not_retried(self, loopback, monkeypatch, no_backoff,
+                                               endpoint, key):
+        monkeypatch.setenv("MAVL_API_KEY", key)
+        provider = RemoteProvider(endpoint or loopback.url, "m", timeout=5.0)
+        with pytest.raises(ProviderError) as excinfo:
+            generate(GenerationRequest("hi"), provider)
+        assert type(excinfo.value) is ProviderError
+        assert key.strip() not in str(excinfo.value)
+        assert loopback.received == []
+
+
+def chunked(body, cuts):
+    """``body`` in the chunked transfer coding, cut at ``cuts``, with a
+    chunk extension on each size line and one trailer field."""
+    bounds = [0, *cuts, len(body)]
+    pieces = [body[a:b] for a, b in zip(bounds, bounds[1:])]
+    return b"".join(b"%x;note=1\r\n%s\r\n" % (len(p), p) for p in pieces) + (
+        b"0\r\nX-Checksum: none\r\n\r\n"
+    )
+
+
+class TestHttpReplies:
+    """Where the client finds the end of a reply, and which replies it
+    rejects, on raw bytes from the loopback server."""
+
+    @pytest.mark.parametrize("head, body, hold", [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n", b'{"text": "tot"}', True),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+         chunked(b'{"text": "tot"}', [4, 15 - 3]), True),
+        (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n",
+         b'{"text": "tot"}', False),
+        (b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\nContent-Length: 15\n\n",
+         b'{"text": "tot"}', True),
+    ], ids=["length-on-open-connection", "chunked-on-open-connection", "read-to-close",
+            "interim-reply-and-bare-line-feeds"])
+    def test_reply_read_to_its_end(self, loopback, head, body, hold):
+        loopback.actions = [raw(head + body, hold=loopback.release if hold else None)]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        started = time.monotonic()
+        assert provider.complete(GenerationRequest("hi")) == "tot"
+        # a client that read to the close of a held connection would time out
+        assert time.monotonic() - started < 2.5
+
+    @pytest.mark.parametrize("data", [
+        b"HTPT/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 099 Low\r\nContent-Length: 2\r\n\r\n{}",
+        b"",
+        b"HTTP/1.1 200 OK\r\nContent-Len",
+        b"HTTP/1.1 200 OK\r\n"
+        + b"".join(b"X-Pad-%d: %s\r\n" % (i, b"a" * 1000) for i in range(70))
+        + b"Content-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{}\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n10\r\n{\"te",
+    ], ids=["garbled-status-line", "non-numeric-status", "status-below-100", "no-reply",
+            "cut-in-headers", "header-section-over-64k", "header-line-over-64k",
+            "bad-chunk-size", "cut-in-chunk"])
+    def test_malformed_reply_is_transient(self, loopback, data):
+        loopback.actions = [raw(data)]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(TransientProviderError) as excinfo:
+            provider.complete(GenerationRequest("hi"))
+        assert type(excinfo.value) is TransientProviderError
+        assert excinfo.value.retryable
+
+
+@pytest.fixture
+def https_loopback(tmp_path, monkeypatch):
+    """A loopback server behind a fresh self-signed certificate for
+    127.0.0.1; yields the server and the certificate's PEM path."""
+    x509 = pytest.importorskip("cryptography.x509")
+    import datetime
+    import ipaddress
+    import ssl
+
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "mavl loopback")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(minutes=5))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(
+            x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]),
+            critical=False,
+        )
+        .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+        .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()),
+                       critical=False)
+        .add_extension(
+            x509.AuthorityKeyIdentifier.from_issuer_public_key(key.public_key()),
+            critical=False,
+        )
+        .sign(key, hashes.SHA256())
+    )
+    cert_path, key_path = tmp_path / "cert.pem", tmp_path / "key.pem"
+    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_path.write_bytes(key.private_bytes(
+        serialization.Encoding.PEM,
+        serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption(),
+    ))
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert_path, key_path)
+    monkeypatch.setenv("MAVL_API_KEY", "sekrit")
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    server = Loopback(tls=context)
+    yield server, cert_path
+    server.close()
+
+
+class TestRemoteProviderHttps:
+    """TLS trusts the system CA store, or the bundle in ``SSL_CERT_FILE``."""
+
+    def test_completion_with_the_certificate_trusted(self, https_loopback, monkeypatch):
+        server, cert_path = https_loopback
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert_path))
+        server.actions = [reply(200, '{"text": "sûr"}'.encode()), reply(200, b'{"text": "encore"}')]
+        provider = RemoteProvider(server.url, "m", timeout=5.0)
+        assert provider.complete(GenerationRequest("hi")) == "sûr"
+        assert provider.complete(GenerationRequest("hi")) == "encore"
+        assert [got["path"] for got in server.received] == ["/v1/complete"] * 2
+
+    def test_untrusted_certificate_fails_after_the_retries(self, https_loopback, no_backoff):
+        server, _ = https_loopback
+        provider = RemoteProvider(server.url, "m", timeout=5.0)
+        with pytest.raises(RetriesExhaustedError) as excinfo:
+            generate(GenerationRequest("hi"), provider)
+        assert type(excinfo.value.last_error) is TransientProviderError
+        assert "CERTIFICATE_VERIFY_FAILED" in str(excinfo.value.last_error)
+        assert no_backoff == [1, 2]
+        assert server.received == []
 
 
 class TestMapBounded:
