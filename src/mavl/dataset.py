@@ -25,7 +25,13 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 
 from .errors import DatasetParseError, DatasetValidationError, EmptyLineError
-from .languages import Language, is_hiragana, is_kanji, is_katakana
+from .languages import (
+    Language,
+    is_hiragana,
+    is_kanji,
+    is_katakana,
+    surrogate_problem,
+)
 
 _LINE_KEYS = {"index", "rep", "time_span", "syllable_count", "text"}
 _SECTION_KEYS = {"index", "lines"}
@@ -37,10 +43,6 @@ class CompactLineRep:
     signature: str
     first_token: str
     last_token: str
-
-    @property
-    def token_count(self) -> int:
-        return len(self.signature)
 
 
 @dataclass
@@ -201,6 +203,10 @@ def parse_dataset(data: bytes | str) -> Dataset:
         raise DatasetParseError("top level must be a JSON object")
     songs: dict[str, dict[Language, SongEntry]] = {}
     for song_id, by_lang in doc.items():
+        problem = surrogate_problem(song_id)
+        if problem:
+            # the id keys every output record
+            raise DatasetValidationError(f"song id {problem}", location=song_id)
         if not isinstance(by_lang, dict):
             raise DatasetValidationError("song value must be an object",
                                          location=song_id)
@@ -291,8 +297,12 @@ def _parse_line(raw, loc: str) -> LyricLine:
         raise DatasetValidationError("syllable_count must be an integer",
                                      location=loc)
     text = raw.get("text")
-    if text is not None and not isinstance(text, str):
-        raise DatasetValidationError("text must be a string", location=loc)
+    if text is not None:
+        if not isinstance(text, str):
+            raise DatasetValidationError("text must be a string", location=loc)
+        problem = surrogate_problem(text)
+        if problem:
+            raise DatasetValidationError(f"text {problem}", location=loc)
     extras = {k: v for k, v in raw.items() if k not in _LINE_KEYS}
     return LyricLine(index=_index(raw, loc), rep=rep,
                      resolved_text=text, time_span=span,
@@ -400,10 +410,6 @@ class LanguageStats:
 @dataclass(frozen=True)
 class StatsReport:
     per_language: dict[Language, LanguageStats]
-
-    @property
-    def total_songs(self) -> int:
-        return self.per_language.get(Language.EN, LanguageStats()).songs
 
 
 def dataset_stats(dataset: Dataset) -> StatsReport:

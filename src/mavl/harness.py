@@ -43,7 +43,7 @@ from .errors import (
     ProviderAuthError,
     ProviderError,
 )
-from .languages import Language
+from .languages import Language, surrogate_problem
 from .metrics import (
     LinePair,
     LineScorer,
@@ -251,6 +251,10 @@ class HypothesisSet:
         if not isinstance(provenance, str):
             raise DatasetValidationError("provenance must be a string",
                                          location=rows[0][0])
+        problem = surrogate_problem(provenance)
+        if problem:
+            # report.json names the provenance
+            raise DatasetValidationError(f"provenance {problem}", location=rows[0][0])
         out = cls(provenance=provenance)
         for where, row in rows[1:]:
             try:
@@ -269,6 +273,9 @@ class HypothesisSet:
                     "section and line must be integers", location=where)
             if not isinstance(hyp_text, str):
                 raise DatasetValidationError("text must be a string", location=where)
+            problem = surrogate_problem(hyp_text)
+            if problem:
+                raise DatasetValidationError(f"text {problem}", location=where)
             key = (song_id, lang, section, line)
             if key in out.entries:
                 raise DatasetValidationError(

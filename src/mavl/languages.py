@@ -12,6 +12,10 @@ class Language(enum.Enum):
     KO = "KO"
     JA = "JA"
 
+    # members are singletons compared by identity; Enum.__hash__ is Python
+    # code, and these are dict keys on every hot path
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, value: str) -> "Language":
         try:
@@ -39,6 +43,21 @@ _DISPLAY_NAMES = {
     Language.KO: "Korean",
     Language.JA: "Japanese",
 }
+
+
+def surrogate_problem(text: str) -> str | None:
+    """Why ``text`` cannot be written as UTF-8, or None if it can.
+
+    Only a surrogate code point fails to encode, and JSON's ``"\\ud800"``
+    escape decodes to one when it is not half of a pair.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(text[exc.start])
+        return f"holds the lone surrogate U+{code:04X}, which UTF-8 cannot encode"
+    return None
+
 
 HANGUL_BLOCK_START = 0xAC00
 HANGUL_BLOCK_END = 0xD7A3

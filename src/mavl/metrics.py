@@ -34,6 +34,9 @@ class ReferenceKind(enum.Enum):
     ORIGINAL_EN = "original_en"
     DUBBED = "dubbed"
 
+    # members are singletons compared by identity; Enum.__hash__ is Python code
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class SyllableErrorParams:
@@ -94,7 +97,32 @@ def cosine_similarity(e_gt: Sequence[float], e_pred: Sequence[float]) -> float:
     norm_pred = math.sqrt(sq_pred)
     if norm_gt == 0.0 or norm_pred == 0.0:
         raise EmbeddingError("zero vector has no direction")
+    return _clamped_cosine(dot, norm_gt, norm_pred)
+
+
+def _clamped_cosine(dot: float, norm_gt: float, norm_pred: float) -> float:
     return max(-1.0, min(1.0, dot / (norm_gt * norm_pred)))
+
+
+def _norm(v) -> float | None:
+    """The norm ``cosine_similarity`` takes of ``v`` without rescaling it,
+    or None where it would rescale or raise.
+
+    A vector without a norm goes through ``cosine_similarity`` itself, so
+    whatever fails here fails there too, with that function's own message.
+    """
+    try:
+        sq = sum(map(mul, v, v))
+        return math.sqrt(sq) if _TINY_SUM_OF_SQUARES <= sq < math.inf else None
+    except Exception:
+        return None
+
+
+def _cosine(e_gt, e_pred, norm_gt: float | None, norm_pred: float | None) -> float:
+    """``cosine_similarity(e_gt, e_pred)``, given each vector's ``_norm``."""
+    if norm_gt is None or norm_pred is None or len(e_gt) != len(e_pred):
+        return cosine_similarity(e_gt, e_pred)
+    return _clamped_cosine(sum(map(mul, e_gt, e_pred)), norm_gt, norm_pred)
 
 
 @dataclass(frozen=True)
@@ -181,12 +209,12 @@ class LineScorer:
 
         Each distinct pair is scored once, and a repeat of it gets the same
         ``LineScore``.  Each distinct (language, text) is counted and
-        transcribed once, and each distinct text is embedded once: texts go
-        to the embedder in first-use order, at most ``EMBED_BATCH`` per
-        call, and a call that fails is a ``semantic`` error on exactly the
-        pairs with a text in it.  A pair's score and a text's count,
-        transcription and vector are dropped after their last use, so memory
-        stays flat over a long corpus.
+        transcribed once, and each distinct text is embedded, and its
+        vector's norm taken, once: texts go to the embedder in first-use
+        order, at most ``EMBED_BATCH`` per call, and a call that fails is a
+        ``semantic`` error on exactly the pairs with a text in it.  A pair's
+        score and a text's count, transcription and vector are dropped after
+        their last use, so memory stays flat over a long corpus.
         """
         last_pair: dict[LinePair, int] = {}
         last_key: dict[tuple[Language, str], int] = {}
@@ -201,10 +229,11 @@ class LineScorer:
                     order.append(text)
                 last_text[text] = i
 
-        # pair -> score; (language, text) -> (count, transcription); text -> vector
+        # pair -> score; (language, text) -> (count, transcription);
+        # text -> (vector, its norm)
         done: dict[LinePair, LineScore] = {}
         known: dict[tuple[Language, str], tuple] = {}
-        vectors: dict[str, Sequence[float] | _Failed] = {}
+        vectors: dict[str, tuple] = {}
         sent = 0
         scores: list[LineScore] = []
         for i, pair in enumerate(pairs):
@@ -233,30 +262,32 @@ class LineScorer:
                     vectors.pop(text, None)
         return scores
 
-    def _embed(self, batch: list[str]) -> dict[str, Sequence[float] | _Failed]:
+    def _embed(self, batch: list[str]) -> dict[str, tuple]:
+        """Each text's vector, or why there is none, and the vector's ``_norm``."""
         if self.embedder is None:
-            return dict.fromkeys(batch, _Failed("no embedding provider configured"))
+            return dict.fromkeys(batch, (_Failed("no embedding provider configured"), None))
         try:
             vectors = self.embedder(batch)
             if len(vectors) != len(batch):
                 raise EmbeddingError("embedder returned wrong vector count")
         except Exception as exc:
-            return dict.fromkeys(batch, _Failed(str(exc)))
-        return dict(zip(batch, vectors))
+            return dict.fromkeys(batch, (_Failed(str(exc)), None))
+        return {text: (v, _norm(v)) for text, v in zip(batch, vectors)}
 
     def _syllabic(self, c_ref: int, c_pred: int) -> tuple[float, float, bool]:
         return (syllable_error(c_ref, c_pred, self.params),
                 syllable_count_distance(c_ref, c_pred), c_ref != c_pred)
 
-    def _score(self, ref: tuple, hyp: tuple, v_ref, v_hyp,
+    def _score(self, ref: tuple, hyp: tuple, ref_vector: tuple, hyp_vector: tuple,
                language: Language, reference_kind: ReferenceKind) -> LineScore:
         (c_ref, ipa_ref), (c_pred, ipa_hyp) = ref, hyp
+        (v_ref, norm_ref), (v_hyp, norm_hyp) = ref_vector, hyp_vector
         errors: dict[str, str] = {}
         se, scd, mismatch = _component(errors, SYLLABIC, self._syllabic,
                                        c_ref, c_pred) or (None, None, None)
         # one uncountable text leaves the other count set
         c_ref, c_pred = (None if isinstance(c, _Failed) else c for c in (c_ref, c_pred))
-        semantic = _component(errors, SEMANTIC, cosine_similarity, v_ref, v_hyp)
+        semantic = _component(errors, SEMANTIC, _cosine, v_ref, v_hyp, norm_ref, norm_hyp)
         phonetic = _component(errors, PHONETIC, phonetics.edit_distance,
                               ipa_ref, ipa_hyp)
         return LineScore(c_ref=c_ref, c_pred=c_pred,

@@ -38,6 +38,7 @@ from .errors import (
     RetriesExhaustedError,
     TransientProviderError,
 )
+from .languages import surrogate_problem
 
 __all__ = [
     "MediaKind",
@@ -174,6 +175,8 @@ class TraceStore:
     a lock so concurrent workers interleave whole lines, never fragments.
     The file is opened on the first append, so a run that makes no model
     call leaves none, and stays open, line-buffered, until :meth:`close`.
+    A lone surrogate in a reply is written as its JSON escape (``\\ud800``),
+    so the file stays UTF-8 and each line still parses to the reply.
     """
 
     def __init__(self, path: str) -> None:
@@ -202,7 +205,11 @@ class TraceStore:
         line = json.dumps(record, ensure_ascii=False)
         with self._lock:
             if self._fh is None:
-                self._fh = open(self.path, "a", encoding="utf-8", buffering=1)
+                # only a surrogate fails to encode, and only inside a JSON
+                # string, where its backslash escape is the JSON escape
+                self._fh = open(
+                    self.path, "a", encoding="utf-8", errors="backslashreplace", buffering=1
+                )
             self._fh.write(line + "\n")
 
     def close(self) -> None:
@@ -210,10 +217,6 @@ class TraceStore:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
-
-    def read_all(self) -> list[dict]:
-        with open(self.path, encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
 
 
 def _with_retries(call):
@@ -243,7 +246,11 @@ def generate(
     trace: TraceStore | None = None,
     task_id: str = "",
 ) -> str:
-    """Run one completion with retries, logging every attempt if tracing."""
+    """Run one completion with retries, logging every attempt if tracing.
+
+    A reply that UTF-8 cannot encode (it holds a lone surrogate) is traced,
+    then raised as a non-retryable ``ProviderError``.
+    """
     digest = request_digest(request)
 
     def attempt_once(attempt: int) -> str:
@@ -251,6 +258,9 @@ def generate(
         text = provider.complete(request)
         if trace is not None:
             trace.append(task_id, attempt, digest, text, started=started)
+        problem = surrogate_problem(text)
+        if problem:
+            raise ProviderError(f"reply {problem}")
         return text
 
     return _with_retries(attempt_once)
@@ -384,9 +394,9 @@ class HashEmbeddingProvider:
     """Embeddings from character n-gram hashing.  No model, no network.
 
     Each text is mapped to a 128-dimension bag of 1- to 3-grams, bucketed
-    by CRC32 and L2-normalized.  Identical texts always get identical
-    vectors, and a one-character edit moves the vector, which is all the
-    offline evaluation path needs.
+    by the CRC32 of their UTF-8 bytes and L2-normalized.  Identical texts
+    always get identical vectors, and a one-character edit moves the vector,
+    which is all the offline evaluation path needs.
     """
 
     def _vector(self, text: str) -> list[float]:
@@ -396,11 +406,16 @@ class HashEmbeddingProvider:
         if not text:
             vec[0] = 1.0
             return vec
-        for n in (1, 2, 3):
-            for i in range(len(text) - n + 1):
-                gram = text[i : i + n]
-                bucket = zlib.crc32(gram.encode("utf-8")) % _HASH_DIM
-                vec[bucket] += 1.0
+        # crc32(b, crc32(a)) == crc32(a + b): each n-gram's CRC extends the
+        # (n-1)-gram's by one character, so every character is encoded once
+        crc32 = zlib.crc32
+        chars = [ch.encode("utf-8") for ch in text]
+        crc1 = list(map(crc32, chars))
+        crc2 = list(map(crc32, chars[1:], crc1))
+        crc3 = list(map(crc32, chars[2:], crc2))
+        for crcs in (crc1, crc2, crc3):
+            for crc in crcs:
+                vec[crc % _HASH_DIM] += 1.0
         norm = sum(map(mul, vec, vec)) ** 0.5
         return [x / norm for x in vec]
 

@@ -143,6 +143,21 @@ class TestParse:
         with pytest.raises(DatasetValidationError):
             parse_dataset(json.dumps(doc))
 
+    def test_lone_surrogate_in_text_names_its_line(self):
+        # JSON's "\ud800" escape decodes to a code point UTF-8 cannot encode;
+        # inside a word it still matches the rep
+        doc = json.loads(json.dumps(ONE_SONG_DOC))
+        line = doc["song-1"]["en"]["sections"][0]["lines"][0]
+        line["text"] = "Remember me though I h\ud800ave to say goodbye"
+        with pytest.raises(DatasetValidationError, match="U\\+D800") as err:
+            parse_dataset(json.dumps(doc).encode("ascii"))
+        assert err.value.location == "song-1/en/section[0]/line[0]"
+
+    def test_lone_surrogate_in_song_id_rejected(self):
+        doc = {"song-\ud800": ONE_SONG_DOC["song-1"]}
+        with pytest.raises(DatasetValidationError, match="song id holds .*U\\+D800"):
+            parse_dataset(json.dumps(doc).encode("ascii"))
+
 
 class TestSerialize:
     def test_empty_round_trip(self):
@@ -167,7 +182,6 @@ class TestEncode:
         rep = encode_line(Language.EN,
                           "Remember me though I have to say goodbye")
         assert rep == CompactLineRep("RmtIhtsg", "Remember", "goodbye")
-        assert rep.token_count == 8
 
     def test_single_token(self):
         rep = encode_line(Language.EN, "Go")
@@ -281,14 +295,12 @@ class TestStats:
     def test_empty(self):
         report = dataset_stats(Dataset({}))
         assert report.per_language == {}
-        assert report.total_songs == 0
 
     def test_counts(self):
         report = dataset_stats(self.build())
         en = report.per_language[Language.EN]
         assert (en.songs, en.sections, en.lines) == (2, 4, 7)
         assert report.per_language[Language.ES].songs == 1
-        assert report.total_songs == 2
 
 
 words = st.lists(st.text(alphabet="abcdefghij", min_size=1, max_size=6),

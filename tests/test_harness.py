@@ -5,8 +5,10 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -108,6 +110,12 @@ GOOD_SCRIPT = {
         "Three months": ['{"translation": "세 달의 겨울 추위"}'],
     }
 }
+
+
+def read_trace(path):
+    """The records of a trace file, in the order they were appended."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def write_script(tmp_path, payload, name="script.json"):
@@ -215,6 +223,16 @@ class TestHypothesisSet:
         hyp.entries[("missing-song", Language.KO, 0, 0)] = "text"
         with pytest.raises(DatasetValidationError):
             hyp.validate_against(dataset)
+
+    def test_lone_surrogate_in_text_or_provenance_names_its_line(self):
+        with pytest.raises(DatasetValidationError, match="line 3.*U\\+D800"):
+            HypothesisSet.from_jsonl(
+                '{"provenance": "x"}\n'
+                '{"song_id": "a", "language": "KO", "section": 0, "line": 0, "text": "a"}\n'
+                '{"song_id": "a", "language": "KO", "section": 0, "line": 1, "text": "\\ud800"}\n'
+            )
+        with pytest.raises(DatasetValidationError, match="line 1: provenance .*U\\+DC00"):
+            HypothesisSet.from_jsonl('{"provenance": "x\\udc00"}\n')
 
     def test_from_dubbed_is_human_provenance(self, tmp_path):
         path = small_corpus(tmp_path)
@@ -341,7 +359,7 @@ class TestTranslate:
         with pytest.raises(ProviderAuthError):
             cmd_translate(config)
         assert len(closed) == 1
-        assert len(TraceStore(closed[0]).read_all()) == 1
+        assert len(read_trace(closed[0])) == 1
 
     def test_mock_provider_requires_script(self, tmp_path):
         corpus = small_corpus(tmp_path)
@@ -445,6 +463,30 @@ class TestTranslate:
         assert [r["line"] for r in outcome.line_results] == [1]
         for name in ("hypotheses.jsonl", "failures.json", "results.jsonl"):
             assert (outcome.run_dir / name).exists()
+
+    def test_lone_surrogate_reply_is_a_line_failure(self, tmp_path):
+        corpus = small_corpus(tmp_path)
+        script = tmp_path / "script.json"
+        # ASCII JSON: the surrogate is the escape "\ud800" in the file
+        script.write_text(json.dumps({"keyed": {
+            "And there's a butterfly": ['{"translation": "나비\ud800"}'],
+            "Remember me": ['{"translation": "날 잊지 마 슬퍼하지는 마"}'],
+        }}), encoding="utf-8")
+        outcome = cmd_translate(base_config(corpus, script, tmp_path / "runs"))
+        assert outcome.failures == [
+            {"song_id": "alpha", "language": "KO", "section": 0, "line": 0,
+             "category": "provider",
+             "reason": "reply holds the lone surrogate U+D800, which UTF-8 cannot encode"},
+        ]
+        assert [r["line"] for r in outcome.line_results] == [1]
+        # the trace keeps the attempt, escaped, and stays UTF-8
+        trace = outcome.run_dir / "trace.jsonl"
+        trace.read_bytes().decode("utf-8")
+        assert sorted(r["response_text"] for r in read_trace(trace)) == [
+            '{"translation": "나비\ud800"}', '{"translation": "날 잊지 마 슬퍼하지는 마"}',
+        ]
+        for name in ("hypotheses.jsonl", "failures.json", "results.jsonl"):
+            (outcome.run_dir / name).read_bytes().decode("utf-8")
 
     def test_uncountable_source_line_is_a_data_failure(self, tmp_path):
         corpus = write_corpus(
@@ -923,6 +965,54 @@ class TestStats:
 
 
 class TestCli:
+    def test_evaluate_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """No output follows the iteration order of a set, so ``Language`` and
+        ``ReferenceKind`` may hash by identity: evaluate in two processes with
+        different str hash seeds writes the same bytes."""
+        corpus = write_corpus(tmp_path, {
+            "alpha": {
+                Language.EN: [["And there's a butterfly", "Remember me"],
+                              ["Three months of winter coolness"]],
+                Language.ES: [["Y hay una mariposa", "Recuérdame"],
+                              ["Tres meses de frío invernal"]],
+                Language.FR: [["Et voici un papillon", "Souviens-toi"],
+                              ["Trois mois de froid"]],
+                Language.KO: [["나비가 날아와", "날 잊지 마"], ["세 달의 겨울 추위"]],
+                Language.JA: [["ちょうがとぶ", "わすれないで"], ["みつきのふゆ"]],
+            },
+            "beta": {
+                Language.EN: [["Remember me", "Sing it 7 times"]],
+                Language.JA: [["ゆめのそら", "7かいうたって"]],
+                Language.KO: [["기억해 줘", "일곱 번 불러"]],
+            },
+        })
+        from mavl.harness import _load_dataset
+
+        hyp = HypothesisSet.from_dubbed(_load_dataset(str(corpus)), list(Language))
+        for key, text in hyp.entries.items():
+            hyp.entries[key] = text[::-1] if key[3] % 2 else text + " 2"
+        hyp_path = tmp_path / "hyp.jsonl"
+        hyp_path.write_text(hyp.to_jsonl(), encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for seed in ("0", "1"):
+            out_dir = tmp_path / f"runs-{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run(
+                [sys.executable, "-m", "mavl.cli", "evaluate", "--dataset", str(corpus),
+                 "--hypotheses", str(hyp_path), "--out", str(out_dir)],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            (run_dir,) = out_dir.iterdir()
+            outputs.append([done.stdout] + [
+                (run_dir / name).read_bytes()
+                for name in ("scores.csv", "report.json", "report.txt")
+            ])
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0][2])["groups"]) == 8  # 4 languages x 2 references
+
     def test_uncountable_numerals_do_not_abort(self, tmp_path, capsys):
         corpus = small_corpus(tmp_path)
         script = write_script(tmp_path, NUMERAL_SCRIPT)
@@ -1138,6 +1228,24 @@ class TestCli:
                      "--hypotheses", str(hyp), "--out", str(tmp_path / "runs")])
         assert code == 3
         assert "line 3" in capsys.readouterr().err
+
+    def test_lone_surrogate_hypothesis_exits_3_before_the_run_directory(
+        self, tmp_path, capsys
+    ):
+        # json.dumps writes the surrogate as the escape "\ud800", which loads back
+        corpus = small_corpus(tmp_path)
+        record = {"song_id": "alpha", "language": "KO", "section": 0, "line": 0,
+                  "text": "나비가 \ud800"}
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"provenance": "x"}\n' + json.dumps(record) + "\n",
+                       encoding="utf-8")
+        out_dir = tmp_path / "runs"
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--hypotheses", str(hyp), "--out", str(out_dir)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and "U+D800" in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("section,line", [(-1, 0), (0, -1), (0, 2), (1, 0)],
                              ids=["section-negative", "line-negative",

@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mavl import phonetics
+from mavl import metrics, phonetics
 from mavl.errors import EmbeddingError, MetricDomainError
 from mavl.languages import Language
 from mavl.metrics import (
@@ -326,6 +327,57 @@ class TestRepeatedPairs:
                 assert score.component_errors == {SEMANTIC: "endpoint down"}
             else:
                 assert score.semantic is not None and score.component_errors == {}
+
+
+# how the stub embedder below builds a text's vector from a few random values
+VECTOR_KINDS = {
+    "normal": lambda v: v,
+    "tiny": lambda v: [x * 1e-200 for x in v],
+    "huge": lambda v: [x * 1e200 for x in v],
+    "nan": lambda v: [math.nan] + v[1:],
+    "inf": lambda v: v[:-1] + [-math.inf],
+    "zero": lambda v: [0.0] * len(v),
+    "empty": lambda v: [],
+}
+
+
+class TestSemanticMatchesCosine:
+    def test_every_pair_gets_cosine_similarity_or_its_error(self, monkeypatch):
+        """score_pairs takes each text's norm once; per pair it must give
+        exactly what cosine_similarity gives on the two vectors."""
+        monkeypatch.setattr(metrics, "EMBED_BATCH", 7)
+        seen = {}
+
+        def embedder(texts):
+            # the second batch's vectors are one component longer
+            dim = 3 if not seen else 4
+            for text in texts:
+                rng = random.Random(text)
+                kind = text.partition("-")[0]
+                seen[text] = VECTOR_KINDS[kind]([rng.uniform(-3, 3) for _ in range(dim)])
+            return [seen[text] for text in texts]
+
+        texts = [f"{kind}-{i}" for i in range(2) for kind in VECTOR_KINDS]
+        pairs = [(gt, pred, Language.EN, Language.EN, ReferenceKind.DUBBED)
+                 for gt in texts for pred in texts]
+        scores = LineScorer(embedder=embedder).score_pairs(pairs)
+        assert {len(v) for v in seen.values()} == {0, 3, 4}
+        outcomes = set()
+        for (gt, pred, *_), score in zip(pairs, scores):
+            try:
+                expected = cosine_similarity(seen[gt], seen[pred])
+            except EmbeddingError as exc:
+                outcomes.add(str(exc).partition(":")[0])
+                assert score.semantic is None
+                assert score.component_errors[SEMANTIC] == str(exc)
+            else:
+                outcomes.add("value")
+                assert score.semantic == expected
+                assert SEMANTIC not in score.component_errors
+        assert outcomes == {
+            "value", "dimension mismatch", "empty vectors",
+            "embedding has a non-finite component", "zero vector has no direction",
+        }
 
 
 def mk(c_ref, c_pred, lang=Language.KO, kind=ReferenceKind.ORIGINAL_EN, **extra):

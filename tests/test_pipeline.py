@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mavl import pipeline
-from mavl.errors import ConfigError, PipelineError
+from mavl.errors import ConfigError, PipelineError, ProviderError
 from mavl.languages import Language
 from mavl.pipeline import (
     Modality,
@@ -380,6 +380,13 @@ class TestTranslateLine:
         assert result.attempts == 2
         assert result.constraint_met is True
         assert "single JSON" in provider.requests[1].prompt_text
+
+    def test_lone_surrogate_reply_is_a_provider_error_not_a_reprompt(self):
+        # a reprompt would carry the reply, which request_digest cannot encode
+        provider = RecordingProvider(["no payload \ud800", '{"translation": "나비가 날아와"}'])
+        with pytest.raises(ProviderError, match="U\\+D800"):
+            translate_line(butterfly_task(), PipelineVariant(modalities=TEXT), provider)
+        assert len(provider.requests) == 1
 
     def test_best_attempt_when_nothing_hits(self):
         provider = RecordingProvider(

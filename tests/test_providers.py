@@ -8,7 +8,9 @@ import sys
 import threading
 import time
 import tracemalloc
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -41,6 +43,12 @@ from mavl.providers import (
     map_bounded,
     request_digest,
 )
+
+
+def read_trace(path):
+    """The records of a trace file, in the order they were appended."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 @pytest.fixture
@@ -300,7 +308,7 @@ class TestTraceStore:
             trace=store,
             task_id="song-1/0/0",
         )
-        records = store.read_all()
+        records = read_trace(store.path)
         # failed attempts raise before logging; the success is attempt 2
         assert len(records) == 1
         assert records[0]["task_id"] == "song-1/0/0"
@@ -322,24 +330,24 @@ class TestTraceStore:
             t.start()
         for t in threads:
             t.join()
-        records = store.read_all()
+        records = read_trace(store.path)
         store.close()
         assert len(records) == 40
         for rec in records:
             assert rec["response_text"] == "payload " * 20
 
-    def test_read_all_sees_each_append_before_close(self, tmp_path):
+    def test_each_append_is_readable_before_close(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         store = TraceStore(str(path))
         assert not path.exists()
         for attempt in (1, 2, 3):
             store.append("task", attempt, "0" * 16, f"reply {attempt}")
-            assert [r["attempt"] for r in store.read_all()] == list(range(1, attempt + 1))
+            assert [r["attempt"] for r in read_trace(store.path)] == list(range(1, attempt + 1))
         store.close()
         store.close()
         store.append("task", 4, "0" * 16, "after close")
         store.close()
-        assert [r["attempt"] for r in store.read_all()] == [1, 2, 3, 4]
+        assert [r["attempt"] for r in read_trace(store.path)] == [1, 2, 3, 4]
 
     def test_digest_is_stable_and_config_sensitive(self):
         a = GenerationRequest("same text")
@@ -377,6 +385,32 @@ class TestHashEmbeddings:
     def test_empty_batch_rejected(self):
         with pytest.raises(EmbeddingError):
             EmbeddingRequest(())
+
+    @staticmethod
+    def per_gram_vector(text):
+        """The embedder's definition, one n-gram at a time: each 1-, 2- and
+        3-gram adds one to bucket CRC32(its UTF-8 bytes) mod 128."""
+        vec = [0.0] * 128
+        if not text:
+            vec[0] = 1.0
+            return vec
+        for n in (1, 2, 3):
+            for i in range(len(text) - n + 1):
+                vec[zlib.crc32(text[i : i + n].encode("utf-8")) % 128] += 1.0
+        norm = sum(map(mul, vec, vec)) ** 0.5
+        return [x / norm for x in vec]
+
+    @given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=60))
+    @example("")
+    @example("a")
+    @example("\U0001f98b")
+    @example("ab")
+    @example("é\U0001f98b")
+    @example("abc")
+    @example("나\U0001f98b비")
+    def test_vectors_equal_the_per_gram_definition(self, text):
+        (vec,) = HashEmbeddingProvider().embed_batch(EmbeddingRequest((text,)))
+        assert vec == self.per_gram_vector(text)
 
     def test_batch_dimension_check(self):
         class Ragged:
@@ -550,6 +584,20 @@ class TestRemoteProvider:
             generate(GenerationRequest("hi"), provider)
         assert type(excinfo.value) is ProviderError
         assert len(loopback.received) == 1
+
+    def test_lone_surrogate_reply_is_traced_then_not_retried(self, loopback, no_backoff, tmp_path):
+        loopback.actions = [reply(200, b'{"text": "un \\ud800"}')]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        store = TraceStore(str(tmp_path / "trace.jsonl"))
+        with pytest.raises(ProviderError, match="lone surrogate U\\+D800") as excinfo:
+            generate(GenerationRequest("hi"), provider, trace=store, task_id="t")
+        store.close()
+        assert type(excinfo.value) is ProviderError
+        assert len(loopback.received) == 1
+        raw_trace = (tmp_path / "trace.jsonl").read_bytes()
+        assert b'"un \\ud800"' in raw_trace
+        raw_trace.decode("utf-8")
+        assert [r["response_text"] for r in read_trace(store.path)] == ["un \ud800"]
 
     def test_embed_reply_not_json_is_provider_error(self, loopback):
         loopback.actions = [reply(200, b"<html>busy</html>")]
