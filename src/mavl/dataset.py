@@ -1,9 +1,9 @@
-"""Dataset schema, compact line codec, and reconstruction.
+"""Dataset schema, compact line codec, parse and serialize.
 
 Lyrics are distributed as fingerprints rather than text: per line we
-keep the first letter of every word plus the first and last word. Given
-a candidate page fetched from the recorded URL, the original line can
-be recognized without the dataset ever shipping it.
+keep the first letter of every word plus the first and last word. A
+candidate line fetched from the recorded URL can be checked against its
+fingerprint (``match_line``) without the dataset ever shipping it.
 
 File format (UTF-8 JSON)::
 
@@ -15,14 +15,16 @@ File format (UTF-8 JSON)::
 
 A resolved line may additionally carry its recovered "text". Every song
 needs an "en" entry: EN is the source of every translation. Unknown
-fields are kept and re-emitted.
+fields are kept and re-emitted. ``parse_dataset`` checks each field as
+it reads it, so a document is walked once and the first fault in
+document order is the one raised.
 """
 
 from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import DatasetParseError, DatasetValidationError, EmptyLineError
 from .languages import (
@@ -147,45 +149,6 @@ def match_line(rep: CompactLineRep, candidate: str, lang: Language) -> bool:
         return False
 
 
-def reconstruct_song(entry: SongEntry, candidate_lines: list[str]
-                     ) -> tuple[SongEntry, list[tuple[int, int]]]:
-    """Match candidates to the entry's lines, greedily and in order.
-
-    Candidates that match nothing (page headers, ads) are skipped over.
-    Lines that are already resolved keep their text; they still advance
-    the cursor past their own candidate so later lines search the right
-    region. Returns the resolved copy plus (section, line) index pairs
-    that found no match.
-    """
-    cursor = 0
-    unmatched: list[tuple[int, int]] = []
-    sections: list[Section] = []
-    for section in entry.sections:
-        lines: list[LyricLine] = []
-        for line in section.lines:
-            found = _find_candidate(line.rep, candidate_lines, cursor,
-                                    entry.language)
-            text = line.resolved_text
-            if found is not None:
-                cursor = found + 1
-                if text is None:
-                    text = candidate_lines[found]
-            elif text is None:
-                unmatched.append((section.index, line.index))
-            lines.append(replace(line, resolved_text=text))
-        sections.append(replace(section, lines=lines))
-    return replace(entry, sections=sections), unmatched
-
-
-def _find_candidate(rep: CompactLineRep, candidates: list[str], start: int,
-                    lang: Language) -> int | None:
-    """Index of the first candidate at or after ``start`` matching ``rep``."""
-    for j in range(start, len(candidates)):
-        if match_line(rep, candidates[j], lang):
-            return j
-    return None
-
-
 # ----------------------------------------------------------- parse side
 
 def parse_dataset(data: bytes | str) -> Dataset:
@@ -217,19 +180,28 @@ def parse_dataset(data: bytes | str) -> Dataset:
             except ValueError as exc:
                 raise DatasetValidationError(str(exc),
                                              location=song_id) from None
-            entries[lang] = _parse_entry(raw, lang, f"{song_id}/{code}")
+            if lang in entries:
+                raise DatasetValidationError(
+                    f"key {code!r} repeats language {lang.value}",
+                    location=song_id)
+            entries[lang] = _parse_entry(raw, lang,
+                                         f"{song_id}/{lang.value.lower()}")
+        if Language.EN not in entries:
+            raise DatasetValidationError("no EN entry", location=song_id)
         songs[song_id] = entries
-    dataset = Dataset(songs)
-    validate_dataset(dataset)
-    return dataset
+    return Dataset(songs)
 
 
-def _index(raw: dict, loc: str) -> int:
-    # a missing index reads -1, which validation reports as out of order;
+def _index(raw: dict, expected: int, what: str, loc: str) -> int:
+    if "index" not in raw:
+        raise DatasetValidationError("missing field 'index'", location=loc)
     # type() rather than isinstance(), since Python's bool is an int
-    index = raw.get("index", -1)
+    index = raw["index"]
     if type(index) is not int:
         raise DatasetValidationError("index must be an integer", location=loc)
+    if index != expected:
+        raise DatasetValidationError(
+            f"{what} index {index}, expected {expected}", location=loc)
     return index
 
 
@@ -246,6 +218,8 @@ def _parse_entry(raw, lang: Language, loc: str) -> SongEntry:
     if not (isinstance(title, str) and isinstance(source_url, str)):
         raise DatasetValidationError("title and source_url must be strings",
                                      location=loc)
+    if not source_url:
+        raise DatasetValidationError("source_url is empty", location=loc)
     media_url = raw.get("media_url")
     if media_url is not None and not isinstance(media_url, str):
         raise DatasetValidationError("media_url must be a string or null",
@@ -253,7 +227,7 @@ def _parse_entry(raw, lang: Language, loc: str) -> SongEntry:
     if not isinstance(sections_raw, list):
         raise DatasetValidationError("sections must be an array", location=loc)
     sections = [
-        _parse_section(s, f"{loc}/section[{i}]")
+        _parse_section(s, i, lang, f"{loc}/section[{i}]")
         for i, s in enumerate(sections_raw)
     ]
     extras = {k: v for k, v in raw.items() if k not in _ENTRY_KEYS}
@@ -262,40 +236,54 @@ def _parse_entry(raw, lang: Language, loc: str) -> SongEntry:
                      sections=sections, extras=extras)
 
 
-def _parse_section(raw, loc: str) -> Section:
+def _parse_section(raw, i: int, lang: Language, loc: str) -> Section:
     if not isinstance(raw, dict):
         raise DatasetValidationError("section must be an object", location=loc)
+    index = _index(raw, i, "section", loc)
     lines_raw = raw.get("lines", [])
     if not isinstance(lines_raw, list):
         raise DatasetValidationError("lines must be an array", location=loc)
     lines = [
-        _parse_line(l, f"{loc}/line[{i}]")
-        for i, l in enumerate(lines_raw)
+        _parse_line(l, j, lang, f"{loc}/line[{j}]")
+        for j, l in enumerate(lines_raw)
     ]
     extras = {k: v for k, v in raw.items() if k not in _SECTION_KEYS}
-    return Section(index=_index(raw, loc), lines=lines, extras=extras)
+    return Section(index=index, lines=lines, extras=extras)
 
 
-def _parse_line(raw, loc: str) -> LyricLine:
+def _parse_line(raw, j: int, lang: Language, loc: str) -> LyricLine:
     if not isinstance(raw, dict):
         raise DatasetValidationError("line must be an object", location=loc)
+    index = _index(raw, j, "line", loc)
     rep_raw = raw.get("rep")
     if (not isinstance(rep_raw, list) or len(rep_raw) != 3
             or not all(isinstance(x, str) for x in rep_raw)):
         raise DatasetValidationError(
             "rep must be [signature, first, last]", location=loc)
     rep = CompactLineRep(*rep_raw)
+    if not rep.signature:
+        raise DatasetValidationError("empty signature", location=loc)
+    if rep.first_token and rep.signature[0] != rep.first_token[0]:
+        raise DatasetValidationError(
+            "signature does not start with first token's letter", location=loc)
     span = raw.get("time_span")
     if span is not None:
         if (not isinstance(span, list) or len(span) != 2
                 or not all(type(x) is int for x in span)):
             raise DatasetValidationError("time_span must be [start_ms, end_ms]",
                                          location=loc)
+        if not span[0] < span[1]:
+            raise DatasetValidationError("time_span start must precede end",
+                                         location=loc)
         span = (span[0], span[1])
     count = raw.get("syllable_count")
-    if count is not None and type(count) is not int:
-        raise DatasetValidationError("syllable_count must be an integer",
-                                     location=loc)
+    if count is not None:
+        if type(count) is not int:
+            raise DatasetValidationError("syllable_count must be an integer",
+                                         location=loc)
+        if count < 0:
+            raise DatasetValidationError("negative syllable_count",
+                                         location=loc)
     text = raw.get("text")
     if text is not None:
         if not isinstance(text, str):
@@ -303,55 +291,12 @@ def _parse_line(raw, loc: str) -> LyricLine:
         problem = surrogate_problem(text)
         if problem:
             raise DatasetValidationError(f"text {problem}", location=loc)
+        if lang.space_delimited and not match_line(rep, text, lang):
+            raise DatasetValidationError("text does not match its rep",
+                                         location=loc)
     extras = {k: v for k, v in raw.items() if k not in _LINE_KEYS}
-    return LyricLine(index=_index(raw, loc), rep=rep,
-                     resolved_text=text, time_span=span,
-                     syllable_count=count, extras=extras)
-
-
-def validate_dataset(dataset: Dataset) -> None:
-    for song_id, entries in dataset.songs.items():
-        if Language.EN not in entries:
-            raise DatasetValidationError("no EN entry", location=song_id)
-        for lang, entry in entries.items():
-            loc = f"{song_id}/{lang.value.lower()}"
-            if entry.language is not lang:
-                raise DatasetValidationError("language mismatch", location=loc)
-            if not entry.source_url:
-                raise DatasetValidationError("source_url is empty",
-                                             location=loc)
-            _validate_entry(entry, loc)
-
-
-def _validate_entry(entry: SongEntry, loc: str) -> None:
-    for i, section in enumerate(entry.sections):
-        sloc = f"{loc}/section[{i}]"
-        if section.index != i:
-            raise DatasetValidationError(
-                f"section index {section.index}, expected {i}", location=sloc)
-        for j, line in enumerate(section.lines):
-            lloc = f"{sloc}/line[{j}]"
-            if line.index != j:
-                raise DatasetValidationError(
-                    f"line index {line.index}, expected {j}", location=lloc)
-            if not line.rep.signature:
-                raise DatasetValidationError("empty signature", location=lloc)
-            if line.rep.first_token and line.rep.signature[0] != line.rep.first_token[0]:
-                raise DatasetValidationError(
-                    "signature does not start with first token's letter",
-                    location=lloc)
-            if line.time_span is not None and not line.time_span[0] < line.time_span[1]:
-                raise DatasetValidationError("time_span start must precede end",
-                                             location=lloc)
-            if line.syllable_count is not None and line.syllable_count < 0:
-                raise DatasetValidationError("negative syllable_count",
-                                             location=lloc)
-            if (line.resolved_text is not None
-                    and entry.language.space_delimited
-                    and not match_line(line.rep, line.resolved_text,
-                                       entry.language)):
-                raise DatasetValidationError(
-                    "text does not match its rep", location=lloc)
+    return LyricLine(index=index, rep=rep, resolved_text=text,
+                     time_span=span, syllable_count=count, extras=extras)
 
 
 # ------------------------------------------------------- serialize side

@@ -327,7 +327,7 @@ def _json_record(line: str, where: str) -> dict:
 
 
 def _find_line(entry: SongEntry, section_index: int, line_index: int) -> LyricLine | None:
-    # validate_dataset guarantees sections[i].index == i and lines[j].index == j;
+    # parse_dataset guarantees sections[i].index == i and lines[j].index == j;
     # the bounds check keeps a negative key from counting from the end
     if 0 <= section_index < len(entry.sections):
         lines = entry.sections[section_index].lines
@@ -474,7 +474,7 @@ def _translation_tasks(
     tasks: list[tuple[LineKey, TranslationTask]] = []
     failures: list[dict] = []
     for song_id in sorted(dataset.songs):
-        # validate_dataset guarantees every song an EN entry
+        # parse_dataset guarantees every song an EN entry
         entry = dataset.songs[song_id][Language.EN]
         for section, line in entry.lines():
             # each line is read once, whatever the number of targets

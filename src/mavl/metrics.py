@@ -319,11 +319,14 @@ def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
+def _error_rate(scores: list[LineScore]) -> float | None:
+    return _mean([s.mismatch for s in scores if s.mismatch is not None])
+
+
 def _group_stats(scores: list[LineScore]) -> GroupStats:
-    flags = [s.mismatch for s in scores if s.mismatch is not None]
     return GroupStats(
         line_count=len(scores),
-        error_rate=(sum(flags) / len(flags)) if flags else None,
+        error_rate=_error_rate(scores),
         mean_se=_mean([s.se for s in scores if s.se is not None]),
         mean_scd=_mean([s.scd for s in scores if s.scd is not None]),
         mean_semantic=_mean([s.semantic for s in scores
@@ -341,10 +344,9 @@ def aggregate(scores: Iterable[LineScore], *,
     groups: dict[tuple[Language, ReferenceKind], list[LineScore]] = {}
     for s in scores:
         groups.setdefault((s.language, s.reference_kind), []).append(s)
-    flags = [s.mismatch for s in scores if s.mismatch is not None]
     return CorpusReport(
         line_count=len(scores),
-        error_rate=(sum(flags) / len(flags)) if flags else None,
+        error_rate=_error_rate(scores),
         groups={key: _group_stats(group) for key, group in groups.items()},
         provider=provider,
     )

@@ -13,7 +13,6 @@ from mavl.dataset import (
     encode_line,
     match_line,
     parse_dataset,
-    reconstruct_song,
     serialize_dataset,
 )
 from mavl.errors import (
@@ -158,6 +157,79 @@ class TestParse:
         with pytest.raises(DatasetValidationError, match="song id holds .*U\\+D800"):
             parse_dataset(json.dumps(doc).encode("ascii"))
 
+    def test_two_keys_for_one_language_rejected(self):
+        # "en" and "EN" both parse to EN; keeping one would drop the other's lines
+        doc = json.loads(json.dumps(ONE_SONG_DOC))
+        doc["song-1"]["EN"] = doc["song-1"]["en"]
+        with pytest.raises(DatasetValidationError,
+                           match="'EN' repeats language EN") as err:
+            parse_dataset(json.dumps(doc))
+        assert err.value.location == "song-1"
+
+    @pytest.mark.parametrize("where, key, value, message, location", [
+        ("entry", "source_url", "", "source_url is empty", "song-1/en"),
+        ("line", "rep", ["", "Remember", "goodbye"], "empty signature",
+         "song-1/en/section[0]/line[0]"),
+        ("line", "rep", ["XmtIhtsg", "Remember", "goodbye"],
+         "signature does not start with first token's letter",
+         "song-1/en/section[0]/line[0]"),
+        ("line", "time_span", [9, 9], "time_span start must precede end",
+         "song-1/en/section[0]/line[0]"),
+        ("line", "syllable_count", -1, "negative syllable_count",
+         "song-1/en/section[0]/line[0]"),
+        ("section", "index", 2, "section index 2, expected 0",
+         "song-1/en/section[0]"),
+        ("line", "index", 1, "line index 1, expected 0",
+         "song-1/en/section[0]/line[0]"),
+        ("line", "index", None, "missing field 'index'",
+         "song-1/en/section[0]/line[0]"),
+        ("section", "index", None, "missing field 'index'",
+         "song-1/en/section[0]"),
+        ("line", "text", "Wrong words", "text does not match its rep",
+         "song-1/en/section[0]/line[0]"),
+        ("song", "en", None, "no EN entry", "song-1"),
+    ], ids=["empty-source-url", "empty-signature", "first-letter",
+            "empty-time-span", "negative-count", "section-index", "line-index",
+            "line-index-missing", "section-index-missing", "text-not-rep",
+            "no-en"])
+    def test_invariant_names_its_fault_and_location(self, where, key, value,
+                                                    message, location):
+        # value None deletes the key
+        doc = json.loads(json.dumps(ONE_SONG_DOC))
+        entry = doc["song-1"]["en"]
+        owner = {"song": doc["song-1"], "entry": entry,
+                 "section": entry["sections"][0],
+                 "line": entry["sections"][0]["lines"][0]}[where]
+        if value is None:
+            del owner[key]
+        else:
+            owner[key] = value
+        with pytest.raises(DatasetValidationError) as err:
+            parse_dataset(json.dumps(doc))
+        assert str(err.value) == f"{location}: {message}"
+        assert err.value.location == location
+
+    def test_japanese_text_is_not_checked_against_its_rep(self):
+        doc = {"song-1": {"en": ONE_SONG_DOC["song-1"]["en"],
+                          "ja": json.loads(json.dumps(ONE_SONG_DOC["song-1"]["en"]))}}
+        line = doc["song-1"]["ja"]["sections"][0]["lines"][0]
+        line["text"] = "さよならを言わなきゃ"
+        assert not match_line(CompactLineRep(*line["rep"]), line["text"],
+                              Language.JA)
+        ds = parse_dataset(json.dumps(doc))
+        parsed = ds.songs["song-1"][Language.JA].sections[0].lines[0]
+        assert parsed.resolved_text == "さよならを言わなきゃ"
+
+    def test_first_fault_in_document_order_is_raised(self):
+        # a type fault in a later song no longer outranks an invariant fault
+        doc = {"song-1": json.loads(json.dumps(ONE_SONG_DOC["song-1"])),
+               "song-2": json.loads(json.dumps(ONE_SONG_DOC["song-1"]))}
+        doc["song-1"]["en"]["sections"][0]["lines"][0]["syllable_count"] = -1
+        doc["song-2"]["en"]["title"] = 5
+        with pytest.raises(DatasetValidationError) as err:
+            parse_dataset(json.dumps(doc))
+        assert err.value.location == "song-1/en/section[0]/line[0]"
+
 
 class TestSerialize:
     def test_empty_round_trip(self):
@@ -236,47 +308,6 @@ class TestMatch:
         assert match_line(rep, text, Language.EN)
         assert match_line(rep, text + " extra", Language.EN) == (
             encode_line(Language.EN, text + " extra") == rep)
-
-
-class TestReconstruct:
-    LINES = [["Hello darkness my old friend",
-              "I've come to talk with you again"],
-             ["In restless dreams I walked alone"]]
-
-    def test_exact_candidates(self):
-        entry = entry_from_lines(Language.EN, self.LINES)
-        flat = [t for sec in self.LINES for t in sec]
-        resolved, unmatched = reconstruct_song(entry, flat)
-        assert unmatched == []
-        assert [l.resolved_text for _, l in resolved.lines()] == flat
-
-    def test_extra_interleaved_line_skipped(self):
-        entry = entry_from_lines(Language.EN, self.LINES)
-        flat = [t for sec in self.LINES for t in sec]
-        noisy = flat[:1] + ["[Verse 2]"] + flat[1:]
-        resolved, unmatched = reconstruct_song(entry, noisy)
-        assert unmatched == []
-        assert [l.resolved_text for _, l in resolved.lines()] == flat
-
-    def test_empty_candidates(self):
-        entry = entry_from_lines(Language.EN, self.LINES)
-        resolved, unmatched = reconstruct_song(entry, [])
-        assert unmatched == [(0, 0), (0, 1), (1, 0)]
-        assert all(l.resolved_text is None for _, l in resolved.lines())
-
-    def test_idempotent(self):
-        entry = entry_from_lines(Language.EN, self.LINES)
-        flat = [t for sec in self.LINES for t in sec]
-        once, _ = reconstruct_song(entry, flat)
-        twice, unmatched = reconstruct_song(once, flat)
-        assert twice == once
-        assert unmatched == []
-
-    def test_partial_resolution(self):
-        entry = entry_from_lines(Language.EN, self.LINES)
-        flat = [t for sec in self.LINES for t in sec]
-        resolved, unmatched = reconstruct_song(entry, flat[:1] + flat[2:])
-        assert unmatched == [(0, 1)]
 
 
 class TestStats:

@@ -36,12 +36,19 @@ def test_exports_resolve(name):
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
+def _bench_module(name):
+    """A module of bench/, loaded without putting bench/ on the path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # registered first: dataclasses look their module up while it executes
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _bench_hooks():
-    """``HOOKS`` of bench/spans.py, loaded without putting bench/ on the path."""
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return [(module_name, path) for module_name, path, _, _ in spans.HOOKS]
+    """``HOOKS`` of bench/spans.py."""
+    return [(module_name, path) for module_name, path, _, _ in _bench_module("spans").HOOKS]
 
 
 @pytest.mark.parametrize("module_name, path", _bench_hooks())
@@ -71,6 +78,24 @@ def test_bench_tracer_hooks_resolve(monkeypatch):
     finally:
         tracer.uninstall()
     assert mavl.harness.translate_line is original
+
+
+def test_bench_corpora_parse_and_round_trip():
+    """The benchmark's seed-3 inputs still parse, serialize back to the same
+    bytes, and the eval hypotheses resolve against their corpus; a parser
+    that rejected them would fail every benchmark run instead."""
+    from mavl.dataset import parse_dataset, serialize_dataset
+    from mavl.harness import HypothesisSet
+
+    corpus = _bench_module("corpus")
+    built = {build.__name__: build(3) for build in (
+        corpus.build_eval_corpus, corpus.build_translate_mock, corpus.build_roundtrip)}
+    for name, files in built.items():
+        data = files.files["corpus.json"]
+        assert serialize_dataset(parse_dataset(data)) == data, name
+    evaluated = built["build_eval_corpus"].files
+    hypotheses = HypothesisSet.from_jsonl(evaluated["hypotheses.jsonl"].decode("utf-8"))
+    hypotheses.validate_against(parse_dataset(evaluated["corpus.json"]))
 
 
 HTTP_MODULES = ("urllib.request", "http.client", "requests", "ssl", "socket")

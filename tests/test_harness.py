@@ -1090,6 +1090,26 @@ class TestCli:
         path.write_text("this is not json", encoding="utf-8")
         assert main(["stats", "--dataset", str(path)]) == 3
 
+    @pytest.mark.parametrize("command", ["stats", "translate", "evaluate"])
+    def test_two_keys_for_one_language_exit_3_before_the_run_directory(
+        self, tmp_path, capsys, command
+    ):
+        corpus = small_corpus(tmp_path)
+        doc = json.loads(corpus.read_text(encoding="utf-8"))
+        doc["alpha"]["EN"] = doc["alpha"]["en"]
+        corpus.write_text(json.dumps(doc), encoding="utf-8")
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        out_dir = tmp_path / "runs"
+        argv = [command, "--dataset", str(corpus)]
+        if command == "translate":
+            argv += ["--target-lang", "KO", "--mock-script", str(script),
+                     "--out", str(out_dir)]
+        elif command == "evaluate":
+            argv += ["--target-lang", "KO", "--from-dubbed", "--out", str(out_dir)]
+        assert main(argv) == 3
+        assert "alpha: key 'EN' repeats language EN" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_threshold_exit_code(self, tmp_path, capsys):
         corpus = small_corpus(tmp_path)
         script = write_script(
