@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .errors import (
@@ -303,11 +302,9 @@ def _run_stats(args: argparse.Namespace) -> int:
                 "sections": per.sections,
                 "lines": per.lines,
             }
-            for lang, per in sorted(
-                stats.per_language.items(), key=lambda kv: kv[0].value
-            )
+            for lang, per in stats.per_language.items()
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(dump_json(payload))
     else:
         sys.stdout.write(table)
     return 0

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DatasetParseError, DatasetValidationError, EmptyLineError
 from .languages import (
@@ -82,6 +83,25 @@ class SongEntry:
 @dataclass
 class Dataset:
     songs: dict[str, dict[Language, SongEntry]] = field(default_factory=dict)
+
+
+class LineKey(NamedTuple):
+    """Which lyric line: every per-line output is keyed, named and ordered
+    by it."""
+
+    song_id: str
+    language: Language
+    section: int
+    line: int
+
+    def location(self) -> str:
+        """The line's name in every error, as ``parse_dataset`` raises it."""
+        return (f"{self.song_id}/{self.language.value.lower()}"
+                f"/section[{self.section}]/line[{self.line}]")
+
+    def order(self) -> tuple[str, str, int, int]:
+        """The sort key of every per-line output file."""
+        return (self.song_id, self.language.value, self.section, self.line)
 
 
 # ---------------------------------------------------------------- codec
@@ -184,8 +204,7 @@ def parse_dataset(data: bytes | str) -> Dataset:
                 raise DatasetValidationError(
                     f"key {code!r} repeats language {lang.value}",
                     location=song_id)
-            entries[lang] = _parse_entry(raw, lang,
-                                         f"{song_id}/{lang.value.lower()}")
+            entries[lang] = _parse_entry(raw, song_id, lang)
         if Language.EN not in entries:
             raise DatasetValidationError("no EN entry", location=song_id)
         songs[song_id] = entries
@@ -205,7 +224,8 @@ def _index(raw: dict, expected: int, what: str, loc: str) -> int:
     return index
 
 
-def _parse_entry(raw, lang: Language, loc: str) -> SongEntry:
+def _parse_entry(raw, song_id: str, lang: Language) -> SongEntry:
+    loc = f"{song_id}/{lang.value.lower()}"
     if not isinstance(raw, dict):
         raise DatasetValidationError("entry must be an object", location=loc)
     try:
@@ -227,7 +247,7 @@ def _parse_entry(raw, lang: Language, loc: str) -> SongEntry:
     if not isinstance(sections_raw, list):
         raise DatasetValidationError("sections must be an array", location=loc)
     sections = [
-        _parse_section(s, i, lang, f"{loc}/section[{i}]")
+        _parse_section(s, song_id, lang, i, f"{loc}/section[{i}]")
         for i, s in enumerate(sections_raw)
     ]
     extras = {k: v for k, v in raw.items() if k not in _ENTRY_KEYS}
@@ -236,7 +256,7 @@ def _parse_entry(raw, lang: Language, loc: str) -> SongEntry:
                      sections=sections, extras=extras)
 
 
-def _parse_section(raw, i: int, lang: Language, loc: str) -> Section:
+def _parse_section(raw, song_id: str, lang: Language, i: int, loc: str) -> Section:
     if not isinstance(raw, dict):
         raise DatasetValidationError("section must be an object", location=loc)
     index = _index(raw, i, "section", loc)
@@ -244,17 +264,18 @@ def _parse_section(raw, i: int, lang: Language, loc: str) -> Section:
     if not isinstance(lines_raw, list):
         raise DatasetValidationError("lines must be an array", location=loc)
     lines = [
-        _parse_line(l, j, lang, f"{loc}/line[{j}]")
+        _parse_line(l, LineKey(song_id, lang, i, j))
         for j, l in enumerate(lines_raw)
     ]
     extras = {k: v for k, v in raw.items() if k not in _SECTION_KEYS}
     return Section(index=index, lines=lines, extras=extras)
 
 
-def _parse_line(raw, j: int, lang: Language, loc: str) -> LyricLine:
+def _parse_line(raw, key: LineKey) -> LyricLine:
+    loc, lang = key.location(), key.language
     if not isinstance(raw, dict):
         raise DatasetValidationError("line must be an object", location=loc)
-    index = _index(raw, j, "line", loc)
+    index = _index(raw, key.line, "line", loc)
     rep_raw = raw.get("rep")
     if (not isinstance(rep_raw, list) or len(rep_raw) != 3
             or not all(isinstance(x, str) for x in rep_raw)):

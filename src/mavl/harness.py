@@ -21,13 +21,13 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, TextIO
 
 from . import syllables
 from .dataset import (
     Dataset,
+    LineKey,
     LyricLine,
     SongEntry,
     StatsReport,
@@ -212,12 +212,9 @@ def atomic_write(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # Hypothesis sets
 
-LineKey = tuple[str, Language, int, int]
-
-
 @dataclass
 class HypothesisSet:
-    """Translated texts keyed by (song, language, section, line).
+    """Translated texts keyed by the line they translate.
 
     ``provenance`` names where the texts came from: a model identifier for
     pipeline output, or "human" when the dubbed references themselves are
@@ -228,17 +225,16 @@ class HypothesisSet:
     entries: dict[LineKey, str] = field(default_factory=dict)
 
     def to_jsonl(self) -> str:
-        records = sorted(
-            (_key_fields(key, text=text) for key, text in self.entries.items()),
-            key=_RECORD_ORDER,
-        )
+        records = _in_order({key: _key_fields(key, text=text)
+                             for key, text in self.entries.items()})
         lines = [{"provenance": self.provenance}] + records
         return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "HypothesisSet":
         rows: list[tuple[str, dict]] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        # not splitlines(): a text may hold "\u2028", which json.dumps writes raw
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if line.strip():
                 where = f"line {lineno}"
                 rows.append((where, _json_record(line, where)))
@@ -276,7 +272,7 @@ class HypothesisSet:
             problem = surrogate_problem(hyp_text)
             if problem:
                 raise DatasetValidationError(f"text {problem}", location=where)
-            key = (song_id, lang, section, line)
+            key = LineKey(song_id, lang, section, line)
             if key in out.entries:
                 raise DatasetValidationError(
                     "duplicate hypothesis key", location=where)
@@ -284,15 +280,20 @@ class HypothesisSet:
         return out
 
     def validate_against(self, dataset: Dataset) -> None:
-        for song_id, lang, section, line in self.entries:
-            entry = dataset.songs.get(song_id, {}).get(lang)
-            where = f"{song_id}/{lang.value}/{section}/{line}"
+        for key in self.entries:
+            where = key.location()
+            if key.language is Language.EN:
+                raise DatasetValidationError(
+                    "EN is the source language, so an EN line is never scored",
+                    location=where,
+                )
+            entry = dataset.songs.get(key.song_id, {}).get(key.language)
             if entry is None:
                 raise DatasetValidationError(
                     "hypothesis key does not resolve to a dataset entry",
                     location=where,
                 )
-            if _find_line(entry, section, line) is None:
+            if _find_line(entry, key.section, key.line) is None:
                 raise DatasetValidationError(
                     "hypothesis key does not resolve to a dataset line",
                     location=where,
@@ -309,9 +310,8 @@ class HypothesisSet:
                     continue
                 for section, line in entry.lines():
                     if line.resolved_text:
-                        out.entries[(song_id, lang, section.index, line.index)] = (
-                            line.resolved_text
-                        )
+                        key = LineKey(song_id, lang, section.index, line.index)
+                        out.entries[key] = line.resolved_text
         return out
 
 
@@ -338,12 +338,12 @@ def _find_line(entry: SongEntry, section_index: int, line_index: int) -> LyricLi
 
 def _key_fields(key: LineKey, **fields) -> dict:
     """A per-line output record: the line key's four fields, then ``fields``."""
-    song_id, lang, section, line = key
-    return {"song_id": song_id, "language": lang.value, "section": section,
-            "line": line, **fields}
+    return {"song_id": key.song_id, "language": key.language.value,
+            "section": key.section, "line": key.line, **fields}
 
 
-_RECORD_ORDER = itemgetter("song_id", "language", "section", "line")
+def _in_order(records: dict[LineKey, dict]) -> list[dict]:
+    return [records[key] for key in sorted(records, key=LineKey.order)]
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +468,11 @@ def _source_line(
 
 def _translation_tasks(
     config: RunConfig, dataset: Dataset
-) -> tuple[list[tuple[LineKey, TranslationTask]], list[dict]]:
+) -> tuple[list[tuple[LineKey, TranslationTask]], dict[LineKey, dict]]:
     """One task per (EN line, target); a line that cannot be a task is a
     ``data`` failure for each target, so it never aborts the run."""
     tasks: list[tuple[LineKey, TranslationTask]] = []
-    failures: list[dict] = []
+    failed: dict[LineKey, dict] = {}
     for song_id in sorted(dataset.songs):
         # parse_dataset guarantees every song an EN entry
         entry = dataset.songs[song_id][Language.EN]
@@ -480,9 +480,9 @@ def _translation_tasks(
             # each line is read once, whatever the number of targets
             reason, required, media = _source_line(entry, line)
             for target in config.target_langs:
-                key: LineKey = (song_id, target, section.index, line.index)
+                key = LineKey(song_id, target, section.index, line.index)
                 if reason is not None:
-                    failures.append(_failure(key, "data", reason))
+                    failed[key] = _failure(key, "data", reason)
                     continue
                 task = TranslationTask(
                     source_text=line.resolved_text,
@@ -490,20 +490,20 @@ def _translation_tasks(
                     target_lang=target,
                     required_count=required,
                     media=media,
-                    task_id=f"{song_id}/{target.value}/{section.index}/{line.index}",
+                    task_id=key.location(),
                 )
                 tasks.append((key, task))
-    return tasks, failures
+    return tasks, failed
 
 
 def cmd_translate(config: RunConfig) -> TranslateOutcome:
     dataset = _load_dataset(config.dataset_path)
     warnings: list[str] = []
     if config.target_langs:
-        tasks, failures = _translation_tasks(config, dataset)
+        tasks, failed = _translation_tasks(config, dataset)
         provider = _generation_provider(config)
     else:
-        tasks, failures, provider = [], [], None
+        tasks, failed, provider = [], {}, None
         warnings.append("no target languages selected; nothing to translate")
     run_dir = make_run_dir(config, "translate")
     hyp = HypothesisSet(provenance=f"{config.provider}:{config.variant.label()}")
@@ -532,29 +532,26 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
     finally:
         trace.close()
 
-    line_results: list[dict] = []
+    # a data failure is a line with no task
+    total = len(tasks) + len(failed)
+    results: dict[LineKey, dict] = {}
     provider_failures = 0
     for status, key, payload in outcomes:
         if status == "ok":
             hyp.entries[key] = payload.translation
-            line_results.append(
-                _key_fields(
-                    key,
-                    translation=payload.translation,
-                    required_count=payload.task.required_count,
-                    achieved_count=payload.achieved_count,
-                    constraint_met=payload.constraint_met,
-                    attempts=payload.attempts,
-                )
+            results[key] = _key_fields(
+                key,
+                translation=payload.translation,
+                required_count=payload.task.required_count,
+                achieved_count=payload.achieved_count,
+                constraint_met=payload.constraint_met,
+                attempts=payload.attempts,
             )
         else:
             if status == "provider":
                 provider_failures += 1
-            failures.append(_failure(key, status, payload))
-
-    total = len(tasks) + sum(1 for f in failures if f["category"] == "data")
-    failures.sort(key=_RECORD_ORDER)
-    line_results.sort(key=_RECORD_ORDER)
+            failed[key] = _failure(key, status, payload)
+    failures, line_results = _in_order(failed), _in_order(results)
 
     atomic_write(run_dir / "hypotheses.jsonl", hyp.to_jsonl())
     atomic_write(
@@ -659,7 +656,8 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
                     (original_text, Language.EN, ReferenceKind.ORIGINAL_EN),
                     (line.resolved_text, lang, ReferenceKind.DUBBED),
                 )
-                hyp_text = hyp.entries.get((song_id, lang, section.index, line.index))
+                key = LineKey(song_id, lang, section.index, line.index)
+                hyp_text = hyp.entries.get(key)
                 skip_reason = None
                 if hyp_text is None:
                     skip_reason = "no hypothesis for this line"
@@ -672,8 +670,8 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
                         pairs.append((ref_text, hyp_text, ref_lang, lang, kind))
                     else:
                         at.append(None)
-                plan.append((song_id, lang, section.index, line.index, hyp_text,
-                             skip_reason, original_text, line.resolved_text, *at))
+                plan.append((key, hyp_text, skip_reason, original_text,
+                             line.resolved_text, *at))
 
     scores = scorer.score_pairs(pairs)
     del pairs

@@ -258,13 +258,6 @@ def validate(result_text: str, task: TranslationTask) -> ValidationFlags:
 # The refinement loop
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    attempt: int
-    text: str
-    flags: ValidationFlags
-
-
 def _count_feedback(task: TranslationTask, flags: ValidationFlags, text: str) -> str:
     return (
         f'Your final translation "{text}" has {flags.achieved_count} syllables, '
@@ -306,8 +299,8 @@ def translate_line(
     count, an answer that cannot be counted, or no parsable payload) appends
     the model's reply and a corrective instruction to the running prompt, so
     refinement happens in context, and every call carries the line's media.
-    The returned attempt is the best one seen: constraint met if possible,
-    otherwise the smallest count gap, earliest attempt on ties.
+    The returned answer is the best one seen: the smallest count gap,
+    earliest attempt on ties; one that meets the constraint ends the loop.
     """
     if max_reprompts < 0:
         raise ConfigError("max_reprompts must be >= 0")
@@ -320,7 +313,7 @@ def translate_line(
     )
 
     conversation = build_prompt(task, variant)
-    candidates: list[_Candidate] = []
+    best: tuple[int, str, ValidationFlags] | None = None  # gap, text, flags
     uncountable = False
 
     for attempt in range(1, max_reprompts + 2):
@@ -343,28 +336,22 @@ def translate_line(
                 uncountable = True
                 feedback = _uncountable_feedback(stripped, exc)
             else:
-                candidates.append(_Candidate(attempt, stripped, flags))
+                gap = abs(flags.achieved_count - task.required_count)
+                if best is None or gap < best[0]:
+                    best = (gap, stripped, flags)
                 if flags.constraint_met:
                     break
                 feedback = _count_feedback(task, flags, stripped)
         conversation = f"{conversation}\n\n{raw}\n\n{feedback}"
 
-    if not candidates:
+    if best is None:
         problem = "countable" if uncountable else "parsable"
         raise PipelineError(f"no {problem} final answer in {attempt} attempt(s)")
-
-    best = min(
-        candidates,
-        key=lambda c: (
-            not c.flags.constraint_met,
-            abs(c.flags.achieved_count - task.required_count),
-            c.attempt,
-        ),
-    )
+    _, text, flags = best
     return TranslationResult(
         task=task,
-        translation=best.text,
-        achieved_count=best.flags.achieved_count,
-        constraint_met=best.flags.constraint_met,
+        translation=text,
+        achieved_count=flags.achieved_count,
+        constraint_met=flags.constraint_met,
         attempts=attempt,
     )

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import TextIO
 
-from .dataset import StatsReport
+from .dataset import LineKey, StatsReport
 from .languages import Language
 from .metrics import CorpusReport, GroupStats, LineScore, ReferenceKind
 
@@ -28,17 +28,11 @@ __all__ = [
     "render_stats_table",
 ]
 
-LANGUAGE_ORDER = [Language.EN, Language.ES, Language.FR, Language.KO, Language.JA]
-
-
 @dataclass(frozen=True)
 class EvaluationRow:
     """One dataset line in one language: either scored or skipped."""
 
-    song_id: str
-    language: Language
-    section: int
-    line: int
+    key: LineKey
     hypothesis: str | None = None
     skip_reason: str | None = None
     original_reference: str | None = None
@@ -49,9 +43,6 @@ class EvaluationRow:
     @property
     def status(self) -> str:
         return "skipped" if self.skip_reason else "scored"
-
-    def sort_key(self):
-        return (self.song_id, self.language.value, self.section, self.line)
 
 
 def _fmt(value) -> str:
@@ -97,13 +88,11 @@ def rows_to_csv(rows: list[EvaluationRow], out: TextIO) -> None:
     side by side."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in sorted(rows, key=EvaluationRow.sort_key):
+    for row in sorted(rows, key=lambda row: row.key.order()):
         writer.writerow(
             [
-                row.song_id,
-                row.language.value,
-                row.section,
-                row.line,
+                # the key's four columns, in the order the rows sort by
+                *row.key.order(),
                 row.status,
                 row.skip_reason or "",
                 row.hypothesis or "",
@@ -195,13 +184,13 @@ def render_report_table(report: CorpusReport) -> str:
         cells = []
         for label, attr, fmt in _METRIC_ROWS:
             row = []
-            for lang in LANGUAGE_ORDER:
+            for lang in Language:
                 stats = report.groups.get((lang, kind))
                 row.append(_stat_cell(stats, attr, fmt))
             cells.append(row)
         title = f"vs {kind.value}"
         blocks.append(
-            render_grid(title, [lang.value for lang in LANGUAGE_ORDER],
+            render_grid(title, [lang.value for lang in Language],
                         [label for label, _, _ in _METRIC_ROWS], cells)
         )
     footer = ""
@@ -221,11 +210,11 @@ def render_stats_table(stats: StatsReport) -> str:
     row_labels = ["songs", "sections", "lines"]
     for attr in row_labels:
         row = []
-        for lang in LANGUAGE_ORDER:
+        for lang in Language:
             per = stats.per_language.get(lang)
             if per is None:
                 row.append("0" if empty_corpus else "-")
             else:
                 row.append(str(getattr(per, attr)))
         cells.append(row)
-    return render_grid("", [lang.value for lang in LANGUAGE_ORDER], row_labels, cells)
+    return render_grid("", [lang.value for lang in Language], row_labels, cells)

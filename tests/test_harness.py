@@ -17,10 +17,12 @@ import pytest
 from mavl.cli import build_parser, main
 from mavl.dataset import (
     Dataset,
+    LineKey,
     LyricLine,
     Section,
     SongEntry,
     encode_line,
+    parse_dataset,
     serialize_dataset,
 )
 from mavl.errors import (
@@ -201,10 +203,23 @@ class TestAtomicWrite:
 class TestHypothesisSet:
     def test_jsonl_round_trip(self):
         hyp = HypothesisSet(provenance="mock:T list+refine")
-        hyp.entries[("alpha", Language.KO, 0, 0)] = "나비가 날아와"
-        hyp.entries[("alpha", Language.KO, 0, 1)] = "날 잊지 마"
+        hyp.entries[LineKey("alpha", Language.KO, 0, 0)] = "나비가 날아와"
+        hyp.entries[LineKey("alpha", Language.KO, 0, 1)] = "날 잊지 마"
         again = HypothesisSet.from_jsonl(hyp.to_jsonl())
         assert again == hyp
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"],
+                             ids=["U+2028", "U+2029", "U+0085"])
+    def test_text_holding_a_unicode_line_break_round_trips(self, sep):
+        # json.dumps writes these raw; only "\n" ends a record
+        hyp = HypothesisSet(provenance="x")
+        hyp.entries[LineKey("alpha", Language.KO, 0, 0)] = f"나비가{sep}날아와"
+        hyp.entries[LineKey("alpha", Language.KO, 0, 1)] = "날 잊지 마"
+        text = hyp.to_jsonl()
+        assert sep in text
+        assert HypothesisSet.from_jsonl(text) == hyp
+        with pytest.raises(DatasetValidationError, match="^line 4: not a JSON record"):
+            HypothesisSet.from_jsonl(text + "{\n")
 
     def test_missing_provenance_header(self):
         with pytest.raises(DatasetValidationError):
@@ -216,11 +231,11 @@ class TestHypothesisSet:
 
         dataset = _load_dataset(str(path))
         hyp = HypothesisSet(provenance="x")
-        hyp.entries[("alpha", Language.KO, 0, 9)] = "text"
+        hyp.entries[LineKey("alpha", Language.KO, 0, 9)] = "text"
         with pytest.raises(DatasetValidationError):
             hyp.validate_against(dataset)
         hyp.entries.clear()
-        hyp.entries[("missing-song", Language.KO, 0, 0)] = "text"
+        hyp.entries[LineKey("missing-song", Language.KO, 0, 0)] = "text"
         with pytest.raises(DatasetValidationError):
             hyp.validate_against(dataset)
 
@@ -240,7 +255,7 @@ class TestHypothesisSet:
 
         hyp = HypothesisSet.from_dubbed(_load_dataset(str(path)), [Language.KO])
         assert hyp.provenance == "human"
-        assert hyp.entries[("alpha", Language.KO, 0, 0)] == "나비가 날아와"
+        assert hyp.entries[LineKey("alpha", Language.KO, 0, 0)] == "나비가 날아와"
         assert len(hyp.entries) == 2
 
 
@@ -574,10 +589,10 @@ class TestEvaluate:
         script = write_script(tmp_path, GOOD_SCRIPT)
         config = base_config(corpus, script, tmp_path / "runs")
         hyp = HypothesisSet(provenance="x")
-        hyp.entries[("alpha", Language.KO, 0, 0)] = "나비 1000000"
-        hyp.entries[("alpha", Language.KO, 0, 1)] = "날 잊지 마 슬퍼하지는 마"
+        hyp.entries[LineKey("alpha", Language.KO, 0, 0)] = "나비 1000000"
+        hyp.entries[LineKey("alpha", Language.KO, 0, 1)] = "날 잊지 마 슬퍼하지는 마"
         outcome = cmd_evaluate(config, hyp)
-        bad = next(row for row in outcome.rows if row.line == 0)
+        bad = next(row for row in outcome.rows if row.key.line == 0)
         for score in (bad.original_score, bad.dubbed_score):
             assert (score.c_ref, score.c_pred) == (6, None)
             assert "syllabic" in score.component_errors
@@ -614,9 +629,9 @@ class TestEvaluate:
         script = write_script(tmp_path, GOOD_SCRIPT)
         config = base_config(corpus, script, tmp_path / "runs")
         hyp = HypothesisSet(provenance="partial")
-        hyp.entries[("alpha", Language.KO, 0, 0)] = "나비가 날아와"
+        hyp.entries[LineKey("alpha", Language.KO, 0, 0)] = "나비가 날아와"
         outcome = cmd_evaluate(config, hyp)
-        keys = [(r.song_id, r.language, r.section, r.line) for r in outcome.rows]
+        keys = [r.key for r in outcome.rows]
         assert sorted(keys) == [
             ("alpha", Language.KO, 0, 0),
             ("alpha", Language.KO, 0, 1),
@@ -642,7 +657,7 @@ class TestEvaluate:
         corpus.write_bytes(serialize_dataset(ds))
         config = base_config(corpus, write_script(tmp_path, GOOD_SCRIPT), tmp_path / "runs")
         hyp = HypothesisSet(provenance="x")
-        hyp.entries[("alpha", Language.KO, 0, 0)] = text
+        hyp.entries[LineKey("alpha", Language.KO, 0, 0)] = text
         outcome = cmd_evaluate(config, hyp)
         assert outcome.skipped == 1
         assert outcome.report is None
@@ -673,7 +688,7 @@ class TestEvaluate:
         script = write_script(tmp_path, GOOD_SCRIPT)
         config = base_config(corpus, script, tmp_path / "runs")
         hyp = HypothesisSet(provenance="x")
-        hyp.entries[("alpha", Language.KO, 7, 7)] = "text"
+        hyp.entries[LineKey("alpha", Language.KO, 7, 7)] = "text"
         with pytest.raises(DatasetValidationError):
             cmd_evaluate(config, hyp)
 
@@ -730,7 +745,7 @@ class TestEmbedBatching:
             Language.KO: [[f"나비 {i} 마리" for i in range(n)]],
         }})
         hyp = HypothesisSet(provenance="x", entries={
-            ("alpha", Language.KO, 0, i): f"나비가 {i}" for i in range(n)})
+            LineKey("alpha", Language.KO, 0, i): f"나비가 {i}" for i in range(n)})
         hyp_path = tmp_path / "hyp.jsonl"
         hyp_path.write_text(hyp.to_jsonl(), encoding="utf-8")
         code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
@@ -988,7 +1003,8 @@ class TestCli:
         })
         from mavl.harness import _load_dataset
 
-        hyp = HypothesisSet.from_dubbed(_load_dataset(str(corpus)), list(Language))
+        targets = [lang for lang in Language if lang is not Language.EN]
+        hyp = HypothesisSet.from_dubbed(_load_dataset(str(corpus)), targets)
         for key, text in hyp.entries.items():
             hyp.entries[key] = text[::-1] if key[3] % 2 else text + " 2"
         hyp_path = tmp_path / "hyp.jsonl"
@@ -1282,6 +1298,22 @@ class TestCli:
                      "--hypotheses", str(hyp), "--out", str(tmp_path / "runs")])
         assert code == 3
         assert "does not resolve to a dataset line" in capsys.readouterr().err
+
+    def test_en_hypothesis_exits_3_before_the_run_directory(self, tmp_path, capsys):
+        # evaluate scores no EN line, so an EN record would vanish unscored
+        corpus = small_corpus(tmp_path)
+        record = {"song_id": "alpha", "language": "EN", "section": 0, "line": 0,
+                  "text": "And there's a butterfly"}
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"provenance": "x"}\n' + json.dumps(record) + "\n",
+                       encoding="utf-8")
+        out_dir = tmp_path / "runs"
+        code = main(["evaluate", "--dataset", str(corpus), "--hypotheses", str(hyp),
+                     "--out", str(out_dir)])
+        assert code == 3
+        assert ("alpha/en/section[0]/line[0]: EN is the source language"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
 
     def test_config_file_defaults_with_flag_override(self, tmp_path, capsys):
         corpus = small_corpus(tmp_path)
@@ -1591,3 +1623,44 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         for label in STAGE_LABELS:
             assert f"provider: mock:{label}" in lines
+
+
+class TestOneLineOneName:
+    """A dataset fault, a hypothesis key and a trace record name a line alike."""
+
+    SONG = {"alpha": {
+        Language.EN: [["And there's a butterfly", "Remember me"]],
+        Language.JA: [["ちょうがとぶ", "わすれないで"]],
+    }}
+
+    @pytest.mark.parametrize("lang", [Language.EN, Language.JA], ids=["en", "ja"])
+    def test_parse_fault_and_hypothesis_key_name_a_line_alike(self, tmp_path, lang):
+        from mavl.harness import _load_dataset
+
+        corpus = write_corpus(tmp_path, self.SONG)
+        key = LineKey("alpha", lang, 0, 1)
+        doc = json.loads(corpus.read_text(encoding="utf-8"))
+        doc["alpha"][lang.value.lower()]["sections"][0]["lines"][1]["syllable_count"] = -1
+        with pytest.raises(DatasetValidationError) as err:
+            parse_dataset(json.dumps(doc))
+        assert err.value.location == key.location()
+        assert key.location() == f"alpha/{lang.value.lower()}/section[0]/line[1]"
+
+        past_end = LineKey("alpha", lang, 0, 2)
+        hyp = HypothesisSet(provenance="x", entries={past_end: "text"})
+        with pytest.raises(DatasetValidationError) as err:
+            hyp.validate_against(_load_dataset(str(corpus)))
+        assert err.value.location == past_end.location()
+        assert err.value.location == f"alpha/{lang.value.lower()}/section[0]/line[2]"
+
+    def test_trace_names_each_task_by_its_line_location(self, tmp_path):
+        corpus = write_corpus(tmp_path, self.SONG)
+        script = write_script(tmp_path, {"keyed": {
+            "And there's a butterfly": ['{"translation": "ちょうがとぶ"}'],
+            "Remember me": ['{"translation": "わすれないで"}'],
+        }})
+        config = base_config(corpus, script, tmp_path / "runs",
+                             target_langs=(Language.JA,), max_reprompts=0)
+        outcome = cmd_translate(config)
+        task_ids = [r["task_id"] for r in read_trace(outcome.run_dir / "trace.jsonl")]
+        assert task_ids == ["alpha/ja/section[0]/line[0]", "alpha/ja/section[0]/line[1]"]
