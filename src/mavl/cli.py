@@ -296,14 +296,8 @@ def _run_ablate(args: argparse.Namespace) -> int:
 def _run_stats(args: argparse.Namespace) -> int:
     stats, table = cmd_stats(args.dataset_path)
     if args.fmt == "json":
-        payload = {
-            lang.value: {
-                "songs": per.songs,
-                "sections": per.sections,
-                "lines": per.lines,
-            }
-            for lang, per in stats.per_language.items()
-        }
+        payload = {lang.value: dataclasses.asdict(per)
+                   for lang, per in stats.per_language.items()}
         sys.stdout.write(dump_json(payload))
     else:
         sys.stdout.write(table)

@@ -182,6 +182,9 @@ def parse_dataset(data: bytes | str) -> Dataset:
     except json.JSONDecodeError as exc:
         offset = len(text[:exc.pos].encode("utf-8"))
         raise DatasetParseError(str(exc), byte_offset=offset) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer past int's digit limit, or arrays nested past the stack
+        raise DatasetParseError(f"not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise DatasetParseError("top level must be a JSON object")
     songs: dict[str, dict[Language, SongEntry]] = {}

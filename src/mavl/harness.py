@@ -46,6 +46,7 @@ from .errors import (
 from .languages import Language, surrogate_problem
 from .metrics import (
     LinePair,
+    LineScore,
     LineScorer,
     ReferenceKind,
     SyllableErrorParams,
@@ -176,14 +177,17 @@ def config_digest(config: RunConfig, op: str) -> str:
 
 def make_run_dir(config: RunConfig, op: str) -> Path:
     base = Path(config.out_dir)
-    base.mkdir(parents=True, exist_ok=True)
     stem = f"{op}-{config_digest(config, op)}"
     candidate = base / stem
     suffix = 1
-    while candidate.exists():
-        suffix += 1
-        candidate = base / f"{stem}-{suffix}"
-    candidate.mkdir()
+    try:
+        base.mkdir(parents=True, exist_ok=True)
+        while candidate.exists():
+            suffix += 1
+            candidate = base / f"{stem}-{suffix}"
+        candidate.mkdir()
+    except OSError as exc:
+        raise ConfigError(f"cannot make a run directory in {base}: {exc}") from None
     return candidate
 
 
@@ -318,7 +322,7 @@ class HypothesisSet:
 def _json_record(line: str, where: str) -> dict:
     try:
         row = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DatasetValidationError(
             f"not a JSON record: {exc}", location=where) from None
     if not isinstance(row, dict):
@@ -360,7 +364,7 @@ def load_mock_script(path: str) -> ScriptedProvider:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read mock script {path}: {exc}") from None
     script: dict[str | None, list[str]] = {}
     if isinstance(raw, list):
@@ -638,13 +642,17 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
         embedder=embedder,
     )
 
-    # one pass over the lines: the pairs to score, and per row one flat tuple
-    # of its EvaluationRow fields before the scores, then its pairs' indices
-    pairs: list[LinePair] = []
-    plan: list[tuple] = []
+    # a song's lines share texts (chorus repeats, the EN line that each dubbed
+    # language is scored against) and songs seldom do, so each song is scored
+    # in a call of its own
+    rows: list[EvaluationRow] = []
+    scores: list[LineScore] = []
     for song_id in sorted(dataset.songs):
         entries = dataset.songs[song_id]
         entry_en = entries[Language.EN]
+        # per line: its key, hypothesis, skip reason and both reference texts
+        lines: list[tuple] = []
+        pairs: list[LinePair] = []
         for lang in languages:
             entry = entries.get(lang)
             if entry is None:
@@ -652,34 +660,30 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
             for section, line in entry.lines():
                 en_line = _find_line(entry_en, section.index, line.index)
                 original_text = en_line and en_line.resolved_text
-                references = (
-                    (original_text, Language.EN, ReferenceKind.ORIGINAL_EN),
-                    (line.resolved_text, lang, ReferenceKind.DUBBED),
-                )
                 key = LineKey(song_id, lang, section.index, line.index)
                 hyp_text = hyp.entries.get(key)
                 skip_reason = None
                 if hyp_text is None:
                     skip_reason = "no hypothesis for this line"
-                elif all(text is None for text, _, _ in references):
+                elif original_text is None and line.resolved_text is None:
                     skip_reason = "no reference text for this line"
-                at: list[int | None] = []
-                for ref_text, ref_lang, kind in references:
-                    if skip_reason is None and ref_text is not None:
-                        at.append(len(pairs))
-                        pairs.append((ref_text, hyp_text, ref_lang, lang, kind))
-                    else:
-                        at.append(None)
-                plan.append((key, hyp_text, skip_reason, original_text,
-                             line.resolved_text, *at))
+                else:
+                    for ref_text, ref_lang, kind in (
+                        (original_text, Language.EN, ReferenceKind.ORIGINAL_EN),
+                        (line.resolved_text, lang, ReferenceKind.DUBBED),
+                    ):
+                        if ref_text is not None:
+                            pairs.append((ref_text, hyp_text, ref_lang, lang, kind))
+                lines.append((key, hyp_text, skip_reason, original_text, line.resolved_text))
+        song_scores = scorer.score_pairs(pairs)
+        scores += song_scores
+        # in pair order: one score per reference text of each line not skipped
+        scored = iter(song_scores)
+        for key, hyp_text, skip_reason, *references in lines:
+            rows.append(EvaluationRow(key, hyp_text, skip_reason, *references, *(
+                next(scored) if skip_reason is None and text is not None else None
+                for text in references)))
 
-    scores = scorer.score_pairs(pairs)
-    del pairs
-    rows = [
-        EvaluationRow(*row[:-2], *(None if i is None else scores[i] for i in row[-2:]))
-        for row in plan
-    ]
-    del plan
     report = aggregate(scores, provider=hyp.provenance) if scores else None
     with _atomic_file(run_dir / "scores.csv") as fh:
         rows_to_csv(rows, fh)

@@ -76,41 +76,12 @@ def _max_abs_scaled(v: Sequence[float]) -> Sequence[float]:
 
 
 def cosine_similarity(e_gt: Sequence[float], e_pred: Sequence[float]) -> float:
-    if len(e_gt) != len(e_pred):
-        raise EmbeddingError(
-            f"dimension mismatch: {len(e_gt)} vs {len(e_pred)}")
-    if len(e_gt) == 0:
-        raise EmbeddingError("empty vectors")
-    sq_gt = sum(map(mul, e_gt, e_gt))
-    sq_pred = sum(map(mul, e_pred, e_pred))
-    # a NaN sum fails both bounds; an inf sum is an inf component or an overflow
-    if not (_TINY_SUM_OF_SQUARES <= sq_gt < math.inf
-            and _TINY_SUM_OF_SQUARES <= sq_pred < math.inf):
-        if not all(map(math.isfinite, e_gt)) or not all(map(math.isfinite, e_pred)):
-            raise EmbeddingError("embedding has a non-finite component")
-        # cosine is scale-free; rescaling only here keeps the common path's bits
-        e_gt, e_pred = _max_abs_scaled(e_gt), _max_abs_scaled(e_pred)
-        sq_gt = sum(map(mul, e_gt, e_gt))
-        sq_pred = sum(map(mul, e_pred, e_pred))
-    dot = sum(map(mul, e_gt, e_pred))
-    norm_gt = math.sqrt(sq_gt)
-    norm_pred = math.sqrt(sq_pred)
-    if norm_gt == 0.0 or norm_pred == 0.0:
-        raise EmbeddingError("zero vector has no direction")
-    return _clamped_cosine(dot, norm_gt, norm_pred)
-
-
-def _clamped_cosine(dot: float, norm_gt: float, norm_pred: float) -> float:
-    return max(-1.0, min(1.0, dot / (norm_gt * norm_pred)))
+    return _cosine(e_gt, e_pred, _norm(e_gt), _norm(e_pred))
 
 
 def _norm(v) -> float | None:
-    """The norm ``cosine_similarity`` takes of ``v`` without rescaling it,
-    or None where it would rescale or raise.
-
-    A vector without a norm goes through ``cosine_similarity`` itself, so
-    whatever fails here fails there too, with that function's own message.
-    """
+    """The norm of ``v`` from its plain sum of squares, or None where that
+    sum has lost precision, overflowed or cannot be taken."""
     try:
         sq = sum(map(mul, v, v))
         return math.sqrt(sq) if _TINY_SUM_OF_SQUARES <= sq < math.inf else None
@@ -119,10 +90,21 @@ def _norm(v) -> float | None:
 
 
 def _cosine(e_gt, e_pred, norm_gt: float | None, norm_pred: float | None) -> float:
-    """``cosine_similarity(e_gt, e_pred)``, given each vector's ``_norm``."""
-    if norm_gt is None or norm_pred is None or len(e_gt) != len(e_pred):
-        return cosine_similarity(e_gt, e_pred)
-    return _clamped_cosine(sum(map(mul, e_gt, e_pred)), norm_gt, norm_pred)
+    """The cosine of two vectors, given each one's ``_norm``."""
+    if len(e_gt) != len(e_pred):
+        raise EmbeddingError(
+            f"dimension mismatch: {len(e_gt)} vs {len(e_pred)}")
+    if norm_gt is None or norm_pred is None:
+        if len(e_gt) == 0:
+            raise EmbeddingError("empty vectors")
+        if not all(map(math.isfinite, e_gt)) or not all(map(math.isfinite, e_pred)):
+            raise EmbeddingError("embedding has a non-finite component")
+        # cosine is scale-free; rescaling only here keeps the common path's bits
+        e_gt, e_pred = _max_abs_scaled(e_gt), _max_abs_scaled(e_pred)
+        norm_gt, norm_pred = (math.sqrt(sum(map(mul, v, v))) for v in (e_gt, e_pred))
+        if norm_gt == 0.0 or norm_pred == 0.0:
+            raise EmbeddingError("zero vector has no direction")
+    return max(-1.0, min(1.0, sum(map(mul, e_gt, e_pred)) / (norm_gt * norm_pred)))
 
 
 @dataclass(frozen=True)
@@ -212,54 +194,31 @@ class LineScorer:
         transcribed once, and each distinct text is embedded, and its
         vector's norm taken, once: texts go to the embedder in first-use
         order, at most ``EMBED_BATCH`` per call, and a call that fails is a
-        ``semantic`` error on exactly the pairs with a text in it.  A pair's
-        score and a text's count, transcription and vector are dropped after
-        their last use, so memory stays flat over a long corpus.
+        ``semantic`` error on exactly the pairs with a text in it.  All of
+        this is remembered for the one call only, so memory grows with the
+        call's distinct texts; ``mavl evaluate`` makes one call per song, and
+        so embeds each distinct text once per song.
         """
-        last_pair: dict[LinePair, int] = {}
-        last_key: dict[tuple[Language, str], int] = {}
-        last_text: dict[str, int] = {}
-        order: list[str] = []  # distinct texts, in first-use order
-        for i, pair in enumerate(pairs):
-            gt, pred, lang_gt, lang_pred, _ = pair
-            last_pair[pair] = i
-            last_key[lang_gt, gt] = last_key[lang_pred, pred] = i
-            for text in (gt, pred):
-                if text not in last_text:
-                    order.append(text)
-                last_text[text] = i
-
-        # pair -> score; (language, text) -> (count, transcription);
+        texts = list(dict.fromkeys(text for gt, pred, *_ in pairs for text in (gt, pred)))
         # text -> (vector, its norm)
+        vectors: dict[str, tuple] = {}
+        for start in range(0, len(texts), EMBED_BATCH):
+            vectors.update(self._embed(texts[start:start + EMBED_BATCH]))
+        # pair -> score; (language, text) -> (count, transcription)
         done: dict[LinePair, LineScore] = {}
         known: dict[tuple[Language, str], tuple] = {}
-        vectors: dict[str, tuple] = {}
-        sent = 0
         scores: list[LineScore] = []
-        for i, pair in enumerate(pairs):
-            gt, pred, lang_gt, lang_pred, kind = pair
-            keys = ((lang_gt, gt), (lang_pred, pred))
+        for pair in pairs:
             score = done.get(pair)
             if score is None:
-                for key in keys:
+                gt, pred, lang_gt, lang_pred, kind = pair
+                for key in ((lang_gt, gt), (lang_pred, pred)):
                     if key not in known:
                         known[key] = (_count(*key), _transcribe(*key))
-                while gt not in vectors or pred not in vectors:
-                    batch = order[sent:sent + EMBED_BATCH]
-                    sent += len(batch)
-                    vectors.update(self._embed(batch))
                 score = done[pair] = self._score(
-                    known[keys[0]], known[keys[1]],
+                    known[lang_gt, gt], known[lang_pred, pred],
                     vectors[gt], vectors[pred], lang_pred, kind)
             scores.append(score)
-            if last_pair[pair] == i:
-                del done[pair]
-            for key in keys:
-                if last_key[key] == i:
-                    known.pop(key, None)
-            for text in (gt, pred):
-                if last_text[text] == i:
-                    vectors.pop(text, None)
         return scores
 
     def _embed(self, batch: list[str]) -> dict[str, tuple]:

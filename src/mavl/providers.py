@@ -655,7 +655,7 @@ class RemoteProvider:
         _check_status(status, reply_headers.get("location"))
         try:
             return json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProviderError(f"reply is not JSON (HTTP {status}): {exc}") from exc
 
     def complete(self, request: GenerationRequest) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TextIO
 
 from .dataset import LineKey, StatsReport
@@ -108,21 +108,12 @@ def rows_to_csv(rows: list[EvaluationRow], out: TextIO) -> None:
 
 def report_payload(report: CorpusReport) -> dict:
     """The report as plain JSON values; groups are keyed "<LANG>/<kind>"."""
-    groups = {}
-    for (lang, kind), stats in report.groups.items():
-        groups[f"{lang.value}/{kind.value}"] = {
-            "line_count": stats.line_count,
-            "error_rate": stats.error_rate,
-            "mean_se": stats.mean_se,
-            "mean_scd": stats.mean_scd,
-            "mean_semantic": stats.mean_semantic,
-            "mean_phonetic": stats.mean_phonetic,
-        }
     return {
         "provider": report.provider,
         "line_count": report.line_count,
         "error_rate": report.error_rate,
-        "groups": groups,
+        "groups": {f"{lang.value}/{kind.value}": asdict(stats)
+                   for (lang, kind), stats in report.groups.items()},
     }
 
 

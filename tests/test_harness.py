@@ -27,8 +27,10 @@ from mavl.dataset import (
 )
 from mavl.errors import (
     ConfigError,
+    DatasetParseError,
     DatasetValidationError,
     ProviderAuthError,
+    ProviderError,
     TransientProviderError,
 )
 from mavl.harness import (
@@ -48,9 +50,16 @@ from mavl.harness import (
     make_run_dir,
 )
 from mavl.languages import Language
-from mavl.metrics import ReferenceKind
+from mavl.metrics import EMBED_BATCH, LineScorer, ReferenceKind
 from mavl.pipeline import Modality, PipelineVariant, PromptStyle
-from mavl.providers import HashEmbeddingProvider, RetryPolicy, ScriptedProvider, TraceStore
+from mavl.providers import (
+    GenerationRequest,
+    HashEmbeddingProvider,
+    RemoteProvider,
+    RetryPolicy,
+    ScriptedProvider,
+    TraceStore,
+)
 
 
 def write_corpus(tmp_path, structure, media_url=None, name="corpus.json"):
@@ -294,6 +303,51 @@ class TestMockScript:
         path = write_script(tmp_path, payload)
         with pytest.raises(ConfigError, match=re.escape(where)):
             load_mock_script(str(path))
+
+
+def _read_dataset(tmp_path, monkeypatch, text):
+    parse_dataset(text)
+
+
+def _read_hypotheses(tmp_path, monkeypatch, text):
+    HypothesisSet.from_jsonl('{"provenance": "x"}\n' + text + "\n")
+
+
+def _read_mock_script(tmp_path, monkeypatch, text):
+    path = tmp_path / "script.json"
+    path.write_text(text, encoding="utf-8")
+    load_mock_script(str(path))
+
+
+def _read_reply(tmp_path, monkeypatch, text):
+    monkeypatch.setenv("MAVL_API_KEY", "sekrit")
+    monkeypatch.setattr("mavl.providers._http_post",
+                        lambda *args: (200, {}, text.encode("utf-8")))
+    RemoteProvider("http://127.0.0.1:9", "m").complete(GenerationRequest("hi"))
+
+
+# each JSON reader, and the one error it raises on what it cannot read; a
+# reply's is a plain ProviderError, not retried, since the same reply would come back
+JSON_READERS = {
+    "dataset": (DatasetParseError, _read_dataset),
+    "hypotheses": (DatasetValidationError, _read_hypotheses),
+    "mock-script": (ConfigError, _read_mock_script),
+    "reply": (ProviderError, _read_reply),
+}
+
+
+class TestJsonReaders:
+    @pytest.mark.parametrize("reader", sorted(JSON_READERS))
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5_000],
+                             ids=["deeply-nested", "past-the-int-digit-limit"])
+    def test_unreadable_json_is_the_readers_own_error(
+            self, tmp_path, monkeypatch, reader, text):
+        """``json.loads`` raises RecursionError on deep nesting, and a plain
+        ValueError on an integer past ``int``'s digit limit."""
+        error, read = JSON_READERS[reader]
+        with pytest.raises(error) as excinfo:
+            read(tmp_path, monkeypatch, text)
+        assert type(excinfo.value) is error
 
 
 class TestTranslate:
@@ -732,7 +786,8 @@ def drop_one_vector(vectors):
 
 
 class TestEmbedBatching:
-    """evaluate embeds each distinct text once, at most 64 texts per call."""
+    """evaluate embeds each distinct text of a song once, at most 64 texts per
+    call; this corpus is one song, so each distinct text is embedded once."""
 
     LINES = 50
 
@@ -793,6 +848,79 @@ class TestEmbedBatching:
                     assert row[f"{kind}_semantic"] == want[f"{kind}_semantic"]
                     assert row[f"{kind}_errors"] == want[f"{kind}_errors"] == ""
         assert 0 < hit < 2 * self.LINES
+
+
+class TestOneCallPerSong:
+    """evaluate scores each song in its own ``score_pairs`` call, so no embedder
+    call mixes songs, and a text two songs share is embedded once for each."""
+
+    SHARED = "Remember me"
+    # beta's texts alone fill more than one embedder call
+    BETA_LINES = EMBED_BATCH // 2 + 1
+
+    def evaluate(self, tmp_path, monkeypatch, score_pairs, out):
+        embedder = CountingEmbedder()
+        monkeypatch.setattr("mavl.harness.HashEmbeddingProvider", lambda: embedder)
+        monkeypatch.setattr(LineScorer, "score_pairs", score_pairs)
+        n = self.BETA_LINES
+        corpus = write_corpus(tmp_path, {
+            "alpha": {
+                Language.EN: [["And there's a butterfly", self.SHARED]],
+                # the third line has no EN line to be scored against
+                Language.KO: [["나비가 날아와", "날 잊지 마", "세 달의 겨울"]],
+            },
+            "beta": {
+                Language.EN: [[self.SHARED] + [f"we sing {i} times" for i in range(1, n)]],
+                Language.KO: [[f"나비 {i} 마리" for i in range(n)]],
+            },
+        })
+        hyp = HypothesisSet(provenance="x", entries={
+            LineKey(song, Language.KO, 0, i): f"{song} {i}"
+            for song, lines in (("alpha", 3), ("beta", n)) for i in range(lines)
+            # one line of each song has no hypothesis, and is skipped
+            if (song, i) not in {("alpha", 0), ("beta", 1)}})
+        hyp_path = tmp_path / "hyp.jsonl"
+        hyp_path.write_text(hyp.to_jsonl(), encoding="utf-8")
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--hypotheses", str(hyp_path), "--out", str(tmp_path / out)])
+        assert code == 0
+        (scores,) = (tmp_path / out).glob("evaluate-*/scores.csv")
+        return embedder.calls, scores.read_bytes()
+
+    @staticmethod
+    def recording(calls):
+        """``LineScorer.score_pairs``, appending each call's scorer and pairs to ``calls``."""
+        original = LineScorer.score_pairs
+
+        def score_pairs(scorer, pairs):
+            calls.append((scorer, pairs))
+            return original(scorer, pairs)
+        return score_pairs
+
+    def test_each_call_scores_one_song(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        batches, _ = self.evaluate(tmp_path, monkeypatch, self.recording(calls), "runs")
+        alpha, beta = ({text for pair in pairs for text in pair[:2]} for _, pairs in calls)
+        assert alpha & beta == {self.SHARED}
+        assert all(text.startswith("alpha ") for _, text, *_ in calls[0][1])
+        assert all(text.startswith("beta ") for _, text, *_ in calls[1][1])
+        # two lines of alpha are scored, one against EN alone; n - 1 of beta
+        assert [len(pairs) for _, pairs in calls] == [3, 2 * (self.BETA_LINES - 1)]
+        assert len(beta) > EMBED_BATCH
+        assert [set(batch) <= alpha for batch in batches] == [True, False, False]
+        assert all(set(batch) <= beta for batch in batches[1:])
+        assert sorted(t for batch in batches for t in batch) == sorted([*alpha, *beta])
+
+    def test_scores_equal_one_call_over_every_pair(self, tmp_path, monkeypatch, capsys):
+        original, calls = LineScorer.score_pairs, []
+        _, per_song = self.evaluate(tmp_path, monkeypatch, self.recording(calls), "per-song")
+        every = [pair for _, pairs in calls for pair in pairs]
+        scores = iter(original(calls[0][0], every))
+        _, whole = self.evaluate(
+            tmp_path, monkeypatch,
+            lambda scorer, pairs: [next(scores) for _ in pairs], "whole")
+        assert next(scores, None) is None
+        assert per_song == whole
 
 
 STAGE_LABELS = {
@@ -1186,6 +1314,18 @@ class TestCli:
         assert code == 2
         assert "http(s) URL" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, under):
+        corpus = small_corpus(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n", encoding="utf-8")
+        out = afile / "runs" if under else afile
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--from-dubbed", "--out", str(out)])
+        assert code == 2
+        assert f"error: cannot make a run directory in {out}: " in capsys.readouterr().err
+        assert afile.read_text(encoding="utf-8") == "kept\n"
 
     def test_bad_mock_script_leaves_no_run_directory(self, tmp_path, capsys):
         corpus = small_corpus(tmp_path)
