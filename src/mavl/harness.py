@@ -535,6 +535,8 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
         outcomes = map_bounded(job, tasks, config.parallelism)
     finally:
         trace.close()
+        if isinstance(provider, RemoteProvider):
+            provider.close()
 
     # a data failure is a line with no task
     total = len(tasks) + len(failed)
@@ -619,29 +621,11 @@ def _eval_languages(config: RunConfig, dataset: Dataset) -> list[Language]:
     return [lang for lang in Language if lang in present]
 
 
-def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> EvaluateOutcome:
-    """Score ``hyp`` against the dataset; without one, score the dubbed lines
-    themselves (the human baseline)."""
-    dataset = _load_dataset(config.dataset_path)
-    languages = _eval_languages(config, dataset)
-    if hyp is None:
-        hyp = HypothesisSet.from_dubbed(dataset, languages)
-    else:
-        hyp.validate_against(dataset)
-    run_dir = make_run_dir(config, "evaluate")
-
-    embedder_provider = (
-        _remote_provider(config) if config.provider == "remote" else HashEmbeddingProvider()
-    )
-
-    def embedder(texts):
-        return embed(EmbeddingRequest(tuple(texts)), embedder_provider)
-
-    scorer = LineScorer(
-        params=SyllableErrorParams(beta=config.beta),
-        embedder=embedder,
-    )
-
+def _score_songs(
+    dataset: Dataset, languages: list[Language], hyp: HypothesisSet, scorer: LineScorer
+) -> tuple[list[EvaluationRow], list[LineScore]]:
+    """One row per line of each language, in song order, and the scores of
+    the rows not skipped."""
     # a song's lines share texts (chorus repeats, the EN line that each dubbed
     # language is scored against) and songs seldom do, so each song is scored
     # in a call of its own
@@ -683,6 +667,36 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
             rows.append(EvaluationRow(key, hyp_text, skip_reason, *references, *(
                 next(scored) if skip_reason is None and text is not None else None
                 for text in references)))
+    return rows, scores
+
+
+def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> EvaluateOutcome:
+    """Score ``hyp`` against the dataset; without one, score the dubbed lines
+    themselves (the human baseline)."""
+    dataset = _load_dataset(config.dataset_path)
+    languages = _eval_languages(config, dataset)
+    if hyp is None:
+        hyp = HypothesisSet.from_dubbed(dataset, languages)
+    else:
+        hyp.validate_against(dataset)
+    run_dir = make_run_dir(config, "evaluate")
+
+    embedder_provider = (
+        _remote_provider(config) if config.provider == "remote" else HashEmbeddingProvider()
+    )
+
+    def embedder(texts):
+        return embed(EmbeddingRequest(tuple(texts)), embedder_provider)
+
+    scorer = LineScorer(
+        params=SyllableErrorParams(beta=config.beta),
+        embedder=embedder,
+    )
+    try:
+        rows, scores = _score_songs(dataset, languages, hyp, scorer)
+    finally:
+        if isinstance(embedder_provider, RemoteProvider):
+            embedder_provider.close()
 
     report = aggregate(scores, provider=hyp.provenance) if scores else None
     with _atomic_file(run_dir / "scores.csv") as fh:

@@ -449,7 +449,7 @@ def _check_status(status: int, location: str | None = None) -> None:
 # http.client's bound on one line of a reply; here it bounds the whole head too
 _MAX_HEAD = 65536
 _RECV = 65536  # bytes asked of each recv
-_STATUS_LINE = re.compile(rb"HTTP/\d\.\d ([1-9]\d\d)(?: .*)?")
+_STATUS_LINE = re.compile(rb"HTTP/(\d\.\d) ([1-9]\d\d)(?: .*)?")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 # what may not appear in a request target or Host (as http.client rejects),
 # and in a header value: controls, and anything past Latin-1
@@ -458,15 +458,24 @@ _BAD_VALUE = re.compile(r"[^\t\x20-\x7e\x80-\xff]")
 
 
 class _Reply:
-    """The reply waiting on a socket, read only as far as it is needed."""
+    """The reply waiting on a socket, read only as far as it is needed.
 
-    def __init__(self, sock) -> None:
+    Given ``quickack``, the ``setsockopt`` arguments of ``TCP_QUICKACK``,
+    each read that must wait for more of a reply first ACKs what came: a
+    server that writes head and body apart holds the body (Nagle) until the
+    head is ACKed, which a kept connection would otherwise delay ~40 ms.
+    """
+
+    def __init__(self, sock, quickack: tuple[int, int, int] | None) -> None:
         self.sock = sock
+        self.quickack = quickack
         self.buf = bytearray()
         self.pos = 0
 
     def _fill(self) -> bool:
         """Read more of the reply; False once the server has closed."""
+        if self.buf and self.quickack:
+            self.sock.setsockopt(*self.quickack)
         chunk = self.sock.recv(_RECV)
         self.buf += chunk
         return bool(chunk)
@@ -494,8 +503,9 @@ class _Reply:
         self.pos += n
         return out
 
-    def head(self) -> tuple[int, dict[str, str]]:
-        """Status and headers (lower-case names, first of each) of one reply."""
+    def head(self) -> tuple[bytes, int, dict[str, str]]:
+        """HTTP version, status and headers (lower-case names, first of
+        each) of one reply."""
         start = self.pos
         status_line = self.line()
         found = _STATUS_LINE.fullmatch(status_line)
@@ -510,7 +520,7 @@ class _Reply:
                 headers.setdefault(
                     name.strip().lower().decode("latin-1"), value.strip().decode("latin-1")
                 )
-        return int(found[1]), headers
+        return found[1], int(found[2]), headers
 
     def chunked(self) -> bytes:
         """A chunked body, its chunks joined; trailer fields are skipped."""
@@ -527,38 +537,101 @@ class _Reply:
             pass
         return b"".join(chunks)
 
-    def read(self) -> tuple[int, dict[str, str], bytes]:
-        """The final reply's status, headers and body.
+    def read(self) -> tuple[int, dict[str, str], bytes, bool]:
+        """The final reply's status, headers and body, and whether the
+        connection may carry another request.
 
-        The body ends at its ``Content-Length`` or at the last chunk of a
-        chunked body, without waiting for the server to close; else at close.
+        A 204 or 304 reply ends at its head.  Any other body ends at its
+        ``Content-Length`` or at the last chunk of a chunked body, without
+        waiting for the server to close; else at close.  The connection is
+        kept only after an HTTP/1.1 reply that did not say
+        ``Connection: close``, did not run to close and left no byte unread.
         """
-        status, headers = self.head()
+        version, status, headers = self.head()
         while status < 200:  # interim replies, such as 100 Continue
-            status, headers = self.head()
+            version, status, headers = self.head()
         length = headers.get("content-length", "")
-        if headers.get("transfer-encoding", "").lower() == "chunked":
+        if status in (204, 304):
+            body = b""
+        elif headers.get("transfer-encoding", "").lower() == "chunked":
             body = self.chunked()
         elif length.isdecimal():
             body = self.take(int(length))
         else:
             while self._fill():
                 pass
-            body = bytes(self.buf[self.pos :])
-        return status, headers, body
+            return status, headers, bytes(self.buf[self.pos :]), False
+        tokens = headers.get("connection", "").lower().split(",")
+        reusable = (
+            version == b"1.1"
+            and "close" not in map(str.strip, tokens)
+            and self.pos == len(self.buf)
+        )
+        return status, headers, body, reusable
+
+
+class _IdlePool:
+    """The idle keep-alive connections of one provider, all to its endpoint.
+
+    A connection is here only between requests, so none carries two
+    requests at once, and a provider never holds more connections than the
+    most requests it had in flight at once (``--parallelism``).
+    """
+
+    def __init__(self) -> None:
+        self._socks: list = []
+        self._lock = threading.Lock()
+
+    def take(self):
+        """The newest idle connection still fit to send on, else None.
+
+        An idle connection has nothing to read: one that is readable has
+        been closed by the server, or holds bytes no request asked for, and
+        is closed here.  A zero-timeout ``poll`` tells, where
+        ``recv(MSG_PEEK)`` would fail on a TLS socket and ``select.select``
+        on a descriptor past ``FD_SETSIZE``.  Pooling needs
+        ``TCP_QUICKACK``, a Linux option, and Linux has ``poll``.
+        """
+        import select
+
+        while True:
+            with self._lock:
+                if not self._socks:
+                    return None
+                sock = self._socks.pop()
+            poller = select.poll()
+            poller.register(sock, select.POLLIN)
+            if not poller.poll(0):
+                return sock
+            sock.close()
+
+    def give(self, sock) -> None:
+        with self._lock:
+            self._socks.append(sock)
+
+    def close(self) -> None:
+        with self._lock:
+            socks, self._socks = self._socks, []
+        for sock in socks:
+            sock.close()
 
 
 def _http_post(
-    url: str, payload: dict, headers: dict, timeout: float, tls: Callable
+    url: str, payload: dict, headers: dict, timeout: float, tls: Callable, idle: _IdlePool
 ) -> tuple[int, dict[str, str], bytes]:
-    """POST ``payload`` as JSON over one new connection: the reply's status,
-    headers and body.
+    """POST ``payload`` as JSON: the reply's status, headers and body.
 
-    HTTP/1.1 with ``Connection: close``; head and body go in one send.  An
-    ``https://`` URL is wrapped in the context that ``tls()`` returns.  No
-    proxy is used and no redirect followed.  A timeout, a socket or TLS
-    failure and a reply cut short or garbled raise.  ``socket`` loads here,
-    so offline runs never import it.
+    HTTP/1.1; head and body go in one send, with ``TCP_NODELAY``.  The
+    request goes on an idle connection from ``idle`` if one is fit, else on
+    a new one, and the connection goes back to ``idle`` if the reply lets
+    it be reused (see ``_Reply.read``).  Reuse needs ``TCP_QUICKACK`` (see
+    ``_Reply``); where ``socket`` lacks it, each request opens its own
+    connection and sends ``Connection: close``.  An ``https://`` URL is
+    wrapped in the context that ``tls()`` returns.  No proxy is used and no
+    redirect followed.  A timeout, a socket or TLS failure and a reply cut
+    short or garbled raise, also on a kept connection that the server
+    closed meanwhile: the retry schedule sends again.  ``socket`` and
+    ``select`` load here, so offline runs never import them.
     """
     import socket
     from urllib.parse import urlsplit
@@ -580,36 +653,50 @@ def _http_post(
         if _BAD_VALUE.search(value):
             # the value is the API key: name it, never echo it
             raise ProviderError(f"the {name} header holds a character HTTP cannot carry")
+    quickack = None
+    if hasattr(socket, "TCP_QUICKACK"):
+        quickack = (socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
     head = "".join(
         [
             f"POST {target} HTTP/1.1\r\nHost: {authority}\r\n",
             f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n",
             *(f"{name}: {value}\r\n" for name, value in headers.items()),
-            "Connection: close\r\n\r\n",
+            "\r\n" if quickack else "Connection: close\r\n\r\n",
         ]
     ).encode("latin-1")
+    sock = None
     try:
-        sock = socket.create_connection((parts.hostname, port), timeout)
-        try:
+        if quickack:
+            sock = idle.take()
+        if sock is None:
+            sock = socket.create_connection((parts.hostname, port), timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if parts.scheme == "https":
                 sock = tls().wrap_socket(sock, server_hostname=parts.hostname)
-            sock.sendall(head + body)
-            return _Reply(sock).read()
-        finally:
-            sock.close()
+        sock.sendall(head + body)
+        status, reply_headers, reply_body, reusable = _Reply(sock, quickack).read()
+        if quickack and reusable:
+            idle.give(sock)
+            sock = None
+        return status, reply_headers, reply_body
     except TimeoutError as exc:
         raise ProviderTimeoutError(f"no reply within {timeout} s: {exc}") from exc
     except OSError as exc:
         # refused, reset, unresolvable, or a failed TLS handshake
         raise TransientProviderError(f"{type(exc).__name__}: {exc}") from exc
+    finally:
+        if sock is not None:
+            sock.close()
 
 
 class RemoteProvider:
     """HTTP backend for both completion and embedding.
 
     Credentials come from the environment (never from config files): the
-    variable named by ``api_key_env`` must hold the key.
+    variable named by ``api_key_env`` must hold the key.  Requests reuse
+    the provider's idle connections (see ``_http_post``); :meth:`close`
+    closes them.
     """
 
     def __init__(
@@ -626,6 +713,7 @@ class RemoteProvider:
         self.timeout = timeout
         self._tls = None
         self._tls_lock = threading.Lock()
+        self._idle = _IdlePool()
 
     def _api_key(self) -> str:
         key = os.environ.get(self.api_key_env, "")
@@ -650,13 +738,17 @@ class RemoteProvider:
         url = self.endpoint + path
         headers = {"Authorization": f"Bearer {self._api_key()}"}
         status, reply_headers, raw = _http_post(
-            url, payload, headers, self.timeout, self._tls_context
+            url, payload, headers, self.timeout, self._tls_context, self._idle
         )
         _check_status(status, reply_headers.get("location"))
         try:
             return json.loads(raw)
         except (ValueError, RecursionError) as exc:
             raise ProviderError(f"reply is not JSON (HTTP {status}): {exc}") from exc
+
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        self._idle.close()
 
     def complete(self, request: GenerationRequest) -> str:
         payload: dict = {

@@ -98,7 +98,7 @@ def test_bench_corpora_parse_and_round_trip():
     hypotheses.validate_against(parse_dataset(evaluated["corpus.json"]))
 
 
-HTTP_MODULES = ("urllib.request", "http.client", "requests", "ssl", "socket")
+HTTP_MODULES = ("urllib.request", "http.client", "requests", "ssl", "socket", "select")
 
 # run in a fresh interpreter: importing the CLI, then one remote completion
 # against a loopback server started in the same process
@@ -134,7 +134,7 @@ _HTTP_PROBE = textwrap.dedent(f"""
 
 
 def test_http_modules_load_only_for_a_remote_call():
-    """Importing the CLI loads no HTTP client, socket or TLS module; an
+    """Importing the CLI loads no HTTP client, socket, select or TLS module; an
     ``http://`` call loads neither ``requests`` nor ``urllib.request``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, MAVL_API_KEY="sekrit",

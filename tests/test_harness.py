@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from loopback import Loopback, reply
 from mavl.cli import build_parser, main
 from mavl.dataset import (
     Dataset,
@@ -53,6 +54,7 @@ from mavl.languages import Language
 from mavl.metrics import EMBED_BATCH, LineScorer, ReferenceKind
 from mavl.pipeline import Modality, PipelineVariant, PromptStyle
 from mavl.providers import (
+    EmbeddingRequest,
     GenerationRequest,
     HashEmbeddingProvider,
     RemoteProvider,
@@ -921,6 +923,61 @@ class TestOneCallPerSong:
             lambda scorer, pairs: [next(scores) for _ in pairs], "whole")
         assert next(scores, None) is None
         assert per_song == whole
+
+
+class TestRemoteConnections:
+    """A remote command closes the connections it kept alive before it
+    returns, even while its provider is still referenced."""
+
+    @pytest.fixture
+    def server(self, monkeypatch):
+        monkeypatch.setenv("MAVL_API_KEY", "sekrit")
+        server = Loopback()
+        yield server
+        server.close()
+
+    @pytest.fixture
+    def providers(self, monkeypatch):
+        made = []
+
+        def remote_provider(config):
+            made.append(RemoteProvider(config.endpoint, config.model_id))
+            return made[-1]
+
+        monkeypatch.setattr("mavl.harness._remote_provider", remote_provider)
+        return made
+
+    def config(self, tmp_path, server, **overrides):
+        return RunConfig(
+            dataset_path=str(small_corpus(tmp_path)), target_langs=(Language.KO,),
+            provider="remote", endpoint=server.url, model_id="m",
+            out_dir=str(tmp_path / "runs"), **overrides,
+        )
+
+    def assert_all_closed(self, server):
+        for _ in set(server.peers()):
+            assert server.closed.acquire(timeout=5.0)
+
+    def test_translate(self, tmp_path, server, providers):
+        def answer(handler):
+            reply(200, json.dumps({"text": '{"translation": "나비"}'}).encode())(handler)
+
+        server.actions = [answer] * 20
+        cmd_translate(self.config(tmp_path, server, parallelism=2, failure_threshold=1.0))
+        assert len(providers) == 1 and server.received
+        self.assert_all_closed(server)
+
+    def test_evaluate(self, tmp_path, server, providers):
+        def answer(handler):
+            texts = json.loads(handler.body)["texts"]
+            vectors = HashEmbeddingProvider().embed_batch(EmbeddingRequest(tuple(texts)))
+            reply(200, json.dumps({"vectors": vectors}).encode())(handler)
+
+        server.actions = [answer] * 20
+        outcome = cmd_evaluate(self.config(tmp_path, server))
+        assert outcome.report is not None
+        assert len(providers) == 1 and server.received
+        self.assert_all_closed(server)
 
 
 STAGE_LABELS = {

@@ -9,12 +9,13 @@ import threading
 import time
 import tracemalloc
 import zlib
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from operator import mul
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
+
+from loopback import Loopback, raw, reply
 
 from mavl import providers
 from mavl.errors import (
@@ -433,78 +434,21 @@ class TestHashEmbeddings:
             embed(EmbeddingRequest(("a", "b")), Short())
 
 
-def reply(status, body=b"", *, length=None):
-    """A loopback handler action: answer with ``status`` and ``body``; a
-    ``length`` past the body announces bytes that never come."""
+@pytest.fixture(autouse=True)
+def close_remote_providers(monkeypatch):
+    """Close the idle connections of each ``RemoteProvider`` a test makes,
+    once the test is done."""
+    made = []
+    init = RemoteProvider.__init__
 
-    def send(handler):
-        handler.send_response(status)
-        handler.send_header("Content-Type", "application/json")
-        handler.send_header("Content-Length", str(len(body) if length is None else length))
-        handler.end_headers()
-        handler.wfile.write(body)
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
 
-    return send
-
-
-def raw(data, *, hold=None):
-    """A loopback handler action: write ``data`` as the whole reply, then,
-    given an event as ``hold``, keep the connection open until it is set."""
-
-    def send(handler):
-        handler.wfile.write(data)
-        if hold is not None:
-            hold.wait(5.0)
-
-    return send
-
-
-class Loopback:
-    """A ``ThreadingHTTPServer`` on 127.0.0.1, run in a thread; given an
-    ``ssl`` server context as ``tls``, it speaks HTTPS.
-
-    Each POST is recorded (path, headers, body bytes) and answered by the
-    next action in ``actions``; an action may also stall until ``release``
-    is set, which teardown does, so no handler outlives its test.
-    """
-
-    def __init__(self, tls=None):
-        self.actions = []
-        self.received = []
-        self.release = threading.Event()
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-                pass
-
-            def do_POST(self):
-                body = self.rfile.read(int(self.headers["Content-Length"]))
-                outer.received.append(
-                    {"path": self.path, "headers": self.headers, "body": body}
-                )
-                outer.actions.pop(0)(self)
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.server.handle_error = lambda request, address: None
-        scheme = "http"
-        if tls is not None:
-            self.server.socket = tls.wrap_socket(self.server.socket, server_side=True)
-            scheme = "https"
-        self.url = f"{scheme}://127.0.0.1:{self.server.server_address[1]}/v1"
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-        )
-        self.thread.start()
-
-    def stall(self, handler):
-        self.release.wait(5.0)
-
-    def close(self):
-        self.release.set()
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join()
+    monkeypatch.setattr(RemoteProvider, "__init__", tracked)
+    yield
+    for provider in made:
+        provider.close()
 
 
 @pytest.fixture
@@ -622,11 +566,13 @@ class TestRemoteProviderHttp:
     """The real HTTP path of ``RemoteProvider``, against a loopback server."""
 
     def test_body_and_headers(self, loopback):
-        loopback.actions = [reply(200, b'{"text": "bonjour"}')]
+        loopback.actions = [reply(200, b'{"text": "bonjour"}'),
+                            reply(200, b'{"text": "encore"}')]
         provider = RemoteProvider(loopback.url + "/", "lyric-xl", timeout=5.0)
         clip = MediaAttachment(MediaKind.AUDIO, "s3://clip.wav", time_span=(3.0, 9.5))
         out = provider.complete(GenerationRequest("héllo 夢 \"x\"", media=(clip,)))
         assert out == "bonjour"
+        assert provider.complete(GenerationRequest("hi")) == "encore"
         payload = {
             "model": "lyric-xl",
             "prompt": "héllo 夢 \"x\"",
@@ -638,13 +584,16 @@ class TestRemoteProviderHttp:
                 {"kind": "audio", "location": "s3://clip.wav", "time_span": [3.0, 9.5]}
             ],
         }
-        (got,) = loopback.received
+        got, again = loopback.received
         assert got["path"] == "/v1/complete"
         assert got["body"] == json.dumps(payload, allow_nan=False).encode()
         assert got["headers"]["Authorization"] == "Bearer sekrit"
         assert got["headers"]["Content-Type"] == "application/json"
         assert got["headers"]["Host"] == loopback.url.split("/")[2]
-        assert got["headers"]["Connection"] == "close"
+        # kept alive: no Connection header, and the second request follows
+        # on the first one's connection
+        assert "Connection" not in got["headers"]
+        assert again["peer"] == got["peer"]
 
     def test_embed_body(self, loopback):
         loopback.actions = [reply(200, b'{"vectors": [[0.5, 1]]}')]
@@ -812,6 +761,124 @@ class TestHttpReplies:
         assert type(excinfo.value) is TransientProviderError
         assert excinfo.value.retryable
 
+    @pytest.mark.parametrize("status", [204, 304])
+    def test_no_body_reply_ends_at_its_head(self, loopback, status):
+        loopback.actions = [
+            raw(b"HTTP/1.1 %d Nothing\r\n\r\n" % status, hold=loopback.release)
+        ]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        started = time.monotonic()
+        with pytest.raises(ProviderError, match=f"HTTP {status}") as excinfo:
+            provider.complete(GenerationRequest("hi"))
+        assert type(excinfo.value) is ProviderError
+        # a client that read to the close of a held connection would time out
+        assert time.monotonic() - started < 2.5
+
+
+def echo(handler):
+    """A loopback handler action: answer a completion with its own prompt."""
+    prompt = json.loads(handler.body)["prompt"]
+    time.sleep(0.002)
+    reply(200, json.dumps({"text": prompt}).encode())(handler)
+
+
+class TestConnectionReuse:
+    """Which connections a provider keeps between requests, and which it
+    opens anew, on the loopback server."""
+
+    def test_no_delayed_ack_stall(self, loopback):
+        # the handler writes head and body in two sends with Nagle on, so
+        # each body waits for the ACK of its head
+        loopback.actions = [reply(200, b'{"text": "vite"}') for _ in range(21)]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        provider.complete(GenerationRequest("hi"))
+        started = time.monotonic()
+        for _ in range(20):
+            assert provider.complete(GenerationRequest("hi")) == "vite"
+        # a delayed ACK would cost ~40 ms a request
+        assert time.monotonic() - started < 20 * 0.04 / 2
+        assert len(set(loopback.peers())) == 1
+
+    def test_connection_closed_while_idle_is_replaced(self, loopback, no_backoff):
+        def reply_then_close(handler):
+            reply(200, b'{"text": "un"}')(handler)
+            handler.close_connection = True
+
+        loopback.actions = [reply_then_close, reply(200, b'{"text": "deux"}')]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        assert generate(GenerationRequest("hi"), provider) == "un"
+        assert loopback.closed.acquire(timeout=5.0)
+        assert generate(GenerationRequest("hi"), provider) == "deux"
+        first, second = loopback.peers()
+        assert first != second
+        assert no_backoff == []
+
+    @pytest.mark.parametrize("data", [
+        b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 11\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nConnection: Keep-Alive, Close\r\nContent-Length: 11\r\n\r\n",
+        b"HTTP/1.0 200 OK\r\nContent-Length: 11\r\n\r\n",
+        b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 11\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n",
+    ], ids=["connection-close", "close-among-tokens", "http-1.0", "http-1.0-keep-alive",
+            "bytes-left-over"])
+    def test_reply_that_ends_its_connection_is_not_reused(self, loopback, data):
+        # the server holds each connection open, so a reused one would stall
+        loopback.actions = [raw(data + b'{"text": 1}', hold=loopback.release),
+                            reply(200, b'{"text": "deux"}')]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        with pytest.raises(ProviderError):
+            provider.complete(GenerationRequest("hi"))
+        started = time.monotonic()
+        assert provider.complete(GenerationRequest("hi")) == "deux"
+        assert time.monotonic() - started < 2.5
+        first, second = loopback.peers()
+        assert first != second
+
+    def test_read_to_close_reply_is_not_reused(self, loopback):
+        loopback.actions = [raw(b'HTTP/1.1 200 OK\r\n\r\n{"text": "un"}'),
+                            reply(200, b'{"text": "deux"}')]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        assert provider.complete(GenerationRequest("hi")) == "un"
+        assert provider.complete(GenerationRequest("hi")) == "deux"
+        first, second = loopback.peers()
+        assert first != second
+
+    def test_without_quickack_each_request_has_its_own_connection(
+        self, loopback, monkeypatch
+    ):
+        monkeypatch.delattr(socket, "TCP_QUICKACK", raising=False)
+        loopback.actions = [reply(200, b'{"text": "un"}'), reply(200, b'{"text": "deux"}')]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        assert provider.complete(GenerationRequest("hi")) == "un"
+        assert provider.complete(GenerationRequest("hi")) == "deux"
+        first, second = loopback.received
+        assert first["headers"]["Connection"] == second["headers"]["Connection"] == "close"
+        assert first["peer"] != second["peer"]
+
+    def test_parallel_replies_match_their_requests(self, loopback):
+        prompts = [f"ligne {n}" for n in range(60)]
+        loopback.actions = [echo] * len(prompts)
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            out = map_bounded(
+                lambda prompt: provider.complete(GenerationRequest(prompt)), prompts, 4
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == prompts
+        # never more connections than requests in flight
+        assert 1 <= len(set(loopback.peers())) <= 4
+
+    def test_close_ends_the_idle_connections(self, loopback):
+        loopback.actions = [reply(200, b'{"text": "un"}')]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        assert provider.complete(GenerationRequest("hi")) == "un"
+        assert not loopback.closed.acquire(timeout=0.05)
+        provider.close()
+        assert loopback.closed.acquire(timeout=5.0)
+
 
 @pytest.fixture
 def https_loopback(tmp_path, monkeypatch):
@@ -877,6 +944,9 @@ class TestRemoteProviderHttps:
         assert provider.complete(GenerationRequest("hi")) == "sûr"
         assert provider.complete(GenerationRequest("hi")) == "encore"
         assert [got["path"] for got in server.received] == ["/v1/complete"] * 2
+        # the second request follows on the first one's TLS connection
+        first, second = server.peers()
+        assert first == second
 
     def test_untrusted_certificate_fails_after_the_retries(self, https_loopback, no_backoff):
         server, _ = https_loopback
