@@ -24,7 +24,6 @@ by ``--api-key-env``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .errors import (
@@ -43,7 +42,7 @@ from .harness import (
     cmd_stats,
     cmd_translate,
 )
-from .languages import Language
+from .languages import BOM, Language
 from .pipeline import Modality, PipelineVariant, PromptStyle
 from .reports import dump_json, render_report_table, report_to_json, rows_to_csv
 
@@ -86,7 +85,7 @@ def load_config_file(path: str) -> dict:
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
+            for lineno, raw in enumerate(fh.read().removeprefix(BOM).split("\n"), start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -219,9 +218,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run's settings from the parsed names; one left out takes its default."""
     given = vars(args)
-    settings = {
-        f.name: given[f.name] for f in dataclasses.fields(RunConfig) if f.name in given
-    }
+    settings = {name: given[name] for name in RunConfig._fields if name in given}
     # these two fields are parsed from the codes and names the flags take
     try:
         settings["target_langs"] = tuple(map(Language.parse, given.get("target_langs", ())))
@@ -296,8 +293,7 @@ def _run_ablate(args: argparse.Namespace) -> int:
 def _run_stats(args: argparse.Namespace) -> int:
     stats, table = cmd_stats(args.dataset_path)
     if args.fmt == "json":
-        payload = {lang.value: dataclasses.asdict(per)
-                   for lang, per in stats.per_language.items()}
+        payload = {lang.value: per._asdict() for lang, per in stats.per_language.items()}
         sys.stdout.write(dump_json(payload))
     else:
         sys.stdout.write(table)

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import DatasetParseError, DatasetValidationError, EmptyLineError
 from .languages import (
+    BOM,
     Language,
     is_hiragana,
     is_kanji,
@@ -41,38 +42,38 @@ _SECTION_KEYS = {"index", "lines"}
 _ENTRY_KEYS = {"title", "source_url", "media_url", "sections"}
 
 
-@dataclass(frozen=True)
-class CompactLineRep:
+# the one default of every record's extras, so it is a mapping no one can add to
+_NO_EXTRAS: Mapping = MappingProxyType({})
+
+
+class CompactLineRep(NamedTuple):
     signature: str
     first_token: str
     last_token: str
 
 
-@dataclass
-class LyricLine:
+class LyricLine(NamedTuple):
     index: int
     rep: CompactLineRep
     resolved_text: str | None = None
     time_span: tuple[int, int] | None = None
     syllable_count: int | None = None
-    extras: dict = field(default_factory=dict)
+    extras: Mapping = _NO_EXTRAS
 
 
-@dataclass
-class Section:
+class Section(NamedTuple):
     index: int
     lines: list[LyricLine]
-    extras: dict = field(default_factory=dict)
+    extras: Mapping = _NO_EXTRAS
 
 
-@dataclass
-class SongEntry:
+class SongEntry(NamedTuple):
     title: str
     source_url: str
     media_url: str | None
     language: Language
     sections: list[Section]
-    extras: dict = field(default_factory=dict)
+    extras: Mapping = _NO_EXTRAS
 
     def lines(self):
         for section in self.sections:
@@ -80,9 +81,8 @@ class SongEntry:
                 yield section, line
 
 
-@dataclass
-class Dataset:
-    songs: dict[str, dict[Language, SongEntry]] = field(default_factory=dict)
+class Dataset(NamedTuple):
+    songs: dict[str, dict[Language, SongEntry]]
 
 
 class LineKey(NamedTuple):
@@ -177,10 +177,11 @@ def parse_dataset(data: bytes | str) -> Dataset:
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}",
                                 byte_offset=exc.start) from None
+    body = text.removeprefix(BOM)
     try:
-        doc = json.loads(text)
+        doc = json.loads(body)
     except json.JSONDecodeError as exc:
-        offset = len(text[:exc.pos].encode("utf-8"))
+        offset = len(text[:len(text) - len(body) + exc.pos].encode("utf-8"))
         raise DatasetParseError(str(exc), byte_offset=offset) from None
     except (ValueError, RecursionError) as exc:
         # an integer past int's digit limit, or arrays nested past the stack
@@ -254,9 +255,7 @@ def _parse_entry(raw, song_id: str, lang: Language) -> SongEntry:
         for i, s in enumerate(sections_raw)
     ]
     extras = {k: v for k, v in raw.items() if k not in _ENTRY_KEYS}
-    return SongEntry(title=title, source_url=source_url,
-                     media_url=media_url, language=lang,
-                     sections=sections, extras=extras)
+    return SongEntry(title, source_url, media_url, lang, sections, extras)
 
 
 def _parse_section(raw, song_id: str, lang: Language, i: int, loc: str) -> Section:
@@ -319,8 +318,7 @@ def _parse_line(raw, key: LineKey) -> LyricLine:
             raise DatasetValidationError("text does not match its rep",
                                          location=loc)
     extras = {k: v for k, v in raw.items() if k not in _LINE_KEYS}
-    return LyricLine(index=index, rep=rep, resolved_text=text,
-                     time_span=span, syllable_count=count, extras=extras)
+    return LyricLine(index, rep, text, span, count, extras)
 
 
 # ------------------------------------------------------- serialize side
@@ -369,15 +367,13 @@ def _line_to_json(line: LyricLine) -> dict:
 
 # ------------------------------------------------------------ statistics
 
-@dataclass(frozen=True)
-class LanguageStats:
+class LanguageStats(NamedTuple):
     songs: int = 0
     sections: int = 0
     lines: int = 0
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     per_language: dict[Language, LanguageStats]
 
 

@@ -20,9 +20,8 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 from . import syllables
 from .dataset import (
@@ -43,7 +42,7 @@ from .errors import (
     ProviderAuthError,
     ProviderError,
 )
-from .languages import Language, surrogate_problem
+from .languages import BOM, Language, surrogate_problem
 from .metrics import (
     LinePair,
     LineScore,
@@ -70,6 +69,7 @@ from .providers import (
     embed,
     map_bounded,
 )
+from .records import Checked
 from .reports import (
     EvaluationRow,
     dump_json,
@@ -100,11 +100,10 @@ class ThresholdExceededError(MavlError):
     """More lines failed than the configured tolerance allows."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunConfig(NamedTuple):
     dataset_path: str
     target_langs: tuple[Language, ...] = ()
-    variant: PipelineVariant = field(default_factory=PipelineVariant)
+    variant: PipelineVariant = PipelineVariant()
     provider: str = "mock"
     mock_script: str | None = None
     endpoint: str | None = None
@@ -116,7 +115,11 @@ class RunConfig:
     max_reprompts: int = 2
     failure_threshold: float = 0.5
 
-    def __post_init__(self) -> None:
+
+class RunConfig(Checked, _RunConfig):
+    __slots__ = ()
+
+    def _validated(self):
         if not (math.isfinite(self.beta) and self.beta >= 1):
             raise ConfigError(f"beta must be finite and >= 1, got {self.beta}")
         if self.parallelism < 1:
@@ -136,36 +139,28 @@ class RunConfig:
             raise ConfigError("EN is the source language and cannot be a target")
         if len(set(self.target_langs)) != len(self.target_langs):
             raise ConfigError("a target language is given more than once")
+        return self
 
 
-# the hashed settings each command does not read, and so leaves out of its
-# config.json and its run digest
+# the settings each command leaves out of its config.json and its run digest:
+# the key and the output root, which change no output, and those it does not read
 _UNREAD = {
-    "translate": {"beta"},
-    "evaluate": {"variant", "mock_script", "parallelism", "max_reprompts",
-                 "failure_threshold"},
-    "ablate": {"failure_threshold"},
+    "translate": {"api_key_env", "out_dir", "beta"},
+    "evaluate": {"api_key_env", "out_dir", "variant", "mock_script", "parallelism",
+                 "max_reprompts", "failure_threshold"},
+    "ablate": {"api_key_env", "out_dir", "failure_threshold"},
 }
 
 
 def _config_payload(config: RunConfig, op: str) -> dict:
+    """Every setting ``op`` reads, as JSON values; both writers sort the keys."""
+    variant = config.variant
     payload = {
+        **config._asdict(),
         "dataset_path": os.path.abspath(config.dataset_path),
         "target_langs": [lang.value for lang in config.target_langs],
-        "variant": {
-            "use_syllable_list": config.variant.use_syllable_list,
-            "use_refine": config.variant.use_refine,
-            "modalities": sorted(m.value for m in config.variant.modalities),
-            "style": config.variant.style.value,
-        },
-        "provider": config.provider,
-        "mock_script": config.mock_script,
-        "endpoint": config.endpoint,
-        "model_id": config.model_id,
-        "beta": config.beta,
-        "parallelism": config.parallelism,
-        "max_reprompts": config.max_reprompts,
-        "failure_threshold": config.failure_threshold,
+        "variant": {**variant._asdict(), "style": variant.style.value,
+                    "modalities": sorted(m.value for m in variant.modalities)},
     }
     return {key: value for key, value in payload.items() if key not in _UNREAD[op]}
 
@@ -216,7 +211,6 @@ def atomic_write(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # Hypothesis sets
 
-@dataclass
 class HypothesisSet:
     """Translated texts keyed by the line they translate.
 
@@ -225,8 +219,12 @@ class HypothesisSet:
     loaded for the human-baseline rows.
     """
 
-    provenance: str
-    entries: dict[LineKey, str] = field(default_factory=dict)
+    def __init__(self, provenance: str, entries: dict[LineKey, str] | None = None):
+        self.provenance = provenance
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, HypothesisSet) and vars(self) == vars(other)
 
     def to_jsonl(self) -> str:
         records = _in_order({key: _key_fields(key, text=text)
@@ -238,7 +236,7 @@ class HypothesisSet:
     def from_jsonl(cls, text: str) -> "HypothesisSet":
         rows: list[tuple[str, dict]] = []
         # not splitlines(): a text may hold "\u2028", which json.dumps writes raw
-        for lineno, line in enumerate(text.split("\n"), start=1):
+        for lineno, line in enumerate(text.removeprefix(BOM).split("\n"), start=1):
             if line.strip():
                 where = f"line {lineno}"
                 rows.append((where, _json_record(line, where)))
@@ -363,7 +361,7 @@ def load_mock_script(path: str) -> ScriptedProvider:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.loads(fh.read().removeprefix(BOM))
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read mock script {path}: {exc}") from None
     script: dict[str | None, list[str]] = {}
@@ -419,13 +417,12 @@ def _generation_provider(config: RunConfig):
 # translate
 
 
-@dataclass
-class TranslateOutcome:
+class TranslateOutcome(NamedTuple):
     run_dir: Path
     hypotheses: HypothesisSet
     failures: list[dict]
     line_results: list[dict]
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def _load_dataset(path: str) -> Dataset:
@@ -443,10 +440,7 @@ def _line_media(entry: SongEntry, line: LyricLine) -> tuple[MediaAttachment, ...
     if line.time_span is not None:
         # dataset spans are integer milliseconds; attachments speak seconds
         span = (line.time_span[0] / 1000.0, line.time_span[1] / 1000.0)
-    return (
-        MediaAttachment(MediaKind.AUDIO, entry.media_url, time_span=span),
-        MediaAttachment(MediaKind.VIDEO, entry.media_url, time_span=span),
-    )
+    return tuple(MediaAttachment(kind, entry.media_url, span) for kind in MediaKind)
 
 
 def _source_line(
@@ -488,14 +482,8 @@ def _translation_tasks(
                 if reason is not None:
                     failed[key] = _failure(key, "data", reason)
                     continue
-                task = TranslationTask(
-                    source_text=line.resolved_text,
-                    source_lang=Language.EN,
-                    target_lang=target,
-                    required_count=required,
-                    media=media,
-                    task_id=key.location(),
-                )
+                task = TranslationTask(line.resolved_text, Language.EN, target, required,
+                                       media, key.location())
                 tasks.append((key, task))
     return tasks, failed
 
@@ -598,8 +586,7 @@ def _write_config_echo(run_dir: Path, config: RunConfig, op: str) -> None:
 # evaluate
 
 
-@dataclass
-class EvaluateOutcome:
+class EvaluateOutcome(NamedTuple):
     run_dir: Path
     rows: list[EvaluationRow]
     report: object
@@ -721,8 +708,7 @@ MODALITY_GRID = [
 ]
 
 
-@dataclass
-class AblateOutcome:
+class AblateOutcome(NamedTuple):
     """``summaries`` maps each variant label to what comparison.json holds."""
 
     run_dir: Path
@@ -758,14 +744,14 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
 
     if grid == "stages":
         cases = [
-            (replace(config.variant, use_syllable_list=use_list, use_refine=use_refine),
+            (config.variant._replace(use_syllable_list=use_list, use_refine=use_refine),
              False)
             for use_list, use_refine in STAGE_GRID
         ]
     else:
         has_media = _dataset_has_media(dataset)
         cases = [
-            (replace(config.variant, modalities=mods),
+            (config.variant._replace(modalities=mods),
              mods != {Modality.TEXT} and not has_media)
             for mods in MODALITY_GRID
         ]
@@ -778,8 +764,7 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
             summaries[label] = {"skipped": "no media in dataset"}
             blocks.append(f"{label}: skipped, no media in dataset\n")
             continue
-        sub = replace(
-            config,
+        sub = config._replace(
             variant=variant,
             out_dir=str(run_dir),
             failure_threshold=1.0,

@@ -59,6 +59,9 @@ def surrogate_problem(text: str) -> str | None:
     return None
 
 
+BOM = "\ufeff"  # every reader skips one at the start of a file
+
+
 HANGUL_BLOCK_START = 0xAC00
 HANGUL_BLOCK_END = 0xD7A3
 

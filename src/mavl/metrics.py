@@ -15,13 +15,14 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import phonetics, syllables
 from .errors import EmbeddingError, MetricDomainError, NumberRangeError
 from .languages import Language
+from .records import Checked
 
 Embedder = Callable[[list[str]], list[list[float]]]
 
@@ -38,13 +39,17 @@ class ReferenceKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class SyllableErrorParams:
+class _SyllableErrorParams(NamedTuple):
     beta: float = 2.0
 
-    def __post_init__(self):
+
+class SyllableErrorParams(Checked, _SyllableErrorParams):
+    __slots__ = ()
+
+    def _validated(self):
         if not (math.isfinite(self.beta) and self.beta >= 1):
             raise MetricDomainError("beta must be finite and >= 1")
+        return self
 
 
 def syllable_error(c_ref: int, c_pred: int,
@@ -107,8 +112,7 @@ def _cosine(e_gt, e_pred, norm_gt: float | None, norm_pred: float | None) -> flo
     return max(-1.0, min(1.0, sum(map(mul, e_gt, e_pred)) / (norm_gt * norm_pred)))
 
 
-@dataclass(frozen=True)
-class LineScore:
+class LineScore(NamedTuple):
     """``c_ref``/``c_pred`` are None when a text could not be counted."""
 
     c_ref: int | None
@@ -120,7 +124,7 @@ class LineScore:
     mismatch: bool | None = None
     semantic: float | None = None
     phonetic: int | None = None
-    component_errors: Mapping[str, str] = field(default_factory=dict)
+    component_errors: Mapping[str, str] = MappingProxyType({})
 
 
 # What ``score_line`` takes: the reference text, the hypothesis text, their
@@ -131,8 +135,7 @@ LinePair = tuple[str, str, Language, Language, ReferenceKind]
 EMBED_BATCH = 64
 
 
-@dataclass(frozen=True)
-class _Failed:
+class _Failed(NamedTuple):
     """Stands in for a count, transcription or vector that could not be made."""
 
     message: str
@@ -169,7 +172,6 @@ def _transcribe(lang: Language, text: str) -> phonetics.IpaString | _Failed:
         return _Failed(str(exc))
 
 
-@dataclass
 class LineScorer:
     """Bundles the providers needed to score lines.
 
@@ -177,8 +179,10 @@ class LineScorer:
     the semantic component reports an error instead of a value.
     """
 
-    params: SyllableErrorParams = field(default_factory=SyllableErrorParams)
-    embedder: Embedder | None = None
+    def __init__(self, params: SyllableErrorParams = SyllableErrorParams(),
+                 embedder: Embedder | None = None):
+        self.params = params
+        self.embedder = embedder
 
     def score_line(self, gt_text: str, pred_text: str,
                    lang_gt: Language, lang_pred: Language,
@@ -256,8 +260,7 @@ class LineScorer:
                          component_errors=errors)
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     line_count: int
     error_rate: float | None
     mean_se: float | None
@@ -266,8 +269,7 @@ class GroupStats:
     mean_phonetic: float | None
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(NamedTuple):
     line_count: int
     error_rate: float | None
     groups: Mapping[tuple[Language, ReferenceKind], GroupStats]

@@ -13,9 +13,9 @@ they make distances comparable, not dictionary-grade transcriptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import MissingRuleTableError
 from .languages import (
@@ -26,22 +26,36 @@ from .languages import (
 )
 
 
-@dataclass(frozen=True)
 class IpaString:
-    symbols: tuple[str, ...]
-    dropped: int = field(default=0, compare=False)
+    """IPA symbols; ``dropped`` counts the graphemes no rule matched, and
+    equality and hashing leave it out."""
 
-    def __post_init__(self):
-        for sym in self.symbols:
+    __slots__ = ("symbols", "dropped")
+
+    def __init__(self, symbols: tuple[str, ...], dropped: int = 0):
+        for sym in symbols:
             if not sym or sym.isspace():
                 raise ValueError(f"bad IPA symbol {sym!r}")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "dropped", dropped)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to IpaString.{name}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IpaString) and self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash(self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
 
+    def __repr__(self) -> str:
+        return f"IpaString(symbols={self.symbols!r}, dropped={self.dropped!r})"
 
-@dataclass(frozen=True)
-class G2PRule:
+
+class G2PRule(NamedTuple):
     grapheme: str
     output: tuple[str, ...]
     left: str = ""

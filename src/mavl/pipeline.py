@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -40,6 +39,7 @@ from .providers import (
     TraceStore,
     generate,
 )
+from .records import Checked
 from .syllables import count_syllables
 
 __all__ = [
@@ -68,18 +68,22 @@ class PromptStyle(Enum):
     DIRECT = "direct"
 
 
-@dataclass(frozen=True)
-class PipelineVariant:
+class _PipelineVariant(NamedTuple):
     use_syllable_list: bool = True
     use_refine: bool = True
     modalities: frozenset = frozenset({Modality.TEXT})
     style: PromptStyle = PromptStyle.STAGED
 
-    def __post_init__(self) -> None:
-        mods = frozenset(self.modalities)
-        object.__setattr__(self, "modalities", mods)
-        if Modality.TEXT not in mods:
+
+class PipelineVariant(Checked, _PipelineVariant):
+    __slots__ = ()
+
+    def _validated(self):
+        if not isinstance(self.modalities, frozenset):
+            return self._replace(modalities=frozenset(self.modalities))
+        if Modality.TEXT not in self.modalities:
             raise ConfigError("every variant includes the text modality")
+        return self
 
     @property
     def has_audio(self) -> bool:
@@ -104,8 +108,7 @@ class PipelineVariant:
         return f"{mods} {stages}"
 
 
-@dataclass(frozen=True)
-class TranslationTask:
+class _TranslationTask(NamedTuple):
     source_text: str
     source_lang: Language
     target_lang: Language
@@ -113,17 +116,21 @@ class TranslationTask:
     media: tuple[MediaAttachment, ...] = ()
     task_id: str = ""
 
-    def __post_init__(self) -> None:
+
+class TranslationTask(Checked, _TranslationTask):
+    __slots__ = ()
+
+    def _validated(self):
         if not self.source_text.strip():
             raise ConfigError("task needs non-empty source text")
         if self.source_lang is self.target_lang:
             raise ConfigError("source and target language must differ")
         if self.required_count < 1:
             raise ConfigError("required_count must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class TranslationResult:
+class TranslationResult(NamedTuple):
     task: TranslationTask
     translation: str
     achieved_count: int

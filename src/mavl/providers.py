@@ -22,11 +22,9 @@ import os
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
 from enum import Enum
 from operator import mul
-from typing import Callable, Iterable, Protocol, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, TextIO
 
 from .errors import (
     ConfigError,
@@ -39,6 +37,7 @@ from .errors import (
     TransientProviderError,
 )
 from .languages import surrogate_problem
+from .records import Checked
 
 __all__ = [
     "MediaKind",
@@ -73,8 +72,13 @@ class MediaKind(Enum):
     VIDEO = "video"
 
 
-@dataclass(frozen=True)
-class MediaAttachment:
+class _MediaAttachment(NamedTuple):
+    kind: MediaKind
+    location: str
+    time_span: tuple[float, float] | None = None
+
+
+class MediaAttachment(Checked, _MediaAttachment):
     """A pointer to an audio or video excerpt to send alongside the prompt.
 
     ``time_span`` is (start, end) in seconds within the referenced file; None
@@ -82,11 +86,9 @@ class MediaAttachment:
     provider decides how to fetch or upload them.
     """
 
-    kind: MediaKind
-    location: str
-    time_span: tuple[float, float] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _validated(self):
         if not self.location:
             raise ConfigError("media attachment needs a location")
         if self.time_span is not None:
@@ -94,32 +96,41 @@ class MediaAttachment:
             # NaN fails every comparison, so NaN and infinite spans fail too
             if not 0 <= start <= end < math.inf:
                 raise ConfigError(f"bad time span {self.time_span!r}")
+        return self
 
     def widened(self, margin: float) -> "MediaAttachment":
         """Pad the span by ``margin`` seconds on both sides (floor at zero)."""
         if self.time_span is None or margin <= 0:
             return self
         start, end = self.time_span
-        return replace(self, time_span=(max(0.0, start - margin), end + margin))
+        return self._replace(time_span=(max(0.0, start - margin), end + margin))
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class _GenerationRequest(NamedTuple):
     prompt_text: str
     media: tuple[MediaAttachment, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class GenerationRequest(Checked, _GenerationRequest):
+    __slots__ = ()
+
+    def _validated(self):
         if not self.prompt_text.strip():
             raise ConfigError("prompt_text must be non-empty")
+        return self
 
 
-@dataclass(frozen=True)
-class EmbeddingRequest:
+class _EmbeddingRequest(NamedTuple):
     texts: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+
+class EmbeddingRequest(Checked, _EmbeddingRequest):
+    __slots__ = ()
+
+    def _validated(self):
         if not self.texts:
             raise EmbeddingError("embedding request needs at least one text")
+        return self
 
 
 def request_digest(request: GenerationRequest) -> str:
@@ -792,12 +803,15 @@ def map_bounded(fn: Callable, items: Iterable, parallelism: int = 1) -> list:
     """Apply ``fn`` to each item with at most ``parallelism`` in flight.
 
     Results come back in input order.  ``parallelism=1`` degenerates to a
-    plain loop, which keeps single-threaded runs exactly reproducible.
+    plain loop, which keeps single-threaded runs exactly reproducible and
+    never loads the thread pool, nor the ``logging`` and ``queue`` it imports.
     """
     items = list(items)
     if parallelism < 1:
         raise ConfigError("parallelism must be >= 1")
     if parallelism == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(fn, items))

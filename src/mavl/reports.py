@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .dataset import LineKey, StatsReport
 from .languages import Language
@@ -28,8 +27,8 @@ __all__ = [
     "render_stats_table",
 ]
 
-@dataclass(frozen=True)
-class EvaluationRow:
+
+class EvaluationRow(NamedTuple):
     """One dataset line in one language: either scored or skipped."""
 
     key: LineKey
@@ -108,13 +107,9 @@ def rows_to_csv(rows: list[EvaluationRow], out: TextIO) -> None:
 
 def report_payload(report: CorpusReport) -> dict:
     """The report as plain JSON values; groups are keyed "<LANG>/<kind>"."""
-    return {
-        "provider": report.provider,
-        "line_count": report.line_count,
-        "error_rate": report.error_rate,
-        "groups": {f"{lang.value}/{kind.value}": asdict(stats)
-                   for (lang, kind), stats in report.groups.items()},
-    }
+    return {**report._asdict(),
+            "groups": {f"{lang.value}/{kind.value}": stats._asdict()
+                       for (lang, kind), stats in report.groups.items()}}
 
 
 def dump_json(payload) -> str:

@@ -10,11 +10,12 @@ depends on the language and the text alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ..errors import NumberRangeError
 from ..languages import Language
+from ..records import Checked
 from . import common, english, french, japanese, korean, spanish
 from .lexicon import parse_lexicon, shipped_lexicon
 from .numbers import MAX_SUPPORTED, expand_number
@@ -25,15 +26,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SyllableSegmentation:
+class _SyllableSegmentation(NamedTuple):
     units: tuple[str, ...]
     count: int
     language: Language
 
-    def __post_init__(self):
+
+class SyllableSegmentation(Checked, _SyllableSegmentation):
+    __slots__ = ()
+
+    def _validated(self):
         if self.count != len(self.units):
             raise ValueError("count must equal len(units)")
+        return self
 
 
 _DIGITS = re.compile(r"\d+")

@@ -71,6 +71,18 @@ class TestParse:
     def test_empty_document(self):
         assert parse_dataset(b"{}") == Dataset({})
 
+    def test_leading_byte_order_mark_is_skipped(self):
+        """A BOM is skipped, and a fault's byte offset still counts it."""
+        data = json.dumps(ONE_SONG_DOC).encode("utf-8")
+        assert parse_dataset(b"\xef\xbb\xbf" + data) == parse_dataset(data)
+        assert parse_dataset("\ufeff{}") == Dataset({})
+        with pytest.raises(DatasetParseError) as err:
+            parse_dataset(b"\xef\xbb\xbf{,}")
+        assert err.value.byte_offset == 4
+        with pytest.raises(DatasetParseError) as err:
+            parse_dataset(b"\xef\xbb\xbf{\xff}")
+        assert err.value.byte_offset == 4
+
     def test_missing_en_sibling(self):
         doc = {"song-1": {"ko": ONE_SONG_DOC["song-1"]["en"]}}
         with pytest.raises(DatasetValidationError) as err:

@@ -146,3 +146,54 @@ def test_http_modules_load_only_for_a_remote_call():
         "after_import": [], "text": "ok", "requests_loaded": False,
         "urllib_request_loaded": False,
     }
+
+
+# run in a fresh interpreter: importing the CLI, then four commands, noting
+# after each which of these modules are loaded
+HEAVY_MODULES = ("dataclasses", "concurrent.futures")
+_LOAD_PROBE = textwrap.dedent(f"""
+    import glob, json, sys
+    import mavl.cli
+
+    corpus, script, out = sys.argv[1:]
+    seen = {{}}
+
+    def note(name, argv=None):
+        code = [] if argv is None else [mavl.cli.main(argv)]
+        seen[name] = code + [m for m in {HEAVY_MODULES!r} if m in sys.modules]
+
+    translate = ["translate", "--dataset", corpus, "--target-lang", "KO",
+                 "--mock-script", script]
+    note("import")
+    note("translate-1", translate + ["--parallelism", "1", "--out", out + "/p1"])
+    hypotheses = glob.glob(out + "/p1/*/hypotheses.jsonl")[0]
+    note("evaluate", ["evaluate", "--dataset", corpus, "--target-lang", "KO",
+                      "--hypotheses", hypotheses, "--out", out + "/eval"])
+    note("stats", ["stats", "--dataset", corpus])
+    note("translate-2", translate + ["--parallelism", "2", "--out", out + "/p2"])
+    print(json.dumps(seen))
+""")
+
+
+def test_thread_pool_and_dataclasses_load_only_for_a_parallel_run(tmp_path):
+    """Importing the CLI loads neither ``dataclasses`` nor ``concurrent.futures``;
+    evaluate, stats and a serial translate still load neither.  A translate at
+    ``--parallelism 2`` loads the pool and writes the serial run's outputs."""
+    from test_harness import GOOD_SCRIPT, small_corpus, write_script
+
+    corpus, script = small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _LOAD_PROBE, str(corpus), str(script),
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "import": [], "translate-1": [0], "evaluate": [0], "stats": [0],
+        "translate-2": [0, "concurrent.futures"],
+    }
+    serial, parallel = (next((tmp_path / p).iterdir()) for p in ("p1", "p2"))
+    for name in ("hypotheses.jsonl", "failures.json", "results.jsonl"):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+    # both lines translated, so the comparison covers real output
+    assert len((serial / "results.jsonl").read_text(encoding="utf-8").splitlines()) == 2

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import importlib
 import json
 import math
@@ -168,7 +167,7 @@ class TestRunConfig:
         # the key and the output root do not change a run's outputs; each
         # command hashes and echoes only the other settings it reads
         unhashed = {"api_key_env", "out_dir"}
-        names = {f.name for f in dataclasses.fields(RunConfig)} - unhashed
+        names = set(RunConfig._fields) - unhashed
         reads = {
             "translate": names - {"beta"},
             "evaluate": {"dataset_path", "target_langs", "provider", "endpoint",
@@ -350,6 +349,54 @@ class TestJsonReaders:
         with pytest.raises(error) as excinfo:
             read(tmp_path, monkeypatch, text)
         assert type(excinfo.value) is error
+
+
+UTF8_BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """Each reader skips a leading UTF-8 byte-order mark and reads the rest
+    as it would without one; a byte offset still counts from the first byte.
+    ``parse_dataset``'s own test is in ``test_dataset.py``."""
+
+    def test_hypotheses(self, tmp_path, capsys):
+        corpus = small_corpus(tmp_path)
+        hyp = tmp_path / "hyp.jsonl"
+        dubbed = HypothesisSet.from_dubbed(parse_dataset(corpus.read_bytes()), [Language.KO])
+        argv = ["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                "--hypotheses", str(hyp), "--out", str(tmp_path / "runs"), "--format", "json"]
+        reports = []
+        for prefix in (b"", UTF8_BOM):
+            hyp.write_bytes(prefix + dubbed.to_jsonl().encode("utf-8"))
+            assert main(argv) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert reports[1]["groups"]["KO/dubbed"]["line_count"] == 2
+        hyp.write_bytes(UTF8_BOM + b'{"provenance": "x"}\n\xff\n')
+        assert main(argv) == 3
+        assert "not UTF-8 at byte 23" in capsys.readouterr().err
+
+    def test_mock_script(self, tmp_path, capsys):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        script.write_bytes(UTF8_BOM + script.read_bytes())
+        assert main(["translate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--mock-script", str(script), "--out", str(tmp_path / "runs")]) == 0
+        assert "translated lines: 2" in capsys.readouterr().out
+
+    def test_config_file(self, tmp_path, capsys):
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        cfg = tmp_path / "run.cfg"
+        argv = ["translate", "--dataset", str(corpus), "--config", str(cfg),
+                "--out", str(tmp_path / "runs")]
+        cfg.write_bytes(UTF8_BOM + f"provider=mock\ntarget-lang=KO\nmock-script={script}\n"
+                        .encode("utf-8"))
+        assert main(argv) == 0
+        assert "translated lines: 2" in capsys.readouterr().out
+        cfg.write_bytes(UTF8_BOM + b"provider=mock\n\xff\n")
+        assert main(argv) == 2
+        assert "in position 17" in capsys.readouterr().err
 
 
 class TestTranslate:
