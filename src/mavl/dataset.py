@@ -317,7 +317,8 @@ def _parse_line(raw, key: LineKey) -> LyricLine:
         if lang.space_delimited and not match_line(rep, text, lang):
             raise DatasetValidationError("text does not match its rep",
                                          location=loc)
-    extras = {k: v for k, v in raw.items() if k not in _LINE_KEYS}
+    extras = (_NO_EXTRAS if raw.keys() <= _LINE_KEYS
+              else {k: v for k, v in raw.items() if k not in _LINE_KEYS})
     return LyricLine(index, rep, text, span, count, extras)
 
 

@@ -283,22 +283,21 @@ class HypothesisSet:
 
     def validate_against(self, dataset: Dataset) -> None:
         for key in self.entries:
-            where = key.location()
             if key.language is Language.EN:
                 raise DatasetValidationError(
                     "EN is the source language, so an EN line is never scored",
-                    location=where,
+                    location=key.location(),
                 )
             entry = dataset.songs.get(key.song_id, {}).get(key.language)
             if entry is None:
                 raise DatasetValidationError(
                     "hypothesis key does not resolve to a dataset entry",
-                    location=where,
+                    location=key.location(),
                 )
             if _find_line(entry, key.section, key.line) is None:
                 raise DatasetValidationError(
                     "hypothesis key does not resolve to a dataset line",
-                    location=where,
+                    location=key.location(),
                 )
 
     @classmethod
@@ -770,7 +769,11 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
             failure_threshold=1.0,
         )
         translated = cmd_translate(sub)
-        report = cmd_evaluate(sub, translated.hypotheses).report
+        # a song with no entry in a line's language has nothing to score it against
+        hypotheses = HypothesisSet(translated.hypotheses.provenance, {
+            key: text for key, text in translated.hypotheses.entries.items()
+            if key.language in dataset.songs[key.song_id]})
+        report = cmd_evaluate(sub, hypotheses).report
         summaries[label] = {
             "failures": len(translated.failures),
             "report": None if report is None else report_payload(report),

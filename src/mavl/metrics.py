@@ -112,6 +112,10 @@ def _cosine(e_gt, e_pred, norm_gt: float | None, norm_pred: float | None) -> flo
     return max(-1.0, min(1.0, sum(map(mul, e_gt, e_pred)) / (norm_gt * norm_pred)))
 
 
+# every error-free score's component_errors: one mapping no one can add to
+_NO_ERRORS: Mapping[str, str] = MappingProxyType({})
+
+
 class LineScore(NamedTuple):
     """``c_ref``/``c_pred`` are None when a text could not be counted."""
 
@@ -124,7 +128,7 @@ class LineScore(NamedTuple):
     mismatch: bool | None = None
     semantic: float | None = None
     phonetic: int | None = None
-    component_errors: Mapping[str, str] = MappingProxyType({})
+    component_errors: Mapping[str, str] = _NO_ERRORS
 
 
 # What ``score_line`` takes: the reference text, the hypothesis text, their
@@ -139,23 +143,6 @@ class _Failed(NamedTuple):
     """Stands in for a count, transcription or vector that could not be made."""
 
     message: str
-
-
-def _first_failure(*values) -> str | None:
-    return next((v.message for v in values if isinstance(v, _Failed)), None)
-
-
-def _component(errors: dict[str, str], name: str, compute: Callable, *inputs):
-    """``compute(*inputs)``, or None with ``errors[name]`` saying why not."""
-    failure = _first_failure(*inputs)
-    if failure is not None:
-        errors[name] = failure
-        return None
-    try:
-        return compute(*inputs)
-    except Exception as exc:
-        errors[name] = str(exc)
-        return None
 
 
 def _count(lang: Language, text: str) -> int | _Failed:
@@ -237,27 +224,44 @@ class LineScorer:
             return dict.fromkeys(batch, (_Failed(str(exc)), None))
         return {text: (v, _norm(v)) for text, v in zip(batch, vectors)}
 
-    def _syllabic(self, c_ref: int, c_pred: int) -> tuple[float, float, bool]:
-        return (syllable_error(c_ref, c_pred, self.params),
-                syllable_count_distance(c_ref, c_pred), c_ref != c_pred)
-
     def _score(self, ref: tuple, hyp: tuple, ref_vector: tuple, hyp_vector: tuple,
                language: Language, reference_kind: ReferenceKind) -> LineScore:
+        """Each component, or why not: an input that could not be made, the
+        reference's first, else what computing it raised."""
         (c_ref, ipa_ref), (c_pred, ipa_hyp) = ref, hyp
         (v_ref, norm_ref), (v_hyp, norm_hyp) = ref_vector, hyp_vector
         errors: dict[str, str] = {}
-        se, scd, mismatch = _component(errors, SYLLABIC, self._syllabic,
-                                       c_ref, c_pred) or (None, None, None)
+        se = scd = mismatch = semantic = phonetic = None
         # one uncountable text leaves the other count set
-        c_ref, c_pred = (None if isinstance(c, _Failed) else c for c in (c_ref, c_pred))
-        semantic = _component(errors, SEMANTIC, _cosine, v_ref, v_hyp, norm_ref, norm_hyp)
-        phonetic = _component(errors, PHONETIC, phonetics.edit_distance,
-                              ipa_ref, ipa_hyp)
-        return LineScore(c_ref=c_ref, c_pred=c_pred,
-                         reference_kind=reference_kind, language=language,
-                         se=se, scd=scd, mismatch=mismatch,
-                         semantic=semantic, phonetic=phonetic,
-                         component_errors=errors)
+        if type(c_ref) is _Failed:
+            errors[SYLLABIC], c_ref = c_ref.message, None
+            if type(c_pred) is _Failed:
+                c_pred = None
+        elif type(c_pred) is _Failed:
+            errors[SYLLABIC], c_pred = c_pred.message, None
+        else:
+            try:
+                se, scd, mismatch = (syllable_error(c_ref, c_pred, self.params),
+                                     syllable_count_distance(c_ref, c_pred),
+                                     c_ref != c_pred)
+            except Exception as exc:
+                errors[SYLLABIC] = str(exc)
+        if type(v_ref) is _Failed or type(v_hyp) is _Failed:
+            errors[SEMANTIC] = (v_ref if type(v_ref) is _Failed else v_hyp).message
+        else:
+            try:
+                semantic = _cosine(v_ref, v_hyp, norm_ref, norm_hyp)
+            except Exception as exc:
+                errors[SEMANTIC] = str(exc)
+        if type(ipa_ref) is _Failed or type(ipa_hyp) is _Failed:
+            errors[PHONETIC] = (ipa_ref if type(ipa_ref) is _Failed else ipa_hyp).message
+        else:
+            try:
+                phonetic = phonetics.edit_distance(ipa_ref, ipa_hyp)
+            except Exception as exc:
+                errors[PHONETIC] = str(exc)
+        return LineScore(c_ref, c_pred, reference_kind, language, se, scd, mismatch,
+                         semantic, phonetic, errors or _NO_ERRORS)
 
 
 class GroupStats(NamedTuple):

@@ -33,9 +33,9 @@ class IpaString:
     __slots__ = ("symbols", "dropped")
 
     def __init__(self, symbols: tuple[str, ...], dropped: int = 0):
-        for sym in symbols:
-            if not sym or sym.isspace():
-                raise ValueError(f"bad IPA symbol {sym!r}")
+        if not all(symbols) or any(map(str.isspace, symbols)):
+            bad = next(sym for sym in symbols if not sym or sym.isspace())
+            raise ValueError(f"bad IPA symbol {bad!r}")
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "dropped", dropped)
 
@@ -207,14 +207,17 @@ def edit_distance(a: IpaString, b: IpaString) -> int:
     if not ys:
         return len(xs)
     peq: dict[str, int] = {}
-    for i, x in enumerate(xs):
-        peq[x] = peq.get(x, 0) | (1 << i)
-    mask = (1 << len(xs)) - 1
-    last = 1 << (len(xs) - 1)
+    get = peq.get
+    bit = 1
+    for x in xs:
+        peq[x] = get(x, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
     # vertical deltas +1 (pv) and -1 (mv) down the column; dist is its last cell
     pv, mv, dist = mask, 0, len(xs)
     for y in ys:
-        eq = peq.get(y, 0)
+        eq = get(y, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)

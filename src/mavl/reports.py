@@ -57,10 +57,13 @@ def _fmt(value) -> str:
 _SCORE_FIELDS = ["c_ref", "c_pred", "se", "scd", "mismatch", "semantic", "phonetic"]
 
 
-def _score_cells(score: LineScore | None) -> list[str]:
+def _score_block(score: LineScore | None) -> list[str]:
+    """The cells of one reference block after its text: the score's
+    fields, then its errors."""
     if score is None:
-        return [""] * len(_SCORE_FIELDS)
-    return [_fmt(getattr(score, name)) for name in _SCORE_FIELDS]
+        return [""] * (len(_SCORE_FIELDS) + 1)
+    return [_fmt(getattr(score, name)) for name in _SCORE_FIELDS] + ["|".join(
+        f"{name}: {msg}" for name, msg in sorted(score.component_errors.items()))]
 
 
 CSV_HEADER = (
@@ -74,35 +77,27 @@ CSV_HEADER = (
 )
 
 
-def _errors_cell(score: LineScore | None) -> str:
-    if score is None:
-        return ""
-    return "|".join(
-        f"{name}: {msg}" for name, msg in sorted(score.component_errors.items())
-    )
-
-
 def rows_to_csv(rows: list[EvaluationRow], out: TextIO) -> None:
     """Write one CSV row per dataset line to ``out``, both reference blocks
     side by side."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
+    # a repeated pair shares one LineScore, so each distinct one is formatted
+    # once per (song, language); rows hold their scores, so no id is reused
+    group, blocks = None, {}
     for row in sorted(rows, key=lambda row: row.key.order()):
-        writer.writerow(
-            [
-                # the key's four columns, in the order the rows sort by
-                *row.key.order(),
-                row.status,
-                row.skip_reason or "",
-                row.hypothesis or "",
-                row.original_reference or "",
-            ]
-            + _score_cells(row.original_score)
-            + [_errors_cell(row.original_score)]
-            + [row.dubbed_reference or ""]
-            + _score_cells(row.dubbed_score)
-            + [_errors_cell(row.dubbed_score)]
-        )
+        order = row.key.order()
+        if order[:2] != group:
+            group, blocks = order[:2], {}
+        original, dubbed = (
+            blocks.get(id(score)) or blocks.setdefault(id(score), _score_block(score))
+            for score in (row.original_score, row.dubbed_score))
+        writer.writerow([
+            # the key's four columns, in the order the rows sort by
+            *order, row.status, row.skip_reason or "", row.hypothesis or "",
+            row.original_reference or "", *original,
+            row.dubbed_reference or "", *dubbed,
+        ])
 
 
 def report_payload(report: CorpusReport) -> dict:

@@ -77,22 +77,26 @@ def _spell_digits(lang: Language, digits: str) -> str:
 
 
 def count_syllables(lang: Language, text: str) -> int:
-    return segment(lang, text).count
+    return len(_units(lang, text))
 
 
 def segment(lang: Language, text: str) -> SyllableSegmentation:
+    units = tuple(_units(lang, text))
+    return SyllableSegmentation(units, len(units), lang)
+
+
+def _units(lang: Language, text: str) -> list[str]:
     prepared = normalize(lang, text)
     if lang is Language.KO:
-        units = korean.segment(prepared)
-    elif lang is Language.JA:
-        units = japanese.segment(prepared)
-    else:
-        units = []
-        for token in prepared.split():
-            core = common.word_core(token)
-            if core:
-                units.extend(_latin_word_units(lang, core))
-    return SyllableSegmentation(tuple(units), len(units), lang)
+        return korean.segment(prepared)
+    if lang is Language.JA:
+        return japanese.segment(prepared)
+    units: list[str] = []
+    for token in prepared.split():
+        core = common.word_core(token)
+        if core:
+            units.extend(_latin_word_units(lang, core))
+    return units
 
 
 # A lyric corpus reuses a small vocabulary, so the units of the last

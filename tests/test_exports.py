@@ -80,6 +80,35 @@ def test_bench_tracer_hooks_resolve(monkeypatch):
     assert mavl.harness.translate_line is original
 
 
+# spans that a small evaluate and a small mock translate must each reach
+REACHED_SPANS = ("syllables.count", "phonetics.transcribe", "phonetics.edit_distance",
+                 "reports.render", "providers.trace_append")
+
+
+def test_bench_hooks_are_reached(monkeypatch, tmp_path):
+    """A hooked name that the program no longer calls through reads 0 in the
+    per-layer metrics, silently; run both commands under the tracer."""
+    from mavl.cli import main
+    from test_harness import GOOD_SCRIPT, small_corpus, write_script
+
+    corpus, script = small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT)
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    tracer = importlib.import_module("spans").Tracer("tier-1")
+    tracer.install()
+    try:
+        assert main(["translate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--mock-script", str(script), "--out", str(tmp_path / "t")]) == 0
+        hypotheses = next((tmp_path / "t").glob("*/hypotheses.jsonl"))
+        assert main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--hypotheses", str(hypotheses), "--out", str(tmp_path / "e")]) == 0
+    finally:
+        tracer.uninstall()
+    calls = {name: sum(1 for span in tracer.spans if span[1] == name)
+             for name in REACHED_SPANS}
+    assert all(calls.values()), calls
+
+
 def test_bench_corpora_parse_and_round_trip():
     """The benchmark's seed-3 inputs still parse, serialize back to the same
     bytes, and the eval hypotheses resolve against their corpus; a parser

@@ -1123,6 +1123,42 @@ class TestAblate:
         for label in STAGE_LABELS:
             assert f"{label}: no scored lines" in outcome.table.splitlines()
 
+    def test_corpus_without_the_target_language(self, tmp_path):
+        # every case translates both EN lines, and no song has a KO entry
+        corpus = write_corpus(tmp_path, {"alpha": {Language.EN: [[
+            "And there's a butterfly", "Remember me, don't let it make you cry"]]}})
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        config = base_config(corpus, script, tmp_path / "runs")
+        outcome = cmd_ablate(config, grid="stages")
+        assert outcome.summaries == {
+            label: {"failures": 0, "report": None} for label in STAGE_LABELS
+        }
+        for label in STAGE_LABELS:
+            assert f"{label}: no scored lines" in outcome.table.splitlines()
+        comparison = json.loads(
+            (outcome.run_dir / "comparison.json").read_text(encoding="utf-8"))
+        assert comparison == outcome.summaries
+        for translated in outcome.run_dir.glob("translate-*"):
+            hypotheses = (translated / "hypotheses.jsonl").read_text(encoding="utf-8")
+            assert len(hypotheses.splitlines()) == 3
+
+    def test_only_songs_with_a_target_entry_are_scored(self, tmp_path):
+        corpus = write_corpus(tmp_path, {
+            "alpha": {Language.EN: [["And there's a butterfly",
+                                     "Remember me, don't let it make you cry"]],
+                      Language.KO: [["나비가 날아와", "날 잊지 마 슬퍼하지는 마"]]},
+            "beta": {Language.EN: [["Three months of winter coolness"]]},
+        })
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        config = base_config(corpus, script, tmp_path / "runs")
+        outcome = cmd_ablate(config, grid="stages")
+        for summary in outcome.summaries.values():
+            assert summary["failures"] == 0
+            assert group_line_counts(summary) == {"KO/original_en": 2, "KO/dubbed": 2}
+        for evaluated in outcome.run_dir.glob("evaluate-*"):
+            rows = (evaluated / "scores.csv").read_text(encoding="utf-8").splitlines()
+            assert [row.split(",")[0] for row in rows[1:]] == ["alpha", "alpha"]
+
     def test_stage_grid_rejects_direct_variant(self, tmp_path):
         corpus = small_corpus(tmp_path)
         script = write_script(tmp_path, GOOD_SCRIPT)
@@ -1542,6 +1578,19 @@ class TestCli:
                      "--hypotheses", str(hyp), "--out", str(tmp_path / "runs")])
         assert code == 3
         assert "does not resolve to a dataset line" in capsys.readouterr().err
+
+    def test_hypothesis_of_a_song_without_that_language_exits_3(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, {"alpha": {Language.EN: [["And there's a butterfly"]]}})
+        record = {"song_id": "alpha", "language": "KO", "section": 0, "line": 0,
+                  "text": "나비가 날아와"}
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"provenance": "x"}\n' + json.dumps(record) + "\n",
+                       encoding="utf-8")
+        code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--hypotheses", str(hyp), "--out", str(tmp_path / "runs")])
+        assert code == 3
+        assert ("alpha/ko/section[0]/line[0]: hypothesis key does not resolve to a "
+                "dataset entry" in capsys.readouterr().err)
 
     def test_en_hypothesis_exits_3_before_the_run_directory(self, tmp_path, capsys):
         # evaluate scores no EN line, so an EN record would vanish unscored

@@ -163,6 +163,15 @@ class TestScoreLine:
         assert score.phonetic == 0
         assert score.component_errors == {}
 
+    def test_error_free_scores_share_one_read_only_mapping(self):
+        scorer = LineScorer(embedder=fake_embedder)
+        a, b = (scorer.score_line(text, text, Language.EN, Language.EN,
+                                  ReferenceKind.DUBBED) for text in ("hello", "world"))
+        assert (a.component_errors is b.component_errors
+                is LineScore._field_defaults["component_errors"])
+        with pytest.raises(TypeError):
+            a.component_errors[SEMANTIC] = "changed"
+
     def test_butterfly_cross_language(self):
         scorer = LineScorer()
         score = scorer.score_line("And there's a butterfly", "나비가 날아와",
@@ -378,6 +387,109 @@ class TestSemanticMatchesCosine:
             "value", "dimension mismatch", "empty vectors",
             "embedding has a non-finite component", "zero vector has no direction",
         }
+
+
+# texts the failure table's embedder gives a fixed vector; every other text
+# gets fake_embedder's
+TABLE_VECTORS = {"nan vector": [math.nan, 1.0], "zero vector": [0.0, 0.0],
+                 "huge vector": [1e200, 3e200], "three dims": [1.0, 2.0, 3.0],
+                 "no dims": []}
+UNTRANSCRIBABLE = ("cannot transcribe", "nor this one")
+
+
+def table_embedder(texts):
+    return [TABLE_VECTORS[t] if t in TABLE_VECTORS else fake_embedder([t])[0]
+            for t in texts]
+
+
+def failing_embedder(texts):
+    raise EmbeddingError("endpoint down")
+
+
+def short_embedder(texts):
+    return fake_embedder(texts)[:1]
+
+
+SE, SC, PH = SYLLABIC, SEMANTIC, "phonetic"
+SEVEN_DIGITS = "7-digit number exceeds supported range 999999"
+EN, KO = Language.EN, Language.KO
+# id, reference, hypothesis, their languages, embedder; then the expected
+# counts, (se, scd, mismatch, semantic, phonetic) and component_errors
+FAILURE_TABLE = [
+    ("scored", "And there's a butterfly", "Remember me", EN, EN, table_embedder,
+     (6, 4), (2.0, 0.41666666666666663, True, 1.0, 13), {}),
+    ("hypothesis-uncountable", "나비가 날아와", "나비 1000000", KO, KO, table_embedder,
+     (6, None), (None, None, None, 0.9994323735785592, 8), {SE: SEVEN_DIGITS}),
+    ("reference-uncountable", "나비 1000000", "나비가 날아와", KO, KO, table_embedder,
+     (None, 6), (None, None, None, 0.9994323735785592, 8), {SE: SEVEN_DIGITS}),
+    # the hypothesis's error would say 8-digit: the reference's is kept
+    ("both-uncountable", "나비 1000000", "나비 20000000", KO, KO, table_embedder,
+     (None, None), (None, None, None, 0.9999717350442995, 0), {SE: SEVEN_DIGITS}),
+    # SE takes a zero hypothesis count, SCD does not: no syllabic value is kept
+    ("hypothesis-without-syllables", "나비가 날아와", "!!!", KO, KO, table_embedder,
+     (6, 0), (None, None, None, 0.9927337820337083, 12),
+     {SE: "syllable counts must be >= 1"}),
+    ("reference-without-syllables", "!!!", "나비가 날아와", KO, KO, table_embedder,
+     (0, 6), (None, None, None, 0.9927337820337083, 12),
+     {SE: "reference syllable count must be >= 1"}),
+    ("hypothesis-untranscribable", "Remember me", "cannot transcribe", EN, EN,
+     table_embedder, (4, 4), (0.0, 0.0, False, 0.996639273541688, None),
+     {PH: "no rule for 'cannot transcribe'"}),
+    ("both-untranscribable", "nor this one", "cannot transcribe", EN, EN, table_embedder,
+     (3, 4), (2.0, 0.29166666666666663, True, 0.9960973129748615, None),
+     {PH: "no rule for 'nor this one'"}),
+    ("no-embedder", "Remember me", "And there's a butterfly", EN, EN, None,
+     (4, 6), (4.0, 0.41666666666666663, True, None, 13),
+     {SC: "no embedding provider configured"}),
+    ("embedder-raises", "Remember me", "And there's a butterfly", EN, EN,
+     failing_embedder, (4, 6), (4.0, 0.41666666666666663, True, None, 13),
+     {SC: "endpoint down"}),
+    ("embedder-short", "Remember me", "And there's a butterfly", EN, EN, short_embedder,
+     (4, 6), (4.0, 0.41666666666666663, True, None, 13),
+     {SC: "embedder returned wrong vector count"}),
+    ("non-finite-vector", "Remember me", "nan vector", EN, EN, table_embedder,
+     (4, 3), (1.0, 0.29166666666666663, True, None, 9),
+     {SC: "embedding has a non-finite component"}),
+    ("zero-vector", "zero vector", "Remember me", EN, EN, table_embedder,
+     (4, 4), (0.0, 0.0, False, None, 9), {SC: "zero vector has no direction"}),
+    # the sum of squares overflows, so the norm is None, yet the cosine exists
+    ("huge-vector", "Remember me", "huge vector", EN, EN, table_embedder,
+     (4, 3), (1.0, 0.29166666666666663, True, 0.3939192985791677, 9), {}),
+    ("dimension-mismatch", "Remember me", "three dims", EN, EN, table_embedder,
+     (4, 2), (2.0, 0.75, True, None, 9), {SC: "dimension mismatch: 2 vs 3"}),
+    ("empty-vectors", "no dims", "no dims", EN, EN, table_embedder,
+     (2, 2), (0.0, 0.0, False, None, 0), {SC: "empty vectors"}),
+    ("every-component-fails", "나비 1000000", "cannot transcribe", KO, EN,
+     failing_embedder, (None, 4), (None, None, None, None, None),
+     {SE: SEVEN_DIGITS, SC: "endpoint down", PH: "no rule for 'cannot transcribe'"}),
+]
+
+
+class TestFailureTable:
+    """Every field of a score, and every error message, where a count, a
+    transcription or a vector cannot be made or cannot be compared."""
+
+    @pytest.mark.parametrize(
+        "gt, pred, lang_gt, lang_pred, embedder, counts, values, errors",
+        [case[1:] for case in FAILURE_TABLE], ids=[case[0] for case in FAILURE_TABLE])
+    def test_score(self, monkeypatch, gt, pred, lang_gt, lang_pred, embedder,
+                   counts, values, errors):
+        transcribe = phonetics.transcribe
+
+        def failing_transcribe(lang, text):
+            if text in UNTRANSCRIBABLE:
+                raise ValueError(f"no rule for {text!r}")
+            return transcribe(lang, text)
+
+        monkeypatch.setattr(phonetics, "transcribe", failing_transcribe)
+        scorer = LineScorer(embedder=embedder)
+        score = scorer.score_line(gt, pred, lang_gt, lang_pred, ReferenceKind.DUBBED)
+        assert score == LineScore(*counts, ReferenceKind.DUBBED, lang_pred, *values, errors)
+        assert dict(score.component_errors) == errors
+        # a repeat of the pair within one call is the same score
+        first, again = scorer.score_pairs([(gt, pred, lang_gt, lang_pred,
+                                            ReferenceKind.DUBBED)] * 2)
+        assert first is again and first == score
 
 
 def mk(c_ref, c_pred, lang=Language.KO, kind=ReferenceKind.ORIGINAL_EN, **extra):
