@@ -377,8 +377,7 @@ def load_mock_script(path: str) -> ScriptedProvider:
         if not isinstance(keyed, dict):
             raise ConfigError('mock script "keyed" member must be an object')
         for key, turns in keyed.items():
-            where = f'"keyed" queue {json.dumps(key, ensure_ascii=False)}'
-            script[key] = _script_turns(turns, where)
+            script[key] = _script_turns(turns, '"keyed" queue', key)
         if "sequence" in raw:
             script[None] = _script_turns(raw["sequence"], '"sequence"')
     else:
@@ -388,15 +387,18 @@ def load_mock_script(path: str) -> ScriptedProvider:
     return ScriptedProvider(script)
 
 
-def _script_turns(turns: object, where: str) -> list[str]:
-    """A mock-script queue, checked: an array of strings."""
+def _script_turns(turns: object, where: str, key: str | None = None) -> list[str]:
+    """A mock-script queue, checked: an array of strings.  A keyed queue's
+    ``key`` is formatted into ``where`` only for an error."""
+    if isinstance(turns, list) and all(isinstance(turn, str) for turn in turns):
+        return turns
+    if key is not None:
+        where = f"{where} {json.dumps(key, ensure_ascii=False)}"
     if not isinstance(turns, list):
         raise ConfigError(f"mock script {where} must be an array")
-    for n, turn in enumerate(turns):
-        if not isinstance(turn, str):
-            shown = json.dumps(turn, ensure_ascii=False)
-            raise ConfigError(f"mock script {where}, turn {n}: expected a string, got {shown}")
-    return turns
+    n, turn = next((n, turn) for n, turn in enumerate(turns) if not isinstance(turn, str))
+    shown = json.dumps(turn, ensure_ascii=False)
+    raise ConfigError(f"mock script {where}, turn {n}: expected a string, got {shown}")
 
 
 def _remote_provider(config: RunConfig) -> RemoteProvider:
@@ -769,10 +771,12 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
             failure_threshold=1.0,
         )
         translated = cmd_translate(sub)
-        # a song with no entry in a line's language has nothing to score it against
+        # a line with no counterpart in its language's entry, or a song with
+        # no entry in that language, has nothing to score it against
         hypotheses = HypothesisSet(translated.hypotheses.provenance, {
             key: text for key, text in translated.hypotheses.entries.items()
-            if key.language in dataset.songs[key.song_id]})
+            if (entry := dataset.songs[key.song_id].get(key.language)) is not None
+            and _find_line(entry, key.section, key.line) is not None})
         report = cmd_evaluate(sub, hypotheses).report
         summaries[label] = {
             "failures": len(translated.failures),

@@ -115,7 +115,8 @@ class GenerationRequest(Checked, _GenerationRequest):
     __slots__ = ()
 
     def _validated(self):
-        if not self.prompt_text.strip():
+        # the test of ``not s.strip()``, without copying the prompt
+        if not self.prompt_text or self.prompt_text.isspace():
             raise ConfigError("prompt_text must be non-empty")
         return self
 
@@ -133,17 +134,24 @@ class EmbeddingRequest(Checked, _EmbeddingRequest):
         return self
 
 
+# the hash state after the media line of a request without media
+_NO_MEDIA = hashlib.sha256(b"[]\n")
+
+
 def request_digest(request: GenerationRequest) -> str:
     """Stable short fingerprint of a request, for trace correlation.
 
     Hashes the media as one JSON line, then the prompt's UTF-8 bytes: JSON
     escapes newlines, so the first one ends the media.
     """
-    media = json.dumps([
-        [m.kind.value, m.location, list(m.time_span) if m.time_span else None]
-        for m in request.media
-    ])
-    digest = hashlib.sha256(f"{media}\n".encode("utf-8"))
+    if request.media:
+        media = json.dumps([
+            [m.kind.value, m.location, list(m.time_span) if m.time_span else None]
+            for m in request.media
+        ])
+        digest = hashlib.sha256(f"{media}\n".encode("utf-8"))
+    else:
+        digest = _NO_MEDIA.copy()
     digest.update(request.prompt_text.encode("utf-8"))
     return digest.hexdigest()[:16]
 
@@ -461,6 +469,9 @@ def _check_status(status: int, location: str | None = None) -> None:
 _MAX_HEAD = 65536
 _RECV = 65536  # bytes asked of each recv
 _STATUS_LINE = re.compile(rb"HTTP/(\d\.\d) ([1-9]\d\d)(?: .*)?")
+# the line break before the line that ends a head: a line that is empty once
+# its trailing CRs are stripped
+_HEAD_END = re.compile(rb"\n\r*\n")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 # what may not appear in a request target or Host (as http.client rejects),
 # and in a header value: controls, and anything past Latin-1
@@ -516,16 +527,36 @@ class _Reply:
 
     def head(self) -> tuple[bytes, int, dict[str, str]]:
         """HTTP version, status and headers (lower-case names, first of
-        each) of one reply."""
+        each) of one reply.
+
+        The status line is read and checked first; the header lines are
+        then found in one search for the line that ends the head, and split
+        once.  The limits are those of reading line by line: no unfinished
+        line over ``_MAX_HEAD`` bytes, and no header line ending further
+        than that past the start of the status line.
+        """
         start = self.pos
         status_line = self.line()
         found = _STATUS_LINE.fullmatch(status_line)
         if found is None:
             raise TransientProviderError(f"malformed status line {status_line[:80]!r}")
-        headers: dict[str, str] = {}
-        while line := self.line():
-            if self.pos - start > _MAX_HEAD:
+        fields = self.pos
+        last = fields - 1  # the line break of the last complete line
+        while (end := _HEAD_END.search(self.buf, last)) is None:
+            last = self.buf.rfind(b"\n", last)
+            if last >= fields and last + 1 - start > _MAX_HEAD:
                 raise TransientProviderError(f"reply header section over {_MAX_HEAD} bytes")
+            if len(self.buf) - last - 1 > _MAX_HEAD:
+                raise TransientProviderError(f"reply line over {_MAX_HEAD} bytes")
+            if not self._fill():
+                raise TransientProviderError("connection closed mid-line of the reply")
+        last = end.start()
+        if last >= fields and last + 1 - start > _MAX_HEAD:
+            raise TransientProviderError(f"reply header section over {_MAX_HEAD} bytes")
+        self.pos = end.end()
+        headers: dict[str, str] = {}
+        # strip() drops a line's trailing CRs with the value's blanks
+        for line in self.buf[fields:last].split(b"\n"):
             name, colon, value = line.partition(b":")
             if colon:
                 headers.setdefault(
@@ -627,24 +658,14 @@ class _IdlePool:
             sock.close()
 
 
-def _http_post(
-    url: str, payload: dict, headers: dict, timeout: float, tls: Callable, idle: _IdlePool
-) -> tuple[int, dict[str, str], bytes]:
-    """POST ``payload`` as JSON: the reply's status, headers and body.
+@functools.lru_cache(maxsize=32)
+def _route(url: str) -> tuple[bool, str, int, bytes]:
+    """Whether ``url`` is ``https``, its host and port, and the head of a
+    request to it up to the value of ``Content-Length``.
 
-    HTTP/1.1; head and body go in one send, with ``TCP_NODELAY``.  The
-    request goes on an idle connection from ``idle`` if one is fit, else on
-    a new one, and the connection goes back to ``idle`` if the reply lets
-    it be reused (see ``_Reply.read``).  Reuse needs ``TCP_QUICKACK`` (see
-    ``_Reply``); where ``socket`` lacks it, each request opens its own
-    connection and sends ``Connection: close``.  An ``https://`` URL is
-    wrapped in the context that ``tls()`` returns.  No proxy is used and no
-    redirect followed.  A timeout, a socket or TLS failure and a reply cut
-    short or garbled raise, also on a kept connection that the server
-    closed meanwhile: the retry schedule sends again.  ``socket`` and
-    ``select`` load here, so offline runs never import them.
+    Checked and formatted once per URL; a bad URL raises on every call,
+    since ``lru_cache`` keeps no exception.
     """
-    import socket
     from urllib.parse import urlsplit
 
     try:
@@ -660,6 +681,35 @@ def _http_post(
         or _BAD_URL.search(target + authority)
     ):
         raise ProviderError(f"bad endpoint URL {url!r}")
+    head = (
+        f"POST {target} HTTP/1.1\r\nHost: {authority}\r\n"
+        "Content-Type: application/json\r\nContent-Length: "
+    )
+    return parts.scheme == "https", parts.hostname, port, head.encode("latin-1")
+
+
+def _http_post(
+    url: str, payload: dict, headers: dict, timeout: float, tls: Callable, idle: _IdlePool
+) -> tuple[int, dict[str, str], bytes]:
+    """POST ``payload`` as JSON: the reply's status, headers and body.
+
+    HTTP/1.1; head and body go in one send, with ``TCP_NODELAY``.  The URL
+    is checked and the fixed part of the head formatted once per URL (see
+    ``_route``); ``headers`` are checked on every request.  The request goes
+    on an idle connection from ``idle`` if one is fit, else on a new one,
+    and the connection goes back to ``idle`` if the reply lets it be reused
+    (see ``_Reply.read``).  Reuse needs ``TCP_QUICKACK`` (see ``_Reply``);
+    where ``socket`` lacks it, each request opens its own connection and
+    sends ``Connection: close``.  An ``https://`` URL is wrapped in the
+    context that ``tls()`` returns.  No proxy is used and no redirect
+    followed.  A timeout, a socket or TLS failure and a reply cut short or
+    garbled raise, also on a kept connection that the server closed
+    meanwhile: the retry schedule sends again.  ``socket`` and ``select``
+    load here, so offline runs never import them.
+    """
+    import socket
+
+    https, host, port, head = _route(url)
     for name, value in headers.items():
         if _BAD_VALUE.search(value):
             # the value is the API key: name it, never echo it
@@ -668,24 +718,19 @@ def _http_post(
     if hasattr(socket, "TCP_QUICKACK"):
         quickack = (socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
-    head = "".join(
-        [
-            f"POST {target} HTTP/1.1\r\nHost: {authority}\r\n",
-            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n",
-            *(f"{name}: {value}\r\n" for name, value in headers.items()),
-            "\r\n" if quickack else "Connection: close\r\n\r\n",
-        ]
-    ).encode("latin-1")
+    fields = "".join([f"{name}: {value}\r\n" for name, value in headers.items()])
+    end = b"\r\n" if quickack else b"Connection: close\r\n\r\n"
+    request = b"".join([head, b"%d\r\n" % len(body), fields.encode("latin-1"), end, body])
     sock = None
     try:
         if quickack:
             sock = idle.take()
         if sock is None:
-            sock = socket.create_connection((parts.hostname, port), timeout)
+            sock = socket.create_connection((host, port), timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if parts.scheme == "https":
-                sock = tls().wrap_socket(sock, server_hostname=parts.hostname)
-        sock.sendall(head + body)
+            if https:
+                sock = tls().wrap_socket(sock, server_hostname=host)
+        sock.sendall(request)
         status, reply_headers, reply_body, reusable = _Reply(sock, quickack).read()
         if quickack and reusable:
             idle.give(sock)
@@ -803,15 +848,53 @@ def map_bounded(fn: Callable, items: Iterable, parallelism: int = 1) -> list:
     """Apply ``fn`` to each item with at most ``parallelism`` in flight.
 
     Results come back in input order.  ``parallelism=1`` degenerates to a
-    plain loop, which keeps single-threaded runs exactly reproducible and
-    never loads the thread pool, nor the ``logging`` and ``queue`` it imports.
+    plain loop, which keeps single-threaded runs exactly reproducible.
+    Above 1, ``min(parallelism, len(items))`` plain threads each take the
+    next item in input order.  Once an item raises, no further item starts;
+    the running ones finish, and the failure of the lowest input index is
+    raised.  An exception in the caller while it waits, such as
+    ``KeyboardInterrupt``, also stops new items, waits for the running ones
+    and propagates.  No thread outlives the call.
     """
     items = list(items)
     if parallelism < 1:
         raise ConfigError("parallelism must be >= 1")
     if parallelism == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
+    results: list = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    taken = 0  # items started; set to len(items) to start no more
 
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, items))
+    def work() -> None:
+        nonlocal taken
+        while True:
+            with lock:
+                i = taken
+                if i >= len(items):
+                    return
+                taken = i + 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised in the caller below
+                with lock:
+                    failures[i] = exc
+                    taken = len(items)
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(min(parallelism, len(items)))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        with lock:
+            taken = len(items)
+        for thread in threads:
+            if thread.is_alive():  # join() raises for a thread never started
+                thread.join()
+        raise
+    if failures:
+        raise failures[min(failures)]
+    return results

@@ -179,7 +179,7 @@ def test_http_modules_load_only_for_a_remote_call():
 
 # run in a fresh interpreter: importing the CLI, then four commands, noting
 # after each which of these modules are loaded
-HEAVY_MODULES = ("dataclasses", "concurrent.futures")
+HEAVY_MODULES = ("dataclasses", "concurrent.futures", "logging")
 _LOAD_PROBE = textwrap.dedent(f"""
     import glob, json, sys
     import mavl.cli
@@ -204,10 +204,10 @@ _LOAD_PROBE = textwrap.dedent(f"""
 """)
 
 
-def test_thread_pool_and_dataclasses_load_only_for_a_parallel_run(tmp_path):
-    """Importing the CLI loads neither ``dataclasses`` nor ``concurrent.futures``;
-    evaluate, stats and a serial translate still load neither.  A translate at
-    ``--parallelism 2`` loads the pool and writes the serial run's outputs."""
+def test_no_thread_pool_dataclasses_or_logging_load(tmp_path):
+    """Neither importing the CLI nor evaluate, stats or a translate, serial or
+    at ``--parallelism 2``, loads ``dataclasses``, ``concurrent.futures`` or
+    ``logging``.  The parallel translate writes the serial run's outputs."""
     from test_harness import GOOD_SCRIPT, small_corpus, write_script
 
     corpus, script = small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT)
@@ -219,7 +219,7 @@ def test_thread_pool_and_dataclasses_load_only_for_a_parallel_run(tmp_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {
         "import": [], "translate-1": [0], "evaluate": [0], "stats": [0],
-        "translate-2": [0, "concurrent.futures"],
+        "translate-2": [0],
     }
     serial, parallel = (next((tmp_path / p).iterdir()) for p in ("p1", "p2"))
     for name in ("hypotheses.jsonl", "failures.json", "results.jsonl"):

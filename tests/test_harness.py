@@ -1159,6 +1159,25 @@ class TestAblate:
             rows = (evaluated / "scores.csv").read_text(encoding="utf-8").splitlines()
             assert [row.split(",")[0] for row in rows[1:]] == ["alpha", "alpha"]
 
+    def test_target_entry_shorter_than_the_en_entry(self, tmp_path):
+        # the second EN line has no KO counterpart, so only the first is scored
+        corpus = write_corpus(tmp_path, {"alpha": {
+            Language.EN: [["And there's a butterfly", "Remember me, don't let it make you cry"]],
+            Language.KO: [["나비가 날아와"]],
+        }})
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        config = base_config(corpus, script, tmp_path / "runs")
+        outcome = cmd_ablate(config, grid="stages")
+        assert set(outcome.summaries) == STAGE_LABELS
+        for summary in outcome.summaries.values():
+            assert group_line_counts(summary) == {"KO/original_en": 1, "KO/dubbed": 1}
+        comparison = json.loads(
+            (outcome.run_dir / "comparison.json").read_text(encoding="utf-8"))
+        assert comparison == outcome.summaries
+        for translated in outcome.run_dir.glob("translate-*"):
+            hypotheses = (translated / "hypotheses.jsonl").read_text(encoding="utf-8")
+            assert '"line": 1' in hypotheses
+
     def test_stage_grid_rejects_direct_variant(self, tmp_path):
         corpus = small_corpus(tmp_path)
         script = write_script(tmp_path, GOOD_SCRIPT)

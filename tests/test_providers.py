@@ -13,7 +13,7 @@ from operator import mul
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from loopback import Loopback, raw, reply
 
@@ -69,6 +69,23 @@ class TestConfigs:
     def test_empty_prompt_rejected(self):
         with pytest.raises(ConfigError):
             GenerationRequest(prompt_text="   ")
+
+    @given(st.text(alphabet=st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680"
+                                            "\u2028\u2029\u3000\u200bax"), max_size=6)
+           | st.text(max_size=6))
+    @example("")
+    @example("\x85")
+    @example("\u2028")
+    @example("\u3000")
+    @example("\u200b")
+    def test_blank_prompt_is_what_strip_leaves_empty(self, prompt):
+        try:
+            GenerationRequest(prompt)
+        except ConfigError:
+            rejected = True
+        else:
+            rejected = False
+        assert rejected == (not prompt.strip())
 
     def test_media_span_validation(self):
         with pytest.raises(ConfigError):
@@ -357,6 +374,19 @@ class TestTraceStore:
         c = GenerationRequest("same text", media=(clip,))
         assert request_digest(a) == request_digest(b)
         assert request_digest(a) != request_digest(c)
+
+    @pytest.mark.parametrize("prompt, media, digest", [
+        ("same text", (), "653edda2cc34578d"),
+        ("나비가 날아와\n두 줄", (), "f769c9602a930b27"),
+        ("same text", (MediaAttachment(MediaKind.AUDIO, "a.wav"),), "6d90e011b5766de4"),
+        ("same text", (
+            MediaAttachment(MediaKind.VIDEO, "https://example.test/v.mp4", (1.5, 4.0)),
+            MediaAttachment(MediaKind.AUDIO, "ü.wav", (0.0, 2.0)),
+        ), "b109ab7a42a0d30a"),
+    ], ids=["no-media", "no-media-two-lines", "one-clip", "two-clips-with-spans"])
+    def test_digest_values_are_pinned(self, prompt, media, digest):
+        """Traces of earlier runs stay comparable: the digests do not move."""
+        assert request_digest(GenerationRequest(prompt, media=media)) == digest
 
 
 class TestHashEmbeddings:
@@ -705,6 +735,23 @@ class TestRemoteProviderHttp:
         assert key.strip() not in str(excinfo.value)
         assert loopback.received == []
 
+    def test_url_and_key_are_checked_on_every_request(self, loopback, monkeypatch):
+        """The URL's checks run once per URL, but a bad URL fails each time;
+        the key is read and checked anew for each request."""
+        bad = RemoteProvider("http://bad host/v1", "m", timeout=5.0)
+        for _ in range(2):
+            with pytest.raises(ProviderError, match="bad endpoint URL"):
+                bad.complete(GenerationRequest("hi"))
+        loopback.actions = [reply(200, b'{"text": "un"}')]
+        provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        monkeypatch.setenv("MAVL_API_KEY", "sek\nrit")
+        with pytest.raises(ProviderError, match="Authorization header"):
+            provider.complete(GenerationRequest("hi"))
+        monkeypatch.setenv("MAVL_API_KEY", "sekrit")
+        assert provider.complete(GenerationRequest("hi")) == "un"
+        assert [got["headers"]["Authorization"] for got in loopback.received] == [
+            "Bearer sekrit"]
+
 
 def chunked(body, cuts):
     """``body`` in the chunked transfer coding, cut at ``cuts``, with a
@@ -990,3 +1037,270 @@ class TestMapBounded:
 
         map_bounded(job, range(16), parallelism=3)
         assert active["peak"] <= 3
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch every 10 µs, so races between workers show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("fast_switching")
+class TestMapBoundedContract:
+    """What callers of ``map_bounded`` rely on above ``parallelism=1``."""
+
+    def test_results_in_input_order(self):
+        baseline = threading.active_count()
+        delays = [random.Random(n).random() * 0.004 for n in range(40)]
+
+        def job(n):
+            time.sleep(delays[n])
+            return n * n
+
+        assert map_bounded(job, range(40), parallelism=3) == [n * n for n in range(40)]
+        assert threading.active_count() == baseline
+
+    def test_lowest_index_failure_is_raised(self):
+        baseline = threading.active_count()
+        everyone = threading.Barrier(6, timeout=5.0)
+
+        def job(n):
+            everyone.wait()  # all six are running before any fails
+            if n == 2:
+                time.sleep(0.05)  # fails after item 4 has failed
+                raise ValueError("item 2")
+            if n == 4:
+                raise KeyError("item 4")
+            return n
+
+        with pytest.raises(ValueError, match="item 2"):
+            map_bounded(job, range(6), parallelism=6)
+        assert threading.active_count() == baseline
+
+    def test_no_item_starts_after_a_failure(self):
+        baseline = threading.active_count()
+        started, lock = [], threading.Lock()
+        both = threading.Barrier(2, timeout=5.0)
+
+        def job(n):
+            with lock:
+                started.append(n)
+            if n < 2:
+                both.wait()  # items 0 and 1 run together
+            if n == 1:
+                raise ValueError("item 1")
+            time.sleep(0.05)  # item 1's failure is recorded meanwhile
+            return n
+
+        with pytest.raises(ValueError, match="item 1"):
+            map_bounded(job, range(20), parallelism=2)
+        assert sorted(started) == [0, 1]
+        assert threading.active_count() == baseline
+
+    def test_interrupt_in_the_caller_stops_new_items(self):
+        """SIGINT sent to the main thread, as Ctrl-C would, while it waits."""
+        import signal
+
+        baseline = threading.active_count()
+        started, finished, lock = [], [], threading.Lock()
+
+        def job(n):
+            with lock:
+                started.append(n)
+            if n == 1:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.05)
+            with lock:
+                finished.append(n)
+            return n
+
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                map_bounded(job, range(40), parallelism=2)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        # the items running when the interrupt came finish; few others start
+        assert len(started) <= 4
+        assert sorted(finished) == sorted(started)
+        assert threading.active_count() == baseline
+
+    def test_one_thread_per_item_when_workers_outnumber_items(self, monkeypatch):
+        baseline = threading.active_count()
+        starts = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        everyone = threading.Barrier(3, timeout=5.0)
+
+        def job(n):
+            everyone.wait()  # all three run at once
+            return threading.get_ident()
+
+        idents = map_bounded(job, range(3), parallelism=10)
+        assert len(set(idents)) == len(starts) == 3
+        assert threading.active_count() == baseline
+
+
+class LineByLineReply(providers._Reply):
+    """The reference reader: each header read as its own line."""
+
+    def head(self):
+        start = self.pos
+        status_line = self.line()
+        found = providers._STATUS_LINE.fullmatch(status_line)
+        if found is None:
+            raise TransientProviderError(f"malformed status line {status_line[:80]!r}")
+        headers = {}
+        while line := self.line():
+            if self.pos - start > providers._MAX_HEAD:
+                raise TransientProviderError(
+                    f"reply header section over {providers._MAX_HEAD} bytes")
+            name, colon, value = line.partition(b":")
+            if colon:
+                headers.setdefault(
+                    name.strip().lower().decode("latin-1"), value.strip().decode("latin-1")
+                )
+        return found[1], int(found[2]), headers
+
+
+class Feed:
+    """A socket that hands out ``chunks``, one or part of one per ``recv``,
+    then reports the close."""
+
+    def __init__(self, chunks):
+        self.chunks = [chunk for chunk in chunks if chunk]
+
+    def recv(self, size):
+        if not self.chunks:
+            return b""
+        chunk = self.chunks.pop(0)
+        if len(chunk) > size:
+            self.chunks.insert(0, chunk[size:])
+        return chunk[:size]
+
+    def setsockopt(self, *args):
+        pass
+
+
+def read_reply(reader, chunks):
+    """``reader``'s reading of ``chunks``: the result of ``read``, or the
+    type and message of what it raised."""
+    try:
+        return reader(Feed(chunks), (6, 12, 1)).read()
+    except TransientProviderError as exc:
+        return type(exc), str(exc)
+
+
+BODY = b'{"text": "ok"}'
+PAD = b"X-Pad: " + b"a" * 1000
+REPLIES = {
+    "crlf": b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\nServer: t\r\n\r\n" + BODY,
+    "lf": b"HTTP/1.1 200 OK\nContent-Length: 14\nServer: t\n\n" + BODY,
+    "mixed": b"HTTP/1.1 200 OK\nContent-Length: 14\r\nServer: t\n\r\n" + BODY,
+    "no-headers": b"HTTP/1.1 200 OK\r\n\r\n" + BODY,
+    "cr-only-line-ends-the-head": b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\r\n\r\r\n" + BODY,
+    "repeated-headers-first-wins": (
+        b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\nX-A: 1\r\nx-a: 2\r\n"
+        b"CONTENT-LENGTH: 99\r\n\r\n" + BODY),
+    "odd-fields": (
+        b"HTTP/1.1 200 OK\r\nno colon here\r\n  Content-Length :  14 \r\n"
+        b"X-Latin: caf\xe9\r\nX-Empty:\r\nX-Inner: a\rb\r\n\r\n" + BODY),
+    "interim-replies": (
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\nLink: </a>\n\n"
+        b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n" + BODY),
+    "chunked": (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"4\r\n" + BODY[:4] + b"\r\na;x=1\r\n" + BODY[4:] + b"\r\n0\r\nT: 1\r\n\r\n"),
+    "no-body": b"HTTP/1.1 204 No Content\r\nContent-Length: 14\r\n\r\n",
+    "read-to-close": b"HTTP/1.0 200 OK\r\nServer: t\r\n\r\n" + BODY,
+    "connection-close": b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 14\r\n\r\n" + BODY,
+    "bytes-left-over": b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n" + BODY,
+    "malformed-status-line": b"HTTP/1.1 2x0 OK\r\nContent-Length: 14\r\n\r\n" + BODY,
+    "empty-status-line": b"\r\nHTTP/1.1 200 OK\r\n\r\n" + BODY,
+    "malformed-status-then-close": b"HTP/1.1 200 OK\r\nContent-Len",
+    "close-mid-head": b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\nSer",
+    "close-after-a-header-line": b"HTTP/1.1 200 OK\r\nContent-Length: 14\r\n",
+    "close-mid-status-line": b"HTTP/1.1 20",
+    "close-mid-interim": b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nX",
+    "no-reply": b"",
+}
+# heads at and past the 64 KiB limit
+LONG_REPLIES = {
+    "many-lines-over": b"HTTP/1.1 200 OK\r\n" + b"".join(
+        PAD + b"%d\r\n" % i for i in range(70)) + b"Content-Length: 14\r\n\r\n" + BODY,
+    "many-lines-over-then-close": b"HTTP/1.1 200 OK\r\n" + b"".join(
+        PAD + b"%d\r\n" % i for i in range(70)),
+    "one-line-over": b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n" + BODY,
+    "one-line-over-then-close": b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000,
+    "under-the-limit-then-close-past-it": b"HTTP/1.1 200 OK\r\n" + b"".join(
+        PAD + b"%d\r\n" % i for i in range(60)) + b"X-Pad: " + b"a" * 7000,
+    "long-status-line": b"HTTP/1.1 200 " + b"O" * 70_000 + b"\r\n\r\n" + BODY,
+    # the header line ends 65,536 bytes past the start of the status line
+    "just-under": b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * (65536 - 26) + b"\r\n\r\n" + BODY,
+    "just-over": b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * (65536 - 25) + b"\r\n\r\n" + BODY,
+    "blank-line-past-the-limit": (
+        b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * (65536 - 26) + b"\r\n\r\r\r\n" + BODY),
+}
+
+
+class TestReplyAgainstLineByLine:
+    """``_Reply.read`` returns and raises what reading the head line by
+    line does, wherever the replies' bytes are cut between reads."""
+
+    @pytest.mark.parametrize("data", REPLIES.values(), ids=REPLIES.keys())
+    def test_every_split_point(self, data):
+        for cut in range(len(data) + 1):
+            chunks = [data[:cut], data[cut:]]
+            assert read_reply(providers._Reply, chunks) == read_reply(
+                LineByLineReply, chunks), cut
+
+    @pytest.mark.parametrize("data", REPLIES.values(), ids=REPLIES.keys())
+    def test_byte_by_byte(self, data):
+        chunks = [data[i : i + 1] for i in range(len(data))]
+        assert read_reply(providers._Reply, chunks) == read_reply(LineByLineReply, chunks)
+
+    @pytest.mark.parametrize("step", [len(b"HTTP/1.1 200 OK\r\n"), 997, 4096, 65536],
+                             ids=["status-line-first", "997", "4096", "65536"])
+    @pytest.mark.parametrize("data", LONG_REPLIES.values(), ids=LONG_REPLIES.keys())
+    def test_long_heads(self, data, step):
+        chunks = [data[:step]] + [data[i : i + 997] for i in range(step, len(data), 997)]
+        assert read_reply(providers._Reply, chunks) == read_reply(LineByLineReply, chunks)
+        assert read_reply(providers._Reply, [data]) == read_reply(LineByLineReply, [data])
+
+    def test_over_limit_heads_are_rejected(self):
+        for name in ("many-lines-over", "many-lines-over-then-close", "one-line-over",
+                     "one-line-over-then-close", "just-over"):
+            got = read_reply(providers._Reply, [LONG_REPLIES[name]])
+            assert got[0] is TransientProviderError, name
+            assert got[1].endswith("over 65536 bytes"), name
+        for name in ("just-under", "blank-line-past-the-limit"):
+            assert read_reply(providers._Reply, [LONG_REPLIES[name]])[0] == 200, name
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(st.sampled_from([
+            b"Content-Length: 14", b"content-length:14", b"X-A: 1", b"x-a: 2", b"junk",
+            b"Connection: close", b"Transfer-Encoding: chunked", b"", b"\r", b": v",
+        ]), max_size=6),
+        ends=st.lists(st.sampled_from([b"\n", b"\r\n", b"\r\r\n"]), min_size=8, max_size=8),
+        status=st.sampled_from([b"HTTP/1.1 200 OK", b"HTTP/1.0 204 N", b"HTTP/1.1 100 C",
+                                b"HTTP/1.1 20 OK", b"HTTP/1.1 200"]),
+        tail=st.sampled_from([BODY, b"", b"4\r\nabcd\r\n0\r\n\r\n"]),
+        cuts=st.lists(st.integers(0, 200), max_size=3),
+    )
+    def test_generated_heads(self, lines, ends, status, tail, cuts):
+        head = b"".join(line + end for line, end in zip([status, *lines, b""], ends))
+        data = head + tail
+        bounds = [0, *sorted(min(c, len(data)) for c in cuts), len(data)]
+        chunks = [data[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert read_reply(providers._Reply, chunks) == read_reply(LineByLineReply, chunks)
