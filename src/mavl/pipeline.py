@@ -193,23 +193,23 @@ def _render(template: str, flags: dict[str, bool]) -> str:
     return re.sub(r"%step", lambda _m: str(next(counter)), text)
 
 
-def _substitute(text: str, task: TranslationTask) -> str:
+def build_prompt(task: TranslationTask, variant: PipelineVariant) -> str:
+    parts = list(_variant_prompt(variant))
     values = {
         "source_lang": task.source_lang.display_name,
         "target_lang": task.target_lang.display_name,
         "syllable_count": str(task.required_count),
         "source_text": task.source_text,
     }
-    return _PLACEHOLDER.sub(lambda m: values[m.group(1)], text)
-
-
-def build_prompt(task: TranslationTask, variant: PipelineVariant) -> str:
-    return _substitute(_variant_prompt(variant), task)
+    parts[1::2] = [values[name] for name in parts[1::2]]
+    return "".join(parts)
 
 
 @lru_cache(maxsize=None)
-def _variant_prompt(variant: PipelineVariant) -> str:
-    """A variant's prompt before substitution; it depends on nothing else."""
+def _variant_prompt(variant: PipelineVariant) -> tuple[str, ...]:
+    """A variant's prompt, split at its placeholders: text and placeholder
+    names alternate, text first and last.  It depends on nothing else, and
+    a value filled into a name slot is never read for placeholders."""
     audio, video = variant.has_audio, variant.has_video
     flags = {
         "audio": audio,
@@ -223,7 +223,8 @@ def _variant_prompt(variant: PipelineVariant) -> str:
     }
     rendered = _render(_template_text(variant.style), flags)
     # collapse the blank-line runs left behind by removed blocks
-    return re.sub(r"\n{3,}", "\n\n", rendered).strip("\n") + "\n"
+    rendered = re.sub(r"\n{3,}", "\n\n", rendered).strip("\n") + "\n"
+    return tuple(_PLACEHOLDER.split(rendered))
 
 
 # ---------------------------------------------------------------------------

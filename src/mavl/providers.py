@@ -23,6 +23,7 @@ import re
 import threading
 import time
 from enum import Enum
+from json.encoder import encode_basestring as _json_string
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, TextIO
 
@@ -189,9 +190,11 @@ class TraceStore:
     """Append-only JSONL log of raw model exchanges.
 
     One line per attempt: task id, attempt number, request digest, response
-    text, and wall-clock timestamps.  Reports never read this file; it exists
-    for auditing and for replaying a run by hand.  Writes are serialized with
-    a lock so concurrent workers interleave whole lines, never fragments.
+    text, and wall-clock timestamps.  Each line is formatted directly, as
+    the ``json.dumps(record, ensure_ascii=False)`` of that record would be.
+    Reports never read this file; it exists for auditing and for replaying
+    a run by hand.  Writes are serialized with a lock so concurrent workers
+    interleave whole lines, never fragments.
     The file is opened on the first append, so a run that makes no model
     call leaves none, and stays open, line-buffered, until :meth:`close`.
     A lone surrogate in a reply is written as its JSON escape (``\\ud800``),
@@ -213,15 +216,15 @@ class TraceStore:
         started: float | None = None,
     ) -> None:
         now = time.time()
-        record = {
-            "task_id": task_id,
-            "attempt": attempt,
-            "request_digest": digest,
-            "response_text": response_text,
-            "started_at": started if started is not None else now,
-            "finished_at": now,
-        }
-        line = json.dumps(record, ensure_ascii=False)
+        started = now if started is None else started
+        # json.dumps(record, ensure_ascii=False), written out: its string
+        # escapes, its separators and repr() of each (finite) number
+        line = (
+            f'{{"task_id": {_json_string(task_id)}, "attempt": {attempt!r}, '
+            f'"request_digest": {_json_string(digest)}, '
+            f'"response_text": {_json_string(response_text)}, '
+            f'"started_at": {started!r}, "finished_at": {now!r}}}\n'
+        )
         with self._lock:
             if self._fh is None:
                 # only a surrogate fails to encode, and only inside a JSON
@@ -229,7 +232,7 @@ class TraceStore:
                 self._fh = open(
                     self.path, "a", encoding="utf-8", errors="backslashreplace", buffering=1
                 )
-            self._fh.write(line + "\n")
+            self._fh.write(line)
 
     def close(self) -> None:
         with self._lock:
@@ -313,8 +316,10 @@ def embed(request: EmbeddingRequest, provider: EmbeddingProvider) -> list[list[f
 # character trie of the keys costs over ten times the memory.
 #
 # A key without a newline occurs in a prompt only inside one of its lines,
-# and prompts built from one template share most of their lines, so each
-# line's first key is remembered for the last _LINE_MEMO distinct lines.
+# and prompts built from one template share most of their lines.  The
+# leading lines that hold no such key (the clean prefix) are skipped while
+# prompts start with them, and each other line's first key is remembered for
+# the last _LINE_MEMO distinct lines.
 _KEY_GRAM = 8
 _KEY_STRIDE = 4
 _LINE_MEMO = 256
@@ -331,10 +336,16 @@ class ScriptedProvider:
     queue.  Queues are consumed in order and running past the end is a hard
     error, so tests notice extra calls.
 
-    The prompt is read line by line, split on ``"\\n"`` alone, and each
-    line's first matching key is remembered for the most recent distinct
-    lines, so template lines shared by every prompt are scanned once.  Keys
-    that contain a newline are tested against the whole prompt on every call.
+    The prompt is read line by line, split on ``"\\n"`` alone.  The provider
+    keeps a clean prefix: whole lines, each ending in ``"\\n"``, none of
+    which holds a one-line key.  A prompt that starts with it is read from
+    where it ends; any other prompt is read whole, and the clean prefix
+    becomes the leading lines it shares with this prompt's key-free leading
+    lines (never the last), or those lines alone if it shares none.  So the
+    template text that every prompt starts with is compared, not scanned.
+    Each line read gives its first matching key, remembered for the most
+    recent distinct lines.  Keys that contain a newline are tested against
+    the whole prompt on every call.
     """
 
     def __init__(
@@ -348,6 +359,7 @@ class ScriptedProvider:
         self._keys = [key for key in self._queues if key is not None]
         self._short: list[int] = []
         self._multiline: list[int] = []
+        # each gram's keys in script order
         self._grams: dict[str, tuple[int, ...]] = {}
         for i, key in enumerate(self._keys):
             if "\n" in key:
@@ -359,32 +371,67 @@ class ScriptedProvider:
                     self._grams[gram] = self._grams.get(gram, ()) + (i,)
         # per instance, so the memo dies with its provider
         self._scan_line = functools.lru_cache(maxsize=_LINE_MEMO)(self._first_in_line)
+        # read and replaced without the lock: every value it ever holds is a
+        # clean prefix, so a stale one is still correct
+        self._clean = ""
         self._lock = threading.Lock()
         self.calls = 0
 
     def _first_in_line(self, line: str) -> int:
         """Index of the first one-line key that occurs in ``line``, else the
         number of keys."""
-        sampled = {
-            line[pos : pos + _KEY_GRAM]
-            for pos in range(0, len(line) - _KEY_GRAM + 1, _KEY_STRIDE)
-        }
-        candidates = set(self._short)
-        for gram in sampled & self._grams.keys():
-            candidates.update(self._grams[gram])
-        for i in sorted(candidates):
-            if self._keys[i] in line:
-                return i
-        return len(self._keys)
+        keys = self._keys
+        best = len(keys)
+        for i in self._short:
+            if keys[i] in line:
+                best = i
+                break
+        missed = set()  # candidates tested and absent, so each is tested once
+        get = self._grams.get
+        for pos in range(0, len(line) - _KEY_GRAM + 1, _KEY_STRIDE):
+            for i in get(line[pos : pos + _KEY_GRAM], ()):
+                if i >= best:
+                    break
+                if i not in missed:
+                    if keys[i] in line:
+                        best = i
+                        break
+                    missed.add(i)
+        return best
+
+    def _next_clean(self, clean: str, prompt: str, lines: list[str], firsts: list[int]) -> str:
+        """The clean prefix once ``prompt``, which does not start with
+        ``clean``, has been read whole: the leading lines of ``clean`` that
+        begin the prompt, or if none do, the prompt's key-free leading
+        lines; never its last line, which no line break ends."""
+        n = 0
+        for line, kept in zip(lines[:-1], clean.split("\n")[:-1]):
+            if line != kept:
+                break
+            n += 1
+        if not n:
+            none = len(self._keys)
+            for first in firsts[:-1]:
+                if first != none:
+                    break
+                n += 1
+        return prompt[: sum(map(len, lines[:n])) + n]
 
     def _queue_for(self, prompt: str) -> list[str | Exception] | None:
         """The matched queue, else the ``None`` queue, else None.
 
-        Reads only what ``__init__`` built and the thread-safe line memo, so
-        it needs no lock.
+        Reads only what ``__init__`` built, the thread-safe line memo and
+        the clean prefix, so it needs no lock.
         """
+        clean = self._clean
         # not splitlines(): a one-line key may hold "\r" or "\u2028"
-        first = min(map(self._scan_line, prompt.split("\n")))
+        if clean and prompt.startswith(clean):
+            first = min(map(self._scan_line, prompt[len(clean) :].split("\n")))
+        else:
+            lines = prompt.split("\n")
+            firsts = list(map(self._scan_line, lines))
+            first = min(firsts)
+            self._clean = self._next_clean(clean, prompt, lines, firsts)
         for i in self._multiline:
             if i > first:
                 break
@@ -503,12 +550,15 @@ class _Reply:
         return bool(chunk)
 
     def line(self) -> bytes:
-        """The next line, without its line break (LF, or CR LF)."""
+        """The next line, without its line break (LF, or CR LF); none over
+        ``_MAX_HEAD`` bytes, finished or not."""
         while (end := self.buf.find(b"\n", self.pos)) < 0:
             if len(self.buf) - self.pos > _MAX_HEAD:
                 raise TransientProviderError(f"reply line over {_MAX_HEAD} bytes")
             if not self._fill():
                 raise TransientProviderError("connection closed mid-line of the reply")
+        if end - self.pos > _MAX_HEAD:
+            raise TransientProviderError(f"reply line over {_MAX_HEAD} bytes")
         line = bytes(self.buf[self.pos : end]).rstrip(b"\r")
         self.pos = end + 1
         return line
@@ -531,9 +581,9 @@ class _Reply:
 
         The status line is read and checked first; the header lines are
         then found in one search for the line that ends the head, and split
-        once.  The limits are those of reading line by line: no unfinished
-        line over ``_MAX_HEAD`` bytes, and no header line ending further
-        than that past the start of the status line.
+        once.  The limits are those of reading line by line: no line over
+        ``_MAX_HEAD`` bytes, finished or not, and no header line ending
+        further than that past the start of the status line.
         """
         start = self.pos
         status_line = self.line()
@@ -545,14 +595,16 @@ class _Reply:
         while (end := _HEAD_END.search(self.buf, last)) is None:
             last = self.buf.rfind(b"\n", last)
             if last >= fields and last + 1 - start > _MAX_HEAD:
-                raise TransientProviderError(f"reply header section over {_MAX_HEAD} bytes")
+                raise self._past_limit(start, fields)
             if len(self.buf) - last - 1 > _MAX_HEAD:
                 raise TransientProviderError(f"reply line over {_MAX_HEAD} bytes")
             if not self._fill():
                 raise TransientProviderError("connection closed mid-line of the reply")
         last = end.start()
         if last >= fields and last + 1 - start > _MAX_HEAD:
-            raise TransientProviderError(f"reply header section over {_MAX_HEAD} bytes")
+            raise self._past_limit(start, fields)
+        if end.end() - last - 2 > _MAX_HEAD:  # the CRs of the line that ends the head
+            raise TransientProviderError(f"reply line over {_MAX_HEAD} bytes")
         self.pos = end.end()
         headers: dict[str, str] = {}
         # strip() drops a line's trailing CRs with the value's blanks
@@ -563,6 +615,15 @@ class _Reply:
                     name.strip().lower().decode("latin-1"), value.strip().decode("latin-1")
                 )
         return found[1], int(found[2]), headers
+
+    def _past_limit(self, start: int, fields: int) -> TransientProviderError:
+        """The error for header lines, from ``fields`` on, that end over
+        ``_MAX_HEAD`` bytes past ``start``: as read line by line, that of
+        the first such line, which may itself be over ``_MAX_HEAD``."""
+        end = self.buf.find(b"\n", max(fields, start + _MAX_HEAD))
+        if end - self.buf.rfind(b"\n", 0, end) - 1 > _MAX_HEAD:
+            return TransientProviderError(f"reply line over {_MAX_HEAD} bytes")
+        return TransientProviderError(f"reply header section over {_MAX_HEAD} bytes")
 
     def chunked(self) -> bytes:
         """A chunked body, its chunks joined; trailer fields are skipped."""

@@ -569,6 +569,30 @@ class TestTranslate:
             assert (serial.run_dir / name).read_bytes() == (parallel.run_dir / name).read_bytes()
 
 
+    def test_parallel_keyed_run_with_reprompts_writes_the_serial_outputs(self, tmp_path):
+        # every prompt starts with the one template, so both workers read
+        # and replace the mock's key-free prefix while the other scans
+        from mavl.syllables import count_syllables
+
+        numbers = ["one", "two", "three", "four", "five", "six", "seven", "eight",
+                   "nine", "ten", "eleven", "twelve", "thirteen", "fourteen"]
+        texts = [f"Verse {a} of the {b} song" for a in numbers[:6] for b in numbers[6:]]
+        corpus = write_corpus(tmp_path, {"alpha": {Language.EN: [texts]}})
+        keyed = {}
+        for n, text in enumerate(texts):
+            good = '{"translation": "%s"}' % ("가" * count_syllables(Language.EN, text))
+            miss = good.replace("가", "가가", 1)
+            keyed[text] = [[good], [miss, good], ["no payload yet", miss, good]][n % 3]
+        script = write_script(tmp_path, {"keyed": keyed})
+        serial, parallel = (
+            cmd_translate(base_config(corpus, script, tmp_path / f"p{n}", parallelism=n))
+            for n in (1, 2)
+        )
+        assert serial.failures == []
+        assert sorted(r["attempts"] for r in serial.line_results) == [1] * 16 + [2] * 16 + [3] * 16
+        for name in ("hypotheses.jsonl", "failures.json", "results.jsonl"):
+            assert (serial.run_dir / name).read_bytes() == (parallel.run_dir / name).read_bytes()
+
     def test_uncountable_reply_is_a_line_failure(self, tmp_path):
         corpus = small_corpus(tmp_path)
         script = write_script(tmp_path, NUMERAL_SCRIPT)

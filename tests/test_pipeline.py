@@ -162,6 +162,18 @@ class TestVariants:
             butterfly_task(required_count=0)
 
 
+def substitute(text, task):
+    """The reference rendering: each placeholder of ``text`` replaced in
+    one pass, so a replacement is never read for placeholders."""
+    values = {
+        "source_lang": task.source_lang.display_name,
+        "target_lang": task.target_lang.display_name,
+        "syllable_count": str(task.required_count),
+        "source_text": task.source_text,
+    }
+    return pipeline._PLACEHOLDER.sub(lambda m: values[m.group(1)], text)
+
+
 class TestBuildPrompt:
     def test_full_variant_has_all_step_headers(self):
         prompt = build_prompt(butterfly_task(), PipelineVariant(modalities=TAV))
@@ -244,6 +256,10 @@ class TestBuildPrompt:
         )
 
     def test_cached_variant_text_equals_a_fresh_render(self):
+        # a value that spells a placeholder is filled in, never filled again
+        placeholder_task = butterfly_task(
+            source_text="sing {source_text} in {target_lang}", target_lang=Language.JA
+        )
         for style, use_list, use_refine, modalities in itertools.product(
             PromptStyle, (True, False), (True, False), (TEXT, TA, TV, TAV)
         ):
@@ -261,8 +277,8 @@ class TestBuildPrompt:
             }
             rendered = pipeline._render(pipeline._template_text(style), flags)
             rendered = re.sub(r"\n{3,}", "\n\n", rendered).strip("\n") + "\n"
-            for task in (butterfly_task(), remember_task(), butterfly_task()):
-                assert build_prompt(task, variant) == pipeline._substitute(rendered, task)
+            for task in (butterfly_task(), remember_task(), butterfly_task(), placeholder_task):
+                assert build_prompt(task, variant) == substitute(rendered, task)
 
     def test_unknown_template_flag_raises_on_every_call(self, monkeypatch):
         monkeypatch.setattr(

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import socket
 import string
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -192,6 +194,52 @@ def keyed_scripts(draw):
     return keys, prompt, draw(st.none() | st.integers(0, len(keys)))
 
 
+@st.composite
+def prompt_runs(draw):
+    """(keys in script order, prompts in call order), the prompts built from
+    shared template lines, as a run's prompts are.
+
+    A prompt takes the first lines of the template, maybe part of the next
+    one (so prompts split mid-line), then drawn pieces; or it continues the
+    prompt before it, on its last line or after a line break.  Keys are
+    drawn, may be empty, short or hold a line break, and some are cut from
+    the template lines."""
+    template = draw(st.lists(st.text(KEY_ALPHABET.replace("\n", "") + "xy", max_size=14),
+                             min_size=1, max_size=6))
+    keys = draw(st.lists(st.text(KEY_ALPHABET, max_size=14), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        line = draw(st.sampled_from(template))
+        start = draw(st.integers(0, len(line)))
+        keys.append(line[start : draw(st.integers(start, len(line)))])
+    keys = list(dict.fromkeys(draw(st.permutations(keys))))
+    pieces = st.lists(st.sampled_from(keys) | st.text(KEY_ALPHABET + "xy", max_size=8), max_size=4)
+    prompts = []
+    for _ in range(draw(st.integers(1, 8))):
+        if prompts and draw(st.booleans()):
+            prompts.append(prompts[-1] + draw(st.sampled_from(["", "\n"])) + "".join(draw(pieces)))
+            continue
+        n = draw(st.integers(0, len(template)))
+        head = "".join(line + "\n" for line in template[:n])
+        if n < len(template):
+            head += template[n][: draw(st.integers(0, len(template[n])))]
+        prompts.append(head + "".join(draw(pieces)))
+    return keys, prompts
+
+
+def check_clean_prefix(provider, keys):
+    """The clean prefix is whole lines, none holding a one-line key."""
+    clean = provider._clean
+    assert clean == "" or clean.endswith("\n"), clean
+    one_line = [key for key in keys if "\n" not in key]
+    for line in clean.split("\n")[:-1]:
+        assert not any(key in line for key in one_line), (clean, line)
+
+
+def answer(keys, prompt):
+    found = linear_match(keys, prompt)
+    return "fallback" if found is None else f"#{keys.index(found)}"
+
+
 class TestScriptedProvider:
     def test_keyed_scripts_match_on_prompt_substring(self):
         provider = ScriptedProvider(
@@ -251,6 +299,67 @@ class TestScriptedProvider:
         else:
             with pytest.raises(ProviderError, match="no script entry"):
                 provider.complete(GenerationRequest(prompt))
+
+    @given(prompt_runs())
+    # two prompts share a prefix, then split mid-line; a key spans the split
+    @example((["ab나"], ["T\naxy\n", "T\nabx\n", "T\nab나\n"]))
+    # a prompt is a line-prefix of the next, which finishes its last line
+    @example((["b나비"], ["T\nab", "T\nab나비"]))
+    @example((["xy", "\n"], ["T\nax", "T\naxy"]))
+    # prompts that share no line: the prefix starts again from the next one
+    @example((["나비"], ["x\nab", "y\nab", "y\nab나비"]))
+    # an empty key occurs in every line, so no line is key-free
+    @example((["나비", ""], ["x\ny\n", "x\ny\n나비"]))
+    # "\r" and "\u2028" do not end a line, and keys may hold them
+    @example((["a\rb", "b\u2028"], ["xa\ry\nb", "xa\ry\nb\u2028", "xa\rb\n"]))
+    def test_a_run_of_prompts_agrees_with_a_linear_scan(self, case):
+        keys, prompts = case
+        script = {key: [f"#{i}"] * len(prompts) for i, key in enumerate(keys)}
+        script[None] = ["fallback"] * len(prompts)
+        provider = ScriptedProvider(script)
+        one_line = [key for key in keys if "\n" not in key]
+        for prompt in prompts:
+            if not prompt.strip():
+                continue
+            assert provider.complete(GenerationRequest(prompt)) == answer(keys, prompt), prompt
+            check_clean_prefix(provider, keys)
+            assert prompt.startswith(provider._clean)
+            first, newline, _ = prompt.partition("\n")
+            if newline and not any(key in first for key in one_line):
+                assert provider._clean, prompt
+
+    @settings(max_examples=40, deadline=None)
+    @given(prompt_runs(), st.randoms(use_true_random=False))
+    def test_threads_sharing_a_provider_agree_with_a_linear_scan(self, case, rng):
+        keys, prompts = case
+        prompts = [prompt for prompt in prompts if prompt.strip()] * 3
+        assume(prompts)
+        script = {key: [f"#{i}"] * 4 * len(prompts) for i, key in enumerate(keys)}
+        script[None] = ["fallback"] * 4 * len(prompts)
+        provider = ScriptedProvider(script)
+        wrong = []
+
+        def worker(order):
+            for prompt in order:
+                got = provider.complete(GenerationRequest(prompt))
+                if got != answer(keys, prompt):
+                    wrong.append((prompt, got))
+
+        orders = [rng.sample(prompts, len(prompts)) for _ in range(4)]
+        threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert provider.calls == 4 * len(prompts)
+        check_clean_prefix(provider, keys)
 
     def test_index_of_2000_keys_stays_under_2_mib(self):
         rng = random.Random(7)
@@ -316,6 +425,11 @@ class TestScriptedProvider:
             provider.complete(GenerationRequest(f"sing: {keys[0]}!"))
 
 
+# what JSON must escape, and what it need not: quotes, backslashes, control
+# characters, a line separator, characters past the BMP and a lone surrogate
+TRACE_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\u2028é나\U0001f98b\ud800') | st.characters())
+
+
 class TestTraceStore:
     def test_records_every_attempt(self, tmp_path, no_backoff):
         store = TraceStore(str(tmp_path / "trace.jsonl"))
@@ -353,6 +467,32 @@ class TestTraceStore:
         assert len(records) == 40
         for rec in records:
             assert rec["response_text"] == "payload " * 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        task_id=TRACE_TEXT,
+        attempt=st.integers(1, 3),
+        reply=TRACE_TEXT,
+        started=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_each_line_is_json_dumps_of_its_record(self, task_id, attempt, reply, started):
+        with tempfile.TemporaryDirectory() as work:
+            store = TraceStore(os.path.join(work, "trace.jsonl"))
+            store.append(task_id, attempt, "0123456789abcdef", reply, started=started)
+            store.close()
+            with open(store.path, "rb") as fh:
+                written = fh.read()
+        finished = json.loads(written)["finished_at"]
+        record = {
+            "task_id": task_id,
+            "attempt": attempt,
+            "request_digest": "0123456789abcdef",
+            "response_text": reply,
+            "started_at": finished if started is None else started,
+            "finished_at": finished,
+        }
+        line = json.dumps(record, ensure_ascii=False) + "\n"
+        assert written == line.encode("utf-8", "backslashreplace")
 
     def test_each_append_is_readable_before_close(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -1152,7 +1292,21 @@ class TestMapBoundedContract:
 
 
 class LineByLineReply(providers._Reply):
-    """The reference reader: each header read as its own line."""
+    """The reference reader: each line, headers included, read on its own
+    and rejected once it is over ``_MAX_HEAD`` bytes, finished or not."""
+
+    def line(self):
+        end = self.buf.find(b"\n", self.pos)
+        while end < 0 and len(self.buf) - self.pos <= providers._MAX_HEAD:
+            seen = len(self.buf)
+            if not self._fill():
+                raise TransientProviderError("connection closed mid-line of the reply")
+            end = self.buf.find(b"\n", seen)
+        if (len(self.buf) if end < 0 else end) - self.pos > providers._MAX_HEAD:
+            raise TransientProviderError(f"reply line over {providers._MAX_HEAD} bytes")
+        line = bytes(self.buf[self.pos : end]).rstrip(b"\r")
+        self.pos = end + 1
+        return line
 
     def head(self):
         start = self.pos
@@ -1245,6 +1399,13 @@ LONG_REPLIES = {
     "under-the-limit-then-close-past-it": b"HTTP/1.1 200 OK\r\n" + b"".join(
         PAD + b"%d\r\n" % i for i in range(60)) + b"X-Pad: " + b"a" * 7000,
     "long-status-line": b"HTTP/1.1 200 " + b"O" * 70_000 + b"\r\n\r\n" + BODY,
+    "long-line-of-crs-ends-the-head": b"HTTP/1.1 200 OK\r\n" + b"\r" * 70_000 + b"\n" + BODY,
+    "long-chunk-size-line": (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"e;x=" + b"a" * 70_000 + b"\r\n" + BODY + b"\r\n0\r\n\r\n"),
+    "long-trailer-line": (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"e\r\n" + BODY + b"\r\n0\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n"),
     # the header line ends 65,536 bytes past the start of the status line
     "just-under": b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * (65536 - 26) + b"\r\n\r\n" + BODY,
     "just-over": b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * (65536 - 25) + b"\r\n\r\n" + BODY,
@@ -1279,7 +1440,9 @@ class TestReplyAgainstLineByLine:
 
     def test_over_limit_heads_are_rejected(self):
         for name in ("many-lines-over", "many-lines-over-then-close", "one-line-over",
-                     "one-line-over-then-close", "just-over"):
+                     "one-line-over-then-close", "long-status-line",
+                     "long-line-of-crs-ends-the-head", "long-chunk-size-line",
+                     "long-trailer-line", "just-over"):
             got = read_reply(providers._Reply, [LONG_REPLIES[name]])
             assert got[0] is TransientProviderError, name
             assert got[1].endswith("over 65536 bytes"), name
