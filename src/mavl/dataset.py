@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import DatasetParseError, DatasetValidationError, EmptyLineError
 from .languages import (
@@ -215,16 +215,17 @@ def parse_dataset(data: bytes | str) -> Dataset:
     return Dataset(songs)
 
 
-def _index(raw: dict, expected: int, what: str, loc: str) -> int:
+def _index(raw: dict, expected: int, what: str, where: Callable[[], str]) -> int:
+    """``raw["index"]``, checked; ``where()`` names the location of a fault."""
     if "index" not in raw:
-        raise DatasetValidationError("missing field 'index'", location=loc)
+        raise DatasetValidationError("missing field 'index'", location=where())
     # type() rather than isinstance(), since Python's bool is an int
     index = raw["index"]
     if type(index) is not int:
-        raise DatasetValidationError("index must be an integer", location=loc)
+        raise DatasetValidationError("index must be an integer", location=where())
     if index != expected:
         raise DatasetValidationError(
-            f"{what} index {index}, expected {expected}", location=loc)
+            f"{what} index {index}, expected {expected}", location=where())
     return index
 
 
@@ -261,7 +262,7 @@ def _parse_entry(raw, song_id: str, lang: Language) -> SongEntry:
 def _parse_section(raw, song_id: str, lang: Language, i: int, loc: str) -> Section:
     if not isinstance(raw, dict):
         raise DatasetValidationError("section must be an object", location=loc)
-    index = _index(raw, i, "section", loc)
+    index = _index(raw, i, "section", lambda: loc)
     lines_raw = raw.get("lines", [])
     if not isinstance(lines_raw, list):
         raise DatasetValidationError("lines must be an array", location=loc)
@@ -274,49 +275,54 @@ def _parse_section(raw, song_id: str, lang: Language, i: int, loc: str) -> Secti
 
 
 def _parse_line(raw, key: LineKey) -> LyricLine:
-    loc, lang = key.location(), key.language
+    # the location is formatted only when a check fails
+    lang = key.language
     if not isinstance(raw, dict):
-        raise DatasetValidationError("line must be an object", location=loc)
-    index = _index(raw, key.line, "line", loc)
+        raise DatasetValidationError("line must be an object",
+                                     location=key.location())
+    index = _index(raw, key.line, "line", key.location)
     rep_raw = raw.get("rep")
     if (not isinstance(rep_raw, list) or len(rep_raw) != 3
             or not all(isinstance(x, str) for x in rep_raw)):
         raise DatasetValidationError(
-            "rep must be [signature, first, last]", location=loc)
+            "rep must be [signature, first, last]", location=key.location())
     rep = CompactLineRep(*rep_raw)
     if not rep.signature:
-        raise DatasetValidationError("empty signature", location=loc)
+        raise DatasetValidationError("empty signature", location=key.location())
     if rep.first_token and rep.signature[0] != rep.first_token[0]:
         raise DatasetValidationError(
-            "signature does not start with first token's letter", location=loc)
+            "signature does not start with first token's letter",
+            location=key.location())
     span = raw.get("time_span")
     if span is not None:
         if (not isinstance(span, list) or len(span) != 2
                 or not all(type(x) is int for x in span)):
             raise DatasetValidationError("time_span must be [start_ms, end_ms]",
-                                         location=loc)
+                                         location=key.location())
         if not span[0] < span[1]:
             raise DatasetValidationError("time_span start must precede end",
-                                         location=loc)
+                                         location=key.location())
         span = (span[0], span[1])
     count = raw.get("syllable_count")
     if count is not None:
         if type(count) is not int:
             raise DatasetValidationError("syllable_count must be an integer",
-                                         location=loc)
+                                         location=key.location())
         if count < 0:
             raise DatasetValidationError("negative syllable_count",
-                                         location=loc)
+                                         location=key.location())
     text = raw.get("text")
     if text is not None:
         if not isinstance(text, str):
-            raise DatasetValidationError("text must be a string", location=loc)
+            raise DatasetValidationError("text must be a string",
+                                         location=key.location())
         problem = surrogate_problem(text)
         if problem:
-            raise DatasetValidationError(f"text {problem}", location=loc)
+            raise DatasetValidationError(f"text {problem}",
+                                         location=key.location())
         if lang.space_delimited and not match_line(rep, text, lang):
             raise DatasetValidationError("text does not match its rep",
-                                         location=loc)
+                                         location=key.location())
     extras = (_NO_EXTRAS if raw.keys() <= _LINE_KEYS
               else {k: v for k, v in raw.items() if k not in _LINE_KEYS})
     return LyricLine(index, rep, text, span, count, extras)

@@ -87,12 +87,9 @@ def is_kanji(ch: str) -> bool:
     return 0x4E00 <= cp <= 0x9FFF or 0x3400 <= cp <= 0x4DBF or ch == "々"
 
 
+# katakana ァ..ヶ (U+30A1..U+30F6) to the hiragana 0x60 below each
+_KATAKANA_TO_HIRAGANA = {cp: cp - 0x60 for cp in range(0x30A1, 0x30F7)}
+
+
 def katakana_to_hiragana(text: str) -> str:
-    out = []
-    for ch in text:
-        cp = ord(ch)
-        if 0x30A1 <= cp <= 0x30F6:
-            out.append(chr(cp - 0x60))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return text.translate(_KATAKANA_TO_HIRAGANA)

@@ -7,32 +7,35 @@ third field constrains the neighborhood, ``#`` meaning a word boundary.
 Longest grapheme wins; ties fall back to file order.
 
 Korean text is decomposed to jamo before matching, Japanese katakana is
-folded to hiragana. The shipped tables are broad-phonemic on purpose:
-they make distances comparable, not dictionary-grade transcriptions.
+folded to hiragana, both by ``str.translate``. The shipped tables are
+broad-phonemic on purpose: they make distances comparable, not
+dictionary-grade transcriptions.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import MissingRuleTableError
 from .languages import (
+    HANGUL_BLOCK_END,
     HANGUL_BLOCK_START,
     Language,
-    is_hangul_syllable,
     katakana_to_hiragana,
 )
 
 
 class IpaString:
-    """IPA symbols; ``dropped`` counts the graphemes no rule matched, and
-    equality and hashing leave it out."""
+    """IPA symbols, kept as a tuple of whatever sequence is given;
+    ``dropped`` counts the graphemes no rule matched, and equality and
+    hashing leave it out.  No field can be assigned or deleted."""
 
     __slots__ = ("symbols", "dropped")
 
-    def __init__(self, symbols: tuple[str, ...], dropped: int = 0):
+    def __init__(self, symbols: Iterable[str], dropped: int = 0):
+        symbols = tuple(symbols)
         if not all(symbols) or any(map(str.isspace, symbols)):
             bad = next(sym for sym in symbols if not sym or sym.isspace())
             raise ValueError(f"bad IPA symbol {bad!r}")
@@ -41,6 +44,9 @@ class IpaString:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to IpaString.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete IpaString.{name}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IpaString) and self.symbols == other.symbols
@@ -55,6 +61,15 @@ class IpaString:
         return f"IpaString(symbols={self.symbols!r}, dropped={self.dropped!r})"
 
 
+def _unchecked_ipa(symbols: tuple[str, ...], dropped: int) -> IpaString:
+    """An ``IpaString`` of symbols that ``parse_rules`` has already checked:
+    each came out of ``str.split()``, so none is empty or whitespace."""
+    ipa = object.__new__(IpaString)
+    object.__setattr__(ipa, "symbols", symbols)
+    object.__setattr__(ipa, "dropped", dropped)
+    return ipa
+
+
 class G2PRule(NamedTuple):
     grapheme: str
     output: tuple[str, ...]
@@ -63,20 +78,37 @@ class G2PRule(NamedTuple):
 
 
 class G2PRuleSet:
+    """Rules looked up by grapheme.
+
+    ``match`` picks the longest grapheme that occurs at the position, then
+    the first rule of that grapheme in file order whose context holds.  It
+    slices the text at each grapheme length, longest first, and looks the
+    slice up, so a position costs one dict lookup per length rather than a
+    scan of every rule that starts with its character.
+    """
+
     def __init__(self, rules: list[G2PRule]):
-        # Rules bucketed by first character; within a bucket, longest grapheme
-        # first, and the stable sort keeps file order within a length.
-        self._by_first: dict[str, list[G2PRule]] = {}
-        for rule in sorted(rules, key=lambda r: -len(r.grapheme)):
-            self._by_first.setdefault(rule.grapheme[0], []).append(rule)
+        # each grapheme's rules in file order
+        self._by_grapheme: dict[str, list[G2PRule]] = {}
+        for rule in rules:
+            self._by_grapheme.setdefault(rule.grapheme, []).append(rule)
+        self._lengths = sorted({len(g) for g in self._by_grapheme}, reverse=True)
 
     def match(self, text: str, i: int) -> G2PRule | None:
-        for rule in self._by_first.get(text[i], ()):
-            end = i + len(rule.grapheme)
-            if (text.startswith(rule.grapheme, i)
-                    and _left_ok(rule.left, text, i)
-                    and _right_ok(rule.right, text, end)):
-                return rule
+        get = self._by_grapheme.get
+        room = len(text) - i
+        for length in self._lengths:
+            # a slice past the end would be shorter than ``length``, and
+            # ``end`` would then point beyond the text
+            if length > room:
+                continue
+            end = i + length
+            for rule in get(text[i:end], ()):
+                # most rules have no context, which always holds
+                left, right = rule.left, rule.right
+                if ((not left or _left_ok(left, text, i))
+                        and (not right or _right_ok(right, text, end))):
+                    return rule
         return None
 
 
@@ -130,20 +162,38 @@ def shipped_rules(language: Language) -> G2PRuleSet:
         return parse_rules(fh, source=name)
 
 
+class _JamoMemo(dict):
+    """``str.translate`` table that decomposes Hangul syllables to jamo.
+
+    It fills as code points are met and keeps only the 11,172 syllables and
+    ASCII, which maps to itself, so it never holds more than 11,300 entries.
+    Any other code point raises ``KeyError``, which ``str.translate`` takes
+    as "leave the character as it is".
+    """
+
+    def __missing__(self, cp: int):
+        if HANGUL_BLOCK_START <= cp <= HANGUL_BLOCK_END:
+            lead, rest = divmod(cp - HANGUL_BLOCK_START, 588)
+            vowel, tail = divmod(rest, 28)
+            jamo = chr(0x1100 + lead) + chr(0x1161 + vowel)
+            if tail:
+                jamo += chr(0x11A7 + tail)
+        elif cp < 128:
+            jamo = cp
+        else:
+            raise KeyError(cp)
+        self[cp] = jamo
+        return jamo
+
+
+_JAMO = _JamoMemo()
+
+
 def _decompose_hangul(text: str) -> str:
-    out: list[str] = []
-    for ch in text:
-        if not is_hangul_syllable(ch):
-            out.append(ch)
-            continue
-        offset = ord(ch) - HANGUL_BLOCK_START
-        lead, rest = divmod(offset, 588)
-        vowel, tail = divmod(rest, 28)
-        out.append(chr(0x1100 + lead))
-        out.append(chr(0x1161 + vowel))
-        if tail:
-            out.append(chr(0x11A7 + tail))
-    return "".join(out)
+    """``text`` with each precomposed Hangul syllable replaced by its two or
+    three conjoining jamo (lead U+1100.., vowel U+1161.., tail U+11A8..) and
+    every other character kept."""
+    return text.translate(_JAMO)
 
 
 # A lyric corpus reuses a small vocabulary, so the transcriptions of the
@@ -159,6 +209,9 @@ def transcribe(lang: Language, text: str) -> IpaString:
     transcribed on its own.  That equals one walk over the whole text,
     because no rule has whitespace in its grapheme or context and ``#``
     tests the same whitespace that ``str.split`` cuts at.
+
+    The result is built without the public constructor's symbol check:
+    every symbol comes from a table that ``parse_rules`` checked.
     """
     if lang is Language.KO:
         text = _decompose_hangul(text)
@@ -172,7 +225,7 @@ def transcribe(lang: Language, text: str) -> IpaString:
         word_symbols, word_dropped = _transcribe_word(lang, word)
         symbols += word_symbols
         dropped += word_dropped
-    return IpaString(tuple(symbols), dropped=dropped)
+    return _unchecked_ipa(tuple(symbols), dropped)
 
 
 @lru_cache(maxsize=_WORD_MEMO)
@@ -196,14 +249,32 @@ def _transcribe_word(lang: Language, word: str) -> tuple[tuple[str, ...], int]:
 def edit_distance(a: IpaString, b: IpaString) -> int:
     """Symbol-level Levenshtein distance, unit costs.
 
-    Bit-parallel (Myers 1999, in Hyyrö's form for a global distance): bit i
-    of each vector is row i of one DP column over the longer string, so the
-    loop runs once per symbol of the shorter one.  Python ints are as wide as
-    the string needs.
+    A common prefix and suffix of the two strings add nothing to a unit-cost
+    distance (Ukkonen 1985), so both are cut off first.  The suffix is sought
+    only in what the prefix leaves, so the two never overlap.
+
+    What remains is bit-parallel (Myers 1999, in Hyyrö's form for a global
+    distance): bit i of each vector is row i of one DP column over the longer
+    string, so the loop runs once per symbol of the shorter one.  Python ints
+    are as wide as the string needs.
     """
     xs, ys = a.symbols, b.symbols
     if len(xs) < len(ys):
         xs, ys = ys, xs
+    start = 0
+    for x, y in zip(xs, ys):
+        if x != y:
+            break
+        start += 1
+    if start:
+        xs, ys = xs[start:], ys[start:]
+    cut = 0
+    for x, y in zip(reversed(xs), reversed(ys)):
+        if x != y:
+            break
+        cut += 1
+    if cut:
+        xs, ys = xs[:-cut], ys[:-cut]
     if not ys:
         return len(xs)
     peq: dict[str, int] = {}

@@ -2,14 +2,16 @@ import random
 import string
 import tracemalloc
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from mavl import phonetics
 from mavl.errors import MissingRuleTableError
-from mavl.languages import Language, katakana_to_hiragana
+from mavl.languages import Language, is_hangul_syllable, katakana_to_hiragana
 from mavl.phonetics import (
+    G2PRuleSet,
     IpaString,
     edit_distance,
     parse_rules,
@@ -17,6 +19,7 @@ from mavl.phonetics import (
     shipped_rules,
     transcribe,
 )
+from mavl.syllables import korean
 
 
 def dp_oracle(xs, ys):
@@ -41,6 +44,21 @@ def symbol_lists(alphabet, max_size=150):
     """Lists whose length is drawn first, so long ones are as likely as short."""
     return st.integers(0, max_size).flatmap(
         lambda n: st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+
+
+class TestIpaString:
+    def test_any_sequence_is_stored_as_a_tuple(self):
+        a = IpaString(["a", "b"], dropped=1)
+        assert type(a.symbols) is tuple
+        assert a == IpaString(("a", "b")) and hash(a) == hash(IpaString(("a", "b")))
+        assert IpaString(iter(["a"])).symbols == ("a",)
+
+    def test_no_field_can_be_deleted(self):
+        a = IpaString(("a",), dropped=1)
+        for name in ("symbols", "dropped"):
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert (a.symbols, a.dropped) == (("a",), 1)
 
 
 class TestEditDistance:
@@ -70,6 +88,30 @@ class TestEditDistance:
         a = IpaString(tuple(xs))
         b = IpaString(tuple(ys))
         assert edit_distance(a, b) == dp_oracle(xs, ys)
+
+    # the shared prefix and suffix are cut before the bit-parallel pass; where
+    # a string is all prefix and suffix the two could overlap
+    @pytest.mark.parametrize("xs, ys", [
+        ("", ""), ("", "ab"), ("kasa", "kasa"), ("a" * 70, "a" * 70),
+        ("bc", "abcd"), ("abcd", "bc"), ("ab", "abab"), ("ba", "abab"),
+        ("aba", "aa"), ("aa", "aba"), ("aaa", "aa"), ("aa", "aaa"),
+        ("a", "aaaa"), ("abba", "aba"), ("xaay", "xay"),
+    ])
+    def test_shared_affixes(self, xs, ys):
+        a, b = IpaString(tuple(xs)), IpaString(tuple(ys))
+        assert edit_distance(a, b) == edit_distance(b, a) == dp_oracle(xs, ys)
+
+    # two strings that share a drawn prefix and suffix; a small alphabet
+    # makes the middles often start or end like the affixes around them
+    @given(symbol_lists("ab", 40), symbol_lists("abc", 20),
+           symbol_lists("abc", 20), symbol_lists("ab", 40))
+    @example(p=["a"], m1=[], m2=["a"], s=["a"])
+    @example(p=list("ab"), m1=list("ab"), m2=[], s=list("ab"))
+    @example(p=list("ab" * 40), m1=["c"], m2=[], s=list("ba" * 40))
+    def test_shared_affixes_match_full_matrix(self, p, m1, m2, s):
+        xs, ys = p + m1 + s, p + m2 + s
+        a, b = IpaString(tuple(xs)), IpaString(tuple(ys))
+        assert edit_distance(a, b) == edit_distance(b, a) == dp_oracle(xs, ys)
 
     @given(st.lists(st.sampled_from("abc"), max_size=10),
            st.lists(st.sampled_from("abc"), max_size=10),
@@ -252,4 +294,182 @@ class TestWordAtATime:
         finally:
             tracemalloc.stop()
             phonetics._transcribe_word.cache_clear()
+        assert peak < 3 * 2**20
+
+
+def rule_list(lines):
+    """The rules ``parse_rules`` reads from ``lines``, in file order."""
+    with mock.patch.object(phonetics, "G2PRuleSet", list):
+        return parse_rules(lines)
+
+
+def table_rules(lang):
+    name = f"{lang.value.lower()}.tsv"
+    return rule_list(resources.files("mavl").joinpath("data", "g2p", name)
+                     .read_text("utf-8").splitlines())
+
+
+class TestUncheckedBuild:
+    """``transcribe`` builds its ``IpaString`` without the symbol check."""
+
+    def test_every_shipped_output_passes_the_check(self):
+        for lang in Language:
+            for rule in table_rules(lang):
+                assert IpaString(rule.output).symbols == rule.output
+
+    @given(languages_and_texts)
+    @example((Language.EN, "go  ab9 İ"))
+    @example((Language.KO, "나비가 ㄱ 밤"))
+    def test_transcription_rebuilt_through_the_checked_constructor(self, lang_text):
+        got = transcribe(*lang_text)
+        rebuilt = IpaString(got.symbols, dropped=got.dropped)
+        assert type(got.symbols) is tuple
+        assert (got.symbols, got.dropped) == (rebuilt.symbols, rebuilt.dropped)
+
+
+class FirstCharScan:
+    """``G2PRuleSet`` as one scan of the rules that start with the character
+    at the position, longest grapheme first and file order within a length,
+    each tried with ``startswith``: kept as the oracle for the lookup by
+    grapheme."""
+
+    def __init__(self, rules):
+        self._by_first = {}
+        for rule in sorted(rules, key=lambda r: -len(r.grapheme)):
+            self._by_first.setdefault(rule.grapheme[0], []).append(rule)
+
+    def match(self, text, i):
+        for rule in self._by_first.get(text[i], ()):
+            end = i + len(rule.grapheme)
+            if (text.startswith(rule.grapheme, i)
+                    and phonetics._left_ok(rule.left, text, i)
+                    and phonetics._right_ok(rule.right, text, end)):
+                return rule
+        return None
+
+
+def fold(lang, text):
+    """The text ``transcribe`` walks."""
+    if lang is Language.KO:
+        return phonetics._decompose_hangul(text)
+    if lang is Language.JA:
+        return katakana_to_hiragana(text)
+    return text.lower()
+
+
+# graphemes tied at each length, with and without contexts, in an order
+# that puts a context-free rule before and after a context rule
+SYNTHETIC_RULES = rule_list([
+    "a\tx", "ab\ty", "a\tz\t#/", "ab\tw\t/#", "b\tp\t#/", "b\tq",
+    "ab\tv", "ba\tr\ta/", "b\ts\t/a", "aba\tu\t/b", "aba\tt", "b\to\t#/#",
+])
+SYNTHETIC = G2PRuleSet(SYNTHETIC_RULES)
+
+
+class TestMatchByGrapheme:
+    @given(languages_and_texts)
+    @example((Language.EN, "cry by go"))
+    @example((Language.ES, "llama queso"))
+    @example((Language.JA, "きょう トー"))
+    def test_equals_first_char_scan_on_every_shipped_table(self, lang_text):
+        lang, text = lang_text
+        rules = table_rules(lang)
+        new, old = G2PRuleSet(rules), FirstCharScan(rules)
+        text = fold(lang, text)
+        for i in range(len(text)):
+            assert new.match(text, i) is old.match(text, i)
+
+    @given(st.text(st.sampled_from("ab c"), max_size=12))
+    @example("a")
+    @example("ab")
+    @example("abab")
+    @example("b ab a")
+    @example("bab")
+    def test_equals_first_char_scan_on_tied_graphemes(self, text):
+        new, old = G2PRuleSet(SYNTHETIC_RULES), FirstCharScan(SYNTHETIC_RULES)
+        for i in range(len(text)):
+            assert new.match(text, i) is old.match(text, i)
+
+    def test_synthetic_table_reads_in_file_order(self):
+        assert SYNTHETIC.match("a", 0).output == ("x",)
+        assert SYNTHETIC.match("ab", 0).output == ("y",)
+        assert SYNTHETIC.match("aba", 0).output == ("t",)
+        assert SYNTHETIC.match("abab", 0).output == ("u",)
+
+
+def jamo_loop(text):
+    """``_decompose_hangul`` as a loop over characters, kept as the oracle."""
+    out = []
+    for ch in text:
+        if not is_hangul_syllable(ch):
+            out.append(ch)
+            continue
+        lead, rest = divmod(ord(ch) - 0xAC00, 588)
+        vowel, tail = divmod(rest, 28)
+        out.append(chr(0x1100 + lead))
+        out.append(chr(0x1161 + vowel))
+        if tail:
+            out.append(chr(0x11A7 + tail))
+    return "".join(out)
+
+
+def kana_loop(text):
+    """``katakana_to_hiragana`` as a loop over characters, kept as the oracle."""
+    return "".join(chr(ord(ch) - 0x60) if 0x30A1 <= ord(ch) <= 0x30F6 else ch
+                   for ch in text)
+
+
+# Hangul, ASCII, compatibility and conjoining jamo, kana, combining marks,
+# characters beyond the BMP, and both edges of the Hangul and katakana ranges
+mixed_text = st.text(st.one_of(
+    st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3),
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0x3131, max_codepoint=0x318E),
+    st.characters(min_codepoint=0x1100, max_codepoint=0x11FF),
+    st.characters(min_codepoint=0x3041, max_codepoint=0x30FF),
+    st.characters(min_codepoint=0x0300, max_codepoint=0x036F),
+    st.characters(min_codepoint=0x10000),
+    st.sampled_from("\uabff\uac00\ud7a3\ud7a4\u30a0\u30a1\u30f6\u30f7"),
+), max_size=40)
+
+
+class TestTextFolds:
+    @given(mixed_text)
+    @example("나비가 날아와, ㄱㄴ 밤!")
+    @example("\u1100\u1161 가\u0301 \U0001F600 값")
+    def test_jamo_fold_equals_loop(self, text):
+        assert phonetics._decompose_hangul(text) == jamo_loop(text)
+
+    @given(mixed_text)
+    @example("トーキョー ゔ ヴヵヶヷ ちょっと")
+    def test_kana_fold_equals_loop(self, text):
+        assert katakana_to_hiragana(text) == kana_loop(text)
+
+    @given(mixed_text)
+    @example("나비가 ㄱ 가\u0301 \U0001F600")
+    def test_korean_segment_equals_loop(self, text):
+        assert korean.segment(text) == [ch for ch in text if is_hangul_syllable(ch)]
+
+    def test_jamo_memo_holds_only_syllables_and_ascii(self):
+        # ~2.1 MiB at the peak, most of it the 11,172 syllables' jamo
+        rng = random.Random(11)
+        others = []
+        while len(others) < 10000:
+            cp = rng.randrange(0x110000)
+            if not is_hangul_syllable(chr(cp)):
+                others.append(chr(cp))
+        syllables = "".join(map(chr, range(0xAC00, 0xD7A4)))
+        want = jamo_loop(syllables)
+        phonetics._JAMO.clear()
+        tracemalloc.start()
+        try:
+            assert phonetics._decompose_hangul(syllables) == want
+            folded = phonetics._decompose_hangul("".join(others))
+            _, peak = tracemalloc.get_traced_memory()
+            size = len(phonetics._JAMO)
+        finally:
+            tracemalloc.stop()
+            phonetics._JAMO.clear()
+        assert folded == "".join(others)
+        assert size <= 11172 + 128
         assert peak < 3 * 2**20
