@@ -6,10 +6,9 @@ space-separated symbols (``∅`` marks a silent letter) and the optional
 third field constrains the neighborhood, ``#`` meaning a word boundary.
 Longest grapheme wins; ties fall back to file order.
 
-Korean text is decomposed to jamo before matching, Japanese katakana is
-folded to hiragana, both by ``str.translate``. The shipped tables are
-broad-phonemic on purpose: they make distances comparable, not
-dictionary-grade transcriptions.
+Korean text is decomposed to jamo before matching, and Japanese katakana
+is folded to hiragana. The shipped tables are broad-phonemic on purpose:
+they make distances comparable, not dictionary-grade transcriptions.
 """
 
 from __future__ import annotations
@@ -18,19 +17,20 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, NamedTuple
 
-from .errors import MissingRuleTableError
+from .errors import MetricDomainError, MissingRuleTableError
 from .languages import (
-    HANGUL_BLOCK_END,
     HANGUL_BLOCK_START,
     Language,
+    is_hangul_syllable,
     katakana_to_hiragana,
 )
 
 
 class IpaString:
-    """IPA symbols, kept as a tuple of whatever sequence is given;
-    ``dropped`` counts the graphemes no rule matched, and equality and
-    hashing leave it out.  No field can be assigned or deleted."""
+    """IPA symbols, kept as a tuple of whatever sequence is given, none
+    empty or whitespace; ``dropped`` counts the graphemes no rule matched,
+    and equality and hashing leave it out.  No field can be assigned or
+    deleted."""
 
     __slots__ = ("symbols", "dropped")
 
@@ -59,15 +59,6 @@ class IpaString:
 
     def __repr__(self) -> str:
         return f"IpaString(symbols={self.symbols!r}, dropped={self.dropped!r})"
-
-
-def _unchecked_ipa(symbols: tuple[str, ...], dropped: int) -> IpaString:
-    """An ``IpaString`` of symbols that ``parse_rules`` has already checked:
-    each came out of ``str.split()``, so none is empty or whitespace."""
-    ipa = object.__new__(IpaString)
-    object.__setattr__(ipa, "symbols", symbols)
-    object.__setattr__(ipa, "dropped", dropped)
-    return ipa
 
 
 class G2PRule(NamedTuple):
@@ -162,38 +153,22 @@ def shipped_rules(language: Language) -> G2PRuleSet:
         return parse_rules(fh, source=name)
 
 
-class _JamoMemo(dict):
-    """``str.translate`` table that decomposes Hangul syllables to jamo.
-
-    It fills as code points are met and keeps only the 11,172 syllables and
-    ASCII, which maps to itself, so it never holds more than 11,300 entries.
-    Any other code point raises ``KeyError``, which ``str.translate`` takes
-    as "leave the character as it is".
-    """
-
-    def __missing__(self, cp: int):
-        if HANGUL_BLOCK_START <= cp <= HANGUL_BLOCK_END:
-            lead, rest = divmod(cp - HANGUL_BLOCK_START, 588)
-            vowel, tail = divmod(rest, 28)
-            jamo = chr(0x1100 + lead) + chr(0x1161 + vowel)
-            if tail:
-                jamo += chr(0x11A7 + tail)
-        elif cp < 128:
-            jamo = cp
-        else:
-            raise KeyError(cp)
-        self[cp] = jamo
-        return jamo
-
-
-_JAMO = _JamoMemo()
-
-
 def _decompose_hangul(text: str) -> str:
     """``text`` with each precomposed Hangul syllable replaced by its two or
     three conjoining jamo (lead U+1100.., vowel U+1161.., tail U+11A8..) and
     every other character kept."""
-    return text.translate(_JAMO)
+    out: list[str] = []
+    for ch in text:
+        if not is_hangul_syllable(ch):
+            out.append(ch)
+            continue
+        lead, rest = divmod(ord(ch) - HANGUL_BLOCK_START, 588)
+        vowel, tail = divmod(rest, 28)
+        out.append(chr(0x1100 + lead))
+        out.append(chr(0x1161 + vowel))
+        if tail:
+            out.append(chr(0x11A7 + tail))
+    return "".join(out)
 
 
 # A lyric corpus reuses a small vocabulary, so the transcriptions of the
@@ -209,9 +184,6 @@ def transcribe(lang: Language, text: str) -> IpaString:
     transcribed on its own.  That equals one walk over the whole text,
     because no rule has whitespace in its grapheme or context and ``#``
     tests the same whitespace that ``str.split`` cuts at.
-
-    The result is built without the public constructor's symbol check:
-    every symbol comes from a table that ``parse_rules`` checked.
     """
     if lang is Language.KO:
         text = _decompose_hangul(text)
@@ -225,7 +197,7 @@ def transcribe(lang: Language, text: str) -> IpaString:
         word_symbols, word_dropped = _transcribe_word(lang, word)
         symbols += word_symbols
         dropped += word_dropped
-    return _unchecked_ipa(tuple(symbols), dropped)
+    return IpaString(symbols, dropped)
 
 
 @lru_cache(maxsize=_WORD_MEMO)
@@ -246,8 +218,17 @@ def _transcribe_word(lang: Language, word: str) -> tuple[tuple[str, ...], int]:
     return tuple(symbols), dropped
 
 
+# The most IPA symbols ``edit_distance`` takes on each side.  The distance
+# costs time quadratic in the lengths, so one pasted transcript must not stall
+# a run; a sung line holds far fewer symbols.
+MAX_DISTANCE_SYMBOLS = 2048
+
+
 def edit_distance(a: IpaString, b: IpaString) -> int:
     """Symbol-level Levenshtein distance, unit costs.
+
+    A side over ``MAX_DISTANCE_SYMBOLS`` symbols raises
+    ``MetricDomainError``, whatever the two sides hold.
 
     A common prefix and suffix of the two strings add nothing to a unit-cost
     distance (Ukkonen 1985), so both are cut off first.  The suffix is sought
@@ -259,6 +240,9 @@ def edit_distance(a: IpaString, b: IpaString) -> int:
     are as wide as the string needs.
     """
     xs, ys = a.symbols, b.symbols
+    if max(len(xs), len(ys)) > MAX_DISTANCE_SYMBOLS:
+        raise MetricDomainError(
+            f"edit distance takes at most {MAX_DISTANCE_SYMBOLS} IPA symbols per side")
     if len(xs) < len(ys):
         xs, ys = ys, xs
     start = 0

@@ -516,9 +516,6 @@ def _check_status(status: int, location: str | None = None) -> None:
 _MAX_HEAD = 65536
 _RECV = 65536  # bytes asked of each recv
 _STATUS_LINE = re.compile(rb"HTTP/(\d\.\d) ([1-9]\d\d)(?: .*)?")
-# the line break before the line that ends a head: a line that is empty once
-# its trailing CRs are stripped
-_HEAD_END = re.compile(rb"\n\r*\n")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 # what may not appear in a request target or Host (as http.client rejects),
 # and in a header value: controls, and anything past Latin-1
@@ -579,51 +576,25 @@ class _Reply:
         """HTTP version, status and headers (lower-case names, first of
         each) of one reply.
 
-        The status line is read and checked first; the header lines are
-        then found in one search for the line that ends the head, and split
-        once.  The limits are those of reading line by line: no line over
-        ``_MAX_HEAD`` bytes, finished or not, and no header line ending
-        further than that past the start of the status line.
+        Read line by line: no line over ``_MAX_HEAD`` bytes, finished or
+        not, and no header line ending further than that past the start of
+        the status line.
         """
         start = self.pos
         status_line = self.line()
         found = _STATUS_LINE.fullmatch(status_line)
         if found is None:
             raise TransientProviderError(f"malformed status line {status_line[:80]!r}")
-        fields = self.pos
-        last = fields - 1  # the line break of the last complete line
-        while (end := _HEAD_END.search(self.buf, last)) is None:
-            last = self.buf.rfind(b"\n", last)
-            if last >= fields and last + 1 - start > _MAX_HEAD:
-                raise self._past_limit(start, fields)
-            if len(self.buf) - last - 1 > _MAX_HEAD:
-                raise TransientProviderError(f"reply line over {_MAX_HEAD} bytes")
-            if not self._fill():
-                raise TransientProviderError("connection closed mid-line of the reply")
-        last = end.start()
-        if last >= fields and last + 1 - start > _MAX_HEAD:
-            raise self._past_limit(start, fields)
-        if end.end() - last - 2 > _MAX_HEAD:  # the CRs of the line that ends the head
-            raise TransientProviderError(f"reply line over {_MAX_HEAD} bytes")
-        self.pos = end.end()
         headers: dict[str, str] = {}
-        # strip() drops a line's trailing CRs with the value's blanks
-        for line in self.buf[fields:last].split(b"\n"):
+        while line := self.line():
+            if self.pos - start > _MAX_HEAD:
+                raise TransientProviderError(f"reply header section over {_MAX_HEAD} bytes")
             name, colon, value = line.partition(b":")
             if colon:
                 headers.setdefault(
                     name.strip().lower().decode("latin-1"), value.strip().decode("latin-1")
                 )
         return found[1], int(found[2]), headers
-
-    def _past_limit(self, start: int, fields: int) -> TransientProviderError:
-        """The error for header lines, from ``fields`` on, that end over
-        ``_MAX_HEAD`` bytes past ``start``: as read line by line, that of
-        the first such line, which may itself be over ``_MAX_HEAD``."""
-        end = self.buf.find(b"\n", max(fields, start + _MAX_HEAD))
-        if end - self.buf.rfind(b"\n", 0, end) - 1 > _MAX_HEAD:
-            return TransientProviderError(f"reply line over {_MAX_HEAD} bytes")
-        return TransientProviderError(f"reply header section over {_MAX_HEAD} bytes")
 
     def chunked(self) -> bytes:
         """A chunked body, its chunks joined; trailer fields are skipped."""

@@ -9,6 +9,7 @@ from mavl.errors import EmbeddingError, MetricDomainError
 from mavl.languages import Language
 from mavl.metrics import (
     EMBED_BATCH,
+    PHONETIC,
     SEMANTIC,
     SYLLABIC,
     CorpusReport,
@@ -239,6 +240,22 @@ class TestScoreLine:
         assert score.semantic is None
         assert "non-finite" in score.component_errors["semantic"]
         assert score.se == 0.0 and score.phonetic == 0
+
+    def test_lines_past_the_distance_cap_are_a_phonetic_error(self):
+        scorer = LineScorer(embedder=fake_embedder)
+        # "la" and "na" are two IPA symbols each, so this is the cap exactly
+        words = phonetics.MAX_DISTANCE_SYMBOLS // 2
+        at_cap = scorer.score_line(" ".join(["la"] * words), " ".join(["na"] * words),
+                                   Language.EN, Language.EN, ReferenceKind.DUBBED)
+        assert at_cap.phonetic == words and at_cap.component_errors == {}
+        gt, hyp = ("la " * 40000)[:100000], ("na " * 40000)[:100000]
+        score = scorer.score_line(gt, hyp, Language.EN, Language.EN, ReferenceKind.DUBBED)
+        assert score.phonetic is None
+        cap = f"at most {phonetics.MAX_DISTANCE_SYMBOLS} IPA symbols"
+        assert set(score.component_errors) == {PHONETIC}
+        assert cap in score.component_errors[PHONETIC]
+        assert score.se == 0.0 and score.mismatch is False
+        assert score.semantic is not None
 
     @given(st.one_of(st.text(), st.integers(0, 10**12).map(lambda n: f"나비 {n}")))
     @example("1" * 5000)
