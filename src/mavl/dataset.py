@@ -172,11 +172,16 @@ def match_line(rep: CompactLineRep, candidate: str, lang: Language) -> bool:
 # ----------------------------------------------------------- parse side
 
 def parse_dataset(data: bytes | str) -> Dataset:
+    """Read a dataset document.  Each input is let go once the next form
+    holds its content: the bytes once decoded, the text once parsed, and each
+    song's JSON tree once its records are built.  So a load holds at most two
+    forms at a time, unless the caller keeps ``data``."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}",
                                 byte_offset=exc.start) from None
+    del data
     body = text.removeprefix(BOM)
     try:
         doc = json.loads(body)
@@ -186,10 +191,12 @@ def parse_dataset(data: bytes | str) -> Dataset:
     except (ValueError, RecursionError) as exc:
         # an integer past int's digit limit, or arrays nested past the stack
         raise DatasetParseError(f"not a JSON document: {exc}") from None
+    del text, body
     if not isinstance(doc, dict):
         raise DatasetParseError("top level must be a JSON object")
     songs: dict[str, dict[Language, SongEntry]] = {}
-    for song_id, by_lang in doc.items():
+    for song_id in list(doc):
+        by_lang = doc.pop(song_id)
         problem = surrogate_problem(song_id)
         if problem:
             # the id keys every output record

@@ -14,7 +14,6 @@ which keeps repeated runs byte-comparable.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -79,6 +78,16 @@ from .reports import (
     report_to_json,
     rows_to_csv,
 )
+
+try:
+    # the interpreter's own SHA-256: hashlib loads OpenSSL, which costs more
+    # memory and time than hashing one short config blob
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "RunConfig",
@@ -167,7 +176,7 @@ def _config_payload(config: RunConfig, op: str) -> dict:
 
 def config_digest(config: RunConfig, op: str) -> str:
     blob = json.dumps(_config_payload(config, op), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:10]
+    return _sha256(blob.encode("utf-8")).hexdigest()[:10]
 
 
 def make_run_dir(config: RunConfig, op: str) -> Path:
@@ -226,59 +235,36 @@ class HypothesisSet:
     def __eq__(self, other) -> bool:
         return isinstance(other, HypothesisSet) and vars(self) == vars(other)
 
+    def jsonl_lines(self) -> Iterator[str]:
+        """The lines of ``hypotheses.jsonl``: the provenance, then one record
+        per line in line order."""
+        yield _jsonl_line({"provenance": self.provenance})
+        for key in sorted(self.entries, key=LineKey.order):
+            yield _jsonl_line(_key_fields(key, text=self.entries[key]))
+
     def to_jsonl(self) -> str:
-        records = _in_order({key: _key_fields(key, text=text)
-                             for key, text in self.entries.items()})
-        lines = [{"provenance": self.provenance}] + records
-        return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in lines)
+        return "".join(self.jsonl_lines())
 
     @classmethod
     def from_jsonl(cls, text: str) -> "HypothesisSet":
-        rows: list[tuple[str, dict]] = []
+        """Read ``hypotheses.jsonl``.  Each record is checked as it is read,
+        so the first fault in file order is the one raised."""
+        out = None
         # not splitlines(): a text may hold "\u2028", which json.dumps writes raw
-        for lineno, line in enumerate(text.removeprefix(BOM).split("\n"), start=1):
-            if line.strip():
-                where = f"line {lineno}"
-                rows.append((where, _json_record(line, where)))
-        if not rows or "provenance" not in rows[0][1]:
-            raise DatasetValidationError(
-                "hypothesis file must start with a provenance record",
-                location=rows[0][0] if rows else "line 1",
-            )
-        provenance = rows[0][1]["provenance"]
-        if not isinstance(provenance, str):
-            raise DatasetValidationError("provenance must be a string",
-                                         location=rows[0][0])
-        problem = surrogate_problem(provenance)
-        if problem:
-            # report.json names the provenance
-            raise DatasetValidationError(f"provenance {problem}", location=rows[0][0])
-        out = cls(provenance=provenance)
-        for where, row in rows[1:]:
-            try:
-                song_id, section, line, hyp_text = (
-                    row[name] for name in ("song_id", "section", "line", "text"))
-                lang = Language.parse(str(row["language"]))
-            except (KeyError, ValueError) as exc:
-                raise DatasetValidationError(
-                    f"bad hypothesis record: {exc!r}", location=where
-                ) from None
-            if not isinstance(song_id, str):
-                raise DatasetValidationError("song_id must be a string", location=where)
-            # JSON integers only: int() would key 0.9, true or "0" to a real line
-            if any(isinstance(v, bool) or not isinstance(v, int) for v in (section, line)):
-                raise DatasetValidationError(
-                    "section and line must be integers", location=where)
-            if not isinstance(hyp_text, str):
-                raise DatasetValidationError("text must be a string", location=where)
-            problem = surrogate_problem(hyp_text)
-            if problem:
-                raise DatasetValidationError(f"text {problem}", location=where)
-            key = LineKey(song_id, lang, section, line)
+        for lineno, raw in enumerate(text.removeprefix(BOM).split("\n"), start=1):
+            if not raw.strip():
+                continue
+            where = f"line {lineno}"
+            row = _json_record(raw, where)
+            if out is None:
+                out = cls(_provenance(row, where))
+                continue
+            key, hyp_text = _hypothesis_record(row, where)
             if key in out.entries:
-                raise DatasetValidationError(
-                    "duplicate hypothesis key", location=where)
+                raise DatasetValidationError("duplicate hypothesis key", location=where)
             out.entries[key] = hyp_text
+        if out is None:
+            raise DatasetValidationError(_NO_PROVENANCE, location="line 1")
         return out
 
     def validate_against(self, dataset: Dataset) -> None:
@@ -314,6 +300,52 @@ class HypothesisSet:
                         key = LineKey(song_id, lang, section.index, line.index)
                         out.entries[key] = line.resolved_text
         return out
+
+
+_NO_PROVENANCE = "hypothesis file must start with a provenance record"
+
+
+def _provenance(row: dict, where: str) -> str:
+    """The provenance a hypothesis file's first record names, checked."""
+    if "provenance" not in row:
+        raise DatasetValidationError(_NO_PROVENANCE, location=where)
+    provenance = row["provenance"]
+    if not isinstance(provenance, str):
+        raise DatasetValidationError("provenance must be a string", location=where)
+    problem = surrogate_problem(provenance)
+    if problem:
+        # report.json names the provenance
+        raise DatasetValidationError(f"provenance {problem}", location=where)
+    return provenance
+
+
+def _hypothesis_record(row: dict, where: str) -> tuple[LineKey, str]:
+    """The line a hypothesis record keys and its text, checked."""
+    try:
+        song_id, section, line, text = (
+            row[name] for name in ("song_id", "section", "line", "text"))
+        lang = Language.parse(str(row["language"]))
+    except (KeyError, ValueError) as exc:
+        raise DatasetValidationError(
+            f"bad hypothesis record: {exc!r}", location=where
+        ) from None
+    if not isinstance(song_id, str):
+        raise DatasetValidationError("song_id must be a string", location=where)
+    # JSON integers only: int() would key 0.9, true or "0" to a real line
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (section, line)):
+        raise DatasetValidationError(
+            "section and line must be integers", location=where)
+    if not isinstance(text, str):
+        raise DatasetValidationError("text must be a string", location=where)
+    problem = surrogate_problem(text)
+    if problem:
+        raise DatasetValidationError(f"text {problem}", location=where)
+    return LineKey(song_id, lang, section, line), text
+
+
+def _jsonl_line(record: dict) -> str:
+    """One record of a ``.jsonl`` output file, with its newline."""
+    return json.dumps(record, ensure_ascii=False) + "\n"
 
 
 def _json_record(line: str, where: str) -> dict:
@@ -548,15 +580,14 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
             failed[key] = _failure(key, status, payload)
     failures, line_results = _in_order(failed), _in_order(results)
 
-    atomic_write(run_dir / "hypotheses.jsonl", hyp.to_jsonl())
+    with _atomic_file(run_dir / "hypotheses.jsonl") as fh:
+        fh.writelines(hyp.jsonl_lines())
     atomic_write(
         run_dir / "failures.json",
         json.dumps(failures, ensure_ascii=False, indent=2) + "\n",
     )
-    atomic_write(
-        run_dir / "results.jsonl",
-        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in line_results),
-    )
+    with _atomic_file(run_dir / "results.jsonl") as fh:
+        fh.writelines(map(_jsonl_line, line_results))
     _write_config_echo(run_dir, config, "translate")
 
     if tasks and provider_failures == len(tasks):

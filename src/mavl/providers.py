@@ -15,7 +15,6 @@ themselves).
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -135,16 +134,24 @@ class EmbeddingRequest(Checked, _EmbeddingRequest):
         return self
 
 
-# the hash state after the media line of a request without media
-_NO_MEDIA = hashlib.sha256(b"[]\n")
+@functools.cache
+def _no_media():
+    """The hash state after the media line of a request without media."""
+    import hashlib
+
+    return hashlib.sha256(b"[]\n")
 
 
 def request_digest(request: GenerationRequest) -> str:
     """Stable short fingerprint of a request, for trace correlation.
 
     Hashes the media as one JSON line, then the prompt's UTF-8 bytes: JSON
-    escapes newlines, so the first one ends the media.
+    escapes newlines, so the first one ends the media.  OpenSSL's SHA-256,
+    through ``hashlib``, is loaded here on first use: a translate hashes
+    megabytes of prompts, and commands that hash none never load it.
     """
+    import hashlib
+
     if request.media:
         media = json.dumps([
             [m.kind.value, m.location, list(m.time_span) if m.time_span else None]
@@ -152,7 +159,7 @@ def request_digest(request: GenerationRequest) -> str:
         ])
         digest = hashlib.sha256(f"{media}\n".encode("utf-8"))
     else:
-        digest = _NO_MEDIA.copy()
+        digest = _no_media().copy()
     digest.update(request.prompt_text.encode("utf-8"))
     return digest.hexdigest()[:16]
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import re
 
-from ..languages import is_kana, is_kanji
-
 _SMALL_KANA = set("ぁぃぅぇぉゃゅょゎァィゥェォャュョヮ")
 
 # the code points of languages.is_kanji
@@ -33,12 +31,19 @@ def segment(text: str) -> list[str]:
     """Mora units of normalized ``text``, whose annotations ``normalize`` has
     already replaced by their readings."""
     units: list[str] = []
+    # whether units[-1] is kana, which a small kana attaches to
+    after_kana = False
     for ch in text:
-        if is_kana(ch):
-            if ch in _SMALL_KANA and units and is_kana(units[-1][-1]):
+        # languages.is_kana and is_kanji, inline: one-character strings
+        # compare by code point; U+309D..E are ゝゞ, U+30FC..E are ーヽヾ
+        if ("\u3041" <= ch <= "\u3096" or "\u30a1" <= ch <= "\u30fa"
+                or "\u30fc" <= ch <= "\u30fe" or "\u309d" <= ch <= "\u309e"):
+            if after_kana and ch in _SMALL_KANA:
                 units[-1] += ch
             else:
                 units.append(ch)
-        elif is_kanji(ch):
+            after_kana = True
+        elif "\u4e00" <= ch <= "\u9fff" or "\u3400" <= ch <= "\u4dbf" or ch == "々":
             units.append(ch)
+            after_kana = False
     return units

@@ -162,16 +162,23 @@ _HTTP_PROBE = textwrap.dedent(f"""
 """)
 
 
+def _fresh_python(code: str, *args, **env) -> dict:
+    """Run ``code`` in a fresh interpreter that imports ``mavl`` from this
+    checkout, and read the JSON object its last stdout line holds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def test_http_modules_load_only_for_a_remote_call():
     """Importing the CLI loads no HTTP client, socket, select or TLS module; an
     ``http://`` call loads neither ``requests`` nor ``urllib.request``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, MAVL_API_KEY="sekrit",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _HTTP_PROBE], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {
+    seen = _fresh_python(_HTTP_PROBE, MAVL_API_KEY="sekrit")
+    assert seen == {
         "after_import": [], "text": "ok", "requests_loaded": False,
         "urllib_request_loaded": False,
     }
@@ -211,13 +218,7 @@ def test_no_thread_pool_dataclasses_or_logging_load(tmp_path):
     from test_harness import GOOD_SCRIPT, small_corpus, write_script
 
     corpus, script = small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _LOAD_PROBE, str(corpus), str(script),
-                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == {
+    assert _fresh_python(_LOAD_PROBE, corpus, script, tmp_path) == {
         "import": [], "translate-1": [0], "evaluate": [0], "stats": [0],
         "translate-2": [0],
     }
@@ -226,3 +227,47 @@ def test_no_thread_pool_dataclasses_or_logging_load(tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
     # both lines translated, so the comparison covers real output
     assert len((serial / "results.jsonl").read_text(encoding="utf-8").splitlines()) == 2
+
+
+# run in a fresh interpreter: importing the CLI, then evaluate, stats and a
+# translate, noting after each whether OpenSSL's hashing modules are loaded
+OPENSSL_MODULES = ("hashlib", "_hashlib")
+_OPENSSL_PROBE = textwrap.dedent(f"""
+    import json, sys
+    import mavl.cli
+
+    corpus, script, hypotheses, out = sys.argv[1:]
+    seen = {{}}
+
+    def note(name, argv=None):
+        code = [] if argv is None else [mavl.cli.main(argv)]
+        seen[name] = code + [m for m in {OPENSSL_MODULES!r} if m in sys.modules]
+
+    note("import")
+    note("evaluate", ["evaluate", "--dataset", corpus, "--target-lang", "KO",
+                      "--hypotheses", hypotheses, "--out", out + "/eval"])
+    note("stats", ["stats", "--dataset", corpus])
+    note("translate", ["translate", "--dataset", corpus, "--target-lang", "KO",
+                       "--mock-script", script, "--out", out + "/t"])
+    print(json.dumps(seen))
+""")
+
+
+def test_openssl_loads_only_for_translate(tmp_path):
+    """Importing the CLI, evaluate and stats load neither ``hashlib`` nor
+    OpenSSL's ``_hashlib``: a run directory's name is hashed with the
+    interpreter's own SHA-256.  A translate loads both for its request
+    digests."""
+    from mavl.dataset import parse_dataset
+    from mavl.harness import HypothesisSet
+    from mavl.languages import Language
+    from test_harness import GOOD_SCRIPT, small_corpus, write_script
+
+    corpus, script = small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT)
+    hypotheses = tmp_path / "hypotheses.jsonl"
+    dubbed = HypothesisSet.from_dubbed(parse_dataset(corpus.read_bytes()), [Language.KO])
+    hypotheses.write_text(dubbed.to_jsonl(), encoding="utf-8")
+    assert _fresh_python(_OPENSSL_PROBE, corpus, script, hypotheses, tmp_path) == {
+        "import": [], "evaluate": [0], "stats": [0],
+        "translate": [0, *OPENSSL_MODULES],
+    }

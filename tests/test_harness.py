@@ -187,6 +187,22 @@ class TestRunConfig:
         # translate does not read beta, so it keeps one run name
         assert config_digest(a, "translate") == config_digest(c, "translate")
 
+    @pytest.mark.parametrize("config", [
+        RunConfig(dataset_path="x"),
+        RunConfig(dataset_path="corpus.json", target_langs=(Language.KO, Language.JA),
+                  beta=1.5, parallelism=3),
+        RunConfig(dataset_path="코퍼스/歌詞 données.json", provider="remote",
+                  endpoint="http://127.0.0.1:9", model_id="m"),
+    ], ids=["defaults", "settings", "non-ascii-remote"])
+    def test_digest_is_hashlib_sha256(self, config):
+        """The interpreter's own SHA-256 names a run as ``hashlib``'s did."""
+        import hashlib
+
+        for op in ("translate", "evaluate", "ablate"):
+            blob = json.dumps(_config_payload(config, op), sort_keys=True)
+            want = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:10]
+            assert config_digest(config, op) == want, op
+
     def test_run_dirs_never_clobber(self, tmp_path):
         config = RunConfig(dataset_path="x", out_dir=str(tmp_path / "runs"))
         first = make_run_dir(config, "translate")
@@ -234,6 +250,26 @@ class TestHypothesisSet:
     def test_missing_provenance_header(self):
         with pytest.raises(DatasetValidationError):
             HypothesisSet.from_jsonl('{"song_id": "a"}\n')
+
+    @pytest.mark.parametrize("text, fault", [
+        # a bad record, then a line that is not JSON
+        ('{"provenance": "x"}\n\n{"song_id": "a", "language": "KO"}\n{\n',
+         "line 3: bad hypothesis record"),
+        ('{"provenance": "x"}\n'
+         '{"song_id": 7, "language": "KO", "section": 0, "line": 0, "text": "a"}\n[\n',
+         "line 2: song_id must be a string"),
+        # a bad provenance, then a line that is not JSON
+        ('{"provenance": 7}\n{\n', "line 1: provenance must be a string"),
+        ('{"song_id": "a"}\n{\n',
+         "line 1: hypothesis file must start with a provenance record"),
+        # the first fault is still raised when it is the JSON one
+        ('{"provenance": "x"}\n{\n{"song_id": "a"}\n', "line 2: not a JSON record"),
+        ("\n \n", "line 1: hypothesis file must start with a provenance record"),
+    ], ids=["record-then-json", "song-id-then-json", "provenance-then-json",
+            "no-provenance-then-json", "json-then-record", "empty"])
+    def test_first_fault_in_file_order(self, text, fault):
+        with pytest.raises(DatasetValidationError, match="^" + re.escape(fault)):
+            HypothesisSet.from_jsonl(text)
 
     def test_validate_against_detects_bad_keys(self, tmp_path):
         path = small_corpus(tmp_path)

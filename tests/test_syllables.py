@@ -148,6 +148,19 @@ class TestFrenchRules:
         assert count_syllables(FR, word) == want
 
 
+# the kana blocks and the CJK punctuation before them, both edges of both
+# kanji ranges, small kana, ASCII and Hangul
+ja_text = st.text(st.one_of(
+    st.characters(min_codepoint=0x3000, max_codepoint=0x30FF),
+    st.characters(min_codepoint=0x33F0, max_codepoint=0x3410),
+    st.characters(min_codepoint=0x4DB0, max_codepoint=0x4E10),
+    st.characters(min_codepoint=0x9FF0, max_codepoint=0xA010),
+    st.sampled_from("ぁぃぅぇぉゃゅょゎァィゥェォャュョヮ"),
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3),
+), max_size=40)
+
+
 class TestJapaneseMorae:
     def test_small_kana_merges(self):
         assert count_syllables(JA, "きゃ") == 1
@@ -185,6 +198,30 @@ class TestJapaneseMorae:
 
     def test_no_countable_units(self):
         assert count_syllables(JA, "abc !") == 0
+
+    @given(ja_text)
+    @example("ゃあ")  # a small kana that starts the text stands alone
+    @example("夢ゃ")  # and one after a kanji
+    @example("き、ゃ a ャ")  # one after a skipped character joins the kana before it
+    @example("ゝゞヽヾーっー")
+    @example("人々㐀䶿一鿿")
+    def test_segment_equals_loop(self, text):
+        assert japanese.segment(text) == ja_segment_loop(text)
+
+
+def ja_segment_loop(text):
+    """``japanese.segment`` as calls to ``is_kana`` and ``is_kanji`` for each
+    character, kept as the oracle."""
+    units = []
+    for ch in text:
+        if is_kana(ch):
+            if ch in japanese._SMALL_KANA and units and is_kana(units[-1][-1]):
+                units[-1] += ch
+            else:
+                units.append(ch)
+        elif is_kanji(ch):
+            units.append(ch)
+    return units
 
 
 class TestLexiconPrecedence:
