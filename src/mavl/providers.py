@@ -718,6 +718,10 @@ def _route(url: str) -> tuple[bool, str, int, bytes]:
         parts.scheme not in ("http", "https")
         or not parts.hostname
         or _BAD_URL.search(target + authority)
+        # the labels DNS takes, as the idna codec checks them: 1 to 63
+        # characters each, a trailing dot allowed
+        or not all(0 < len(label) < 64
+                   for label in parts.hostname.removesuffix(".").split("."))
     ):
         raise ProviderError(f"bad endpoint URL {url!r}")
     head = (
@@ -765,7 +769,8 @@ def _http_post(
         if quickack:
             sock = idle.take()
         if sock is None:
-            sock = socket.create_connection((host, port), timeout)
+            # an ASCII-bytes host (see ``_route``) skips the idna codec's import
+            sock = socket.create_connection((host.encode("ascii"), port), timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if https:
                 sock = tls().wrap_socket(sock, server_hostname=host)

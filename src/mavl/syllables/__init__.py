@@ -112,6 +112,5 @@ def _latin_word_units(lang: Language, core: str) -> tuple[str, ...]:
         return explicit
     if lang is Language.EN:
         return tuple(english.segment_word(core))
-    if lang is Language.ES:
-        return tuple(spanish.segment_word(core))
-    return tuple(french.segment_word(core))
+    rules = spanish if lang is Language.ES else french
+    return tuple(common.segment_word(core, rules.nuclei, rules.CLUSTERS))

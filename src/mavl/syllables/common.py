@@ -1,24 +1,66 @@
-"""Shared pieces for the Latin-script counters (EN, ES, FR).
+"""The syllable walk shared by the Latin-script counters (EN, ES, FR).
 
-Each language module finds nucleus spans in a lowercased word core; this
-module turns those spans into syllable units by splitting the consonant
-runs between them. The split is onset-maximal only for known clusters:
-a lone consonant starts the next syllable, a run keeps everything except
-its final cluster (or final consonant) in the coda.
+A language module supplies a vowel test, a hiatus rule and its onset
+clusters. ``vowel_runs`` groups adjacent vowels into nucleus spans, split
+where the hiatus rule parts two vowels; ``without_final_e`` drops a silent
+final e; ``split_on_nuclei`` turns the spans into syllable units by
+splitting the consonant runs between them. The split is onset-maximal
+only for known clusters: a lone consonant starts the next syllable, a run
+keeps everything except its final cluster (or final consonant) in the
+coda. Words come from ``normalize``, which leaves ``'`` as the only
+punctuation a token can hold.
 """
 
 from __future__ import annotations
 
-_STRIP = "\"'’.,;:!?¡¿()[]{}«»“”„…·-–—"
+from typing import Callable
+
+Spans = list[tuple[int, int]]
 
 
 def word_core(token: str) -> str:
-    """Token with surrounding punctuation removed. May be empty."""
-    return token.strip(_STRIP)
+    """Token without the apostrophes around it; one inside (don't) stays. May be empty."""
+    return token.strip("'")
 
 
-def split_on_nuclei(word: str, nuclei: list[tuple[int, int]],
-                    clusters: frozenset[str]) -> list[str]:
+def segment_word(core: str, nuclei: Callable[[str], Spans],
+                 clusters: frozenset[str]) -> list[str]:
+    """Syllable units of one word core; ``nuclei`` finds the nucleus spans
+    in its lowercased form. Always at least one unit."""
+    return split_on_nuclei(core, nuclei(core.lower()), clusters) or [core]
+
+
+def vowel_runs(word: str, is_vowel: Callable[[str, int], bool],
+               hiatus: Callable[[str, str], bool] | None = None) -> Spans:
+    """(start, end) spans of the runs of letters that ``is_vowel(word, i)``
+    accepts; a run splits before a vowel ``ch`` where ``hiatus(last, ch)``
+    holds for the vowel before it."""
+    spans: Spans = []
+    i = 0
+    while i < len(word):
+        if not is_vowel(word, i):
+            i += 1
+            continue
+        start = i
+        i += 1
+        while (i < len(word) and is_vowel(word, i)
+               and not (hiatus and hiatus(word[i - 1], word[i]))):
+            i += 1
+        spans.append((start, i))
+    return spans
+
+
+def without_final_e(word: str, spans: Spans, silent: Callable[[str, int], bool]) -> Spans:
+    """``spans`` less a last nucleus that is a lone ``e`` at ``s`` which
+    ``silent(word, s)`` calls silent. A word's only nucleus stays."""
+    if len(spans) > 1:
+        s, e = spans[-1]
+        if e - s == 1 and word[s] == "e" and silent(word, s):
+            spans.pop()
+    return spans
+
+
+def split_on_nuclei(word: str, nuclei: Spans, clusters: frozenset[str]) -> list[str]:
     """Cut ``word`` into len(nuclei) units, one nucleus per unit.
 
     ``nuclei`` are (start, end) spans in order. ``clusters`` holds onset

@@ -8,7 +8,7 @@ the exceptions lexicon, not here.
 
 from __future__ import annotations
 
-from .common import split_on_nuclei
+from . import common
 
 _VOWELS = "aeiou"
 
@@ -18,21 +18,11 @@ CLUSTERS = frozenset({
     "chr", "phr", "shr", "thr",
 })
 
-_CONTRACTION_SUFFIXES = ("'ll", "'re", "'ve", "'s", "'d", "'m", "'t",
-                         "’ll", "’re", "’ve", "’s", "’d", "’m", "’t")
+_CONTRACTION_SUFFIXES = ("'ll", "'re", "'ve", "'s", "'d", "'m", "'t")
 
 # consonants before -es that force the e to sound (boxes, places, watches)
 _SIBILANT_FINAL = set("sxzcg")
 _SIBILANT_DIGRAPHS = {"ch", "sh"}
-
-
-def strip_contraction(core: str) -> tuple[str, str]:
-    lowered = core.lower()
-    for suffix in _CONTRACTION_SUFFIXES:
-        if lowered.endswith(suffix) and len(core) > len(suffix):
-            cut = len(core) - len(suffix)
-            return core[:cut], core[cut:]
-    return core, ""
 
 
 def _is_nucleus(word: str, i: int) -> bool:
@@ -54,26 +44,11 @@ def _is_nucleus(word: str, i: int) -> bool:
 
 def nuclei(word: str) -> list[tuple[int, int]]:
     """Nucleus spans for a lowercased word, silent-e adjusted."""
-    spans: list[tuple[int, int]] = []
-    i = 0
-    while i < len(word):
-        if _is_nucleus(word, i):
-            j = i
-            while j < len(word) and _is_nucleus(word, j):
-                j += 1
-            spans.append((i, j))
-            i = j
-        else:
-            i += 1
-    if len(spans) > 1:
-        s, e = spans[-1]
-        if e - s == 1 and word[s] == "e" and _final_e_silent(word, s, e):
-            spans.pop()
-    return spans
+    return common.without_final_e(word, common.vowel_runs(word, _is_nucleus), _final_e_silent)
 
 
-def _final_e_silent(word: str, s: int, e: int) -> bool:
-    tail = word[e:]
+def _final_e_silent(word: str, s: int) -> bool:
+    tail = word[s + 1:]
     prev = word[s - 1] if s > 0 else ""
     if tail not in ("", "s", "d"):
         return False
@@ -90,12 +65,11 @@ def _final_e_silent(word: str, s: int, e: int) -> bool:
 
 
 def segment_word(core: str) -> list[str]:
-    """Syllable units of one word core. Always at least one unit."""
-    body, suffix = strip_contraction(core)
-    spans = nuclei(body.lower())
-    units = split_on_nuclei(body, spans, CLUSTERS)
-    if not units:
-        return [core]
-    if suffix:
-        units[-1] += suffix
-    return units
+    """Syllable units of one word core; a contraction suffix joins the last."""
+    lowered = core.lower()
+    for suffix in _CONTRACTION_SUFFIXES:
+        if lowered.endswith(suffix) and len(core) > len(suffix):
+            units = common.segment_word(core[:-len(suffix)], nuclei, CLUSTERS)
+            units[-1] += core[-len(suffix):]
+            return units
+    return common.segment_word(core, nuclei, CLUSTERS)

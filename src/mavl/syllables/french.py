@@ -8,7 +8,7 @@ schwas are not counted.
 
 from __future__ import annotations
 
-from .common import split_on_nuclei
+from .common import vowel_runs, without_final_e
 
 _PLAIN_VOWELS = set("aâàeéèêiîoôuûùy")
 _DIAERESIS = set("ëïöü")
@@ -54,29 +54,8 @@ def _hiatus(last: str, ch: str) -> bool:
 
 
 def nuclei(word: str) -> list[tuple[int, int]]:
-    spans: list[tuple[int, int]] = []
-    i = 0
-    while i < len(word):
-        if not _is_vowel_char(word, i):
-            i += 1
-            continue
-        start = i
-        last = word[i]
-        i += 1
-        while i < len(word) and _is_vowel_char(word, i):
-            ch = word[i]
-            if _hiatus(last, ch):
-                break
-            last = ch
-            i += 1
-        spans.append((start, i))
-    if len(spans) > 1:
-        s, e = spans[-1]
-        if e - s == 1 and word[s] == "e" and word[e:] in ("", "s"):
-            spans.pop()
-    return spans
+    return without_final_e(word, vowel_runs(word, _is_vowel_char, _hiatus), _mute)
 
 
-def segment_word(core: str) -> list[str]:
-    units = split_on_nuclei(core, nuclei(core.lower()), CLUSTERS)
-    return units if units else [core]
+def _mute(word: str, s: int) -> bool:
+    return word[s + 1:] in ("", "s")

@@ -8,7 +8,7 @@ hiatus (frío, país, oído).
 
 from __future__ import annotations
 
-from .common import split_on_nuclei
+from .common import vowel_runs
 
 _STRONG = set("aeoáéó")
 _WEAK = set("iuü")
@@ -37,28 +37,12 @@ def _is_vowel_char(word: str, i: int) -> bool:
     return ch in _ALL
 
 
+def _hiatus(last: str, ch: str) -> bool:
+    # an accented weak vowel stands alone (frío, país); two strong ones part (leer)
+    if ch in _ACCENTED_WEAK or last in _ACCENTED_WEAK:
+        return True
+    return ch in _STRONG and last in _STRONG
+
+
 def nuclei(word: str) -> list[tuple[int, int]]:
-    spans: list[tuple[int, int]] = []
-    i = 0
-    while i < len(word):
-        if not _is_vowel_char(word, i):
-            i += 1
-            continue
-        start = i
-        last = word[i]
-        i += 1
-        while i < len(word) and _is_vowel_char(word, i):
-            ch = word[i]
-            if ch in _ACCENTED_WEAK or last in _ACCENTED_WEAK:
-                break
-            if ch in _STRONG and last in _STRONG:
-                break
-            last = ch
-            i += 1
-        spans.append((start, i))
-    return spans
-
-
-def segment_word(core: str) -> list[str]:
-    units = split_on_nuclei(core, nuclei(core.lower()), CLUSTERS)
-    return units if units else [core]
+    return vowel_runs(word, _is_vowel_char, _hiatus)

@@ -271,3 +271,36 @@ def test_openssl_loads_only_for_translate(tmp_path):
         "import": [], "evaluate": [0], "stats": [0],
         "translate": [0, *OPENSSL_MODULES],
     }
+
+
+# run in a fresh interpreter: a remote translate against the loopback server
+# the test runs, then whether the idna codec and its stringprep tables loaded
+IDNA_MODULES = ("encodings.idna", "stringprep")
+_IDNA_PROBE = textwrap.dedent(f"""
+    import json, sys
+    import mavl.cli
+
+    corpus, url, out = sys.argv[1:]
+    code = mavl.cli.main(["translate", "--dataset", corpus, "--target-lang", "KO",
+                          "--provider", "remote", "--endpoint", url, "--model-id", "m",
+                          "--max-reprompts", "0", "--out", out])
+    print(json.dumps([code] + [m for m in {IDNA_MODULES!r} if m in sys.modules]))
+""")
+
+
+def test_http_translate_loads_no_idna_codec(tmp_path):
+    """An ``http://`` translate hands ``getaddrinfo`` its host as ASCII bytes,
+    so it never loads the idna codec or ``stringprep``."""
+    from loopback import Loopback, reply
+    from test_harness import small_corpus
+
+    server = Loopback()
+    body = json.dumps({"text": json.dumps({"translation": "나비가 날아와"})}).encode()
+    server.actions = [reply(200, body)] * 2
+    try:
+        seen = _fresh_python(_IDNA_PROBE, small_corpus(tmp_path), server.url,
+                             tmp_path / "runs", MAVL_API_KEY="sekrit")
+    finally:
+        server.close()
+    assert seen == [0]
+    assert len(server.received) == 2

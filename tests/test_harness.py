@@ -1512,6 +1512,23 @@ class TestCli:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("host", ["a..b", "a" * 64 + ".example"],
+                             ids=["empty-label", "label-over-63"])
+    def test_remote_host_dns_cannot_take_is_a_provider_failure(self, tmp_path, capsys,
+                                                               monkeypatch, host):
+        monkeypatch.setenv("MAVL_API_KEY", "sekrit")
+        corpus = small_corpus(tmp_path)
+        code = main(["translate", "--dataset", str(corpus), "--target-lang", "KO",
+                     "--provider", "remote", "--endpoint", f"http://{host}/v1",
+                     "--model-id", "m", "--out", str(tmp_path / "runs")])
+        assert code == 4
+        assert "Traceback" not in capsys.readouterr().err
+        run_dir = next((tmp_path / "runs").iterdir())
+        failures = json.loads((run_dir / "failures.json").read_text(encoding="utf-8"))
+        assert [(f["line"], f["category"], f["reason"]) for f in failures] == [
+            (line, "provider", f"bad endpoint URL 'http://{host}/v1/complete'")
+            for line in (0, 1)]
+
     @pytest.mark.parametrize("missing", ["--endpoint", "--model-id"])
     def test_remote_evaluate_needs_endpoint_and_model(self, tmp_path, capsys, missing):
         corpus = small_corpus(tmp_path)

@@ -863,8 +863,10 @@ class TestRemoteProviderHttp:
         ("http://127.0.0.1:99999/v1", "sekrit"),
         ("http://bad host/v1", "sekrit"),
         ("ftp://127.0.0.1/v1", "sekrit"),
+        ("http://a..b/v1", "sekrit"),
+        ("http://" + "a" * 64 + ".example/v1", "sekrit"),
     ], ids=["key-with-crlf", "key-with-newline", "port-out-of-range", "space-in-host",
-            "other-scheme"])
+            "other-scheme", "empty-host-label", "host-label-over-63"])
     def test_unsendable_request_is_not_retried(self, loopback, monkeypatch, no_backoff,
                                                endpoint, key):
         monkeypatch.setenv("MAVL_API_KEY", key)
@@ -874,6 +876,24 @@ class TestRemoteProviderHttp:
         assert type(excinfo.value) is ProviderError
         assert key.strip() not in str(excinfo.value)
         assert loopback.received == []
+
+    @given(st.lists(st.sampled_from(["", "a", "b" * 62, "c" * 63, "d" * 64]),
+                    min_size=1, max_size=4).map(".".join))
+    @example("a.b.")
+    @example(".")
+    @example("c" * 63 + ".")
+    @example("d" * 64 + ".")
+    def test_route_takes_the_hosts_the_idna_codec_takes(self, host):
+        """``_route`` refuses exactly the ASCII hosts whose labels the idna
+        codec, which ``getaddrinfo`` applies to a ``str`` host, refuses."""
+        assume(host)
+        try:
+            host.encode("idna")
+        except UnicodeError:
+            with pytest.raises(ProviderError, match="bad endpoint URL"):
+                providers._route(f"http://{host}:80/v1")
+        else:
+            assert providers._route(f"http://{host}:80/v1")[1] == host
 
     def test_url_and_key_are_checked_on_every_request(self, loopback, monkeypatch):
         """The URL's checks run once per URL, but a bad URL fails each time;

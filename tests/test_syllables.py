@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st
 from mavl import syllables
 from mavl.errors import NumberRangeError
 from mavl.languages import Language, is_hangul_syllable, is_kana, is_kanji
-from mavl.syllables import common, count_syllables, japanese, normalize, segment
+from mavl.syllables import (
+    common, count_syllables, english, french, japanese, normalize, segment, spanish)
 
 EN = Language.EN
 ES = Language.ES
@@ -146,6 +147,130 @@ class TestFrenchRules:
     ])
     def test_words_mute(self, word, want):
         assert count_syllables(FR, word) == want
+
+
+def en_nuclei_loop(word):
+    """``english.nuclei`` as its own loop, kept as the oracle."""
+    spans = []
+    i = 0
+    while i < len(word):
+        if english._is_nucleus(word, i):
+            j = i
+            while j < len(word) and english._is_nucleus(word, j):
+                j += 1
+            spans.append((i, j))
+            i = j
+        else:
+            i += 1
+    if len(spans) > 1:
+        s, e = spans[-1]
+        if e - s == 1 and word[s] == "e" and english._final_e_silent(word, s):
+            spans.pop()
+    return spans
+
+
+def es_nuclei_loop(word):
+    """``spanish.nuclei`` as its own loop, kept as the oracle."""
+    spans = []
+    i = 0
+    while i < len(word):
+        if not spanish._is_vowel_char(word, i):
+            i += 1
+            continue
+        start = i
+        last = word[i]
+        i += 1
+        while i < len(word) and spanish._is_vowel_char(word, i):
+            ch = word[i]
+            if ch in spanish._ACCENTED_WEAK or last in spanish._ACCENTED_WEAK:
+                break
+            if ch in spanish._STRONG and last in spanish._STRONG:
+                break
+            last = ch
+            i += 1
+        spans.append((start, i))
+    return spans
+
+
+def fr_nuclei_loop(word):
+    """``french.nuclei`` as its own loop, kept as the oracle."""
+    spans = []
+    i = 0
+    while i < len(word):
+        if not french._is_vowel_char(word, i):
+            i += 1
+            continue
+        start = i
+        last = word[i]
+        i += 1
+        while i < len(word) and french._is_vowel_char(word, i):
+            ch = word[i]
+            if french._hiatus(last, ch):
+                break
+            last = ch
+            i += 1
+        spans.append((start, i))
+    if len(spans) > 1:
+        s, e = spans[-1]
+        if e - s == 1 and word[s] == "e" and word[e:] in ("", "s"):
+            spans.pop()
+    return spans
+
+
+# every letter the rules test, a few they don't, and the apostrophe
+LATIN_LETTERS = string.ascii_lowercase + "áéíóúüñàâçèêëîïôûùÿœæ'"
+latin_word = st.text(st.sampled_from(LATIN_LETTERS + "aeiouy" * 3), max_size=12)
+# the punctuation the Latin counters stripped from a token before ``normalize``
+# was their only filter
+OLD_STRIP = "\"'’.,;:!?¡¿()[]{}«»“”„…·-–—"
+
+
+class TestVowelRuns:
+    @given(latin_word)
+    @example("the")  # a lone silent e is the only nucleus, so it stays
+    @example("queue")
+    @example("yesterday")
+    @example("tables")
+    def test_english_equals_loop(self, word):
+        assert english.nuclei(word) == en_nuclei_loop(word)
+
+    @given(latin_word)
+    @example("guerra")
+    @example("oído")
+    @example("leer")
+    def test_spanish_equals_loop(self, word):
+        assert spanish.nuclei(word) == es_nuclei_loop(word)
+
+    @given(latin_word)
+    @example("je")
+    @example("noël")
+    @example("poésie")
+    @example("portes")
+    def test_french_equals_loop(self, word):
+        assert french.nuclei(word) == fr_nuclei_loop(word)
+
+    @pytest.mark.parametrize("lang,word,units", [
+        (EN, "queue", ("queue",)), (EN, "table", ("ta", "ble")),
+        (EN, "wanted", ("wan", "ted")), (EN, "boxes", ("bo", "xes")),
+        (EN, "yes", ("yes",)), (EN, "WANTED", ("WAN", "TED")),
+        (ES, "guerra", ("gue", "rra")), (ES, "pingüino", ("pin", "güi", "no")),
+        (ES, "frío", ("frí", "o")), (ES, "país", ("pa", "ís")), (ES, "PAÍS", ("PA", "ÍS")),
+        (ES, "hoy", ("hoy",)),
+        (FR, "noël", ("no", "ël")), (FR, "poème", ("po", "ème")),
+        (FR, "créer", ("cré", "er")), (FR, "table", ("table",)),
+    ])
+    def test_units(self, lang, word, units):
+        assert segment(lang, word).units == units
+
+    @pytest.mark.parametrize("lang,word", [
+        (EN, "don't"), (EN, "isn't"), (EN, "I'll"), (EN, "ev'ry"), (EN, "rock'n'roll"),
+        (ES, "pa'lante"), (FR, "l'amour"), (FR, "aujourd'hui"), (FR, "qu'il"),
+    ])
+    def test_apostrophes_and_surrounding_punctuation(self, lang, word):
+        units = segment(lang, word).units
+        assert segment(lang, word.replace("'", "’")).units == units
+        for ch in OLD_STRIP:
+            assert segment(lang, f"{ch}{word}{ch}").units == units, ch
 
 
 # the kana blocks and the CJK punctuation before them, both edges of both
