@@ -67,6 +67,7 @@ from .providers import (
     TraceStore,
     embed,
     map_bounded,
+    sha256,
 )
 from .records import Checked
 from .reports import (
@@ -78,16 +79,6 @@ from .reports import (
     report_to_json,
     rows_to_csv,
 )
-
-try:
-    # the interpreter's own SHA-256: hashlib loads OpenSSL, which costs more
-    # memory and time than hashing one short config blob
-    from _sha2 import sha256 as _sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256 as _sha256
 
 __all__ = [
     "RunConfig",
@@ -176,7 +167,7 @@ def _config_payload(config: RunConfig, op: str) -> dict:
 
 def config_digest(config: RunConfig, op: str) -> str:
     blob = json.dumps(_config_payload(config, op), sort_keys=True)
-    return _sha256(blob.encode("utf-8")).hexdigest()[:10]
+    return sha256(blob.encode("utf-8")).hexdigest()[:10]
 
 
 def make_run_dir(config: RunConfig, op: str) -> Path:

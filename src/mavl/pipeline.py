@@ -30,12 +30,13 @@ from importlib import resources
 from typing import NamedTuple
 
 from .errors import ConfigError, NumberRangeError, PipelineError
-from .languages import Language
+from .languages import Language, surrogate_problem
 from .providers import (
     GenerationProvider,
     GenerationRequest,
     MediaAttachment,
     MediaKind,
+    PromptDigest,
     TraceStore,
     generate,
 )
@@ -194,7 +195,7 @@ def _render(template: str, flags: dict[str, bool]) -> str:
 
 
 def build_prompt(task: TranslationTask, variant: PipelineVariant) -> str:
-    parts = list(_variant_prompt(variant))
+    parts = list(_variant_prompt(variant, task.source_lang, task.target_lang))
     values = {
         "source_lang": task.source_lang.display_name,
         "target_lang": task.target_lang.display_name,
@@ -205,11 +206,20 @@ def build_prompt(task: TranslationTask, variant: PipelineVariant) -> str:
     return "".join(parts)
 
 
+# the placeholders whose values differ between tasks of one language pair
+_TASK_SLOTS = ("syllable_count", "source_text")
+
+
 @lru_cache(maxsize=None)
-def _variant_prompt(variant: PipelineVariant) -> tuple[str, ...]:
-    """A variant's prompt, split at its placeholders: text and placeholder
-    names alternate, text first and last.  It depends on nothing else, and
-    a value filled into a name slot is never read for placeholders."""
+def _variant_prompt(
+    variant: PipelineVariant, source_lang: Language, target_lang: Language
+) -> tuple[str, ...]:
+    """A variant's prompt for one language pair, split at its placeholders:
+    text and placeholder names alternate, text first and last.  The first
+    text is the head, which every prompt of the pair starts with: all the
+    text before the first task slot, with the languages filled in.  It
+    depends on nothing else, and a value filled into a name slot is never
+    read for placeholders."""
     audio, video = variant.has_audio, variant.has_video
     flags = {
         "audio": audio,
@@ -224,7 +234,13 @@ def _variant_prompt(variant: PipelineVariant) -> tuple[str, ...]:
     rendered = _render(_template_text(variant.style), flags)
     # collapse the blank-line runs left behind by removed blocks
     rendered = re.sub(r"\n{3,}", "\n\n", rendered).strip("\n") + "\n"
-    return tuple(_PLACEHOLDER.split(rendered))
+    parts = _PLACEHOLDER.split(rendered)
+    names = parts[1::2]
+    first = next((i for i, name in enumerate(names) if name in _TASK_SLOTS), len(names))
+    languages = {"source_lang": source_lang.display_name,
+                 "target_lang": target_lang.display_name}
+    parts[1:2 * first:2] = [languages[name] for name in names[:first]]
+    return ("".join(parts[: 2 * first + 1]), *parts[2 * first + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +260,15 @@ def _final_payload(raw: str) -> str | None:
     instructions, and models frequently restate before the real answer.
     Only the string value is JSON-decoded, so braces inside it do not hide
     the payload, and no reply costs more than one pass over its strings.
+    A value that decodes to a lone surrogate (``"\\ud800"``) is not
+    well-formed: UTF-8 cannot carry it into the next prompt or the outputs.
     """
     for opening in reversed(list(_PAYLOAD_OPEN.finditer(raw))):
         try:
             value, end = _DECODER.raw_decode(raw, opening.end())
         except json.JSONDecodeError:
             continue
-        if _PAYLOAD_CLOSE.match(raw, end):
+        if _PAYLOAD_CLOSE.match(raw, end) and not surrogate_problem(value):
             return value
     return None
 
@@ -321,6 +339,9 @@ def translate_line(
     )
 
     conversation = build_prompt(task, variant)
+    head = _variant_prompt(variant, task.source_lang, task.target_lang)[0]
+    digests = PromptDigest(media, head)
+    added = conversation[len(head) :]  # what the digests have not hashed
     best: tuple[int, str, ValidationFlags] | None = None  # gap, text, flags
     uncountable = False
 
@@ -331,6 +352,7 @@ def translate_line(
             provider,
             trace=trace_store,
             task_id=task.task_id or task.source_text,
+            digest=digests.extend(added),
         )
         final = _final_payload(raw)
         if final is None:
@@ -350,7 +372,8 @@ def translate_line(
                 if flags.constraint_met:
                     break
                 feedback = _count_feedback(task, flags, stripped)
-        conversation = f"{conversation}\n\n{raw}\n\n{feedback}"
+        added = f"\n\n{raw}\n\n{feedback}"
+        conversation += added
 
     if best is None:
         problem = "countable" if uncountable else "parsable"

@@ -10,6 +10,12 @@ Retries live here rather than in each provider so that every call gets the
 same schedule: three attempts in all, 0.5 s and then 1 s apart, and immediate
 give-up on errors marked non-retryable (bad credentials will not fix
 themselves).
+
+Each completion attempt can be traced with a request digest, a SHA-256 of
+the request from the interpreter's own ``_sha2`` (or ``_sha256``) module,
+so no command loads OpenSSL through ``hashlib``.  A conversation that grows
+by reprompts is hashed incrementally (:class:`PromptDigest`), from a kept
+hash state of the prompt head that its variant's prompts share.
 """
 
 from __future__ import annotations
@@ -39,6 +45,16 @@ from .errors import (
 from .languages import surrogate_problem
 from .records import Checked
 
+try:
+    # the interpreter's own SHA-256: hashlib loads OpenSSL, whose memory and
+    # load time cost more than the few hundred kilobytes a run hashes
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 __all__ = [
     "MediaKind",
     "MediaAttachment",
@@ -54,6 +70,7 @@ __all__ = [
     "HashEmbeddingProvider",
     "RemoteProvider",
     "request_digest",
+    "PromptDigest",
     "map_bounded",
 ]
 
@@ -134,34 +151,57 @@ class EmbeddingRequest(Checked, _EmbeddingRequest):
         return self
 
 
-@functools.cache
-def _no_media():
-    """The hash state after the media line of a request without media."""
-    import hashlib
+# The prompt heads whose hash state is kept, each after one media line.
+_HEAD_MEMO = 64
 
-    return hashlib.sha256(b"[]\n")
+
+@functools.lru_cache(maxsize=_HEAD_MEMO)
+def _head_state(media_line: str, head: str):
+    """The hash state after ``media_line``, its line break and ``head``.
+
+    Keyed by the JSON text, not the media: media that compare equal, such
+    as spans of ``1`` and ``1.0`` seconds, can differ in JSON.  Shared by
+    every caller: it is copied, never updated.
+    """
+    state = sha256(f"{media_line}\n".encode("utf-8"))
+    state.update(head.encode("utf-8"))
+    return state
+
+
+class PromptDigest:
+    """The request digests of a prompt that only grows, each byte hashed once.
+
+    Starts from the hash state after the media line and the prompt head
+    ``head``, which is kept for the most recent (media, head) pairs;
+    :meth:`extend` appends text to the prompt and returns the digest of
+    the request carrying ``media`` and the prompt so far, as
+    :func:`request_digest` gives it.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, media: tuple[MediaAttachment, ...], head: str = "") -> None:
+        # JSON escapes newlines, so the first one ends the media
+        line = json.dumps([
+            [m.kind.value, m.location, list(m.time_span) if m.time_span else None]
+            for m in media
+        ])
+        self._state = _head_state(line, head).copy()
+
+    def extend(self, text: str) -> str:
+        self._state.update(text.encode("utf-8"))
+        return self._state.hexdigest()[:16]
 
 
 def request_digest(request: GenerationRequest) -> str:
     """Stable short fingerprint of a request, for trace correlation.
 
-    Hashes the media as one JSON line, then the prompt's UTF-8 bytes: JSON
-    escapes newlines, so the first one ends the media.  OpenSSL's SHA-256,
-    through ``hashlib``, is loaded here on first use: a translate hashes
-    megabytes of prompts, and commands that hash none never load it.
+    The first 16 hex digits of the SHA-256 of the media as one JSON line,
+    then the prompt's UTF-8 bytes.  A caller that sends a growing prompt
+    gets the same digests from a :class:`PromptDigest`, hashing each byte
+    once.
     """
-    import hashlib
-
-    if request.media:
-        media = json.dumps([
-            [m.kind.value, m.location, list(m.time_span) if m.time_span else None]
-            for m in request.media
-        ])
-        digest = hashlib.sha256(f"{media}\n".encode("utf-8"))
-    else:
-        digest = _no_media().copy()
-    digest.update(request.prompt_text.encode("utf-8"))
-    return digest.hexdigest()[:16]
+    return PromptDigest(request.media).extend(request.prompt_text)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +314,17 @@ def generate(
     *,
     trace: TraceStore | None = None,
     task_id: str = "",
+    digest: str | None = None,
 ) -> str:
     """Run one completion with retries, logging every attempt if tracing.
 
-    A reply that UTF-8 cannot encode (it holds a lone surrogate) is traced,
-    then raised as a non-retryable ``ProviderError``.
+    ``digest`` is the request's :func:`request_digest`, for a caller that
+    already has it; it is worked out here when None.  A reply that UTF-8
+    cannot encode (it holds a lone surrogate) is traced, then raised as a
+    non-retryable ``ProviderError``.
     """
-    digest = request_digest(request)
+    if digest is None:
+        digest = request_digest(request)
 
     def attempt_once(attempt: int) -> str:
         started = time.time()

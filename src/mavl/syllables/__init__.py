@@ -107,7 +107,7 @@ _WORD_MEMO = 4096
 
 @lru_cache(maxsize=_WORD_MEMO)
 def _latin_word_units(lang: Language, core: str) -> tuple[str, ...]:
-    explicit = shipped_lexicon(lang).get(core.lower())
+    explicit = shipped_lexicon(lang).get(common.lower(core))
     if explicit is not None:
         return explicit
     if lang is Language.EN:

@@ -23,11 +23,18 @@ def word_core(token: str) -> str:
     return token.strip("'")
 
 
+def lower(word: str) -> str:
+    """``word.lower()`` with one code point per character, so that spans
+    found in it cut ``word`` at the same letters: ``İ`` (U+0130), the one
+    character whose lowercase is two code points, lowers to ``i``."""
+    return word.replace("İ", "I").lower()
+
+
 def segment_word(core: str, nuclei: Callable[[str], Spans],
                  clusters: frozenset[str]) -> list[str]:
     """Syllable units of one word core; ``nuclei`` finds the nucleus spans
-    in its lowercased form. Always at least one unit."""
-    return split_on_nuclei(core, nuclei(core.lower()), clusters) or [core]
+    in its ``lower`` form. Always at least one unit."""
+    return split_on_nuclei(core, nuclei(lower(core)), clusters) or [core]
 
 
 def vowel_runs(word: str, is_vowel: Callable[[str, int], bool],

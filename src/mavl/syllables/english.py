@@ -66,7 +66,7 @@ def _final_e_silent(word: str, s: int) -> bool:
 
 def segment_word(core: str) -> list[str]:
     """Syllable units of one word core; a contraction suffix joins the last."""
-    lowered = core.lower()
+    lowered = common.lower(core)
     for suffix in _CONTRACTION_SUFFIXES:
         if lowered.endswith(suffix) and len(core) > len(suffix):
             units = common.segment_word(core[:-len(suffix)], nuclei, CLUSTERS)

@@ -229,35 +229,38 @@ def test_no_thread_pool_dataclasses_or_logging_load(tmp_path):
     assert len((serial / "results.jsonl").read_text(encoding="utf-8").splitlines()) == 2
 
 
-# run in a fresh interpreter: importing the CLI, then evaluate, stats and a
-# translate, noting after each whether OpenSSL's hashing modules are loaded
+# run in a fresh interpreter: importing the CLI, then every command, a mock
+# and a remote translate among them, noting after each whether OpenSSL's
+# hashing modules are loaded
 OPENSSL_MODULES = ("hashlib", "_hashlib")
 _OPENSSL_PROBE = textwrap.dedent(f"""
     import json, sys
     import mavl.cli
 
-    corpus, script, hypotheses, out = sys.argv[1:]
+    corpus, script, hypotheses, url, out = sys.argv[1:]
     seen = {{}}
 
     def note(name, argv=None):
         code = [] if argv is None else [mavl.cli.main(argv)]
         seen[name] = code + [m for m in {OPENSSL_MODULES!r} if m in sys.modules]
 
+    run = ["--dataset", corpus, "--target-lang", "KO"]
     note("import")
-    note("evaluate", ["evaluate", "--dataset", corpus, "--target-lang", "KO",
-                      "--hypotheses", hypotheses, "--out", out + "/eval"])
+    note("evaluate", ["evaluate", *run, "--hypotheses", hypotheses, "--out", out + "/e"])
     note("stats", ["stats", "--dataset", corpus])
-    note("translate", ["translate", "--dataset", corpus, "--target-lang", "KO",
-                       "--mock-script", script, "--out", out + "/t"])
+    note("translate", ["translate", *run, "--mock-script", script, "--out", out + "/t"])
+    note("ablate", ["ablate", *run, "--mock-script", script, "--out", out + "/a"])
+    note("remote", ["translate", *run, "--provider", "remote", "--endpoint", url,
+                    "--model-id", "m", "--max-reprompts", "0", "--out", out + "/r"])
     print(json.dumps(seen))
 """)
 
 
-def test_openssl_loads_only_for_translate(tmp_path):
-    """Importing the CLI, evaluate and stats load neither ``hashlib`` nor
-    OpenSSL's ``_hashlib``: a run directory's name is hashed with the
-    interpreter's own SHA-256.  A translate loads both for its request
-    digests."""
+def test_no_command_loads_openssl(tmp_path):
+    """No command, a translate included, loads ``hashlib`` or OpenSSL's
+    ``_hashlib``: run directory names and request digests are hashed with
+    the interpreter's own SHA-256."""
+    from loopback import Loopback, reply
     from mavl.dataset import parse_dataset
     from mavl.harness import HypothesisSet
     from mavl.languages import Language
@@ -267,10 +270,19 @@ def test_openssl_loads_only_for_translate(tmp_path):
     hypotheses = tmp_path / "hypotheses.jsonl"
     dubbed = HypothesisSet.from_dubbed(parse_dataset(corpus.read_bytes()), [Language.KO])
     hypotheses.write_text(dubbed.to_jsonl(), encoding="utf-8")
-    assert _fresh_python(_OPENSSL_PROBE, corpus, script, hypotheses, tmp_path) == {
-        "import": [], "evaluate": [0], "stats": [0],
-        "translate": [0, *OPENSSL_MODULES],
+    server = Loopback()
+    body = json.dumps({"text": json.dumps({"translation": "나비가 날아와"})}).encode()
+    server.actions = [reply(200, body)] * 2
+    try:
+        seen = _fresh_python(_OPENSSL_PROBE, corpus, script, hypotheses, server.url,
+                             tmp_path, MAVL_API_KEY="sekrit")
+    finally:
+        server.close()
+    assert seen == {
+        "import": [], "evaluate": [0], "stats": [0], "translate": [0], "ablate": [0],
+        "remote": [0],
     }
+    assert len(server.received) == 2
 
 
 # run in a fresh interpreter: a remote translate against the loopback server

@@ -60,6 +60,7 @@ from mavl.providers import (
     RetryPolicy,
     ScriptedProvider,
     TraceStore,
+    request_digest,
 )
 
 
@@ -666,6 +667,31 @@ class TestTranslate:
         for name in ("hypotheses.jsonl", "failures.json", "results.jsonl"):
             (outcome.run_dir / name).read_bytes().decode("utf-8")
 
+    @pytest.mark.parametrize("english, payload", [
+        # misses the count: the feedback would quote the decoded text
+        ("And there's a butterfly", "\ud800 나"),
+        # meets the count of this 7-syllable line
+        ("Butterfly come to me now", "\ud800나비가날아와요"),
+    ], ids=["miss", "meet"])
+    def test_lone_surrogate_payload_is_a_line_failure(self, tmp_path, english, payload):
+        """The payload is not well-formed: three attempts get the format
+        feedback, and the run writes every output."""
+        corpus = write_corpus(tmp_path, {"alpha": {Language.EN: [[
+            english, "Remember me, don't let it make you cry"]]}})
+        script = tmp_path / "script.json"
+        # ASCII JSON all through: the payload holds the escape "\\ud800"
+        script.write_text(json.dumps({"keyed": {
+            english: [json.dumps({"translation": payload})] * 3,
+            "Remember me": ['{"translation": "날 잊지 마 슬퍼하지는 마"}'],
+        }}), encoding="utf-8")
+        outcome = cmd_translate(base_config(corpus, script, tmp_path / "runs"))
+        failures = json.loads((outcome.run_dir / "failures.json").read_text(encoding="utf-8"))
+        assert [(f["line"], f["category"]) for f in failures] == [(0, "pipeline")]
+        results = (outcome.run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["line"] for line in results] == [1]
+        assert len(read_trace(outcome.run_dir / "trace.jsonl")) == 4
+        (outcome.run_dir / "hypotheses.jsonl").read_bytes().decode("utf-8")
+
     def test_uncountable_source_line_is_a_data_failure(self, tmp_path):
         corpus = write_corpus(
             tmp_path,
@@ -744,6 +770,50 @@ class TestTranslate:
         assert failures[0]["reason"].startswith("time span: ")
         results = (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()
         assert [json.loads(r)["line"] for r in results] == [1]
+
+
+# "Remember me" reprompts twice: a count miss, then no payload
+REPROMPT_SCRIPT = {
+    "keyed": {
+        "And there's a butterfly": ['{"translation": "나비가 날아와"}'],
+        "Remember me": ['{"translation": "날"}', "no payload",
+                        '{"translation": "날 잊지 마 슬퍼하지는 마"}'],
+    }
+}
+
+
+class TestRequestDigests:
+    """Every trace record's digest is the ``request_digest`` of a request
+    the provider received, however the conversations were hashed."""
+
+    @pytest.mark.parametrize("ablate, media, overrides", [
+        (False, False, {}),
+        (False, True, {"variant": PipelineVariant(modalities=frozenset(Modality))}),
+        (False, True, {"variant": PipelineVariant(modalities=frozenset(Modality)),
+                       "parallelism": 2}),
+        (True, False, {}),
+    ], ids=["text", "media", "media-parallel", "ablate-stages"])
+    def test_trace_digests_are_those_of_the_requests_sent(self, tmp_path, monkeypatch,
+                                                          ablate, media, overrides):
+        received = []
+        complete = ScriptedProvider.complete
+
+        def recording(provider, request):
+            received.append(request)
+            return complete(provider, request)
+
+        monkeypatch.setattr(ScriptedProvider, "complete", recording)
+        corpus = small_corpus(tmp_path, media_url="https://example.test/v.mp4" if media else None)
+        config = base_config(corpus, write_script(tmp_path, REPROMPT_SCRIPT), tmp_path / "runs",
+                             **overrides)
+        run_dir = (cmd_ablate(config) if ablate else cmd_translate(config)).run_dir
+        traced = [record["request_digest"] for path in sorted(run_dir.rglob("trace.jsonl"))
+                  for record in read_trace(path)]
+        variants = 4 if ablate else 1
+        assert len(received) == 4 * variants
+        assert all(bool(request.media) is media for request in received)
+        assert sorted(traced) == sorted(request_digest(request) for request in received)
+        assert len(set(traced)) == 4 * variants
 
 
 class TestEvaluate:

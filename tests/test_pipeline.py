@@ -19,7 +19,13 @@ from mavl.pipeline import (
     translate_line,
     validate,
 )
-from mavl.providers import GenerationRequest, MediaAttachment, MediaKind
+from mavl.providers import (
+    GenerationRequest,
+    MediaAttachment,
+    MediaKind,
+    TraceStore,
+    request_digest,
+)
 
 TEXT = frozenset({Modality.TEXT})
 TAV = frozenset({Modality.TEXT, Modality.AUDIO, Modality.VIDEO})
@@ -404,6 +410,23 @@ class TestTranslateLine:
             translate_line(butterfly_task(), PipelineVariant(modalities=TEXT), provider)
         assert len(provider.requests) == 1
 
+    def test_lone_surrogate_payload_gets_the_format_feedback(self):
+        # plain ASCII on the wire, so the reply passes the surrogate check;
+        # quoted into the next prompt, the decoded text could not be hashed
+        provider = RecordingProvider(
+            ['{"translation": "\\ud800 나"}', '{"translation": "나비가 날아와"}'])
+        result = translate_line(butterfly_task(), PipelineVariant(modalities=TEXT), provider)
+        assert (result.translation, result.attempts, result.constraint_met) == (
+            "나비가 날아와", 2, True)
+        assert provider.requests[1].prompt_text.endswith(pipeline._FORMAT_FEEDBACK)
+
+    def test_lone_surrogate_payload_never_meets_the_count(self):
+        # "\ud800나비가날아와요" counts 7, the count of this line
+        task = butterfly_task(source_text="Butterfly come to me now", required_count=7)
+        provider = RecordingProvider(['{"translation": "\\ud800나비가날아와요"}'] * 3)
+        with pytest.raises(PipelineError, match="no parsable final answer in 3"):
+            translate_line(task, PipelineVariant(modalities=TEXT), provider)
+
     def test_best_attempt_when_nothing_hits(self):
         provider = RecordingProvider(
             [
@@ -518,6 +541,9 @@ class TestTranslateLine:
             st.integers(1, 5000).map(lambda n: '{"a":' * n),
             st.integers(1, 5000).map(lambda n: '{"translation":' * n),
             st.text().map(lambda t: json.dumps({"translation": t}, ensure_ascii=False)),
+            # ASCII JSON whose escapes decode to lone surrogates
+            st.text(st.characters() | st.sampled_from("\ud800\udfff")).map(
+                lambda t: json.dumps({"translation": t})),
             st.integers(0, 10**12).map(
                 lambda n: json.dumps({"translation": f"나비 {n}"}, ensure_ascii=False)
             ),
@@ -526,6 +552,7 @@ class TestTranslateLine:
     @example("1" * 5000)
     @example("나비 " + "1" * 5000)
     @example(json.dumps({"translation": "1" * 5000}))
+    @example('{"translation": "\\ud800 나"}')
     @example(json.dumps({"translation": "나비 " + "1" * 5000}, ensure_ascii=False))
     def test_any_reply_returns_or_raises_pipeline_error(self, reply):
         provider = RecordingProvider([reply] * 3)
@@ -547,3 +574,28 @@ class TestTranslateLine:
             )
 
         assert run() == run()
+
+
+class TestRequestDigests:
+    """The digests a translate traces, each byte of a conversation hashed
+    once, are those of the requests the provider received."""
+
+    @pytest.mark.parametrize("media", [
+        (),
+        (MediaAttachment(MediaKind.AUDIO, "clip.wav", (1.0, 2.5)),
+         MediaAttachment(MediaKind.VIDEO, "clip.mp4")),
+    ], ids=["text", "audio-and-video"])
+    def test_two_reprompts(self, tmp_path, media):
+        # a count miss, then no payload, then the answer
+        provider = RecordingProvider(
+            ['{"translation": "날"}', "no payload", '{"translation": "날 잊지 마 슬퍼하지는 마"}'])
+        store = TraceStore(str(tmp_path / "trace.jsonl"))
+        result = translate_line(remember_task(media=media), PipelineVariant(modalities=TAV),
+                                provider, trace_store=store)
+        store.close()
+        assert result.attempts == 3
+        assert all(len(r.media) == len(media) for r in provider.requests)
+        with open(store.path, encoding="utf-8") as fh:
+            traced = [json.loads(line)["request_digest"] for line in fh]
+        assert traced == [request_digest(r) for r in provider.requests]
+        assert len(set(traced)) == 3

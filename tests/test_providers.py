@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -514,6 +515,16 @@ class TestTraceStore:
         c = GenerationRequest("same text", media=(clip,))
         assert request_digest(a) == request_digest(b)
         assert request_digest(a) != request_digest(c)
+
+    def test_equal_media_keep_the_digests_of_their_json(self):
+        # equal attachments whose spans print differently in JSON
+        ints = GenerationRequest("same text", (MediaAttachment(MediaKind.AUDIO, "a.wav", (1, 2)),))
+        floats = ints._replace(media=(MediaAttachment(MediaKind.AUDIO, "a.wav", (1.0, 2.0)),))
+        assert ints == floats
+        for request in (ints, floats, ints):
+            media = json.dumps([["audio", "a.wav", list(request.media[0].time_span)]])
+            want = hashlib.sha256(f"{media}\nsame text".encode()).hexdigest()[:16]
+            assert request_digest(request) == want
 
     @pytest.mark.parametrize("prompt, media, digest", [
         ("same text", (), "653edda2cc34578d"),

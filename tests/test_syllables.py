@@ -220,6 +220,10 @@ def fr_nuclei_loop(word):
 # every letter the rules test, a few they don't, and the apostrophe
 LATIN_LETTERS = string.ascii_lowercase + "áéíóúüñàâçèêëîïôûùÿœæ'"
 latin_word = st.text(st.sampled_from(LATIN_LETTERS + "aeiouy" * 3), max_size=12)
+# words in both cases with İ (U+0130), the one letter whose lowercase is two
+# code points, and plain I
+dotted_word = st.text(st.sampled_from(LATIN_LETTERS + LATIN_LETTERS.upper() + "İI" * 4),
+                      max_size=12)
 # the punctuation the Latin counters stripped from a token before ``normalize``
 # was their only filter
 OLD_STRIP = "\"'’.,;:!?¡¿()[]{}«»“”„…·-–—"
@@ -258,9 +262,22 @@ class TestVowelRuns:
         (ES, "hoy", ("hoy",)),
         (FR, "noël", ("no", "ël")), (FR, "poème", ("po", "ème")),
         (FR, "créer", ("cré", "er")), (FR, "table", ("table",)),
+        # İ lowers to two code points; the cuts must not shift after it
+        (ES, "İTALİA", ("İ", "TA", "LİA")), (FR, "İTALİE", ("İ", "TA", "LİE")),
+        (EN, "İİa", ("İİa",)),
     ])
     def test_units(self, lang, word, units):
         assert segment(lang, word).units == units
+
+    @given(st.sampled_from(list(Language)), dotted_word)
+    @example(ES, "İTALİA")
+    @example(FR, "İTALİE")
+    @example(EN, "İİa")
+    @example(EN, "İSN'T")
+    def test_dotted_capital_i_cuts_as_plain_i(self, lang, word):
+        plain = word.replace("İ", "I")
+        assert ([len(u) for u in segment(lang, word).units]
+                == [len(u) for u in segment(lang, plain).units])
 
     @pytest.mark.parametrize("lang,word", [
         (EN, "don't"), (EN, "isn't"), (EN, "I'll"), (EN, "ev'ry"), (EN, "rock'n'roll"),
