@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, NamedTuple, TextIO
@@ -44,7 +43,6 @@ from .errors import (
 from .languages import BOM, Language, surrogate_problem
 from .metrics import (
     LinePair,
-    LineScore,
     LineScorer,
     ReferenceKind,
     SyllableErrorParams,
@@ -177,23 +175,28 @@ def make_run_dir(config: RunConfig, op: str) -> Path:
     suffix = 1
     try:
         base.mkdir(parents=True, exist_ok=True)
-        while candidate.exists():
-            suffix += 1
-            candidate = base / f"{stem}-{suffix}"
-        candidate.mkdir()
+        # claimed by mkdir alone: a directory that another run makes first
+        # moves this one on to the next suffix
+        while True:
+            try:
+                candidate.mkdir()
+                return candidate
+            except FileExistsError:
+                suffix += 1
+                candidate = base / f"{stem}-{suffix}"
     except OSError as exc:
         raise ConfigError(f"cannot make a run directory in {base}: {exc}") from None
-    return candidate
 
 
 @contextmanager
 def _atomic_file(path: Path) -> Iterator[TextIO]:
     """A sibling temp file to write, renamed over ``path`` once the block
-    completes, so readers never see halves."""
+    completes, so readers never see halves.  It is made as ``open`` makes
+    any file, so its mode follows the umask."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp_name = path.with_name(path.name + ".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(tmp_name, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp_name, path)
     except BaseException:
@@ -633,14 +636,12 @@ def _eval_languages(config: RunConfig, dataset: Dataset) -> list[Language]:
 
 def _score_songs(
     dataset: Dataset, languages: list[Language], hyp: HypothesisSet, scorer: LineScorer
-) -> tuple[list[EvaluationRow], list[LineScore]]:
-    """One row per line of each language, in song order, and the scores of
-    the rows not skipped."""
+) -> list[EvaluationRow]:
+    """One row per line of each language, in song order."""
     # a song's lines share texts (chorus repeats, the EN line that each dubbed
     # language is scored against) and songs seldom do, so each song is scored
     # in a call of its own
     rows: list[EvaluationRow] = []
-    scores: list[LineScore] = []
     for song_id in sorted(dataset.songs):
         entries = dataset.songs[song_id]
         entry_en = entries[Language.EN]
@@ -669,15 +670,13 @@ def _score_songs(
                         if ref_text is not None:
                             pairs.append((ref_text, hyp_text, ref_lang, lang, kind))
                 lines.append((key, hyp_text, skip_reason, original_text, line.resolved_text))
-        song_scores = scorer.score_pairs(pairs)
-        scores += song_scores
         # in pair order: one score per reference text of each line not skipped
-        scored = iter(song_scores)
+        scored = iter(scorer.score_pairs(pairs))
         for key, hyp_text, skip_reason, *references in lines:
             rows.append(EvaluationRow(key, hyp_text, skip_reason, *references, *(
                 next(scored) if skip_reason is None and text is not None else None
                 for text in references)))
-    return rows, scores
+    return rows
 
 
 def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> EvaluateOutcome:
@@ -703,11 +702,13 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
         embedder=embedder,
     )
     try:
-        rows, scores = _score_songs(dataset, languages, hyp, scorer)
+        rows = _score_songs(dataset, languages, hyp, scorer)
     finally:
         if isinstance(embedder_provider, RemoteProvider):
             embedder_provider.close()
 
+    scores = [score for row in rows for score in (row.original_score, row.dubbed_score)
+              if score is not None]
     report = aggregate(scores, provider=hyp.provenance) if scores else None
     with _atomic_file(run_dir / "scores.csv") as fh:
         rows_to_csv(rows, fh)

@@ -62,29 +62,37 @@ def surrogate_problem(text: str) -> str | None:
 BOM = "\ufeff"  # every reader skips one at the start of a file
 
 
+# The script ranges of the KO and JA counters, the G2P and the codec.  Each
+# predicate takes one character: one-character strings compare by code point.
 HANGUL_BLOCK_START = 0xAC00
-HANGUL_BLOCK_END = 0xD7A3
 
 
 def is_hangul_syllable(ch: str) -> bool:
-    return HANGUL_BLOCK_START <= ord(ch) <= HANGUL_BLOCK_END
+    return "\uac00" <= ch <= "\ud7a3"
 
 
 def is_hiragana(ch: str) -> bool:
-    return 0x3041 <= ord(ch) <= 0x3096 or ch in "ゝゞ"
+    # U+309D..E are ゝゞ
+    return "\u3041" <= ch <= "\u3096" or "\u309d" <= ch <= "\u309e"
 
 
 def is_katakana(ch: str) -> bool:
-    return 0x30A1 <= ord(ch) <= 0x30FA or ch in "ヽヾ"
+    # U+30FD..E are ヽヾ
+    return "\u30a1" <= ch <= "\u30fa" or "\u30fd" <= ch <= "\u30fe"
 
 
 def is_kana(ch: str) -> bool:
-    return is_hiragana(ch) or is_katakana(ch) or ch == "ー"
+    """Hiragana, katakana or the long-vowel mark ー (U+30FC)."""
+    return ("\u3041" <= ch <= "\u3096" or "\u309d" <= ch <= "\u309e"
+            or "\u30a1" <= ch <= "\u30fa" or "\u30fc" <= ch <= "\u30fe")
+
+
+# the code points of is_kanji, as a regular-expression class
+KANJI_CLASS = "[\u3400-\u4dbf\u4e00-\u9fff々]"
 
 
 def is_kanji(ch: str) -> bool:
-    cp = ord(ch)
-    return 0x4E00 <= cp <= 0x9FFF or 0x3400 <= cp <= 0x4DBF or ch == "々"
+    return "\u4e00" <= ch <= "\u9fff" or "\u3400" <= ch <= "\u4dbf" or ch == "々"
 
 
 # katakana ァ..ヶ (U+30A1..U+30F6) to the hiragana 0x60 below each

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import phonetics, syllables
-from .errors import EmbeddingError, MetricDomainError, NumberRangeError
+from .errors import EmbeddingError, MetricDomainError, NumberRangeError, ProviderAuthError
 from .languages import Language
 from .records import Checked
 
@@ -213,13 +213,19 @@ class LineScorer:
         return scores
 
     def _embed(self, batch: list[str]) -> dict[str, tuple]:
-        """Each text's vector, or why there is none, and the vector's ``_norm``."""
+        """Each text's vector, or why there is none, and the vector's ``_norm``.
+
+        A ``ProviderAuthError`` (no key, or a key refused) is raised: every
+        other batch would fail alike, so it fails the run, not its lines.
+        """
         if self.embedder is None:
             return dict.fromkeys(batch, (_Failed("no embedding provider configured"), None))
         try:
             vectors = self.embedder(batch)
             if len(vectors) != len(batch):
                 raise EmbeddingError("embedder returned wrong vector count")
+        except ProviderAuthError:
+            raise
         except Exception as exc:
             return dict.fromkeys(batch, (_Failed(str(exc)), None))
         return {text: (v, _norm(v)) for text, v in zip(batch, vectors)}

@@ -21,6 +21,7 @@ from .errors import MetricDomainError, MissingRuleTableError
 from .languages import (
     HANGUL_BLOCK_START,
     Language,
+    is_hangul_syllable,
     katakana_to_hiragana,
 )
 
@@ -158,8 +159,7 @@ def _decompose_hangul(text: str) -> str:
     every other character kept."""
     out: list[str] = []
     for ch in text:
-        # languages.is_hangul_syllable, inline, as in syllables.korean
-        if not "\uac00" <= ch <= "\ud7a3":
+        if not is_hangul_syllable(ch):
             out.append(ch)
             continue
         lead, rest = divmod(ord(ch) - HANGUL_BLOCK_START, 588)

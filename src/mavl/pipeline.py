@@ -49,9 +49,7 @@ __all__ = [
     "PipelineVariant",
     "TranslationTask",
     "TranslationResult",
-    "ValidationFlags",
     "build_prompt",
-    "validate",
     "translate_line",
 ]
 
@@ -137,11 +135,6 @@ class TranslationResult(NamedTuple):
     achieved_count: int
     constraint_met: bool
     attempts: int
-
-
-class ValidationFlags(NamedTuple):
-    achieved_count: int
-    constraint_met: bool
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +266,13 @@ def _final_payload(raw: str) -> str | None:
     return None
 
 
-def validate(result_text: str, task: TranslationTask) -> ValidationFlags:
-    """Recount a candidate; raises NumberRangeError if it cannot be counted."""
-    stripped = result_text.strip()
-    achieved = count_syllables(task.target_lang, stripped) if stripped else 0
-    return ValidationFlags(achieved, achieved == task.required_count)
-
-
 # ---------------------------------------------------------------------------
 # The refinement loop
 
 
-def _count_feedback(task: TranslationTask, flags: ValidationFlags, text: str) -> str:
+def _count_feedback(task: TranslationTask, count: int, text: str) -> str:
     return (
-        f'Your final translation "{text}" has {flags.achieved_count} syllables, '
+        f'Your final translation "{text}" has {count} syllables, '
         f"but the required syllable count is {task.required_count}. Please revise "
         f"the translation so that it contains exactly {task.required_count} "
         "syllables, and output the final result as a single JSON in the same format."
@@ -342,7 +328,7 @@ def translate_line(
     head = _variant_prompt(variant, task.source_lang, task.target_lang)[0]
     digests = PromptDigest(media, head)
     added = conversation[len(head) :]  # what the digests have not hashed
-    best: tuple[int, str, ValidationFlags] | None = None  # gap, text, flags
+    best: tuple[int, str, int] | None = None  # gap, text, count
     uncountable = False
 
     for attempt in range(1, max_reprompts + 2):
@@ -360,29 +346,29 @@ def translate_line(
         else:
             stripped = final.strip()
             try:
-                flags = validate(stripped, task)
+                count = count_syllables(task.target_lang, stripped)
             except NumberRangeError as exc:
                 # an answer that cannot be counted cannot meet the constraint
                 uncountable = True
                 feedback = _uncountable_feedback(stripped, exc)
             else:
-                gap = abs(flags.achieved_count - task.required_count)
+                gap = abs(count - task.required_count)
                 if best is None or gap < best[0]:
-                    best = (gap, stripped, flags)
-                if flags.constraint_met:
+                    best = (gap, stripped, count)
+                if not gap:
                     break
-                feedback = _count_feedback(task, flags, stripped)
+                feedback = _count_feedback(task, count, stripped)
         added = f"\n\n{raw}\n\n{feedback}"
         conversation += added
 
     if best is None:
         problem = "countable" if uncountable else "parsable"
         raise PipelineError(f"no {problem} final answer in {attempt} attempt(s)")
-    _, text, flags = best
+    gap, text, count = best
     return TranslationResult(
         task=task,
         translation=text,
-        achieved_count=flags.achieved_count,
-        constraint_met=flags.constraint_met,
+        achieved_count=count,
+        constraint_met=not gap,
         attempts=attempt,
     )

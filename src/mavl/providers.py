@@ -359,21 +359,19 @@ def embed(request: EmbeddingRequest, provider: EmbeddingProvider) -> list[list[f
 # Script keys are found by sampling the prompt, not by trying every key.  A
 # key of at least _KEY_GRAM + _KEY_STRIDE - 1 characters is indexed by its
 # grams (substrings) of _KEY_GRAM characters at offsets 0 .. _KEY_STRIDE - 1.
-# A line is cut into _KEY_GRAM-character windows every _KEY_STRIDE
+# A text is cut into _KEY_GRAM-character windows every _KEY_STRIDE
 # characters; wherever such a key occurs, one window lies wholly inside it at
 # one of those offsets, so the key becomes a candidate.  Shorter keys are
-# always candidates, and a candidate wins only if it occurs in the line.
+# always candidates, and a candidate wins only if it occurs in the text.
 # The index holds at most _KEY_STRIDE short strings per key, where a
 # character trie of the keys costs over ten times the memory.
 #
 # A key without a newline occurs in a prompt only inside one of its lines,
 # and prompts built from one template share most of their lines.  The
 # leading lines that hold no such key (the clean prefix) are skipped while
-# prompts start with them, and each other line's first key is remembered for
-# the last _LINE_MEMO distinct lines.
+# prompts start with them.
 _KEY_GRAM = 8
 _KEY_STRIDE = 4
-_LINE_MEMO = 256
 
 
 class ScriptedProvider:
@@ -387,16 +385,16 @@ class ScriptedProvider:
     queue.  Queues are consumed in order and running past the end is a hard
     error, so tests notice extra calls.
 
-    The prompt is read line by line, split on ``"\\n"`` alone.  The provider
-    keeps a clean prefix: whole lines, each ending in ``"\\n"``, none of
-    which holds a one-line key.  A prompt that starts with it is read from
-    where it ends; any other prompt is read whole, and the clean prefix
+    The provider keeps a clean prefix: whole lines, each ending in
+    ``"\\n"``, none of which holds a one-line key.  A prompt that starts
+    with it is scanned once from where it ends: a one-line key cannot cross
+    a line break, so the rest needs no split.  Any other prompt is read
+    whole, line by line, split on ``"\\n"`` alone, and the clean prefix
     becomes the leading lines it shares with this prompt's key-free leading
     lines (never the last), or those lines alone if it shares none.  So the
     template text that every prompt starts with is compared, not scanned.
-    Each line read gives its first matching key, remembered for the most
-    recent distinct lines.  Keys that contain a newline are tested against
-    the whole prompt on every call.
+    Keys that contain a newline are tested against the whole prompt on
+    every call.
     """
 
     def __init__(
@@ -420,31 +418,29 @@ class ScriptedProvider:
             else:
                 for gram in {key[d : d + _KEY_GRAM] for d in range(_KEY_STRIDE)}:
                     self._grams[gram] = self._grams.get(gram, ()) + (i,)
-        # per instance, so the memo dies with its provider
-        self._scan_line = functools.lru_cache(maxsize=_LINE_MEMO)(self._first_in_line)
         # read and replaced without the lock: every value it ever holds is a
         # clean prefix, so a stale one is still correct
         self._clean = ""
         self._lock = threading.Lock()
         self.calls = 0
 
-    def _first_in_line(self, line: str) -> int:
-        """Index of the first one-line key that occurs in ``line``, else the
+    def _first_in(self, text: str) -> int:
+        """Index of the first one-line key that occurs in ``text``, else the
         number of keys."""
         keys = self._keys
         best = len(keys)
         for i in self._short:
-            if keys[i] in line:
+            if keys[i] in text:
                 best = i
                 break
         missed = set()  # candidates tested and absent, so each is tested once
         get = self._grams.get
-        for pos in range(0, len(line) - _KEY_GRAM + 1, _KEY_STRIDE):
-            for i in get(line[pos : pos + _KEY_GRAM], ()):
+        for pos in range(0, len(text) - _KEY_GRAM + 1, _KEY_STRIDE):
+            for i in get(text[pos : pos + _KEY_GRAM], ()):
                 if i >= best:
                     break
                 if i not in missed:
-                    if keys[i] in line:
+                    if keys[i] in text:
                         best = i
                         break
                     missed.add(i)
@@ -471,16 +467,16 @@ class ScriptedProvider:
     def _queue_for(self, prompt: str) -> list[str | Exception] | None:
         """The matched queue, else the ``None`` queue, else None.
 
-        Reads only what ``__init__`` built, the thread-safe line memo and
-        the clean prefix, so it needs no lock.
+        Reads only what ``__init__`` built and the clean prefix, so it needs
+        no lock.
         """
         clean = self._clean
-        # not splitlines(): a one-line key may hold "\r" or "\u2028"
         if clean and prompt.startswith(clean):
-            first = min(map(self._scan_line, prompt[len(clean) :].split("\n")))
+            first = self._first_in(prompt[len(clean) :])
         else:
+            # not splitlines(): a one-line key may hold "\r" or "\u2028"
             lines = prompt.split("\n")
-            firsts = list(map(self._scan_line, lines))
+            firsts = list(map(self._first_in, lines))
             first = min(firsts)
             self._clean = self._next_clean(clean, prompt, lines, firsts)
         for i in self._multiline:

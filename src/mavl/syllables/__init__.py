@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from ..errors import NumberRangeError
 from ..languages import Language
-from ..records import Checked
 from . import common, english, french, japanese, korean, spanish
 from .lexicon import parse_lexicon, shipped_lexicon
 from .numbers import MAX_SUPPORTED, expand_number
@@ -26,19 +25,13 @@ __all__ = [
 ]
 
 
-class _SyllableSegmentation(NamedTuple):
+class SyllableSegmentation(NamedTuple):
     units: tuple[str, ...]
-    count: int
     language: Language
 
-
-class SyllableSegmentation(Checked, _SyllableSegmentation):
-    __slots__ = ()
-
-    def _validated(self):
-        if self.count != len(self.units):
-            raise ValueError("count must equal len(units)")
-        return self
+    @property
+    def count(self) -> int:
+        return len(self.units)
 
 
 _DIGITS = re.compile(r"\d+")
@@ -81,8 +74,7 @@ def count_syllables(lang: Language, text: str) -> int:
 
 
 def segment(lang: Language, text: str) -> SyllableSegmentation:
-    units = tuple(_units(lang, text))
-    return SyllableSegmentation(units, len(units), lang)
+    return SyllableSegmentation(tuple(_units(lang, text)), lang)
 
 
 def _units(lang: Language, text: str) -> list[str]:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import re
 
+from ..languages import KANJI_CLASS, is_kana, is_kanji
+
 _SMALL_KANA = set("ぁぃぅぇぉゃゅょゎァィゥェォャュョヮ")
 
-# the code points of languages.is_kanji
-_KANJI = "[\u3400-\u4dbf\u4e00-\u9fff々]"
 # the surface is the kanji run right before the brackets, no more
-_ANNOTATION = re.compile(_KANJI + r"+\[([ぁ-ゖァ-ヺー]+)\]")
+_ANNOTATION = re.compile(KANJI_CLASS + r"+\[([ぁ-ゖァ-ヺー]+)\]")
 
 
 def apply_annotations(text: str) -> str:
@@ -34,16 +34,13 @@ def segment(text: str) -> list[str]:
     # whether units[-1] is kana, which a small kana attaches to
     after_kana = False
     for ch in text:
-        # languages.is_kana and is_kanji, inline: one-character strings
-        # compare by code point; U+309D..E are ゝゞ, U+30FC..E are ーヽヾ
-        if ("\u3041" <= ch <= "\u3096" or "\u30a1" <= ch <= "\u30fa"
-                or "\u30fc" <= ch <= "\u30fe" or "\u309d" <= ch <= "\u309e"):
+        if is_kana(ch):
             if after_kana and ch in _SMALL_KANA:
                 units[-1] += ch
             else:
                 units.append(ch)
             after_kana = True
-        elif "\u4e00" <= ch <= "\u9fff" or "\u3400" <= ch <= "\u4dbf" or ch == "々":
+        elif is_kanji(ch):
             units.append(ch)
             after_kana = False
     return units

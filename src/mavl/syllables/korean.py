@@ -6,8 +6,8 @@ Everything outside U+AC00..U+D7A3 is ignored.
 
 from __future__ import annotations
 
+from ..languages import is_hangul_syllable
+
 
 def segment(text: str) -> list[str]:
-    # languages.is_hangul_syllable, inline: one-character strings compare
-    # by code point
-    return [ch for ch in text if "\uac00" <= ch <= "\ud7a3"]
+    return list(filter(is_hangul_syllable, text))

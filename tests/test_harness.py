@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,17 @@ class TestRunConfig:
         assert first.exists() and second.exists()
         assert second.name == first.name + "-2"
 
+    def test_a_dir_made_after_a_check_moves_the_run_on(self, tmp_path, monkeypatch):
+        config = RunConfig(dataset_path="x", out_dir=str(tmp_path / "runs"))
+        first = make_run_dir(config, "translate")
+        # as if another run made ``first`` right after an exists() check
+        exists = Path.exists
+        monkeypatch.setattr(Path, "exists",
+                            lambda self, *args, **kwargs:
+                            self != first and exists(self, *args, **kwargs))
+        second = make_run_dir(config, "translate")
+        assert second.name == first.name + "-2" and second.is_dir()
+
 
 class TestAtomicWrite:
     def test_writes_and_leaves_no_temp_files(self, tmp_path):
@@ -225,6 +237,21 @@ class TestAtomicWrite:
         atomic_write(target, "long first version\n")
         atomic_write(target, "v2\n")
         assert target.read_text(encoding="utf-8") == "v2\n"
+
+    def test_every_output_takes_its_mode_from_the_umask(self, tmp_path):
+        config = base_config(small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT),
+                             tmp_path / "runs")
+        umask = os.umask(0o027)
+        try:
+            run_dirs = [cmd_translate(config).run_dir, cmd_evaluate(config).run_dir]
+        finally:
+            os.umask(umask)
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode)
+                 for run_dir in run_dirs for path in run_dir.iterdir()}
+        assert set(modes) == {
+            "hypotheses.jsonl", "results.jsonl", "failures.json", "config.json",
+            "trace.jsonl", "scores.csv", "report.json", "report.txt"}
+        assert modes == dict.fromkeys(modes, 0o666 & ~0o027)
 
 
 class TestHypothesisSet:
@@ -817,6 +844,15 @@ class TestRequestDigests:
 
 
 class TestEvaluate:
+    def test_remote_without_key_raises_rather_than_blanking_semantic(
+            self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MAVL_API_KEY", raising=False)
+        config = base_config(small_corpus(tmp_path), None, tmp_path / "runs",
+                             provider="remote", endpoint="https://models.example",
+                             model_id="m")
+        with pytest.raises(ProviderAuthError, match="no API key"):
+            cmd_evaluate(config)
+
     def test_uncountable_hypothesis_is_a_component_error(self, tmp_path):
         corpus = small_corpus(tmp_path)
         script = write_script(tmp_path, GOOD_SCRIPT)
@@ -1154,6 +1190,14 @@ class TestRemoteConnections:
         outcome = cmd_evaluate(self.config(tmp_path, server))
         assert outcome.report is not None
         assert len(providers) == 1 and server.received
+        self.assert_all_closed(server)
+
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_evaluate_with_a_refused_key_raises(self, tmp_path, server, providers, status):
+        server.actions = [reply(status, b"{}")]
+        with pytest.raises(ProviderAuthError, match=f"HTTP {status}"):
+            cmd_evaluate(self.config(tmp_path, server))
+        assert len(server.received) == 1
         self.assert_all_closed(server)
 
 
@@ -1581,6 +1625,18 @@ class TestCli:
             ]
         )
         assert code == 4
+
+    def test_remote_evaluate_without_key_is_provider_error(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.delenv("MAVL_API_KEY", raising=False)
+        code = main(["evaluate", "--dataset", str(small_corpus(tmp_path)),
+                     "--target-lang", "KO", "--from-dubbed", "--provider", "remote",
+                     "--endpoint", "https://models.example", "--model-id", "m",
+                     "--out", str(tmp_path / "runs")])
+        assert code == 4
+        assert "provider error: no API key" in capsys.readouterr().err
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert not (run_dir / "scores.csv").exists()
 
     @pytest.mark.parametrize("host", ["a..b", "a" * 64 + ".example"],
                              ids=["empty-label", "label-over-63"])

@@ -17,7 +17,6 @@ from mavl.pipeline import (
     TranslationTask,
     build_prompt,
     translate_line,
-    validate,
 )
 from mavl.providers import (
     GenerationRequest,
@@ -26,6 +25,7 @@ from mavl.providers import (
     TraceStore,
     request_digest,
 )
+from mavl.syllables import count_syllables
 
 TEXT = frozenset({Modality.TEXT})
 TAV = frozenset({Modality.TEXT, Modality.AUDIO, Modality.VIDEO})
@@ -336,24 +336,6 @@ class TestParseTrace:
         assert self.read(raw, required_count=5).translation == "나비 {날아} 와"
 
 
-class TestValidate:
-    def test_exact_count(self):
-        flags = validate("나비가 날아와", butterfly_task())
-        assert flags == (6, True)
-
-    def test_empty_text(self):
-        flags = validate("", butterfly_task())
-        assert flags == (0, False)
-
-    def test_short_answer(self):
-        flags = validate("날 잊지 마", remember_task())
-        assert flags == (4, False)
-
-    def test_multiline_flagged(self):
-        flags = validate("나비가\n날아와", butterfly_task())
-        assert flags.achieved_count == 6
-
-
 class TestTranslateLine:
     def test_single_attempt_success(self):
         provider = RecordingProvider([BUTTERFLY_TRACE])
@@ -364,6 +346,18 @@ class TestTranslateLine:
         assert result.achieved_count == 6
         assert result.constraint_met is True
         assert result.attempts == 1
+
+    @pytest.mark.parametrize("translation, task, counted", [
+        ("나비가 날아와", butterfly_task(), (6, True)),
+        ("", butterfly_task(), (0, False)),
+        ("날 잊지 마", remember_task(), (4, False)),
+        ("나비가\n날아와", butterfly_task(), (6, True)),
+    ], ids=["exact", "empty", "short", "multiline"])
+    def test_the_answer_is_counted_as_count_syllables_does(self, translation, task, counted):
+        provider = RecordingProvider([json.dumps({"translation": translation})])
+        result = translate_line(task, PipelineVariant(modalities=TEXT), provider,
+                                max_reprompts=0)
+        assert (result.achieved_count, result.constraint_met) == counted
 
     def test_miss_then_hit_takes_two_attempts(self):
         provider = RecordingProvider([REMEMBER_TURN_1, REMEMBER_TURN_2])
@@ -563,8 +557,7 @@ class TestTranslateLine:
             )
         except PipelineError:
             return
-        flags = validate(result.translation, butterfly_task())
-        assert result.achieved_count == flags.achieved_count
+        assert result.achieved_count == count_syllables(Language.KO, result.translation)
 
     def test_mock_determinism(self):
         def run():

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from mavl import syllables
 from mavl.errors import NumberRangeError
-from mavl.languages import Language, is_hangul_syllable, is_kana, is_kanji
+from mavl.languages import KANJI_CLASS, Language, is_hangul_syllable, is_kana, is_kanji
 from mavl.syllables import (
     common, count_syllables, english, french, japanese, normalize, segment, spanish)
 
@@ -290,6 +290,29 @@ class TestVowelRuns:
             assert segment(lang, f"{ch}{word}{ch}").units == units, ch
 
 
+# the first and last code point of each script range, and their neighbours
+SCRIPT_EDGES = [
+    (0xABFF, None), (0xAC00, "hangul"), (0xD7A3, "hangul"), (0xD7A4, None),
+    (0x3040, None), (0x3041, "kana"), (0x3096, "kana"), (0x3097, None),
+    (0x309C, None), (0x309D, "kana"), (0x309E, "kana"), (0x309F, None),  # ゝゞ
+    (0x30A0, None), (0x30A1, "kana"), (0x30FA, "kana"), (0x30FB, None),  # ・
+    (0x30FC, "kana"), (0x30FD, "kana"), (0x30FE, "kana"), (0x30FF, None),  # ーヽヾ
+    (0x3004, None), (0x3005, "kanji"), (0x3006, None),  # 々
+    (0x33FF, None), (0x3400, "kanji"), (0x4DBF, "kanji"), (0x4DC0, None),
+    (0x4DFF, None), (0x4E00, "kanji"), (0x9FFF, "kanji"), (0xA000, None),
+]
+
+
+@pytest.mark.parametrize("cp, script", SCRIPT_EDGES,
+                         ids=[f"U+{cp:04X}" for cp, _ in SCRIPT_EDGES])
+def test_script_ranges_at_their_edges(cp, script):
+    ch = chr(cp)
+    assert is_hangul_syllable(ch) == (script == "hangul")
+    assert is_kana(ch) == (script == "kana")
+    assert is_kanji(ch) == (script == "kanji")
+    assert bool(re.fullmatch(KANJI_CLASS, ch)) == (script == "kanji")
+
+
 # the kana blocks and the CJK punctuation before them, both edges of both
 # kanji ranges, small kana, ASCII and Hangul
 ja_text = st.text(st.one_of(
@@ -333,7 +356,7 @@ class TestJapaneseMorae:
         assert count_syllables(JA, text) == count
 
     def test_annotation_surface_is_is_kanji(self):
-        surface = re.compile(japanese._KANJI)
+        surface = re.compile(KANJI_CLASS)
         for cp in range(0x10000):
             ch = chr(cp)
             assert bool(surface.fullmatch(ch)) == is_kanji(ch), hex(cp)
