@@ -24,6 +24,7 @@ by ``--api-key-env``.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 
 from .errors import (
@@ -44,7 +45,7 @@ from .harness import (
 )
 from .languages import BOM, Language
 from .pipeline import Modality, PipelineVariant, PromptStyle
-from .reports import dump_json, render_report_table, report_to_json, rows_to_csv
+from .reports import dump_json, render_report_table, report_to_json
 
 __all__ = ["main", "build_parser"]
 
@@ -265,7 +266,8 @@ def _load_hypotheses(args: argparse.Namespace) -> HypothesisSet | None:
 def _run_evaluate(args: argparse.Namespace) -> int:
     outcome = cmd_evaluate(_config_from_args(args), _load_hypotheses(args))
     if args.fmt == "csv":
-        rows_to_csv(outcome.rows, sys.stdout)
+        with open(outcome.run_dir / "scores.csv", encoding="utf-8", newline="") as fh:
+            shutil.copyfileobj(fh, sys.stdout)
     elif args.fmt == "json":
         if outcome.report is not None:
             sys.stdout.write(report_to_json(outcome.report))
@@ -274,7 +276,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     else:
         if outcome.report is not None:
             sys.stdout.write(render_report_table(outcome.report))
-        print(f"scored rows: {len(outcome.rows) - outcome.skipped}")
+        print(f"scored rows: {outcome.scored}")
         print(f"skipped rows: {outcome.skipped}")
     print(f"run directory: {outcome.run_dir}", file=sys.stderr)
     return 0

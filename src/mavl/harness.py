@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, NamedTuple, TextIO
@@ -42,11 +43,13 @@ from .errors import (
 )
 from .languages import BOM, Language, surrogate_problem
 from .metrics import (
+    CorpusReport,
     LinePair,
     LineScorer,
     ReferenceKind,
+    ReportFold,
     SyllableErrorParams,
-    aggregate,
+    aggregate,  # noqa: F401  (bench/spans.py times aggregate under this name)
 )
 from .pipeline import (
     Modality,
@@ -244,6 +247,8 @@ class HypothesisSet:
         """Read ``hypotheses.jsonl``.  Each record is checked as it is read,
         so the first fault in file order is the one raised."""
         out = None
+        # one str per song id, where the decoder makes one per record
+        song_ids: dict[str, str] = {}
         # not splitlines(): a text may hold "\u2028", which json.dumps writes raw
         for lineno, raw in enumerate(text.removeprefix(BOM).split("\n"), start=1):
             if not raw.strip():
@@ -253,7 +258,7 @@ class HypothesisSet:
             if out is None:
                 out = cls(_provenance(row, where))
                 continue
-            key, hyp_text = _hypothesis_record(row, where)
+            key, hyp_text = _hypothesis_record(row, where, song_ids)
             if key in out.entries:
                 raise DatasetValidationError("duplicate hypothesis key", location=where)
             out.entries[key] = hyp_text
@@ -313,8 +318,10 @@ def _provenance(row: dict, where: str) -> str:
     return provenance
 
 
-def _hypothesis_record(row: dict, where: str) -> tuple[LineKey, str]:
-    """The line a hypothesis record keys and its text, checked."""
+def _hypothesis_record(row: dict, where: str,
+                       song_ids: dict[str, str]) -> tuple[LineKey, str]:
+    """The line a hypothesis record keys and its text, checked.  The key
+    holds the first equal song id in ``song_ids``, where this one is added."""
     try:
         song_id, section, line, text = (
             row[name] for name in ("song_id", "section", "line", "text"))
@@ -334,7 +341,7 @@ def _hypothesis_record(row: dict, where: str) -> tuple[LineKey, str]:
     problem = surrogate_problem(text)
     if problem:
         raise DatasetValidationError(f"text {problem}", location=where)
-    return LineKey(song_id, lang, section, line), text
+    return LineKey(song_ids.setdefault(song_id, song_id), lang, section, line), text
 
 
 def _jsonl_line(record: dict) -> str:
@@ -613,13 +620,12 @@ def _write_config_echo(run_dir: Path, config: RunConfig, op: str) -> None:
 
 
 class EvaluateOutcome(NamedTuple):
-    run_dir: Path
-    rows: list[EvaluationRow]
-    report: object
+    """The rows themselves are in ``run_dir / "scores.csv"``."""
 
-    @property
-    def skipped(self) -> int:
-        return sum(1 for row in self.rows if row.skip_reason)
+    run_dir: Path
+    scored: int
+    skipped: int
+    report: CorpusReport | None
 
 
 def _eval_languages(config: RunConfig, dataset: Dataset) -> list[Language]:
@@ -636,12 +642,11 @@ def _eval_languages(config: RunConfig, dataset: Dataset) -> list[Language]:
 
 def _score_songs(
     dataset: Dataset, languages: list[Language], hyp: HypothesisSet, scorer: LineScorer
-) -> list[EvaluationRow]:
-    """One row per line of each language, in song order."""
+) -> Iterator[list[EvaluationRow]]:
+    """Each song's rows, one per line of each language, in song order."""
     # a song's lines share texts (chorus repeats, the EN line that each dubbed
     # language is scored against) and songs seldom do, so each song is scored
     # in a call of its own
-    rows: list[EvaluationRow] = []
     for song_id in sorted(dataset.songs):
         entries = dataset.songs[song_id]
         entry_en = entries[Language.EN]
@@ -672,11 +677,9 @@ def _score_songs(
                 lines.append((key, hyp_text, skip_reason, original_text, line.resolved_text))
         # in pair order: one score per reference text of each line not skipped
         scored = iter(scorer.score_pairs(pairs))
-        for key, hyp_text, skip_reason, *references in lines:
-            rows.append(EvaluationRow(key, hyp_text, skip_reason, *references, *(
-                next(scored) if skip_reason is None and text is not None else None
-                for text in references)))
-    return rows
+        yield [EvaluationRow(key, hyp_text, skip_reason, *references, *(
+            next(scored) if skip_reason is None and text is not None else None
+            for text in references)) for key, hyp_text, skip_reason, *references in lines]
 
 
 def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> EvaluateOutcome:
@@ -688,11 +691,11 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
         hyp = HypothesisSet.from_dubbed(dataset, languages)
     else:
         hyp.validate_against(dataset)
-    run_dir = make_run_dir(config, "evaluate")
-
+    # a missing key exits before the run directory
     embedder_provider = (
         _remote_provider(config) if config.provider == "remote" else HashEmbeddingProvider()
     )
+    run_dir = make_run_dir(config, "evaluate")
 
     def embedder(texts):
         return embed(EmbeddingRequest(tuple(texts)), embedder_provider)
@@ -701,22 +704,30 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
         params=SyllableErrorParams(beta=config.beta),
         embedder=embedder,
     )
+    # a song is scored and folded into the report as rows_to_csv reads up to
+    # it, and written as the next song starts: no list of every row or score
+    fold = ReportFold()
+    statuses: Counter[str] = Counter()
+
+    def rows() -> Iterator[EvaluationRow]:
+        for song in _score_songs(dataset, languages, hyp, scorer):
+            fold.add([score for row in song for score in (row.original_score, row.dubbed_score)
+                      if score is not None])
+            statuses.update(row.status for row in song)
+            yield from song
+
     try:
-        rows = _score_songs(dataset, languages, hyp, scorer)
+        with _atomic_file(run_dir / "scores.csv") as fh:
+            rows_to_csv(rows(), fh)
     finally:
         if isinstance(embedder_provider, RemoteProvider):
             embedder_provider.close()
-
-    scores = [score for row in rows for score in (row.original_score, row.dubbed_score)
-              if score is not None]
-    report = aggregate(scores, provider=hyp.provenance) if scores else None
-    with _atomic_file(run_dir / "scores.csv") as fh:
-        rows_to_csv(rows, fh)
+    report = fold.report(hyp.provenance)
     if report is not None:
         atomic_write(run_dir / "report.json", report_to_json(report))
         atomic_write(run_dir / "report.txt", render_report_table(report))
     _write_config_echo(run_dir, config, "evaluate")
-    return EvaluateOutcome(run_dir, rows, report)
+    return EvaluateOutcome(run_dir, statuses["scored"], statuses["skipped"], report)
 
 
 # ---------------------------------------------------------------------------
@@ -760,9 +771,10 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
         # a direct prompt has no stages: all four cases would share one label
         raise ConfigError("the stage grid needs a staged variant, not a direct one")
     dataset = _load_dataset(config.dataset_path)
-    if config.target_langs:
-        # a bad mock script exits before the run directory; each case's
-        # translate builds its own, since a script's queues are consumed
+    if config.target_langs or config.provider == "remote":
+        # a bad mock script or a missing key exits before the run directory;
+        # each case builds its own providers, since a script's queues are
+        # consumed and a remote one's evaluate embeds even with no target
         _generation_provider(config)
     run_dir = make_run_dir(config, "ablate")
 

@@ -834,7 +834,8 @@ class RemoteProvider:
     """HTTP backend for both completion and embedding.
 
     Credentials come from the environment (never from config files): the
-    variable named by ``api_key_env`` must hold the key.  Requests reuse
+    variable named by ``api_key_env`` must hold the key when the provider is
+    built, and it is read again for each request.  Requests reuse
     the provider's idle connections (see ``_http_post``); :meth:`close`
     closes them.
     """
@@ -854,6 +855,8 @@ class RemoteProvider:
         self._tls = None
         self._tls_lock = threading.Lock()
         self._idle = _IdlePool()
+        # a run without a key fails before it makes anything
+        self._api_key()
 
     def _api_key(self) -> str:
         key = os.environ.get(self.api_key_env, "")

@@ -8,6 +8,7 @@ for real models.
 
 from __future__ import annotations
 
+import csv
 import json
 import random
 import time
@@ -442,16 +443,21 @@ def test_self_evaluation_is_all_zeros(tmp_path):
     hyp = HypothesisSet.from_dubbed(_load_dataset(str(corpus)), [Language.KO])
     outcome = cmd_evaluate(config, hyp)
     assert outcome.skipped == 0
-    assert len(outcome.rows) == 10
-    for row in outcome.rows:
-        score = row.dubbed_score
-        assert score is not None
-        assert score.se == 0.0
-        assert score.scd == 0.0
-        assert score.phonetic == 0
-        assert score.semantic == pytest.approx(1.0, abs=1e-12)
+    with open(outcome.run_dir / "scores.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    for row in rows:
+        assert row["status"] == "scored"
+        assert row["dubbed_se"] == "0.000000"
+        assert row["dubbed_scd"] == "0.000000"
+        assert row["dubbed_phonetic"] == "0"
+        assert row["dubbed_semantic"] == "1.000000"
     stats = outcome.report.groups[(Language.KO, ReferenceKind.DUBBED)]
     assert stats.error_rate == 0.0
+    # SE and SCD are never negative, so a mean of 0 is 0 on every row
+    assert stats.mean_se == 0.0 and stats.mean_scd == 0.0
+    # a cosine is at most 1, so a mean this close keeps each row within 1e-12
+    assert stats.mean_semantic == pytest.approx(1.0, abs=1e-12 / len(rows))
     ok("dubbed self-evaluation yields SE=0, SCD=0, phonetic=0, semantic=1.0")
 
 

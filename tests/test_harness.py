@@ -126,6 +126,12 @@ GOOD_SCRIPT = {
 }
 
 
+def read_scores(run_dir):
+    """The rows of a run's ``scores.csv``, each a dict of its cells."""
+    with open(Path(run_dir) / "scores.csv", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def read_trace(path):
     """The records of a trace file, in the order they were appended."""
     with open(path, encoding="utf-8") as fh:
@@ -261,6 +267,14 @@ class TestHypothesisSet:
         hyp.entries[LineKey("alpha", Language.KO, 0, 1)] = "날 잊지 마"
         again = HypothesisSet.from_jsonl(hyp.to_jsonl())
         assert again == hyp
+
+    def test_each_song_id_is_held_once(self):
+        text = "".join(['{"provenance": "x"}\n'] + [
+            f'{{"song_id": "{song}", "language": "KO", "section": 0, "line": {line}, '
+            f'"text": "나비"}}\n' for song in ("alpha", "beta") for line in range(3)])
+        keys = sorted(HypothesisSet.from_jsonl(text).entries, key=LineKey.order)
+        assert [key.song_id for key in keys] == ["alpha"] * 3 + ["beta"] * 3
+        assert len({id(key.song_id) for key in keys}) == 2
 
     @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"],
                              ids=["U+2028", "U+2029", "U+0085"])
@@ -861,11 +875,11 @@ class TestEvaluate:
         hyp.entries[LineKey("alpha", Language.KO, 0, 0)] = "나비 1000000"
         hyp.entries[LineKey("alpha", Language.KO, 0, 1)] = "날 잊지 마 슬퍼하지는 마"
         outcome = cmd_evaluate(config, hyp)
-        bad = next(row for row in outcome.rows if row.key.line == 0)
-        for score in (bad.original_score, bad.dubbed_score):
-            assert (score.c_ref, score.c_pred) == (6, None)
-            assert "syllabic" in score.component_errors
-            assert score.semantic is not None and score.phonetic is not None
+        bad = next(row for row in read_scores(outcome.run_dir) if row["line"] == "0")
+        for block in ("original", "dubbed"):
+            assert (bad[f"{block}_c_ref"], bad[f"{block}_c_pred"]) == ("6", "")
+            assert "syllabic: " in bad[f"{block}_errors"]
+            assert bad[f"{block}_semantic"] and bad[f"{block}_phonetic"]
         ko_dubbed = outcome.report.groups[(Language.KO, ReferenceKind.DUBBED)]
         assert ko_dubbed.line_count == 2
         assert ko_dubbed.error_rate == 0.0
@@ -882,16 +896,20 @@ class TestEvaluate:
         hyp = HypothesisSet.from_dubbed(_load_dataset(str(corpus)), [Language.KO])
         outcome = cmd_evaluate(config, hyp)
         assert outcome.skipped == 0
-        for row in outcome.rows:
-            assert row.dubbed_score is not None
-            assert row.dubbed_score.se == 0.0
-            assert row.dubbed_score.scd == 0.0
-            assert row.dubbed_score.mismatch is False
-            assert row.dubbed_score.phonetic == 0
-            assert row.dubbed_score.semantic == pytest.approx(1.0, abs=1e-9)
+        rows = read_scores(outcome.run_dir)
+        for row in rows:
+            assert row["status"] == "scored"
+            assert row["dubbed_se"] == "0.000000"
+            assert row["dubbed_scd"] == "0.000000"
+            assert row["dubbed_mismatch"] == "0"
+            assert row["dubbed_phonetic"] == "0"
+            assert row["dubbed_semantic"] == "1.000000"
         stats = outcome.report.groups[(Language.KO, ReferenceKind.DUBBED)]
         assert stats.error_rate == 0.0
-        assert stats.mean_se == 0.0
+        # SE and SCD are never negative, so a mean of 0 is 0 on every row
+        assert stats.mean_se == 0.0 and stats.mean_scd == 0.0
+        # a cosine is at most 1, so a mean this close keeps each row within 1e-9
+        assert stats.mean_semantic == pytest.approx(1.0, abs=1e-9 / len(rows))
 
     def test_every_line_appears_once(self, tmp_path):
         corpus = small_corpus(tmp_path)
@@ -900,14 +918,16 @@ class TestEvaluate:
         hyp = HypothesisSet(provenance="partial")
         hyp.entries[LineKey("alpha", Language.KO, 0, 0)] = "나비가 날아와"
         outcome = cmd_evaluate(config, hyp)
-        keys = [r.key for r in outcome.rows]
+        rows = read_scores(outcome.run_dir)
+        keys = [(r["song_id"], r["language"], int(r["section"]), int(r["line"]))
+                for r in rows]
         assert sorted(keys) == [
-            ("alpha", Language.KO, 0, 0),
-            ("alpha", Language.KO, 0, 1),
+            ("alpha", "KO", 0, 0),
+            ("alpha", "KO", 0, 1),
         ]
-        assert outcome.skipped == 1
-        skipped = [r for r in outcome.rows if r.skip_reason]
-        assert skipped[0].skip_reason == "no hypothesis for this line"
+        assert (outcome.scored, outcome.skipped) == (1, 1)
+        skipped = [r for r in rows if r["skip_reason"]]
+        assert skipped[0]["skip_reason"] == "no hypothesis for this line"
 
     def test_line_without_reference_text_is_skipped(self, tmp_path):
         # both the EN line and the KO line are stored unresolved
@@ -930,10 +950,12 @@ class TestEvaluate:
         outcome = cmd_evaluate(config, hyp)
         assert outcome.skipped == 1
         assert outcome.report is None
-        (row,) = outcome.rows
-        assert row.skip_reason == "no reference text for this line"
-        assert row.hypothesis == text
-        assert row.original_score is None and row.dubbed_score is None
+        (row,) = read_scores(outcome.run_dir)
+        assert row["skip_reason"] == "no reference text for this line"
+        assert row["hypothesis"] == text
+        # neither reference block holds a score
+        assert not any(cell for name, cell in row.items()
+                       if name.startswith(("original_", "dubbed_")))
         assert not (outcome.run_dir / "report.json").exists()
         assert "no reference text for this line" in (
             outcome.run_dir / "scores.csv").read_text(encoding="utf-8")
@@ -944,11 +966,12 @@ class TestEvaluate:
         config = base_config(corpus, script, tmp_path / "runs")
         translated = cmd_translate(config)
         outcome = cmd_evaluate(config, translated.hypotheses)
-        row = outcome.rows[0]
-        assert row.original_score is not None
-        assert row.original_score.reference_kind is ReferenceKind.ORIGINAL_EN
-        assert row.dubbed_score is not None
-        assert row.dubbed_score.reference_kind is ReferenceKind.DUBBED
+        row = read_scores(outcome.run_dir)[0]
+        # each block is scored against its own reference
+        assert row["original_reference"] == "And there's a butterfly"
+        assert row["original_c_ref"] and row["original_se"]
+        assert row["dubbed_reference"] == "나비가 날아와"
+        assert row["dubbed_c_ref"] and row["dubbed_se"]
         assert (Language.KO, ReferenceKind.ORIGINAL_EN) in outcome.report.groups
         assert (Language.KO, ReferenceKind.DUBBED) in outcome.report.groups
 
@@ -1542,6 +1565,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("song_id,language,section,line,")
         assert "나비가 날아와" in out
+        # the scores.csv the run wrote, byte for byte
+        (scores,) = out_dir.glob("evaluate-*/scores.csv")
+        assert out.encode("utf-8") == scores.read_bytes()
 
     def test_evaluate_from_dubbed(self, tmp_path, capsys):
         corpus = small_corpus(tmp_path)
@@ -1635,8 +1661,20 @@ class TestCli:
                      "--out", str(tmp_path / "runs")])
         assert code == 4
         assert "provider error: no API key" in capsys.readouterr().err
-        (run_dir,) = (tmp_path / "runs").iterdir()
-        assert not (run_dir / "scores.csv").exists()
+        assert not list((tmp_path / "runs").rglob("scores.csv"))
+
+    @pytest.mark.parametrize("command", ["translate", "evaluate", "ablate"])
+    def test_a_missing_key_leaves_no_run_directory(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        monkeypatch.delenv("MAVL_API_KEY", raising=False)
+        extra = ["--from-dubbed"] if command == "evaluate" else []
+        code = main([command, "--dataset", str(small_corpus(tmp_path)),
+                     "--target-lang", "KO", "--provider", "remote",
+                     "--endpoint", "https://models.example", "--model-id", "m",
+                     "--out", str(tmp_path / "runs"), *extra])
+        assert code == 4
+        assert "provider error: no API key" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("host", ["a..b", "a" * 64 + ".example"],
                              ids=["empty-label", "label-over-63"])

@@ -13,9 +13,11 @@ from mavl.metrics import (
     SEMANTIC,
     SYLLABIC,
     CorpusReport,
+    GroupStats,
     LineScore,
     LineScorer,
     ReferenceKind,
+    ReportFold,
     SyllableErrorParams,
     aggregate,
     cosine_similarity,
@@ -552,3 +554,49 @@ class TestAggregate:
         report = aggregate(scores)
         direct = sum(1 for s in scores if s.mismatch) / len(scores)
         assert report.error_rate == direct
+
+
+def whole_list_report(scores, provider):
+    """The report as one pass over every score computes it: each group's
+    values listed, then averaged."""
+    def mean(scores, field, cast=lambda v: v):
+        values = [cast(getattr(s, field)) for s in scores if getattr(s, field) is not None]
+        return sum(values) / len(values) if values else None
+
+    groups = {}
+    for s in scores:
+        groups.setdefault((s.language, s.reference_kind), []).append(s)
+    return CorpusReport(len(scores), mean(scores, "mismatch"), {
+        key: GroupStats(len(group), mean(group, "mismatch"), mean(group, "se"),
+                        mean(group, "scd"), mean(group, "semantic"),
+                        mean(group, "phonetic", float))
+        for key, group in groups.items()}, provider)
+
+
+SCORES = st.lists(st.builds(
+    LineScore, c_ref=st.none(), c_pred=st.none(),
+    reference_kind=st.sampled_from(ReferenceKind),
+    language=st.sampled_from([Language.KO, Language.JA]),
+    se=st.none() | st.floats(0, 100), scd=st.none() | st.floats(0, 10),
+    mismatch=st.none() | st.booleans(), semantic=st.none() | st.floats(-1, 1),
+    phonetic=st.none() | st.integers(0, 500)))
+
+SPLIT = [mk(5, 6), mk(7, 5), mk(4, 4)]
+
+
+class TestReportFold:
+    @given(SCORES, st.lists(st.integers(0, 60)))
+    @example(scores=SPLIT, cuts=[1])  # one group split across two chunks
+    @example(scores=SPLIT, cuts=[2, 2])  # a chunk with no scores
+    @example(scores=[], cuts=[])  # no scores at all
+    def test_chunks_fold_to_the_report_of_the_whole_list(self, scores, cuts):
+        bounds = [0, *sorted(min(cut, len(scores)) for cut in cuts), len(scores)]
+        fold = ReportFold()
+        for start, end in zip(bounds, bounds[1:]):
+            fold.add(scores[start:end])
+        if not scores:
+            assert fold.report("p") is None
+            return
+        expected = whole_list_report(scores, "p")
+        assert fold.report("p") == expected
+        assert aggregate(scores, provider="p") == expected

@@ -644,8 +644,11 @@ class TestRemoteProvider:
     """What ``RemoteProvider`` sends and how it reads replies, on loopback HTTP."""
 
     def test_missing_key_is_auth_error_before_any_call(self, loopback, monkeypatch):
-        monkeypatch.delenv("MAVL_API_KEY")
         provider = RemoteProvider(loopback.url, "m", timeout=5.0)
+        monkeypatch.delenv("MAVL_API_KEY")
+        # checked when the provider is built, and again for each request
+        with pytest.raises(ProviderAuthError, match="MAVL_API_KEY"):
+            RemoteProvider(loopback.url, "m", timeout=5.0)
         with pytest.raises(ProviderAuthError, match="MAVL_API_KEY"):
             provider.complete(GenerationRequest("hi"))
         with pytest.raises(ProviderAuthError):

@@ -168,7 +168,7 @@ def _records():
         GroupStats(1, None, None, None, None, None), CorpusReport(1, None, {}),
         EvaluationRow(key), TranslationResult(task, "안녕", 2, True, 1),
         SyllableSegmentation(("a",), EN),
-        TranslateOutcome(Path("r"), hyp, [], [], []), EvaluateOutcome(Path("r"), [], None),
+        TranslateOutcome(Path("r"), hyp, [], [], []), EvaluateOutcome(Path("r"), 0, 0, None),
         AblateOutcome(Path("r"), {}, ""),
     ]
     return [(record, record._fields) for record in plain + [r for r, _, _ in CHECKED]] + [

@@ -85,3 +85,22 @@ def test_4000_rows_in_200_groups_peak_under_1_mib():
         finally:
             tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_each_song_is_written_once_the_next_one_starts():
+    """A stream of rows is written song by song: a song is read only up to
+    the next song's first row before it is written."""
+    out = io.StringIO()
+    lines_written = []
+
+    def songs():
+        for song in ("alpha", "beta", "gamma"):
+            lines_written.append(out.getvalue().count("\n"))
+            # in language order KO, ES: each song's rows are sorted, ES first
+            yield from (row(song, lang, line, None, None)
+                        for lang in (Language.KO, Language.ES) for line in (1, 0))
+
+    rows_to_csv(songs(), out)
+    # the header alone as beta starts; alpha's four rows too as gamma starts
+    assert lines_written == [1, 1, 5]
+    assert out.getvalue() == render(list(songs()))
