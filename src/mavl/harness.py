@@ -49,7 +49,7 @@ from .metrics import (
     ReferenceKind,
     ReportFold,
     SyllableErrorParams,
-    aggregate,  # noqa: F401  (bench/spans.py times aggregate under this name)
+    aggregate,  # noqa: F401  (bench/spans.py hooks this name; evaluate folds instead)
 )
 from .pipeline import (
     Modality,
