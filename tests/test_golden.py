@@ -8,6 +8,12 @@ translate-mock workload runs it; its ``trace.jsonl`` is hashed without the
 clock fields.  ``config.json`` and the run-directory names are left out:
 they hash the output path.
 
+``report.json`` (and the ``--format json`` stdout, the same text) is hashed
+with each float written to six decimals, as ``scores.csv`` writes its
+scores.  Its means are ``sum`` over a column, and Python 3.12's ``sum``
+compensates a float sum where 3.10 and 3.11 add left to right, so their
+last bits differ between interpreters.
+
 A change that moves an output on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,6 +29,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +43,16 @@ FORMATS = ("csv", "json", "table")
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+# a JSON number with a fraction or an exponent; integers are left as written
+_FLOAT = re.compile(rb"(?<![\w.])-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)")
+
+
+def _report_digest(data: bytes) -> str:
+    """``data``'s digest with each float written to six decimals, every
+    other byte as it is."""
+    return _digest(_FLOAT.sub(lambda m: b"%.6f" % float(m.group()), data))
 
 
 def _bench_corpus():
@@ -94,14 +111,14 @@ def _evaluate(corpus, work: Path) -> dict:
             "--hypotheses", str(inputs / "hypotheses.jsonl"), "--provider", "mock"]
     for lang in corpus.DUBBED_LANGS:
         argv += ["--target-lang", lang.value]
-    digests = {f"stdout --format {fmt}": _digest(
+    digests = {f"stdout --format {fmt}": (_report_digest if fmt == "json" else _digest)(
         _main(argv + ["--format", fmt, "--out", str(work / f"evaluate-{fmt}")]))
         for fmt in FORMATS}
     # the files are the same whatever the format; the first run's are hashed
     run_dir = _only_run(work / f"evaluate-{FORMATS[0]}")
     digests["scores.csv"] = _column_digests((run_dir / "scores.csv").read_bytes())
-    for name in ("report.json", "report.txt"):
-        digests[name] = _digest((run_dir / name).read_bytes())
+    digests["report.json"] = _report_digest((run_dir / "report.json").read_bytes())
+    digests["report.txt"] = _digest((run_dir / "report.txt").read_bytes())
     return digests
 
 
