@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -49,7 +50,7 @@ from .metrics import (
     ReferenceKind,
     ReportFold,
     SyllableErrorParams,
-    aggregate,  # noqa: F401  (bench/spans.py hooks this name; evaluate folds instead)
+    aggregate,
 )
 from .pipeline import (
     Modality,
@@ -247,8 +248,6 @@ class HypothesisSet:
         """Read ``hypotheses.jsonl``.  Each record is checked as it is read,
         so the first fault in file order is the one raised."""
         out = None
-        # one str per song id, where the decoder makes one per record
-        song_ids: dict[str, str] = {}
         # not splitlines(): a text may hold "\u2028", which json.dumps writes raw
         for lineno, raw in enumerate(text.removeprefix(BOM).split("\n"), start=1):
             if not raw.strip():
@@ -258,7 +257,7 @@ class HypothesisSet:
             if out is None:
                 out = cls(_provenance(row, where))
                 continue
-            key, hyp_text = _hypothesis_record(row, where, song_ids)
+            key, hyp_text = _hypothesis_record(row, where)
             if key in out.entries:
                 raise DatasetValidationError("duplicate hypothesis key", location=where)
             out.entries[key] = hyp_text
@@ -318,10 +317,8 @@ def _provenance(row: dict, where: str) -> str:
     return provenance
 
 
-def _hypothesis_record(row: dict, where: str,
-                       song_ids: dict[str, str]) -> tuple[LineKey, str]:
-    """The line a hypothesis record keys and its text, checked.  The key
-    holds the first equal song id in ``song_ids``, where this one is added."""
+def _hypothesis_record(row: dict, where: str) -> tuple[LineKey, str]:
+    """The line a hypothesis record keys and its text, checked."""
     try:
         song_id, section, line, text = (
             row[name] for name in ("song_id", "section", "line", "text"))
@@ -341,7 +338,8 @@ def _hypothesis_record(row: dict, where: str,
     problem = surrogate_problem(text)
     if problem:
         raise DatasetValidationError(f"text {problem}", location=where)
-    return LineKey(song_ids.setdefault(song_id, song_id), lang, section, line), text
+    # interned: the decoder makes a new str of the song id for each record
+    return LineKey(sys.intern(song_id), lang, section, line), text
 
 
 def _jsonl_line(record: dict) -> str:
@@ -704,21 +702,19 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
         params=SyllableErrorParams(beta=config.beta),
         embedder=embedder,
     )
-    # a song is scored and folded into the report as rows_to_csv reads up to
-    # it, and written as the next song starts: no list of every row or score
+    # each song is scored, folded into the report and written before the
+    # next: no list of every row or score
     fold = ReportFold()
     statuses: Counter[str] = Counter()
-
-    def rows() -> Iterator[EvaluationRow]:
-        for song in _score_songs(dataset, languages, hyp, scorer):
-            fold.add([score for row in song for score in (row.original_score, row.dubbed_score)
-                      if score is not None])
-            statuses.update(row.status for row in song)
-            yield from song
-
     try:
         with _atomic_file(run_dir / "scores.csv") as fh:
-            rows_to_csv(rows(), fh)
+            rows_to_csv([], fh)  # the header
+            for song in _score_songs(dataset, languages, hyp, scorer):
+                aggregate([score for row in song
+                           for score in (row.original_score, row.dubbed_score)
+                           if score is not None], into=fold)
+                statuses.update(row.status for row in song)
+                rows_to_csv(song, fh, header=False)
     finally:
         if isinstance(embedder_provider, RemoteProvider):
             embedder_provider.close()

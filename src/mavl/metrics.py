@@ -348,8 +348,17 @@ class ReportFold:
         )
 
 
-def aggregate(scores: Iterable[LineScore], *,
-              provider: str | None = None) -> CorpusReport:
+def aggregate(scores: Iterable[LineScore], *, provider: str | None = None,
+              into: ReportFold | None = None) -> CorpusReport | None:
+    """The report of ``scores``, which must hold at least one.
+
+    With ``into``, the scores are folded into that fold instead, and None is
+    returned: ``into.report()`` then gives the report of every score folded
+    so far.  Evaluate aggregates one song at a time this way.
+    """
+    if into is not None:
+        into.add(scores)
+        return None
     fold = ReportFold()
     fold.add(scores)
     report = fold.report(provider)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import groupby
-from typing import Iterable, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 from .dataset import LineKey, StatsReport
 from .languages import Language
@@ -78,34 +77,29 @@ CSV_HEADER = (
 )
 
 
-def rows_to_csv(rows: Iterable[EvaluationRow], out: TextIO) -> None:
+def rows_to_csv(rows: list[EvaluationRow], out: TextIO, *, header: bool = True) -> None:
     """Write one CSV row per dataset line to ``out``, both reference blocks
-    side by side.
-
-    ``rows`` come grouped by song, in song order, and may be a stream: each
-    song's rows are sorted and written before the next song is read past its
-    first row.
-    """
+    side by side, in line-key order; the header first unless ``header`` is
+    false."""
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    if header:
+        writer.writerow(CSV_HEADER)
     # a repeated pair shares one LineScore, so each distinct one is formatted
-    # once per (song, language); a song's rows hold their scores until they
-    # are written, so no id is reused
+    # once per (song, language); rows hold their scores, so no id is reused
     group, blocks = None, {}
-    for _, song in groupby(rows, key=lambda row: row.key.song_id):
-        for row in sorted(song, key=lambda row: row.key.order()):
-            order = row.key.order()
-            if order[:2] != group:
-                group, blocks = order[:2], {}
-            original, dubbed = (
-                blocks.get(id(score)) or blocks.setdefault(id(score), _score_block(score))
-                for score in (row.original_score, row.dubbed_score))
-            writer.writerow([
-                # the key's four columns, in the order the rows sort by
-                *order, row.status, row.skip_reason or "", row.hypothesis or "",
-                row.original_reference or "", *original,
-                row.dubbed_reference or "", *dubbed,
-            ])
+    for row in sorted(rows, key=lambda row: row.key.order()):
+        order = row.key.order()
+        if order[:2] != group:
+            group, blocks = order[:2], {}
+        original, dubbed = (
+            blocks.get(id(score)) or blocks.setdefault(id(score), _score_block(score))
+            for score in (row.original_score, row.dubbed_score))
+        writer.writerow([
+            # the key's four columns, in the order the rows sort by
+            *order, row.status, row.skip_reason or "", row.hypothesis or "",
+            row.original_reference or "", *original,
+            row.dubbed_reference or "", *dubbed,
+        ])
 
 
 def report_payload(report: CorpusReport) -> dict:

@@ -593,7 +593,8 @@ class TestReportFold:
         bounds = [0, *sorted(min(cut, len(scores)) for cut in cuts), len(scores)]
         fold = ReportFold()
         for start, end in zip(bounds, bounds[1:]):
-            fold.add(scores[start:end])
+            # as evaluate folds each song
+            assert aggregate(scores[start:end], into=fold) is None
         if not scores:
             assert fold.report("p") is None
             return

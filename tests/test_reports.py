@@ -87,20 +87,13 @@ def test_4000_rows_in_200_groups_peak_under_1_mib():
     assert peak < 2**20
 
 
-def test_each_song_is_written_once_the_next_one_starts():
-    """A stream of rows is written song by song: a song is read only up to
-    the next song's first row before it is written."""
+def test_a_header_then_one_call_per_song_is_one_call_over_all_rows():
+    """Evaluate writes the header, then each song's rows in a call of their
+    own; for songs in order, that is the file one call over every row
+    writes."""
+    rows = chorus_rows(lambda s: s)
     out = io.StringIO()
-    lines_written = []
-
-    def songs():
-        for song in ("alpha", "beta", "gamma"):
-            lines_written.append(out.getvalue().count("\n"))
-            # in language order KO, ES: each song's rows are sorted, ES first
-            yield from (row(song, lang, line, None, None)
-                        for lang in (Language.KO, Language.ES) for line in (1, 0))
-
-    rows_to_csv(songs(), out)
-    # the header alone as beta starts; alpha's four rows too as gamma starts
-    assert lines_written == [1, 1, 5]
-    assert out.getvalue() == render(list(songs()))
+    rows_to_csv([], out)
+    for song in ("alpha", "beta"):
+        rows_to_csv([r for r in rows if r.key.song_id == song], out, header=False)
+    assert out.getvalue() == render(rows)
