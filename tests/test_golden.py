@@ -1,14 +1,17 @@
-"""Byte identity as a check: digests of what ``evaluate`` and ``translate``
-write for the benchmark's seed-3 inputs, against ``tests/golden.json``.
+"""Byte identity as a check: digests of what ``evaluate``, ``translate`` and
+``ablate`` write for the benchmark's seed-3 inputs, against
+``tests/golden.json``.
 
 ``evaluate`` runs as the eval-corpus workload runs it, once per ``--format``;
 ``scores.csv`` keeps one digest per column, so a change that moves outputs
 on purpose shows which columns it moved.  ``translate`` runs as the
 translate-mock workload runs it; its ``trace.jsonl`` is hashed without the
-clock fields.  ``config.json`` and the run-directory names are left out:
-they hash the output path.
+clock fields.  ``ablate`` runs the stage grid on the translate-mock inputs;
+each case's files are keyed by the case's label.  ``config.json`` and the
+run-directory names are left out: they hash the output path.
 
-``report.json`` (and the ``--format json`` stdout, the same text) is hashed
+``report.json`` (and the ``--format json`` stdout, the same text, and
+``comparison.json``, which holds each case's report) is hashed
 with each float written to six decimals, as ``scores.csv`` writes its
 scores.  Its means are ``sum`` over a column, and Python 3.12's ``sum``
 compensates a float sum where 3.10 and 3.11 add left to right, so their
@@ -122,27 +125,73 @@ def _evaluate(corpus, work: Path) -> dict:
     return digests
 
 
-def _translate(corpus, work: Path) -> dict:
+def _translate_inputs(corpus, work: Path) -> list[str]:
+    """The translate-mock inputs, built once, as translate and ablate flags."""
     inputs = work / "translate-inputs"
-    _write(corpus.build_translate_mock(SEED), inputs)
-    out = work / "translate"
-    _main(["translate", "--dataset", str(inputs / "corpus.json"), "--target-lang", "KO",
-           "--provider", "mock", "--mock-script", str(inputs / "script.json"),
-           "--variant", "full", "--parallelism", "1", "--out", str(out)])
-    run_dir = _only_run(out)
+    if not inputs.exists():
+        _write(corpus.build_translate_mock(SEED), inputs)
+    return ["--dataset", str(inputs / "corpus.json"), "--target-lang", "KO",
+            "--provider", "mock", "--mock-script", str(inputs / "script.json")]
+
+
+def _translate_digests(run_dir: Path) -> dict:
     digests = {name: _digest((run_dir / name).read_bytes())
                for name in ("hypotheses.jsonl", "results.jsonl", "failures.json")}
     digests["trace.jsonl"] = _trace_digest((run_dir / "trace.jsonl").read_bytes())
     return digests
 
 
+def _translate(corpus, work: Path) -> dict:
+    out = work / "translate"
+    _main(["translate", *_translate_inputs(corpus, work), "--variant", "full",
+           "--parallelism", "1", "--out", str(out)])
+    return _translate_digests(_only_run(out))
+
+
+def _evaluate_digests(run_dir: Path) -> dict:
+    """``scores.csv``, whole, and each report file, or None where none was
+    written."""
+    digests = {"scores.csv": _digest((run_dir / "scores.csv").read_bytes())}
+    for name, digest in (("report.json", _report_digest), ("report.txt", _digest)):
+        path = run_dir / name
+        digests[name] = digest(path.read_bytes()) if path.exists() else None
+    return digests
+
+
+# the line of a comparison.txt block that names its case
+_CASE = re.compile(r"^(.+): no scored lines$|^provider: [^:]+:(.+)$", re.MULTILINE)
+
+
+def _ablate(corpus, work: Path) -> dict:
+    out = work / "ablate"
+    _main(["ablate", *_translate_inputs(corpus, work), "--grid", "stages", "--out", str(out)])
+    run_dir = _only_run(out)
+    table = (run_dir / "comparison.txt").read_text(encoding="utf-8")
+    digests = {"comparison.json": _report_digest((run_dir / "comparison.json").read_bytes()),
+               "comparison.txt": _digest(table.encode("utf-8"))}
+    for translated in run_dir.glob("translate-*"):
+        first = (translated / "hypotheses.jsonl").read_text(encoding="utf-8").split("\n")[0]
+        label = json.loads(first)["provenance"].split(":", 1)[1]
+        digests[label] = _translate_digests(translated)
+    # every case's evaluate has one digest, as it does not read the variant,
+    # so its directories are numbered in case order: the blocks' order
+    evaluated = sorted(run_dir.glob("evaluate-*"), key=lambda path: (len(path.name), path.name))
+    labels = [unscored or scored for unscored, scored in _CASE.findall(table)]
+    assert len(labels) == len(evaluated), table
+    for label, run in zip(labels, evaluated):
+        digests[label].update(_evaluate_digests(run))
+    return digests
+
+
 def current_digests(work: Path) -> dict:
     corpus = _bench_corpus()
-    return {"evaluate": _evaluate(corpus, work), "translate": _translate(corpus, work)}
+    return {"evaluate": _evaluate(corpus, work), "translate": _translate(corpus, work),
+            "ablate": _ablate(corpus, work)}
 
 
 def _differences(expected: dict, got: dict, where: str = "") -> list[str]:
-    """Each file, or file and column, whose digest is not the golden one."""
+    """Each file, file and column, or case and file whose digest is not the
+    golden one."""
     found = []
     for name in sorted(expected.keys() | got.keys()):
         at = f"{where}{name}"
@@ -150,8 +199,9 @@ def _differences(expected: dict, got: dict, where: str = "") -> list[str]:
             found.append(f"{at}: missing")
         elif name not in expected:
             found.append(f"{at}: not in golden.json")
-        elif isinstance(expected[name], dict):
-            found += _differences(expected[name], got[name], f"{at}, column ")
+        elif isinstance(expected[name], dict) and isinstance(got[name], dict):
+            found += _differences(expected[name], got[name],
+                                  f"{at}, column " if name == "scores.csv" else f"{at}, ")
         elif expected[name] != got[name]:
             found.append(f"{at}: differs")
     return found
