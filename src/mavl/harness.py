@@ -240,9 +240,6 @@ class HypothesisSet:
         for key in sorted(self.entries, key=LineKey.order):
             yield _jsonl_line(_key_fields(key, text=self.entries[key]))
 
-    def to_jsonl(self) -> str:
-        return "".join(self.jsonl_lines())
-
     @classmethod
     def from_jsonl(cls, text: str) -> "HypothesisSet":
         """Read ``hypotheses.jsonl``.  Each record is checked as it is read,
@@ -521,7 +518,10 @@ def _translation_tasks(
 
 
 def cmd_translate(config: RunConfig) -> TranslateOutcome:
-    dataset = _load_dataset(config.dataset_path)
+    return _translate(config, _load_dataset(config.dataset_path))
+
+
+def _translate(config: RunConfig, dataset: Dataset) -> TranslateOutcome:
     warnings: list[str] = []
     if config.target_langs:
         tasks, failed = _translation_tasks(config, dataset)
@@ -684,11 +684,17 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
     """Score ``hyp`` against the dataset; without one, score the dubbed lines
     themselves (the human baseline)."""
     dataset = _load_dataset(config.dataset_path)
+    if hyp is not None:
+        hyp.validate_against(dataset)
+    return _evaluate(config, dataset, hyp)
+
+
+def _evaluate(config: RunConfig, dataset: Dataset, hyp: HypothesisSet | None) -> EvaluateOutcome:
+    """Each dataset line looks its hypothesis up, so one that keys no line
+    is never read."""
     languages = _eval_languages(config, dataset)
     if hyp is None:
         hyp = HypothesisSet.from_dubbed(dataset, languages)
-    else:
-        hyp.validate_against(dataset)
     # a missing key exits before the run directory
     embedder_provider = (
         _remote_provider(config) if config.provider == "remote" else HashEmbeddingProvider()
@@ -801,14 +807,8 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
             out_dir=str(run_dir),
             failure_threshold=1.0,
         )
-        translated = cmd_translate(sub)
-        # a line with no counterpart in its language's entry, or a song with
-        # no entry in that language, has nothing to score it against
-        hypotheses = HypothesisSet(translated.hypotheses.provenance, {
-            key: text for key, text in translated.hypotheses.entries.items()
-            if (entry := dataset.songs[key.song_id].get(key.language)) is not None
-            and _find_line(entry, key.section, key.line) is not None})
-        report = cmd_evaluate(sub, hypotheses).report
+        translated = _translate(sub, dataset)
+        report = _evaluate(sub, dataset, translated.hypotheses).report
         summaries[label] = {
             "failures": len(translated.failures),
             "report": None if report is None else report_payload(report),

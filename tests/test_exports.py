@@ -269,7 +269,7 @@ def test_no_command_loads_openssl(tmp_path):
     corpus, script = small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT)
     hypotheses = tmp_path / "hypotheses.jsonl"
     dubbed = HypothesisSet.from_dubbed(parse_dataset(corpus.read_bytes()), [Language.KO])
-    hypotheses.write_text(dubbed.to_jsonl(), encoding="utf-8")
+    hypotheses.write_text("".join(dubbed.jsonl_lines()), encoding="utf-8")
     server = Loopback()
     body = json.dumps({"text": json.dumps({"translation": "나비가 날아와"})}).encode()
     server.actions = [reply(200, body)] * 2

@@ -265,7 +265,7 @@ class TestHypothesisSet:
         hyp = HypothesisSet(provenance="mock:T list+refine")
         hyp.entries[LineKey("alpha", Language.KO, 0, 0)] = "나비가 날아와"
         hyp.entries[LineKey("alpha", Language.KO, 0, 1)] = "날 잊지 마"
-        again = HypothesisSet.from_jsonl(hyp.to_jsonl())
+        again = HypothesisSet.from_jsonl("".join(hyp.jsonl_lines()))
         assert again == hyp
 
     def test_each_song_id_is_held_once(self):
@@ -283,7 +283,7 @@ class TestHypothesisSet:
         hyp = HypothesisSet(provenance="x")
         hyp.entries[LineKey("alpha", Language.KO, 0, 0)] = f"나비가{sep}날아와"
         hyp.entries[LineKey("alpha", Language.KO, 0, 1)] = "날 잊지 마"
-        text = hyp.to_jsonl()
+        text = "".join(hyp.jsonl_lines())
         assert sep in text
         assert HypothesisSet.from_jsonl(text) == hyp
         with pytest.raises(DatasetValidationError, match="^line 4: not a JSON record"):
@@ -445,7 +445,7 @@ class TestByteOrderMark:
                 "--hypotheses", str(hyp), "--out", str(tmp_path / "runs"), "--format", "json"]
         reports = []
         for prefix in (b"", UTF8_BOM):
-            hyp.write_bytes(prefix + dubbed.to_jsonl().encode("utf-8"))
+            hyp.write_bytes(prefix + "".join(dubbed.jsonl_lines()).encode("utf-8"))
             assert main(argv) == 0
             reports.append(json.loads(capsys.readouterr().out))
         assert reports[0] == reports[1]
@@ -1040,7 +1040,7 @@ class TestEmbedBatching:
         hyp = HypothesisSet(provenance="x", entries={
             LineKey("alpha", Language.KO, 0, i): f"나비가 {i}" for i in range(n)})
         hyp_path = tmp_path / "hyp.jsonl"
-        hyp_path.write_text(hyp.to_jsonl(), encoding="utf-8")
+        hyp_path.write_text("".join(hyp.jsonl_lines()), encoding="utf-8")
         code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
                      "--hypotheses", str(hyp_path), "--out", str(tmp_path / out)])
         (scores,) = (tmp_path / out).glob("evaluate-*/scores.csv")
@@ -1118,7 +1118,7 @@ class TestOneCallPerSong:
             # one line of each song has no hypothesis, and is skipped
             if (song, i) not in {("alpha", 0), ("beta", 1)}})
         hyp_path = tmp_path / "hyp.jsonl"
-        hyp_path.write_text(hyp.to_jsonl(), encoding="utf-8")
+        hyp_path.write_text("".join(hyp.jsonl_lines()), encoding="utf-8")
         code = main(["evaluate", "--dataset", str(corpus), "--target-lang", "KO",
                      "--hypotheses", str(hyp_path), "--out", str(tmp_path / out)])
         assert code == 0
@@ -1262,6 +1262,20 @@ class TestAblate:
         assert comparison == outcome.summaries
         for label in outcome.summaries:
             assert f"provider: mock:{label}" in outcome.table.splitlines()
+
+    def test_stage_grid_parses_the_dataset_once(self, tmp_path, monkeypatch):
+        parsed = []
+
+        def counted(data):
+            parsed.append(data)
+            return parse_dataset(data)
+
+        monkeypatch.setattr("mavl.harness.parse_dataset", counted)
+        corpus = small_corpus(tmp_path)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        outcome = cmd_ablate(base_config(corpus, script, tmp_path / "runs"), grid="stages")
+        assert set(outcome.summaries) == STAGE_LABELS
+        assert parsed == [corpus.read_bytes()]
 
     def test_summary_is_the_evaluate_report(self, tmp_path):
         corpus = small_corpus(tmp_path)
@@ -1492,7 +1506,7 @@ class TestCli:
         for key, text in hyp.entries.items():
             hyp.entries[key] = text[::-1] if key[3] % 2 else text + " 2"
         hyp_path = tmp_path / "hyp.jsonl"
-        hyp_path.write_text(hyp.to_jsonl(), encoding="utf-8")
+        hyp_path.write_text("".join(hyp.jsonl_lines()), encoding="utf-8")
         src = str(Path(__file__).resolve().parents[1] / "src")
         outputs = []
         for seed in ("0", "1"):
