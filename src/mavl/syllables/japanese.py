@@ -13,18 +13,26 @@ annotations.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from ..languages import KANJI_CLASS, is_kana, is_kanji
 
 _SMALL_KANA = set("ぁぃぅぇぉゃゅょゎァィゥェォャュョヮ")
 
-# the surface is the kanji run right before the brackets, no more
-_ANNOTATION = re.compile(KANJI_CLASS + r"+\[([ぁ-ゖァ-ヺー]+)\]")
+
+@cache
+def _annotation() -> re.Pattern:
+    """The pattern of one annotation, compiled on first use: its kanji class
+    builds a 64K-entry charmap, which a text with no ``[`` never needs."""
+    # the surface is the kanji run right before the brackets, no more
+    return re.compile(KANJI_CLASS + r"+\[([ぁ-ゖァ-ヺー]+)\]")
 
 
 def apply_annotations(text: str) -> str:
     """Replace ``漢字[かんじ]`` spans with their kana reading."""
-    return _ANNOTATION.sub(r"\1", text)
+    if "[" not in text:
+        return text
+    return _annotation().sub(r"\1", text)
 
 
 def segment(text: str) -> list[str]:

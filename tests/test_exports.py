@@ -127,14 +127,31 @@ def test_bench_corpora_parse_and_round_trip():
     hypotheses.validate_against(parse_dataset(evaluated["corpus.json"]))
 
 
-HTTP_MODULES = ("urllib.request", "http.client", "requests", "ssl", "socket", "select")
+HTTP_MODULES = ("urllib.request", "http.client", "requests", "ssl", "socket", "select",
+                "mavl.wire")
 
-# run in a fresh interpreter: importing the CLI, then one remote completion
-# against a loopback server started in the same process
+# run in a fresh interpreter: importing the CLI, then three offline commands,
+# noting after each which of these modules are loaded, then one remote
+# completion against a loopback server started in the same process
 _HTTP_PROBE = textwrap.dedent(f"""
     import json, sys, threading
     import mavl.cli
-    after_import = sorted(m for m in {HTTP_MODULES!r} if m in sys.modules)
+    from mavl.syllables import japanese
+
+    corpus, script, hypotheses, out = sys.argv[1:]
+    seen = {{}}
+
+    def note(name, argv=None):
+        code = [] if argv is None else [mavl.cli.main(argv)]
+        seen[name] = code + [m for m in {HTTP_MODULES!r} if m in sys.modules]
+
+    note("import")
+    note("evaluate", ["evaluate", "--dataset", corpus, "--target-lang", "JA",
+                      "--hypotheses", hypotheses, "--out", out + "/e"])
+    seen["annotation_patterns"] = japanese._annotation.cache_info().currsize
+    note("translate", ["translate", "--dataset", corpus, "--target-lang", "KO",
+                       "--mock-script", script, "--out", out + "/t"])
+    note("stats", ["stats", "--dataset", corpus])
 
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
     from mavl.providers import GenerationRequest, RemoteProvider
@@ -154,11 +171,11 @@ _HTTP_PROBE = textwrap.dedent(f"""
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     url = f"http://127.0.0.1:{{server.server_address[1]}}"
-    text = RemoteProvider(url, "m", timeout=5.0).complete(GenerationRequest("hi"))
+    seen["text"] = RemoteProvider(url, "m", timeout=5.0).complete(GenerationRequest("hi"))
     server.shutdown()
-    print(json.dumps({{"after_import": after_import, "text": text,
-                       "requests_loaded": "requests" in sys.modules,
-                       "urllib_request_loaded": "urllib.request" in sys.modules}}))
+    seen["remote"] = [m for m in ("mavl.wire", "requests", "urllib.request")
+                      if m in sys.modules]
+    print(json.dumps(seen))
 """)
 
 
@@ -174,14 +191,35 @@ def _fresh_python(code: str, *args, **env) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_http_modules_load_only_for_a_remote_call():
-    """Importing the CLI loads no HTTP client, socket, select or TLS module; an
-    ``http://`` call loads neither ``requests`` nor ``urllib.request``."""
-    seen = _fresh_python(_HTTP_PROBE, MAVL_API_KEY="sekrit")
+def test_http_modules_load_only_for_a_remote_call(tmp_path):
+    """Neither importing the CLI nor an offline evaluate, mock translate or
+    stats loads the HTTP client (``mavl.wire``), a socket, select or TLS
+    module; a remote call loads ``mavl.wire``, but neither ``requests`` nor
+    ``urllib.request``.  An evaluate of JA texts with no ``[`` compiles no
+    annotation pattern."""
+    from mavl.dataset import parse_dataset
+    from mavl.harness import HypothesisSet
+    from mavl.languages import Language
+    from test_harness import GOOD_SCRIPT, write_corpus, write_script
+
+    corpus = write_corpus(tmp_path, {"alpha": {
+        Language.EN: [["And there's a butterfly", "Remember me, don't let it make you cry"]],
+        Language.KO: [["나비가 날아와", "날 잊지 마 슬퍼하지는 마"]],
+        Language.JA: [["蝶がとぶ", "忘れないで"]],
+    }})
+    hypotheses = tmp_path / "hypotheses.jsonl"
+    dubbed = HypothesisSet.from_dubbed(parse_dataset(corpus.read_bytes()), [Language.JA])
+    hypotheses.write_text("".join(dubbed.jsonl_lines()), encoding="utf-8")
+    script = write_script(tmp_path, GOOD_SCRIPT)
+    seen = _fresh_python(_HTTP_PROBE, corpus, script, hypotheses, tmp_path,
+                         MAVL_API_KEY="sekrit")
     assert seen == {
-        "after_import": [], "text": "ok", "requests_loaded": False,
-        "urllib_request_loaded": False,
+        "import": [], "evaluate": [0], "annotation_patterns": 0, "translate": [0],
+        "stats": [0], "text": "ok", "remote": ["mavl.wire"],
     }
+    # the JA rows were scored, so the evaluate did read JA texts
+    rows = next((tmp_path / "e").glob("*/scores.csv")).read_text(encoding="utf-8")
+    assert "忘れないで" in rows
 
 
 # run in a fresh interpreter: importing the CLI, then four commands, noting

@@ -400,7 +400,7 @@ def _read_mock_script(tmp_path, monkeypatch, text):
 
 def _read_reply(tmp_path, monkeypatch, text):
     monkeypatch.setenv("MAVL_API_KEY", "sekrit")
-    monkeypatch.setattr("mavl.providers._http_post",
+    monkeypatch.setattr("mavl.wire._http_post",
                         lambda *args: (200, {}, text.encode("utf-8")))
     RemoteProvider("http://127.0.0.1:9", "m").complete(GenerationRequest("hi"))
 

@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from loopback import Loopback, raw, reply
 
-from mavl import providers
+from mavl import providers, wire
 from mavl.errors import (
     ConfigError,
     EmbeddingError,
@@ -879,12 +879,16 @@ class TestRemoteProviderHttp:
         ("ftp://127.0.0.1/v1", "sekrit"),
         ("http://a..b/v1", "sekrit"),
         ("http://" + "a" * 64 + ".example/v1", "sekrit"),
+        # the provider's path would follow the query or fragment
+        ("{}?v=1", "sekrit"),
+        ("{}#v1", "sekrit"),
     ], ids=["key-with-crlf", "key-with-newline", "port-out-of-range", "space-in-host",
-            "other-scheme", "empty-host-label", "host-label-over-63"])
+            "other-scheme", "empty-host-label", "host-label-over-63", "query", "fragment"])
     def test_unsendable_request_is_not_retried(self, loopback, monkeypatch, no_backoff,
                                                endpoint, key):
+        """``{}`` in an endpoint stands for the loopback server's URL."""
         monkeypatch.setenv("MAVL_API_KEY", key)
-        provider = RemoteProvider(endpoint or loopback.url, "m", timeout=5.0)
+        provider = RemoteProvider((endpoint or "{}").format(loopback.url), "m", timeout=5.0)
         with pytest.raises(ProviderError) as excinfo:
             generate(GenerationRequest("hi"), provider)
         assert type(excinfo.value) is ProviderError
@@ -905,9 +909,9 @@ class TestRemoteProviderHttp:
             host.encode("idna")
         except UnicodeError:
             with pytest.raises(ProviderError, match="bad endpoint URL"):
-                providers._route(f"http://{host}:80/v1")
+                wire._route(f"http://{host}:80/v1")
         else:
-            assert providers._route(f"http://{host}:80/v1")[1] == host
+            assert wire._route(f"http://{host}:80/v1")[1] == host
 
     def test_url_and_key_are_checked_on_every_request(self, loopback, monkeypatch):
         """The URL's checks run once per URL, but a bad URL fails each time;
@@ -1325,19 +1329,19 @@ class TestMapBoundedContract:
         assert threading.active_count() == baseline
 
 
-class LineByLineReply(providers._Reply):
+class LineByLineReply(wire._Reply):
     """The reference reader: each line, headers included, read on its own
     and rejected once it is over ``_MAX_HEAD`` bytes, finished or not."""
 
     def line(self):
         end = self.buf.find(b"\n", self.pos)
-        while end < 0 and len(self.buf) - self.pos <= providers._MAX_HEAD:
+        while end < 0 and len(self.buf) - self.pos <= wire._MAX_HEAD:
             seen = len(self.buf)
             if not self._fill():
                 raise TransientProviderError("connection closed mid-line of the reply")
             end = self.buf.find(b"\n", seen)
-        if (len(self.buf) if end < 0 else end) - self.pos > providers._MAX_HEAD:
-            raise TransientProviderError(f"reply line over {providers._MAX_HEAD} bytes")
+        if (len(self.buf) if end < 0 else end) - self.pos > wire._MAX_HEAD:
+            raise TransientProviderError(f"reply line over {wire._MAX_HEAD} bytes")
         line = bytes(self.buf[self.pos : end]).rstrip(b"\r")
         self.pos = end + 1
         return line
@@ -1345,14 +1349,14 @@ class LineByLineReply(providers._Reply):
     def head(self):
         start = self.pos
         status_line = self.line()
-        found = providers._STATUS_LINE.fullmatch(status_line)
+        found = wire._STATUS_LINE.fullmatch(status_line)
         if found is None:
             raise TransientProviderError(f"malformed status line {status_line[:80]!r}")
         headers = {}
         while line := self.line():
-            if self.pos - start > providers._MAX_HEAD:
+            if self.pos - start > wire._MAX_HEAD:
                 raise TransientProviderError(
-                    f"reply header section over {providers._MAX_HEAD} bytes")
+                    f"reply header section over {wire._MAX_HEAD} bytes")
             name, colon, value = line.partition(b":")
             if colon:
                 headers.setdefault(
@@ -1456,32 +1460,32 @@ class TestReplyAgainstLineByLine:
     def test_every_split_point(self, data):
         for cut in range(len(data) + 1):
             chunks = [data[:cut], data[cut:]]
-            assert read_reply(providers._Reply, chunks) == read_reply(
+            assert read_reply(wire._Reply, chunks) == read_reply(
                 LineByLineReply, chunks), cut
 
     @pytest.mark.parametrize("data", REPLIES.values(), ids=REPLIES.keys())
     def test_byte_by_byte(self, data):
         chunks = [data[i : i + 1] for i in range(len(data))]
-        assert read_reply(providers._Reply, chunks) == read_reply(LineByLineReply, chunks)
+        assert read_reply(wire._Reply, chunks) == read_reply(LineByLineReply, chunks)
 
     @pytest.mark.parametrize("step", [len(b"HTTP/1.1 200 OK\r\n"), 997, 4096, 65536],
                              ids=["status-line-first", "997", "4096", "65536"])
     @pytest.mark.parametrize("data", LONG_REPLIES.values(), ids=LONG_REPLIES.keys())
     def test_long_heads(self, data, step):
         chunks = [data[:step]] + [data[i : i + 997] for i in range(step, len(data), 997)]
-        assert read_reply(providers._Reply, chunks) == read_reply(LineByLineReply, chunks)
-        assert read_reply(providers._Reply, [data]) == read_reply(LineByLineReply, [data])
+        assert read_reply(wire._Reply, chunks) == read_reply(LineByLineReply, chunks)
+        assert read_reply(wire._Reply, [data]) == read_reply(LineByLineReply, [data])
 
     def test_over_limit_heads_are_rejected(self):
         for name in ("many-lines-over", "many-lines-over-then-close", "one-line-over",
                      "one-line-over-then-close", "long-status-line",
                      "long-line-of-crs-ends-the-head", "long-chunk-size-line",
                      "long-trailer-line", "just-over"):
-            got = read_reply(providers._Reply, [LONG_REPLIES[name]])
+            got = read_reply(wire._Reply, [LONG_REPLIES[name]])
             assert got[0] is TransientProviderError, name
             assert got[1].endswith("over 65536 bytes"), name
         for name in ("just-under", "blank-line-past-the-limit"):
-            assert read_reply(providers._Reply, [LONG_REPLIES[name]])[0] == 200, name
+            assert read_reply(wire._Reply, [LONG_REPLIES[name]])[0] == 200, name
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1500,4 +1504,4 @@ class TestReplyAgainstLineByLine:
         data = head + tail
         bounds = [0, *sorted(min(c, len(data)) for c in cuts), len(data)]
         chunks = [data[a:b] for a, b in zip(bounds, bounds[1:])]
-        assert read_reply(providers._Reply, chunks) == read_reply(LineByLineReply, chunks)
+        assert read_reply(wire._Reply, chunks) == read_reply(LineByLineReply, chunks)

@@ -325,6 +325,29 @@ ja_text = st.text(st.one_of(
     st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3),
 ), max_size=40)
 
+# kanji, hiragana, katakana with ・ and ー, brackets and ASCII, loose and as
+# bracket pieces whose surface or reading may be empty and whose "]" may lack
+_annotation_char = st.one_of(
+    st.sampled_from("夢空見飛人々㐀䶿一鿿"),
+    st.characters(min_codepoint=0x3041, max_codepoint=0x3096),
+    st.characters(min_codepoint=0x30A1, max_codepoint=0x30FC),
+    st.sampled_from("[]"),
+    st.characters(max_codepoint=0x7F),
+)
+_bracket_piece = st.tuples(
+    st.text(st.sampled_from("夢空見飛人々㐀䶿一鿿"), max_size=3),
+    st.just("["),
+    st.text(st.one_of(st.characters(min_codepoint=0x3041, max_codepoint=0x3096),
+                      st.characters(min_codepoint=0x30A1, max_codepoint=0x30FC)),
+            max_size=4),
+    st.sampled_from(["]", ""]),
+).map("".join)
+annotated_text = st.lists(st.one_of(_annotation_char, _bracket_piece),
+                          max_size=12).map("".join)
+
+# the pattern ``apply_annotations`` compiled at import, kept as the oracle
+ANNOTATION_ORACLE = KANJI_CLASS + r"+\[([ぁ-ゖァ-ヺー]+)\]"
+
 
 class TestJapaneseMorae:
     def test_small_kana_merges(self):
@@ -354,6 +377,16 @@ class TestJapaneseMorae:
     def test_annotation_replaces_only_its_kanji(self, text, reading, count):
         assert normalize(JA, text) == reading
         assert count_syllables(JA, text) == count
+
+    @given(annotated_text)
+    @example("ぼくは空を飛ぶ")  # no bracket
+    @example("空[そら")  # an unclosed bracket
+    @example("東京[トーキョー]")  # a katakana reading
+    @example("夢[ゆめ]を見[み]る")  # two annotations in one line
+    @example("きみ[きみ]")  # brackets with no kanji before them
+    @example("空[そら]")  # one annotation and nothing else
+    def test_apply_annotations_equals_eager_sub(self, text):
+        assert japanese.apply_annotations(text) == re.sub(ANNOTATION_ORACLE, r"\1", text)
 
     def test_annotation_surface_is_is_kanji(self):
         surface = re.compile(KANJI_CLASS)
