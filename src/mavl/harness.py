@@ -135,8 +135,6 @@ class RunConfig(Checked, _RunConfig):
         if self.provider == "remote":
             if not (self.endpoint and self.model_id):
                 raise ConfigError("remote provider needs an endpoint and a model id")
-            if not self.endpoint.lower().startswith(("http://", "https://")):
-                raise ConfigError(f"endpoint must be an http(s) URL, got {self.endpoint!r}")
         if Language.EN in self.target_langs:
             raise ConfigError("EN is the source language and cannot be a target")
         if len(set(self.target_langs)) != len(self.target_langs):
@@ -523,12 +521,14 @@ def cmd_translate(config: RunConfig) -> TranslateOutcome:
 
 def _translate(config: RunConfig, dataset: Dataset) -> TranslateOutcome:
     warnings: list[str] = []
+    tasks, failed, provider = [], {}, None
     if config.target_langs:
         tasks, failed = _translation_tasks(config, dataset)
-        provider = _generation_provider(config)
     else:
-        tasks, failed, provider = [], {}, None
         warnings.append("no target languages selected; nothing to translate")
+    if config.target_langs or config.provider == "remote":
+        # a bad mock script, endpoint or key exits before the run directory
+        provider = _generation_provider(config)
     run_dir = make_run_dir(config, "translate")
     hyp = HypothesisSet(provenance=f"{config.provider}:{config.variant.label()}")
     trace = TraceStore(str(run_dir / "trace.jsonl"))
@@ -695,7 +695,7 @@ def _evaluate(config: RunConfig, dataset: Dataset, hyp: HypothesisSet | None) ->
     languages = _eval_languages(config, dataset)
     if hyp is None:
         hyp = HypothesisSet.from_dubbed(dataset, languages)
-    # a missing key exits before the run directory
+    # a bad endpoint or key exits before the run directory
     embedder_provider = (
         _remote_provider(config) if config.provider == "remote" else HashEmbeddingProvider()
     )
@@ -774,7 +774,7 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
         raise ConfigError("the stage grid needs a staged variant, not a direct one")
     dataset = _load_dataset(config.dataset_path)
     if config.target_langs or config.provider == "remote":
-        # a bad mock script or a missing key exits before the run directory;
+        # a bad mock script, endpoint or key exits before the run directory;
         # each case builds its own providers, since a script's queues are
         # consumed and a remote one's evaluate embeds even with no target
         _generation_provider(config)

@@ -539,12 +539,17 @@ class HashEmbeddingProvider:
 class RemoteProvider:
     """HTTP backend for both completion and embedding.
 
-    Credentials come from the environment (never from config files): the
-    variable named by ``api_key_env`` must hold the key when the provider is
-    built, and it is read again for each request.  Requests reuse the
-    provider's idle connections (see :func:`mavl.wire._http_post`);
-    :meth:`close` closes them.  The HTTP client, :mod:`mavl.wire`, loads
-    when the first provider is built, so offline runs never load it.
+    Credentials come from the environment (never from config files).  The
+    provider is built once per run and settles what stays fixed: it checks
+    the endpoint (a bad one raises ``ConfigError``), reads the key from the
+    variable named by ``api_key_env`` (a missing or unsendable one raises
+    ``ProviderAuthError``), formats the head of each route's requests and,
+    for an ``https://`` endpoint only, makes the TLS context:
+    ``ssl.create_default_context()``, so the system CA store, or
+    ``SSL_CERT_FILE`` when it is set.  Requests reuse the provider's idle
+    connections (see :func:`mavl.wire._http_post`); :meth:`close` closes
+    them.  The HTTP client, :mod:`mavl.wire`, loads when the first provider
+    is built, so offline runs never load it.
     """
 
     def __init__(
@@ -561,38 +566,34 @@ class RemoteProvider:
         self.model_id = model_id
         self.api_key_env = api_key_env
         self.timeout = timeout
-        self._tls = None
-        self._tls_lock = threading.Lock()
-        self._idle = wire._IdlePool()
-        # a run without a key fails before it makes anything
-        self._api_key()
-
-    def _api_key(self) -> str:
-        key = os.environ.get(self.api_key_env, "")
+        https, host, port, path, authority = wire._route(self.endpoint)
+        key = os.environ.get(api_key_env, "")
         if not key:
-            raise ProviderAuthError(
-                f"no API key: set the {self.api_key_env} environment variable"
-            )
-        return key
+            raise ProviderAuthError(f"no API key: set the {api_key_env} environment variable")
+        if wire._BAD_VALUE.search(key):
+            # name the variable, never echo the key
+            raise ProviderAuthError(f"the {api_key_env} key holds a character HTTP cannot carry")
+        # each route's request head, up to the value of Content-Length
+        self._routes = {
+            route: (host, port, (
+                f"POST {path}{route} HTTP/1.1\r\nHost: {authority}\r\n"
+                f"Authorization: Bearer {key}\r\nContent-Type: application/json\r\n"
+                "Content-Length: "
+            ).encode("latin-1"))
+            for route in ("/complete", "/embed")
+        }
+        self._tls = None
+        if https:
+            import ssl
 
-    def _tls_context(self):
-        """The TLS context of every ``https://`` request, made on the first:
-        ``ssl.create_default_context()``, so the system CA store, or
-        ``SSL_CERT_FILE`` when it is set."""
-        with self._tls_lock:
-            if self._tls is None:
-                import ssl
+            self._tls = ssl.create_default_context()
+        self._idle = wire._IdlePool()
 
-                self._tls = ssl.create_default_context()
-            return self._tls
-
-    def _post(self, path: str, payload: dict) -> dict:
+    def _post(self, route: str, payload: dict) -> dict:
         from . import wire
 
-        url = self.endpoint + path
-        headers = {"Authorization": f"Bearer {self._api_key()}"}
         status, reply_headers, raw = wire._http_post(
-            url, payload, headers, self.timeout, self._tls_context, self._idle
+            self._routes[route], payload, self.timeout, self._tls, self._idle
         )
         wire._check_status(status, reply_headers.get("location"))
         try:

@@ -8,13 +8,12 @@ never load it.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 import threading
-from typing import Callable
 
 from .errors import (
+    ConfigError,
     ProviderAuthError,
     ProviderError,
     ProviderRateLimitError,
@@ -220,77 +219,69 @@ class _IdlePool:
             sock.close()
 
 
-@functools.lru_cache(maxsize=32)
-def _route(url: str) -> tuple[bool, str, int, bytes]:
-    """Whether ``url`` is ``https``, its host and port, and the head of a
-    request to it up to the value of ``Content-Length``.
+def _route(url: str) -> tuple[bool, str, int, str, str]:
+    """Whether ``url`` is ``https``, its host, port, path and authority.
 
-    Checked and formatted once per URL; a bad URL raises on every call,
-    since ``lru_cache`` keeps no exception.
+    The one check of an endpoint, made when a provider is built: a URL that
+    cannot be sent raises ``ConfigError``.  User info is refused, not
+    dropped, and never echoed, since it may hold a password.
     """
     from urllib.parse import urlsplit
 
+    if "@" in url.partition("//")[2].partition("/")[0]:
+        raise ConfigError("bad endpoint URL: it holds user info, which is never sent")
     try:
         parts = urlsplit(url)
         port = parts.port or (443 if parts.scheme == "https" else 80)
     except ValueError as exc:
-        raise ProviderError(f"bad endpoint URL {url!r}: {exc}") from exc
+        raise ConfigError(f"bad endpoint URL {url!r}: {exc}") from exc
+    if parts.scheme not in ("http", "https"):
+        raise ConfigError(f"endpoint must be an http(s) URL, got {url!r}")
     if "?" in url or "#" in url:
         # the provider appends its path to the endpoint, which would land in
         # the query or the fragment and send every request to the wrong path
-        raise ProviderError(f"bad endpoint URL {url!r}: it holds a query or a fragment")
-    target = parts.path or "/"
-    authority = parts.netloc.rpartition("@")[2]
+        raise ConfigError(f"bad endpoint URL {url!r}: it holds a query or a fragment")
     if (
-        parts.scheme not in ("http", "https")
-        or not parts.hostname
-        or _BAD_URL.search(target + authority)
+        not parts.hostname
+        or _BAD_URL.search(parts.path + parts.netloc)
         # the labels DNS takes, as the idna codec checks them: 1 to 63
         # characters each, a trailing dot allowed
         or not all(0 < len(label) < 64
                    for label in parts.hostname.removesuffix(".").split("."))
     ):
-        raise ProviderError(f"bad endpoint URL {url!r}")
-    head = (
-        f"POST {target} HTTP/1.1\r\nHost: {authority}\r\n"
-        "Content-Type: application/json\r\nContent-Length: "
-    )
-    return parts.scheme == "https", parts.hostname, port, head.encode("latin-1")
+        raise ConfigError(f"bad endpoint URL {url!r}")
+    return parts.scheme == "https", parts.hostname, port, parts.path, parts.netloc
 
 
 def _http_post(
-    url: str, payload: dict, headers: dict, timeout: float, tls: Callable, idle: _IdlePool
+    route: tuple[str, int, bytes], payload: dict, timeout: float, tls, idle: _IdlePool
 ) -> tuple[int, dict[str, str], bytes]:
     """POST ``payload`` as JSON: the reply's status, headers and body.
 
-    HTTP/1.1; head and body go in one send, with ``TCP_NODELAY``.  The URL
-    is checked and the fixed part of the head formatted once per URL (see
-    ``_route``); ``headers`` are checked on every request.  The request goes
-    on an idle connection from ``idle`` if one is fit, else on a new one,
-    and the connection goes back to ``idle`` if the reply lets it be reused
-    (see ``_Reply.read``).  Reuse needs ``TCP_QUICKACK`` (see ``_Reply``);
-    where ``socket`` lacks it, each request opens its own connection and
-    sends ``Connection: close``.  An ``https://`` URL is wrapped in the
-    context that ``tls()`` returns.  No proxy is used and no redirect
-    followed.  A timeout, a socket or TLS failure and a reply cut short or
-    garbled raise, also on a kept connection that the server closed
-    meanwhile: the retry schedule sends again.  ``socket`` and ``select``
-    load here, so offline runs never import them.
+    ``route`` is the host, the port and the request's head up to the value
+    of ``Content-Length``, checked and formatted when the provider was
+    built.  HTTP/1.1; head and body go in one send, with ``TCP_NODELAY``.
+    The request goes on an idle connection from ``idle`` if one is fit,
+    else on a new one, and the connection goes back to ``idle`` if the
+    reply lets it be reused (see ``_Reply.read``).  Reuse needs
+    ``TCP_QUICKACK`` (see ``_Reply``); where ``socket`` lacks it, each
+    request opens its own connection and sends ``Connection: close``.  A
+    new connection is wrapped in the TLS context ``tls`` unless it is None.
+    No proxy is used and no redirect followed.  A timeout, a socket or TLS
+    failure and a reply cut short or garbled raise, also on a kept
+    connection that the server closed meanwhile: the retry schedule sends
+    again.  ``socket`` and ``select`` load here, so offline runs never
+    import them.
     """
     import socket
 
-    https, host, port, head = _route(url)
-    for name, value in headers.items():
-        if _BAD_VALUE.search(value):
-            # the value is the API key: name it, never echo it
-            raise ProviderError(f"the {name} header holds a character HTTP cannot carry")
+    host, port, head = route
     quickack = None
     if hasattr(socket, "TCP_QUICKACK"):
         quickack = (socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
-    fields = "".join([f"{name}: {value}\r\n" for name, value in headers.items()])
     end = b"\r\n" if quickack else b"Connection: close\r\n\r\n"
-    request = b"".join([head, b"%d\r\n" % len(body), fields.encode("latin-1"), end, body])
+    request = b"".join([head, b"%d\r\n" % len(body), end, body])
     sock = None
     try:
         if quickack:
@@ -299,8 +290,8 @@ def _http_post(
             # an ASCII-bytes host (see ``_route``) skips the idna codec's import
             sock = socket.create_connection((host.encode("ascii"), port), timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if https:
-                sock = tls().wrap_socket(sock, server_hostname=host)
+            if tls is not None:
+                sock = tls.wrap_socket(sock, server_hostname=host)
         sock.sendall(request)
         status, reply_headers, reply_body, reusable = _Reply(sock, quickack).read()
         if quickack and reusable:

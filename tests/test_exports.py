@@ -132,13 +132,13 @@ HTTP_MODULES = ("urllib.request", "http.client", "requests", "ssl", "socket", "s
 
 # run in a fresh interpreter: importing the CLI, then three offline commands,
 # noting after each which of these modules are loaded, then one remote
-# completion against a loopback server started in the same process
+# completion against the loopback server at the URL given
 _HTTP_PROBE = textwrap.dedent(f"""
-    import json, sys, threading
+    import json, sys
     import mavl.cli
     from mavl.syllables import japanese
 
-    corpus, script, hypotheses, out = sys.argv[1:]
+    corpus, script, hypotheses, out, url = sys.argv[1:]
     seen = {{}}
 
     def note(name, argv=None):
@@ -153,27 +153,10 @@ _HTTP_PROBE = textwrap.dedent(f"""
                        "--mock-script", script, "--out", out + "/t"])
     note("stats", ["stats", "--dataset", corpus])
 
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
     from mavl.providers import GenerationRequest, RemoteProvider
 
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, *args):
-            pass
-
-        def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
-            body = b'{{"text": "ok"}}'
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    url = f"http://127.0.0.1:{{server.server_address[1]}}"
     seen["text"] = RemoteProvider(url, "m", timeout=5.0).complete(GenerationRequest("hi"))
-    server.shutdown()
-    seen["remote"] = [m for m in ("mavl.wire", "requests", "urllib.request")
+    seen["remote"] = [m for m in ("mavl.wire", "requests", "urllib.request", "ssl")
                       if m in sys.modules]
     print(json.dumps(seen))
 """)
@@ -194,9 +177,10 @@ def _fresh_python(code: str, *args, **env) -> dict:
 def test_http_modules_load_only_for_a_remote_call(tmp_path):
     """Neither importing the CLI nor an offline evaluate, mock translate or
     stats loads the HTTP client (``mavl.wire``), a socket, select or TLS
-    module; a remote call loads ``mavl.wire``, but neither ``requests`` nor
-    ``urllib.request``.  An evaluate of JA texts with no ``[`` compiles no
-    annotation pattern."""
+    module; an ``http://`` remote call loads ``mavl.wire``, but neither
+    ``requests``, ``urllib.request`` nor ``ssl``.  An evaluate of JA texts
+    with no ``[`` compiles no annotation pattern."""
+    from loopback import Loopback, reply
     from mavl.dataset import parse_dataset
     from mavl.harness import HypothesisSet
     from mavl.languages import Language
@@ -211,8 +195,13 @@ def test_http_modules_load_only_for_a_remote_call(tmp_path):
     dubbed = HypothesisSet.from_dubbed(parse_dataset(corpus.read_bytes()), [Language.JA])
     hypotheses.write_text("".join(dubbed.jsonl_lines()), encoding="utf-8")
     script = write_script(tmp_path, GOOD_SCRIPT)
-    seen = _fresh_python(_HTTP_PROBE, corpus, script, hypotheses, tmp_path,
-                         MAVL_API_KEY="sekrit")
+    server = Loopback()
+    server.actions = [reply(200, b'{"text": "ok"}')]
+    try:
+        seen = _fresh_python(_HTTP_PROBE, corpus, script, hypotheses, tmp_path, server.url,
+                             MAVL_API_KEY="sekrit")
+    finally:
+        server.close()
     assert seen == {
         "import": [], "evaluate": [0], "annotation_patterns": 0, "translate": [0],
         "stats": [0], "text": "ok", "remote": ["mavl.wire"],
