@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import Iterator, NamedTuple, TextIO
 
@@ -377,8 +377,9 @@ def _in_order(records: dict[LineKey, dict]) -> list[dict]:
 # Provider construction
 
 
-def load_mock_script(path: str) -> ScriptedProvider:
-    """Build a scripted generation provider from a JSON file.
+def load_mock_script(path: str) -> dict[str | None, list[str]]:
+    """Read and check a mock script: the queues a ``ScriptedProvider``
+    replays, the shared one keyed ``None``.
 
     Accepted shapes: a plain array (one shared response queue), or an object
     with optional "sequence" (shared queue) and "keyed" (map from a prompt
@@ -410,7 +411,7 @@ def load_mock_script(path: str) -> ScriptedProvider:
         raise ConfigError("mock script must be a JSON array or object")
     if not script:
         raise ConfigError("mock script defines no responses")
-    return ScriptedProvider(script)
+    return script
 
 
 def _script_turns(turns: object, where: str, key: str | None = None) -> list[str]:
@@ -427,17 +428,22 @@ def _script_turns(turns: object, where: str, key: str | None = None) -> list[str
     raise ConfigError(f"mock script {where}, turn {n}: expected a string, got {shown}")
 
 
-def _remote_provider(config: RunConfig) -> RemoteProvider:
-    """The endpoint a remote run completes and embeds through."""
-    return RemoteProvider(config.endpoint, config.model_id, api_key_env=config.api_key_env)
-
-
-def _generation_provider(config: RunConfig):
+@contextmanager
+def _run_providers(config: RunConfig, *, translates: bool) -> Iterator[tuple]:
+    """What a command's run talks to, built once before its run directory, so
+    a bad endpoint, key or mock script exits first: the remote provider,
+    closed when the command returns or raises, or the checked mock script of
+    a run that translates something."""
     if config.provider == "remote":
-        return _remote_provider(config)
-    if config.mock_script is None:
+        with closing(RemoteProvider(config.endpoint, config.model_id,
+                                    api_key_env=config.api_key_env)) as remote:
+            yield remote, None
+    elif not (translates and config.target_langs):
+        yield None, None
+    elif config.mock_script is None:
         raise ConfigError("mock provider needs --mock-script")
-    return load_mock_script(config.mock_script)
+    else:
+        yield None, load_mock_script(config.mock_script)
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +522,21 @@ def _translation_tasks(
 
 
 def cmd_translate(config: RunConfig) -> TranslateOutcome:
-    return _translate(config, _load_dataset(config.dataset_path))
+    dataset = _load_dataset(config.dataset_path)
+    with _run_providers(config, translates=True) as (remote, script):
+        return _translate(config, dataset, remote, script)
 
 
-def _translate(config: RunConfig, dataset: Dataset) -> TranslateOutcome:
+def _translate(config: RunConfig, dataset: Dataset, remote: RemoteProvider | None,
+               script: dict | None) -> TranslateOutcome:
     warnings: list[str] = []
-    tasks, failed, provider = [], {}, None
+    tasks, failed = [], {}
     if config.target_langs:
         tasks, failed = _translation_tasks(config, dataset)
     else:
         warnings.append("no target languages selected; nothing to translate")
-    if config.target_langs or config.provider == "remote":
-        # a bad mock script, endpoint or key exits before the run directory
-        provider = _generation_provider(config)
+    # a fresh replay of the script, so each ablate case starts from full queues
+    provider = ScriptedProvider(script) if script else remote
     run_dir = make_run_dir(config, "translate")
     hyp = HypothesisSet(provenance=f"{config.provider}:{config.variant.label()}")
     trace = TraceStore(str(run_dir / "trace.jsonl"))
@@ -555,8 +563,6 @@ def _translate(config: RunConfig, dataset: Dataset) -> TranslateOutcome:
         outcomes = map_bounded(job, tasks, config.parallelism)
     finally:
         trace.close()
-        if isinstance(provider, RemoteProvider):
-            provider.close()
 
     # a data failure is a line with no task
     total = len(tasks) + len(failed)
@@ -686,19 +692,18 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
     dataset = _load_dataset(config.dataset_path)
     if hyp is not None:
         hyp.validate_against(dataset)
-    return _evaluate(config, dataset, hyp)
+    with _run_providers(config, translates=False) as (remote, _):
+        return _evaluate(config, dataset, hyp, remote)
 
 
-def _evaluate(config: RunConfig, dataset: Dataset, hyp: HypothesisSet | None) -> EvaluateOutcome:
+def _evaluate(config: RunConfig, dataset: Dataset, hyp: HypothesisSet | None,
+              remote: RemoteProvider | None) -> EvaluateOutcome:
     """Each dataset line looks its hypothesis up, so one that keys no line
     is never read."""
     languages = _eval_languages(config, dataset)
     if hyp is None:
         hyp = HypothesisSet.from_dubbed(dataset, languages)
-    # a bad endpoint or key exits before the run directory
-    embedder_provider = (
-        _remote_provider(config) if config.provider == "remote" else HashEmbeddingProvider()
-    )
+    embedder_provider = remote or HashEmbeddingProvider()
     run_dir = make_run_dir(config, "evaluate")
 
     def embedder(texts):
@@ -712,18 +717,14 @@ def _evaluate(config: RunConfig, dataset: Dataset, hyp: HypothesisSet | None) ->
     # next: no list of every row or score
     fold = ReportFold()
     statuses: Counter[str] = Counter()
-    try:
-        with _atomic_file(run_dir / "scores.csv") as fh:
-            rows_to_csv([], fh)  # the header
-            for song in _score_songs(dataset, languages, hyp, scorer):
-                aggregate([score for row in song
-                           for score in (row.original_score, row.dubbed_score)
-                           if score is not None], into=fold)
-                statuses.update(row.status for row in song)
-                rows_to_csv(song, fh, header=False)
-    finally:
-        if isinstance(embedder_provider, RemoteProvider):
-            embedder_provider.close()
+    with _atomic_file(run_dir / "scores.csv") as fh:
+        rows_to_csv([], fh)  # the header
+        for song in _score_songs(dataset, languages, hyp, scorer):
+            aggregate([score for row in song
+                       for score in (row.original_score, row.dubbed_score)
+                       if score is not None], into=fold)
+            statuses.update(row.status for row in song)
+            rows_to_csv(song, fh, header=False)
     report = fold.report(hyp.provenance)
     if report is not None:
         atomic_write(run_dir / "report.json", report_to_json(report))
@@ -773,13 +774,6 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
         # a direct prompt has no stages: all four cases would share one label
         raise ConfigError("the stage grid needs a staged variant, not a direct one")
     dataset = _load_dataset(config.dataset_path)
-    if config.target_langs or config.provider == "remote":
-        # a bad mock script, endpoint or key exits before the run directory;
-        # each case builds its own providers, since a script's queues are
-        # consumed and a remote one's evaluate embeds even with no target
-        _generation_provider(config)
-    run_dir = make_run_dir(config, "ablate")
-
     if grid == "stages":
         cases = [
             (config.variant._replace(use_syllable_list=use_list, use_refine=use_refine),
@@ -796,26 +790,28 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
 
     summaries: dict[str, dict] = {}
     blocks: list[str] = []
-    for variant, skip in cases:
-        label = variant.label()
-        if skip:
-            summaries[label] = {"skipped": "no media in dataset"}
-            blocks.append(f"{label}: skipped, no media in dataset\n")
-            continue
-        sub = config._replace(
-            variant=variant,
-            out_dir=str(run_dir),
-            failure_threshold=1.0,
-        )
-        translated = _translate(sub, dataset)
-        report = _evaluate(sub, dataset, translated.hypotheses).report
-        summaries[label] = {
-            "failures": len(translated.failures),
-            "report": None if report is None else report_payload(report),
-        }
-        blocks.append(
-            f"{label}: no scored lines\n" if report is None else render_report_table(report)
-        )
+    # the cases share one remote provider and its connections, or one script
+    with _run_providers(config, translates=True) as (remote, script):
+        run_dir = make_run_dir(config, "ablate")
+        for variant, skip in cases:
+            label = variant.label()
+            if skip:
+                summaries[label] = {"skipped": "no media in dataset"}
+                blocks.append(f"{label}: skipped, no media in dataset\n")
+                continue
+            sub = config._replace(
+                variant=variant,
+                out_dir=str(run_dir),
+                failure_threshold=1.0,
+            )
+            translated = _translate(sub, dataset, remote, script)
+            report = _evaluate(sub, dataset, translated.hypotheses, remote).report
+            summaries[label] = {
+                "failures": len(translated.failures),
+                "report": None if report is None else report_payload(report),
+            }
+            blocks.append(f"{label}: no scored lines\n" if report is None
+                          else render_report_table(report))
 
     table = "\n".join(blocks)
     atomic_write(run_dir / "comparison.txt", table)

@@ -539,13 +539,14 @@ class HashEmbeddingProvider:
 class RemoteProvider:
     """HTTP backend for both completion and embedding.
 
-    Credentials come from the environment (never from config files).  The
-    provider is built once per run and settles what stays fixed: it checks
-    the endpoint (a bad one raises ``ConfigError``), reads the key from the
-    variable named by ``api_key_env`` (a missing or unsendable one raises
-    ``ProviderAuthError``), formats the head of each route's requests and,
-    for an ``https://`` endpoint only, makes the TLS context:
-    ``ssl.create_default_context()``, so the system CA store, or
+    Credentials come from the environment (never from config files).  Each
+    command builds one provider per run, which all of an ablate's cases
+    share, and closes it when it returns.  The provider settles what stays
+    fixed: it checks the endpoint (a bad one raises ``ConfigError``), reads
+    the key from the variable named by ``api_key_env`` (a missing or
+    unsendable one raises ``ProviderAuthError``), formats the head of each
+    route's requests and, for an ``https://`` endpoint only, makes the TLS
+    context: ``ssl.create_default_context()``, so the system CA store, or
     ``SSL_CERT_FILE`` when it is set.  Requests reuse the provider's idle
     connections (see :func:`mavl.wire._http_post`); :meth:`close` closes
     them.  The HTTP client, :mod:`mavl.wire`, loads when the first provider
@@ -562,11 +563,9 @@ class RemoteProvider:
     ) -> None:
         from . import wire
 
-        self.endpoint = endpoint.rstrip("/")
         self.model_id = model_id
-        self.api_key_env = api_key_env
         self.timeout = timeout
-        https, host, port, path, authority = wire._route(self.endpoint)
+        https, host, port, path, authority = wire._route(endpoint.rstrip("/"))
         key = os.environ.get(api_key_env, "")
         if not key:
             raise ProviderAuthError(f"no API key: set the {api_key_env} environment variable")

@@ -350,7 +350,7 @@ class TestHypothesisSet:
 class TestMockScript:
     def test_array_form(self, tmp_path):
         path = write_script(tmp_path, ["one", "two"])
-        provider = load_mock_script(str(path))
+        provider = ScriptedProvider(load_mock_script(str(path)))
         from mavl.providers import GenerationRequest
 
         assert provider.complete(GenerationRequest("anything")) == "one"
@@ -359,7 +359,7 @@ class TestMockScript:
         path = write_script(
             tmp_path, {"keyed": {"alpha": ["A"]}, "sequence": ["fallback"]}
         )
-        provider = load_mock_script(str(path))
+        provider = ScriptedProvider(load_mock_script(str(path)))
         from mavl.providers import GenerationRequest
 
         assert provider.complete(GenerationRequest("has alpha inside")) == "A"
@@ -545,12 +545,12 @@ class TestTranslate:
                 closed.append(self.path)
                 super().close()
 
-        provider = ScriptedProvider({
+        script = {
             "And there's a butterfly": ['{"translation": "나비가 날아와"}'],
             "Remember me": [ProviderAuthError("key revoked")],
-        })
+        }
         monkeypatch.setattr("mavl.harness.TraceStore", RecordingTrace)
-        monkeypatch.setattr("mavl.harness._generation_provider", lambda config: provider)
+        monkeypatch.setattr("mavl.harness.load_mock_script", lambda path: script)
         config = base_config(small_corpus(tmp_path), "unused.json", tmp_path / "runs")
         with pytest.raises(ProviderAuthError):
             cmd_translate(config)
@@ -1176,11 +1176,12 @@ class TestRemoteConnections:
     def providers(self, monkeypatch):
         made = []
 
-        def remote_provider(config):
-            made.append(RemoteProvider(config.endpoint, config.model_id))
-            return made[-1]
+        class Counted(RemoteProvider):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
 
-        monkeypatch.setattr("mavl.harness._remote_provider", remote_provider)
+        monkeypatch.setattr("mavl.harness.RemoteProvider", Counted)
         return made
 
     def config(self, tmp_path, server, **overrides):
@@ -1213,6 +1214,26 @@ class TestRemoteConnections:
         outcome = cmd_evaluate(self.config(tmp_path, server))
         assert outcome.report is not None
         assert len(providers) == 1 and server.received
+        self.assert_all_closed(server)
+
+    def test_stage_grid_ablate_shares_one_provider_and_connection(
+            self, tmp_path, server, providers):
+        def answer(handler):
+            if handler.path.endswith("/embed"):
+                texts = json.loads(handler.body)["texts"]
+                vectors = HashEmbeddingProvider().embed_batch(EmbeddingRequest(tuple(texts)))
+                body = {"vectors": vectors}
+            else:
+                body = {"text": '{"translation": "나비"}'}
+            reply(200, json.dumps(body).encode())(handler)
+
+        server.actions = [answer] * 100
+        outcome = cmd_ablate(self.config(tmp_path, server, parallelism=1), grid="stages")
+        assert set(outcome.summaries) == STAGE_LABELS
+        paths = {got["path"] for got in server.received}
+        assert paths == {"/v1/complete", "/v1/embed"}
+        assert len(providers) == 1
+        assert len(set(server.peers())) == 1
         self.assert_all_closed(server)
 
     @pytest.mark.parametrize("status", [401, 403])
@@ -1276,6 +1297,24 @@ class TestAblate:
         outcome = cmd_ablate(base_config(corpus, script, tmp_path / "runs"), grid="stages")
         assert set(outcome.summaries) == STAGE_LABELS
         assert parsed == [corpus.read_bytes()]
+
+    def test_stage_grid_reads_the_mock_script_once(self, tmp_path, monkeypatch):
+        import mavl.harness
+
+        read, load = [], mavl.harness.load_mock_script
+
+        def counted(path):
+            read.append(path)
+            return load(path)
+
+        monkeypatch.setattr(mavl.harness, "load_mock_script", counted)
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        config = base_config(small_corpus(tmp_path), script, tmp_path / "runs")
+        outcome = cmd_ablate(config, grid="stages")
+        assert set(outcome.summaries) == STAGE_LABELS
+        for summary in outcome.summaries.values():
+            assert summary["failures"] == 0
+        assert read == [str(script)]
 
     def test_summary_is_the_evaluate_report(self, tmp_path):
         corpus = small_corpus(tmp_path)
@@ -1776,13 +1815,14 @@ class TestCli:
         assert f"error: cannot make a run directory in {out}: " in capsys.readouterr().err
         assert afile.read_text(encoding="utf-8") == "kept\n"
 
-    def test_bad_mock_script_leaves_no_run_directory(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["translate", "ablate"])
+    def test_bad_mock_script_leaves_no_run_directory(self, tmp_path, capsys, command):
         corpus = small_corpus(tmp_path)
         script = tmp_path / "script.json"
         script.write_text("{not json", encoding="utf-8")
         out_dir = tmp_path / "runs"
         out_dir.mkdir()
-        code = main(["translate", "--dataset", str(corpus), "--target-lang", "KO",
+        code = main([command, "--dataset", str(corpus), "--target-lang", "KO",
                      "--mock-script", str(script), "--out", str(out_dir)])
         assert code == 2
         assert list(out_dir.iterdir()) == []
