@@ -14,11 +14,11 @@ command line takes ``RunConfig``'s default.
 Flags may also come from a config file (``--config``) holding one KEY=VALUE
 pair per line, with ``#`` comments.  A key is one of the command's long flag
 names without its dashes (``format``, ``from-dubbed``), but not ``dataset``
-or ``config``; a flag that takes no value is set with ``true`` or ``false``.
-Explicit command-line flags win over file values, and ``--target-lang``
-replaces the file's list.  Credentials are never accepted as flags or file
-values: remote providers read their key from the environment variable named
-by ``--api-key-env``.
+or ``config``, and none is given twice; a flag that takes no value is set
+with ``true`` or ``false``.  Explicit command-line flags win over file values,
+and ``--target-lang`` replaces the file's list.  Credentials are never
+accepted as flags or file values: remote providers read their key from the
+environment variable named by ``--api-key-env``.
 """
 
 from __future__ import annotations
@@ -82,8 +82,9 @@ def parse_modalities(spec: str) -> frozenset:
 
 def load_config_file(path: str) -> dict:
     """KEY=VALUE per line; keys are long flag names, and an underscore may
-    stand for a hyphen."""
+    stand for a hyphen.  A key given twice is an error."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh.read().removeprefix(BOM).split("\n"), start=1):
@@ -95,7 +96,12 @@ def load_config_file(path: str) -> dict:
                         f"{path}:{lineno}: expected KEY=VALUE, got {line!r}"
                     )
                 key, _, value = line.partition("=")
-                values[key.strip().lower().replace("_", "-")] = value.strip()
+                key = key.strip().lower().replace("_", "-")
+                if key in first_line:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is already given "
+                                      f"on line {first_line[key]}")
+                first_line[key] = lineno
+                values[key] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     return values

@@ -4,12 +4,14 @@ This module owns everything between the command line and the library calls:
 loading datasets, constructing providers, fanning out line-level work,
 collecting failures without aborting the run, and writing results to disk.
 
-Output layout.  Each run gets its own directory under the configured output
-root, named ``<op>-<digest>`` where the digest is a content hash of the run
-settings it reads; rerunning with the same ones appends ``-2``, ``-3``, so
-evidence from earlier runs is never clobbered.  Files are written to a
-temporary name and renamed into place, and none of them embed timestamps,
-which keeps repeated runs byte-comparable.
+Output layout.  Each command's run gets its own directory under the configured
+output root, named ``<op>-<digest>`` where the digest is a content hash of the
+run settings it reads, which its ``config.json`` holds from the start;
+rerunning with the same ones appends ``-2``, ``-3``, so evidence from earlier
+runs is never clobbered.  An ablate writes each case in a ``<label>/`` folder of
+its own directory.  Files are written to a temporary name and renamed into
+place, and none of them embed timestamps, which keeps repeated runs
+byte-comparable.
 """
 
 from __future__ import annotations
@@ -152,8 +154,9 @@ _UNREAD = {
 }
 
 
-def _config_payload(config: RunConfig, op: str) -> dict:
-    """Every setting ``op`` reads, as JSON values; both writers sort the keys."""
+def _config_payload(config: RunConfig, op: str, **inputs: str) -> dict:
+    """Every setting ``op`` reads, as JSON values, with ``inputs``, what it
+    reads that ``RunConfig`` does not hold; both writers sort the keys."""
     variant = config.variant
     payload = {
         **config._asdict(),
@@ -162,17 +165,18 @@ def _config_payload(config: RunConfig, op: str) -> dict:
         "variant": {**variant._asdict(), "style": variant.style.value,
                     "modalities": sorted(m.value for m in variant.modalities)},
     }
-    return {key: value for key, value in payload.items() if key not in _UNREAD[op]}
+    return {key: value for key, value in payload.items() if key not in _UNREAD[op]} | inputs
 
 
-def config_digest(config: RunConfig, op: str) -> str:
-    blob = json.dumps(_config_payload(config, op), sort_keys=True)
+def config_digest(config: RunConfig, op: str, **inputs: str) -> str:
+    blob = json.dumps(_config_payload(config, op, **inputs), sort_keys=True)
     return sha256(blob.encode("utf-8")).hexdigest()[:10]
 
 
-def make_run_dir(config: RunConfig, op: str) -> Path:
+def make_run_dir(config: RunConfig, op: str, **inputs: str) -> Path:
+    """A new directory for a run of ``op``, its ``config.json`` written first."""
     base = Path(config.out_dir)
-    stem = f"{op}-{config_digest(config, op)}"
+    stem = f"{op}-{config_digest(config, op, **inputs)}"
     candidate = base / stem
     suffix = 1
     try:
@@ -182,12 +186,15 @@ def make_run_dir(config: RunConfig, op: str) -> Path:
         while True:
             try:
                 candidate.mkdir()
-                return candidate
+                break
             except FileExistsError:
                 suffix += 1
                 candidate = base / f"{stem}-{suffix}"
     except OSError as exc:
         raise ConfigError(f"cannot make a run directory in {base}: {exc}") from None
+    payload = _config_payload(config, op, **inputs)
+    atomic_write(candidate / "config.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return candidate
 
 
 @contextmanager
@@ -524,11 +531,20 @@ def _translation_tasks(
 def cmd_translate(config: RunConfig) -> TranslateOutcome:
     dataset = _load_dataset(config.dataset_path)
     with _run_providers(config, translates=True) as (remote, script):
-        return _translate(config, dataset, remote, script)
+        outcome = _translate(config, dataset, remote, script,
+                             make_run_dir(config, "translate"))
+    # each line has a result or a failure; a data failure is a line with no task
+    failed, total = len(outcome.failures), len(outcome.failures) + len(outcome.line_results)
+    if total and failed / total > config.failure_threshold:
+        raise ThresholdExceededError(
+            f"{failed} of {total} lines failed, above the "
+            f"{config.failure_threshold:.0%} threshold; outputs in {outcome.run_dir}"
+        )
+    return outcome
 
 
 def _translate(config: RunConfig, dataset: Dataset, remote: RemoteProvider | None,
-               script: dict | None) -> TranslateOutcome:
+               script: dict | None, run_dir: Path) -> TranslateOutcome:
     warnings: list[str] = []
     tasks, failed = [], {}
     if config.target_langs:
@@ -537,7 +553,6 @@ def _translate(config: RunConfig, dataset: Dataset, remote: RemoteProvider | Non
         warnings.append("no target languages selected; nothing to translate")
     # a fresh replay of the script, so each ablate case starts from full queues
     provider = ScriptedProvider(script) if script else remote
-    run_dir = make_run_dir(config, "translate")
     hyp = HypothesisSet(provenance=f"{config.provider}:{config.variant.label()}")
     trace = TraceStore(str(run_dir / "trace.jsonl"))
 
@@ -564,8 +579,6 @@ def _translate(config: RunConfig, dataset: Dataset, remote: RemoteProvider | Non
     finally:
         trace.close()
 
-    # a data failure is a line with no task
-    total = len(tasks) + len(failed)
     results: dict[LineKey, dict] = {}
     provider_failures = 0
     for status, key, payload in outcomes:
@@ -593,30 +606,17 @@ def _translate(config: RunConfig, dataset: Dataset, remote: RemoteProvider | Non
     )
     with _atomic_file(run_dir / "results.jsonl") as fh:
         fh.writelines(map(_jsonl_line, line_results))
-    _write_config_echo(run_dir, config, "translate")
 
     if tasks and provider_failures == len(tasks):
         raise ProviderError(
             f"provider failed for every line ({provider_failures} of {len(tasks)}); "
             f"see {run_dir / 'failures.json'}"
         )
-    if total and len(failures) / total > config.failure_threshold:
-        raise ThresholdExceededError(
-            f"{len(failures)} of {total} lines failed, above the "
-            f"{config.failure_threshold:.0%} threshold; outputs in {run_dir}"
-        )
     return TranslateOutcome(run_dir, hyp, failures, line_results, warnings)
 
 
 def _failure(key: LineKey, category: str, reason: str) -> dict:
     return _key_fields(key, category=category, reason=reason)
-
-
-def _write_config_echo(run_dir: Path, config: RunConfig, op: str) -> None:
-    atomic_write(
-        run_dir / "config.json",
-        json.dumps(_config_payload(config, op), indent=2, sort_keys=True) + "\n",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -690,21 +690,21 @@ def cmd_evaluate(config: RunConfig, hyp: HypothesisSet | None = None) -> Evaluat
     """Score ``hyp`` against the dataset; without one, score the dubbed lines
     themselves (the human baseline)."""
     dataset = _load_dataset(config.dataset_path)
-    if hyp is not None:
+    if hyp is None:
+        hyp = HypothesisSet.from_dubbed(dataset, _eval_languages(config, dataset))
+    else:
         hyp.validate_against(dataset)
     with _run_providers(config, translates=False) as (remote, _):
-        return _evaluate(config, dataset, hyp, remote)
+        run_dir = make_run_dir(config, "evaluate", provenance=hyp.provenance)
+        return _evaluate(config, dataset, hyp, remote, run_dir)
 
 
-def _evaluate(config: RunConfig, dataset: Dataset, hyp: HypothesisSet | None,
-              remote: RemoteProvider | None) -> EvaluateOutcome:
+def _evaluate(config: RunConfig, dataset: Dataset, hyp: HypothesisSet,
+              remote: RemoteProvider | None, run_dir: Path) -> EvaluateOutcome:
     """Each dataset line looks its hypothesis up, so one that keys no line
     is never read."""
     languages = _eval_languages(config, dataset)
-    if hyp is None:
-        hyp = HypothesisSet.from_dubbed(dataset, languages)
     embedder_provider = remote or HashEmbeddingProvider()
-    run_dir = make_run_dir(config, "evaluate")
 
     def embedder(texts):
         return embed(EmbeddingRequest(tuple(texts)), embedder_provider)
@@ -729,7 +729,6 @@ def _evaluate(config: RunConfig, dataset: Dataset, hyp: HypothesisSet | None,
     if report is not None:
         atomic_write(run_dir / "report.json", report_to_json(report))
         atomic_write(run_dir / "report.txt", render_report_table(report))
-    _write_config_echo(run_dir, config, "evaluate")
     return EvaluateOutcome(run_dir, statuses["scored"], statuses["skipped"], report)
 
 
@@ -773,6 +772,8 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
     if grid == "stages" and config.variant.style is PromptStyle.DIRECT:
         # a direct prompt has no stages: all four cases would share one label
         raise ConfigError("the stage grid needs a staged variant, not a direct one")
+    if not config.target_langs:
+        raise ConfigError("ablate needs a --target-lang to translate into")
     dataset = _load_dataset(config.dataset_path)
     if grid == "stages":
         cases = [
@@ -792,20 +793,19 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
     blocks: list[str] = []
     # the cases share one remote provider and its connections, or one script
     with _run_providers(config, translates=True) as (remote, script):
-        run_dir = make_run_dir(config, "ablate")
+        run_dir = make_run_dir(config, "ablate", grid=grid)
         for variant, skip in cases:
             label = variant.label()
             if skip:
                 summaries[label] = {"skipped": "no media in dataset"}
                 blocks.append(f"{label}: skipped, no media in dataset\n")
                 continue
-            sub = config._replace(
-                variant=variant,
-                out_dir=str(run_dir),
-                failure_threshold=1.0,
-            )
-            translated = _translate(sub, dataset, remote, script)
-            report = _evaluate(sub, dataset, translated.hypotheses, remote).report
+            # labels are unique in a grid and hold only letters, "+" and spaces
+            case_dir = run_dir / label
+            case_dir.mkdir()
+            case = config._replace(variant=variant)
+            translated = _translate(case, dataset, remote, script, case_dir)
+            report = _evaluate(case, dataset, translated.hypotheses, remote, case_dir).report
             summaries[label] = {
                 "failures": len(translated.failures),
                 "report": None if report is None else report_payload(report),

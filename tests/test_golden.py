@@ -7,8 +7,9 @@
 on purpose shows which columns it moved.  ``translate`` runs as the
 translate-mock workload runs it; its ``trace.jsonl`` is hashed without the
 clock fields.  ``ablate`` runs the stage grid on the translate-mock inputs;
-each case's files are keyed by the case's label.  ``config.json`` and the
-run-directory names are left out: they hash the output path.
+each case's files, in its ``<label>/`` folder, are keyed by the label.
+``config.json`` and the run-directory names are left out: they hash the
+output path.
 
 ``report.json`` (and the ``--format json`` stdout, the same text, and
 ``comparison.json``, which holds each case's report) is hashed
@@ -158,28 +159,17 @@ def _evaluate_digests(run_dir: Path) -> dict:
     return digests
 
 
-# the line of a comparison.txt block that names its case
-_CASE = re.compile(r"^(.+): no scored lines$|^provider: [^:]+:(.+)$", re.MULTILINE)
-
-
 def _ablate(corpus, work: Path) -> dict:
     out = work / "ablate"
     _main(["ablate", *_translate_inputs(corpus, work), "--grid", "stages", "--out", str(out)])
     run_dir = _only_run(out)
-    table = (run_dir / "comparison.txt").read_text(encoding="utf-8")
-    digests = {"comparison.json": _report_digest((run_dir / "comparison.json").read_bytes()),
-               "comparison.txt": _digest(table.encode("utf-8"))}
-    for translated in run_dir.glob("translate-*"):
-        first = (translated / "hypotheses.jsonl").read_text(encoding="utf-8").split("\n")[0]
-        label = json.loads(first)["provenance"].split(":", 1)[1]
-        digests[label] = _translate_digests(translated)
-    # every case's evaluate has one digest, as it does not read the variant,
-    # so its directories are numbered in case order: the blocks' order
-    evaluated = sorted(run_dir.glob("evaluate-*"), key=lambda path: (len(path.name), path.name))
-    labels = [unscored or scored for unscored, scored in _CASE.findall(table)]
-    assert len(labels) == len(evaluated), table
-    for label, run in zip(labels, evaluated):
-        digests[label].update(_evaluate_digests(run))
+    comparison = (run_dir / "comparison.json").read_bytes()
+    digests = {"comparison.json": _report_digest(comparison),
+               "comparison.txt": _digest((run_dir / "comparison.txt").read_bytes())}
+    # each case writes its translate and evaluate files in a folder named by its label
+    for label in json.loads(comparison):
+        digests[label] = {**_translate_digests(run_dir / label),
+                          **_evaluate_digests(run_dir / label)}
     return digests
 
 

@@ -138,6 +138,12 @@ def read_trace(path):
         return [json.loads(line) for line in fh if line.strip()]
 
 
+def without_clock(records):
+    """Trace records without the clock fields, which differ from run to run."""
+    return [{k: v for k, v in record.items() if k not in {"started_at", "finished_at"}}
+            for record in records]
+
+
 def write_script(tmp_path, payload, name="script.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
@@ -185,6 +191,15 @@ class TestRunConfig:
         config = RunConfig(dataset_path="x")
         for op, read in reads.items():
             assert set(_config_payload(config, op)) == read, op
+        # what a run reads beyond RunConfig: evaluate the provenance of the
+        # hypotheses it scores, ablate its grid
+        for op, name, values in [("evaluate", "provenance", ("human", "mock:T list+refine")),
+                                 ("ablate", "grid", ("stages", "modalities"))]:
+            payloads = [_config_payload(config, op, **{name: value}) for value in values]
+            assert [payload[name] for payload in payloads] == list(values)
+            assert set(payloads[0]) == reads[op] | {name}, op
+            digests = {config_digest(config, op, **{name: value}) for value in values}
+            assert len(digests) == 2, op
 
     def test_digest_stable_and_sensitive(self, tmp_path):
         a = RunConfig(dataset_path="x", beta=2.0)
@@ -556,6 +571,21 @@ class TestTranslate:
             cmd_translate(config)
         assert len(closed) == 1
         assert len(read_trace(closed[0])) == 1
+
+    def test_a_run_stopped_by_a_revoked_key_leaves_its_config(self, tmp_path, monkeypatch):
+        script = {
+            "And there's a butterfly": ['{"translation": "나비가 날아와"}'],
+            "Remember me": [ProviderAuthError("key revoked")],
+        }
+        monkeypatch.setattr("mavl.harness.load_mock_script", lambda path: script)
+        config = base_config(small_corpus(tmp_path), "unused.json", tmp_path / "runs")
+        with pytest.raises(ProviderAuthError):
+            cmd_translate(config)
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert sorted(path.name for path in run_dir.iterdir()) == ["config.json", "trace.jsonl"]
+        echoed = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+        assert echoed == _config_payload(config, "translate")
+        assert len(read_trace(run_dir / "trace.jsonl")) == 1
 
     def test_mock_provider_requires_script(self, tmp_path):
         corpus = small_corpus(tmp_path)
@@ -1251,6 +1281,9 @@ STAGE_LABELS = {
 MODALITY_LABELS = {
     "T list+refine", "T+V list+refine", "T+A list+refine", "T+A+V list+refine",
 }
+# what an ablate case's folder holds: its translate files and its evaluate files
+CASE_FILES = ["failures.json", "hypotheses.jsonl", "report.json", "report.txt",
+              "results.jsonl", "scores.csv", "trace.jsonl"]
 
 
 def group_line_counts(summary):
@@ -1274,8 +1307,11 @@ class TestAblate:
         for summary in outcome.summaries.values():
             assert group_line_counts(summary) == {"KO/original_en": 2, "KO/dubbed": 2}
             assert summary["failures"] == 0
-        sub_translates = list(outcome.run_dir.glob("translate-*"))
-        assert len(sub_translates) == 4
+        # one config.json for the run; each case's files in a folder of its label
+        assert sorted(path.name for path in outcome.run_dir.iterdir()) == sorted(
+            {"config.json", "comparison.json", "comparison.txt"} | STAGE_LABELS)
+        for label in STAGE_LABELS:
+            assert sorted(path.name for path in (outcome.run_dir / label).iterdir()) == CASE_FILES
         assert (outcome.run_dir / "comparison.txt").read_text(
             encoding="utf-8") == outcome.table
         comparison = json.loads(
@@ -1321,15 +1357,50 @@ class TestAblate:
         script = write_script(tmp_path, GOOD_SCRIPT)
         config = base_config(corpus, script, tmp_path / "runs")
         outcome = cmd_ablate(config, grid="stages")
-        written = {}
-        for sub in outcome.run_dir.glob("evaluate-*"):
-            report = json.loads((sub / "report.json").read_text(encoding="utf-8"))
-            written[report["provider"]] = report
-            assert (sub / "report.txt").read_text(encoding="utf-8") in outcome.table
-        assert written == {
-            f"mock:{label}": summary["report"]
-            for label, summary in outcome.summaries.items()
-        }
+        assert set(outcome.summaries) == STAGE_LABELS
+        for label, summary in outcome.summaries.items():
+            case_dir = outcome.run_dir / label
+            report = json.loads((case_dir / "report.json").read_text(encoding="utf-8"))
+            assert report["provider"] == f"mock:{label}"
+            assert report == summary["report"]
+            assert (case_dir / "report.txt").read_text(encoding="utf-8") in outcome.table
+
+    def test_each_case_writes_what_translate_then_evaluate_write(self, tmp_path):
+        # the second line fails in every case, so failures.json holds a line
+        script = write_script(tmp_path, {"keyed": {
+            "And there's a butterfly": ['{"translation": "나비가 날아와"}'],
+            "Remember me": ["junk"] * 3,
+        }})
+        config = base_config(small_corpus(tmp_path), script, tmp_path / "runs")
+        outcome = cmd_ablate(config, grid="stages")
+        for use_list, use_refine in STAGE_GRID:
+            variant = config.variant._replace(use_syllable_list=use_list,
+                                              use_refine=use_refine)
+            alone = config._replace(variant=variant, out_dir=str(tmp_path / "alone"),
+                                    failure_threshold=1.0)
+            translated = cmd_translate(alone)
+            evaluated = cmd_evaluate(alone, translated.hypotheses)
+            assert len(translated.failures) == 1
+            want = {path.name: path for run_dir in (translated.run_dir, evaluated.run_dir)
+                    for path in run_dir.iterdir() if path.name != "config.json"}
+            case_dir = outcome.run_dir / variant.label()
+            assert sorted(path.name for path in case_dir.iterdir()) == sorted(want)
+            for name, path in want.items():
+                if name == "trace.jsonl":
+                    assert (without_clock(read_trace(case_dir / name))
+                            == without_clock(read_trace(path)))
+                else:
+                    assert (case_dir / name).read_bytes() == path.read_bytes(), name
+
+    def test_each_grid_gets_its_own_run_name(self, tmp_path):
+        config = base_config(small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT),
+                             tmp_path / "runs")
+        for grid in ("stages", "modalities"):
+            run_dir = cmd_ablate(config, grid=grid).run_dir
+            # not a "-2" of the other grid's run
+            assert re.fullmatch(r"ablate-[0-9a-f]{10}", run_dir.name)
+            echoed = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+            assert echoed["grid"] == grid
 
     def test_references_stay_apart(self, tmp_path):
         # the translation matches the EN count (6) but not the dub's (5)
@@ -1388,8 +1459,10 @@ class TestAblate:
         comparison = json.loads(
             (outcome.run_dir / "comparison.json").read_text(encoding="utf-8"))
         assert comparison == outcome.summaries
-        for translated in outcome.run_dir.glob("translate-*"):
-            hypotheses = (translated / "hypotheses.jsonl").read_text(encoding="utf-8")
+        for label in STAGE_LABELS:
+            assert (outcome.run_dir / label).is_dir()
+            hypotheses = (outcome.run_dir / label / "hypotheses.jsonl").read_text(
+                encoding="utf-8")
             assert len(hypotheses.splitlines()) == 3
 
     def test_only_songs_with_a_target_entry_are_scored(self, tmp_path):
@@ -1405,8 +1478,10 @@ class TestAblate:
         for summary in outcome.summaries.values():
             assert summary["failures"] == 0
             assert group_line_counts(summary) == {"KO/original_en": 2, "KO/dubbed": 2}
-        for evaluated in outcome.run_dir.glob("evaluate-*"):
-            rows = (evaluated / "scores.csv").read_text(encoding="utf-8").splitlines()
+        for label in STAGE_LABELS:
+            assert (outcome.run_dir / label).is_dir()
+            rows = (outcome.run_dir / label / "scores.csv").read_text(
+                encoding="utf-8").splitlines()
             assert [row.split(",")[0] for row in rows[1:]] == ["alpha", "alpha"]
 
     def test_target_entry_shorter_than_the_en_entry(self, tmp_path):
@@ -1424,8 +1499,10 @@ class TestAblate:
         comparison = json.loads(
             (outcome.run_dir / "comparison.json").read_text(encoding="utf-8"))
         assert comparison == outcome.summaries
-        for translated in outcome.run_dir.glob("translate-*"):
-            hypotheses = (translated / "hypotheses.jsonl").read_text(encoding="utf-8")
+        for label in STAGE_LABELS:
+            assert (outcome.run_dir / label).is_dir()
+            hypotheses = (outcome.run_dir / label / "hypotheses.jsonl").read_text(
+                encoding="utf-8")
             assert '"line": 1' in hypotheses
 
     def test_stage_grid_rejects_direct_variant(self, tmp_path):
@@ -1827,6 +1904,31 @@ class TestCli:
         assert code == 2
         assert list(out_dir.iterdir()) == []
 
+    def test_ablate_without_a_target_language_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        code = main(["ablate", "--dataset", str(small_corpus(tmp_path)),
+                     "--mock-script", str(write_script(tmp_path, GOOD_SCRIPT)),
+                     "--out", str(out_dir)])
+        assert code == 2
+        assert "--target-lang" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_evaluates_of_two_hypothesis_sets_get_two_run_names(self, tmp_path, capsys):
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text('{"provenance": "mock:T list+refine"}\n', encoding="utf-8")
+        out_dir = tmp_path / "runs"
+        argv = ["evaluate", "--dataset", str(small_corpus(tmp_path)), "--target-lang", "KO",
+                "--out", str(out_dir)]
+        assert main([*argv, "--hypotheses", str(hyp)]) == 0
+        assert main([*argv, "--from-dubbed"]) == 0
+        echoed = {}
+        for run_dir in out_dir.iterdir():
+            # not a "-2" of the other run
+            assert re.fullmatch(r"evaluate-[0-9a-f]{10}", run_dir.name)
+            config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+            echoed[config["provenance"]] = run_dir.name
+        assert set(echoed) == {"mock:T list+refine", "human"}
+
     def test_from_dubbed_parses_the_dataset_once(self, tmp_path, capsys, monkeypatch):
         import mavl.harness
 
@@ -2074,6 +2176,20 @@ class TestCli:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("second", ["target-lang=JA", "target_lang = JA"])
+    def test_config_key_given_twice_exits_2(self, tmp_path, capsys, second):
+        script = write_script(tmp_path, GOOD_SCRIPT)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"target-lang=KO\n# the second\n{second}\n", encoding="utf-8")
+        out_dir = tmp_path / "runs"
+        code = main(["translate", "--dataset", str(small_corpus(tmp_path)),
+                     "--config", str(cfg), "--mock-script", str(script),
+                     "--out", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: key 'target-lang' is already given on line 1" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("command,flag,value", [
         ("translate", "--beta", "3.0"),
         ("translate", "--format", "json"),
@@ -2163,7 +2279,8 @@ class TestCli:
         echoed = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
         assert echoed["target_langs"] == [flag]
         assert set(echoed) == {"dataset_path", "target_langs", "provider", "endpoint",
-                               "model_id", "beta"}
+                               "model_id", "beta", "provenance"}
+        assert echoed["provenance"] == "human"
         languages = {row.split(",")[1] for row in
                      (run_dir / "scores.csv").read_text(encoding="utf-8").splitlines()[1:]}
         assert languages <= {flag}
