@@ -1310,6 +1310,8 @@ class TestAblate:
         # one config.json for the run; each case's files in a folder of its label
         assert sorted(path.name for path in outcome.run_dir.iterdir()) == sorted(
             {"config.json", "comparison.json", "comparison.txt"} | STAGE_LABELS)
+        echoed = json.loads((outcome.run_dir / "config.json").read_text(encoding="utf-8"))
+        assert echoed == _config_payload(config, "ablate", grid="stages")
         for label in STAGE_LABELS:
             assert sorted(path.name for path in (outcome.run_dir / label).iterdir()) == CASE_FILES
         assert (outcome.run_dir / "comparison.txt").read_text(
@@ -1391,16 +1393,6 @@ class TestAblate:
                             == without_clock(read_trace(path)))
                 else:
                     assert (case_dir / name).read_bytes() == path.read_bytes(), name
-
-    def test_each_grid_gets_its_own_run_name(self, tmp_path):
-        config = base_config(small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT),
-                             tmp_path / "runs")
-        for grid in ("stages", "modalities"):
-            run_dir = cmd_ablate(config, grid=grid).run_dir
-            # not a "-2" of the other grid's run
-            assert re.fullmatch(r"ablate-[0-9a-f]{10}", run_dir.name)
-            echoed = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
-            assert echoed["grid"] == grid
 
     def test_references_stay_apart(self, tmp_path):
         # the translation matches the EN count (6) but not the dub's (5)
