@@ -35,6 +35,7 @@ from .errors import (
     ProviderError,
 )
 from .harness import (
+    GRID_SWITCHES,
     HypothesisSet,
     RunConfig,
     ThresholdExceededError,
@@ -44,7 +45,7 @@ from .harness import (
     cmd_translate,
 )
 from .languages import BOM, Language
-from .pipeline import Modality, PipelineVariant, PromptStyle
+from .pipeline import PipelineVariant, PromptStyle
 from .reports import dump_json, render_report_table, report_to_json
 
 __all__ = ["main", "build_parser"]
@@ -58,26 +59,29 @@ VARIANT_CHOICES = {
     "direct": dict(use_syllable_list=False, use_refine=False, style=PromptStyle.DIRECT),
 }
 
+# each token names the variant switch it turns on; text is always read
 _MODALITY_TOKENS = {
-    "t": Modality.TEXT,
-    "text": Modality.TEXT,
-    "a": Modality.AUDIO,
-    "audio": Modality.AUDIO,
-    "v": Modality.VIDEO,
-    "video": Modality.VIDEO,
+    "t": None,
+    "text": None,
+    "a": "use_audio",
+    "audio": "use_audio",
+    "v": "use_video",
+    "video": "use_video",
 }
 
 
-def parse_modalities(spec: str) -> frozenset:
-    mods = {Modality.TEXT}
+def parse_modalities(spec: str) -> dict[str, bool]:
+    """The media switches of a modality set such as ``t+a+v``."""
+    switches = {"use_audio": False, "use_video": False}
     for token in spec.replace(",", "+").split("+"):
         token = token.strip().lower()
         if not token:
             continue
         if token not in _MODALITY_TOKENS:
             raise ConfigError(f"unknown modality {token!r} (use t, a, v)")
-        mods.add(_MODALITY_TOKENS[token])
-    return frozenset(mods)
+        if _MODALITY_TOKENS[token]:
+            switches[_MODALITY_TOKENS[token]] = True
+    return switches
 
 
 def load_config_file(path: str) -> dict:
@@ -169,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate = run_command("ablate", "run a variant comparison grid")
     _add_translate_flags(p_ablate)
     _add_score_flags(p_ablate, ["json", "table"])
-    p_ablate.add_argument("--grid", choices=["stages", "modalities"], default="stages")
+    p_ablate.add_argument("--grid", choices=list(GRID_SWITCHES), default="stages")
 
     p_stats = sub.add_parser("stats", help="dataset summary table")
     p_stats.add_argument("--dataset", dest="dataset_path", required=True, metavar="PATH")
@@ -233,7 +237,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     variant = dict(VARIANT_CHOICES[given["variant"]]) if "variant" in given else {}
     if "modalities" in given:
-        variant["modalities"] = parse_modalities(given["modalities"])
+        variant.update(parse_modalities(given["modalities"]))
     settings["variant"] = PipelineVariant(**variant)
     return RunConfig(**settings)
 

@@ -55,7 +55,6 @@ from .metrics import (
     aggregate,
 )
 from .pipeline import (
-    Modality,
     PipelineVariant,
     PromptStyle,
     TranslationTask,
@@ -162,8 +161,7 @@ def _config_payload(config: RunConfig, op: str, **inputs: str) -> dict:
         **config._asdict(),
         "dataset_path": os.path.abspath(config.dataset_path),
         "target_langs": [lang.value for lang in config.target_langs],
-        "variant": {**variant._asdict(), "style": variant.style.value,
-                    "modalities": sorted(m.value for m in variant.modalities)},
+        "variant": {**variant._asdict(), "style": variant.style.value},
     }
     return {key: value for key, value in payload.items() if key not in _UNREAD[op]} | inputs
 
@@ -736,13 +734,11 @@ def _evaluate(config: RunConfig, dataset: Dataset, hyp: HypothesisSet,
 # ablate
 
 
-STAGE_GRID = [(False, False), (False, True), (True, False), (True, True)]
-MODALITY_GRID = [
-    frozenset({Modality.TEXT}),
-    frozenset({Modality.TEXT, Modality.VIDEO}),
-    frozenset({Modality.TEXT, Modality.AUDIO}),
-    frozenset({Modality.TEXT, Modality.AUDIO, Modality.VIDEO}),
-]
+# the two variant switches each grid turns through its four cases
+GRID_SWITCHES = {
+    "stages": ("use_syllable_list", "use_refine"),
+    "modalities": ("use_audio", "use_video"),
+}
 
 
 class AblateOutcome(NamedTuple):
@@ -767,7 +763,7 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
     Each case's summary is its evaluate report, so the two reference kinds
     and the languages stay apart exactly as in ``report.json``.
     """
-    if grid not in {"stages", "modalities"}:
+    if grid not in GRID_SWITCHES:
         raise ConfigError(f"unknown ablation grid {grid!r}")
     if grid == "stages" and config.variant.style is PromptStyle.DIRECT:
         # a direct prompt has no stages: all four cases would share one label
@@ -775,47 +771,45 @@ def cmd_ablate(config: RunConfig, grid: str = "stages") -> AblateOutcome:
     if not config.target_langs:
         raise ConfigError("ablate needs a --target-lang to translate into")
     dataset = _load_dataset(config.dataset_path)
-    if grid == "stages":
-        cases = [
-            (config.variant._replace(use_syllable_list=use_list, use_refine=use_refine),
-             False)
-            for use_list, use_refine in STAGE_GRID
-        ]
-    else:
-        has_media = _dataset_has_media(dataset)
-        cases = [
-            (config.variant._replace(modalities=mods),
-             mods != {Modality.TEXT} and not has_media)
-            for mods in MODALITY_GRID
-        ]
+    has_media = _dataset_has_media(dataset)
 
     summaries: dict[str, dict] = {}
     blocks: list[str] = []
     # the cases share one remote provider and its connections, or one script
     with _run_providers(config, translates=True) as (remote, script):
         run_dir = make_run_dir(config, "ablate", grid=grid)
-        for variant, skip in cases:
-            label = variant.label()
-            if skip:
-                summaries[label] = {"skipped": "no media in dataset"}
-                blocks.append(f"{label}: skipped, no media in dataset\n")
-                continue
-            # labels are unique in a grid and hold only letters, "+" and spaces
-            case_dir = run_dir / label
-            case_dir.mkdir()
-            case = config._replace(variant=variant)
-            translated = _translate(case, dataset, remote, script, case_dir)
-            report = _evaluate(case, dataset, translated.hypotheses, remote, case_dir).report
-            summaries[label] = {
-                "failures": len(translated.failures),
-                "report": None if report is None else report_payload(report),
-            }
-            blocks.append(f"{label}: no scored lines\n" if report is None
-                          else render_report_table(report))
-
-    table = "\n".join(blocks)
-    atomic_write(run_dir / "comparison.txt", table)
-    atomic_write(run_dir / "comparison.json", dump_json(summaries))
+        try:
+            for setting in ((False, False), (False, True), (True, False), (True, True)):
+                switches = dict(zip(GRID_SWITCHES[grid], setting))
+                variant = config.variant._replace(**switches)
+                label = variant.label()
+                # only media the grid itself switches on makes a case skip
+                if not has_media and (switches.get("use_audio") or switches.get("use_video")):
+                    summaries[label] = {"skipped": "no media in dataset"}
+                    blocks.append(f"{label}: skipped, no media in dataset\n")
+                    continue
+                # labels are unique in a grid and hold only letters, "+" and spaces
+                case_dir = run_dir / label
+                case_dir.mkdir()
+                case = config._replace(variant=variant)
+                translated = _translate(case, dataset, remote, script, case_dir)
+                report = _evaluate(case, dataset, translated.hypotheses, remote, case_dir).report
+                summaries[label] = {
+                    "failures": len(translated.failures),
+                    "report": None if report is None else report_payload(report),
+                }
+                blocks.append(f"{label}: no scored lines\n" if report is None
+                              else render_report_table(report))
+        except BaseException as exc:
+            # what finished is written, the stopped case named, and the error goes on
+            stop = f"{type(exc).__name__}: {exc}"
+            summaries[label] = {"stopped": stop}
+            blocks.append(f"{label}: stopped, {stop}\n")
+            raise
+        finally:
+            table = "\n".join(blocks)
+            atomic_write(run_dir / "comparison.txt", table)
+            atomic_write(run_dir / "comparison.json", dump_json(summaries))
     return AblateOutcome(run_dir, summaries, table)
 
 

@@ -16,8 +16,7 @@ templates carry a tiny conditional syntax so one file covers every variant:
     %step                           the next step number (renumbers when
                                     earlier steps are switched off)
 
-Flag names available to templates: audio, video, syllable_list, refine,
-audio_and_video, audio_only, video_only, text_only.
+Flag names available to templates: audio, video, syllable_list, refine.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .records import Checked
 from .syllables import count_syllables
 
 __all__ = [
-    "Modality",
     "PromptStyle",
     "PipelineVariant",
     "TranslationTask",
@@ -54,12 +52,6 @@ __all__ = [
 ]
 
 
-class Modality(Enum):
-    TEXT = "text"
-    AUDIO = "audio"
-    VIDEO = "video"
-
-
 class PromptStyle(Enum):
     """STAGED walks the model through numbered steps; DIRECT asks in one go."""
 
@@ -67,38 +59,19 @@ class PromptStyle(Enum):
     DIRECT = "direct"
 
 
-class _PipelineVariant(NamedTuple):
+class PipelineVariant(NamedTuple):
+    """The recipe's four switches and its prompt style.  Text is always read;
+    ``use_audio`` and ``use_video`` add the line's media of that kind."""
+
     use_syllable_list: bool = True
     use_refine: bool = True
-    modalities: frozenset = frozenset({Modality.TEXT})
+    use_audio: bool = False
+    use_video: bool = False
     style: PromptStyle = PromptStyle.STAGED
-
-
-class PipelineVariant(Checked, _PipelineVariant):
-    __slots__ = ()
-
-    def _validated(self):
-        if not isinstance(self.modalities, frozenset):
-            return self._replace(modalities=frozenset(self.modalities))
-        if Modality.TEXT not in self.modalities:
-            raise ConfigError("every variant includes the text modality")
-        return self
-
-    @property
-    def has_audio(self) -> bool:
-        return Modality.AUDIO in self.modalities
-
-    @property
-    def has_video(self) -> bool:
-        return Modality.VIDEO in self.modalities
 
     def label(self) -> str:
         """Short tag for report rows, e.g. 'T+A+V list+refine'."""
-        mods = "T"
-        if self.has_audio:
-            mods += "+A"
-        if self.has_video:
-            mods += "+V"
+        mods = "T" + "+A" * self.use_audio + "+V" * self.use_video
         if self.style is PromptStyle.DIRECT:
             return f"{mods} direct"
         stages = ("list" if self.use_syllable_list else "nolist") + "+" + (
@@ -213,16 +186,11 @@ def _variant_prompt(
     text before the first task slot, with the languages filled in.  It
     depends on nothing else, and a value filled into a name slot is never
     read for placeholders."""
-    audio, video = variant.has_audio, variant.has_video
     flags = {
-        "audio": audio,
-        "video": video,
+        "audio": variant.use_audio,
+        "video": variant.use_video,
         "syllable_list": variant.use_syllable_list,
         "refine": variant.use_refine,
-        "audio_and_video": audio and video,
-        "audio_only": audio and not video,
-        "video_only": video and not audio,
-        "text_only": not audio and not video,
     }
     rendered = _render(_template_text(variant.style), flags)
     # collapse the blank-line runs left behind by removed blocks
@@ -320,8 +288,8 @@ def translate_line(
     media = tuple(
         m.widened(MEDIA_MARGIN_S)
         for m in task.media
-        if (m.kind is MediaKind.AUDIO and variant.has_audio)
-        or (m.kind is MediaKind.VIDEO and variant.has_video)
+        if (m.kind is MediaKind.AUDIO and variant.use_audio)
+        or (m.kind is MediaKind.VIDEO and variant.use_video)
     )
 
     conversation = build_prompt(task, variant)

@@ -36,7 +36,6 @@ from mavl.metrics import (
 )
 from mavl.phonetics import IpaString, edit_distance
 from mavl.pipeline import (
-    Modality,
     PipelineVariant,
     TranslationTask,
     build_prompt,

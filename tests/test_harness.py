@@ -35,8 +35,6 @@ from mavl.errors import (
     TransientProviderError,
 )
 from mavl.harness import (
-    MODALITY_GRID,
-    STAGE_GRID,
     HypothesisSet,
     RunConfig,
     ThresholdExceededError,
@@ -52,7 +50,7 @@ from mavl.harness import (
 )
 from mavl.languages import Language
 from mavl.metrics import EMBED_BATCH, LineScorer, ReferenceKind
-from mavl.pipeline import Modality, PipelineVariant, PromptStyle
+from mavl.pipeline import PipelineVariant, PromptStyle
 from mavl.providers import (
     EmbeddingRequest,
     GenerationRequest,
@@ -572,6 +570,18 @@ class TestTranslate:
         assert len(closed) == 1
         assert len(read_trace(closed[0])) == 1
 
+    def test_a_provider_that_fails_every_line_exits_4(self, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        code = main(["translate", "--dataset", str(small_corpus(tmp_path)),
+                     "--target-lang", "KO", "--out", str(out_dir),
+                     "--mock-script", str(write_script(tmp_path, {"sequence": []}))])
+        assert code == 4
+        assert "provider failed for every line (2 of 2)" in capsys.readouterr().err
+        (run_dir,) = out_dir.iterdir()
+        failures = json.loads((run_dir / "failures.json").read_text(encoding="utf-8"))
+        assert [(f["line"], f["category"], f["reason"]) for f in failures] == [
+            (0, "provider", "script exhausted"), (1, "provider", "script exhausted")]
+
     def test_a_run_stopped_by_a_revoked_key_leaves_its_config(self, tmp_path, monkeypatch):
         script = {
             "And there's a butterfly": ['{"translation": "나비가 날아와"}'],
@@ -859,8 +869,8 @@ class TestRequestDigests:
 
     @pytest.mark.parametrize("ablate, media, overrides", [
         (False, False, {}),
-        (False, True, {"variant": PipelineVariant(modalities=frozenset(Modality))}),
-        (False, True, {"variant": PipelineVariant(modalities=frozenset(Modality)),
+        (False, True, {"variant": PipelineVariant(use_audio=True, use_video=True)}),
+        (False, True, {"variant": PipelineVariant(use_audio=True, use_video=True),
                        "parallelism": 2}),
         (True, False, {}),
     ], ids=["text", "media", "media-parallel", "ablate-stages"])
@@ -888,6 +898,19 @@ class TestRequestDigests:
 
 
 class TestEvaluate:
+    def test_no_target_language_scores_every_one_the_dataset_holds(self, tmp_path):
+        corpus = write_corpus(tmp_path, {
+            "alpha": {Language.EN: [["And there's a butterfly"]],
+                      Language.KO: [["나비가 날아와"]]},
+            "beta": {Language.EN: [["Remember me"]],
+                     Language.JA: [["わすれないで"]]},
+        })
+        config = base_config(corpus, None, tmp_path / "runs", target_langs=())
+        outcome = cmd_evaluate(config)
+        assert set(outcome.report.groups) == {
+            (lang, kind) for lang in (Language.KO, Language.JA) for kind in ReferenceKind}
+        assert outcome.scored == 2
+
     def test_remote_without_key_raises_rather_than_blanking_semantic(
             self, tmp_path, monkeypatch):
         monkeypatch.delenv("MAVL_API_KEY", raising=False)
@@ -1275,6 +1298,8 @@ class TestRemoteConnections:
         self.assert_all_closed(server)
 
 
+# the settings of a grid's two switches, in case order
+GRID_SETTINGS = [(False, False), (False, True), (True, False), (True, True)]
 STAGE_LABELS = {
     "T nolist+norefine", "T nolist+refine", "T list+norefine", "T list+refine",
 }
@@ -1301,9 +1326,10 @@ class TestAblate:
         outcome = cmd_ablate(config, grid="stages")
         grid = [
             PipelineVariant(use_syllable_list=use_list, use_refine=use_refine)
-            for use_list, use_refine in STAGE_GRID
+            for use_list, use_refine in GRID_SETTINGS
         ]
-        assert set(outcome.summaries) == STAGE_LABELS == {v.label() for v in grid}
+        assert list(outcome.summaries) == [v.label() for v in grid]
+        assert set(outcome.summaries) == STAGE_LABELS
         for summary in outcome.summaries.values():
             assert group_line_counts(summary) == {"KO/original_en": 2, "KO/dubbed": 2}
             assert summary["failures"] == 0
@@ -1375,7 +1401,7 @@ class TestAblate:
         }})
         config = base_config(small_corpus(tmp_path), script, tmp_path / "runs")
         outcome = cmd_ablate(config, grid="stages")
-        for use_list, use_refine in STAGE_GRID:
+        for use_list, use_refine in GRID_SETTINGS:
             variant = config.variant._replace(use_syllable_list=use_list,
                                               use_refine=use_refine)
             alone = config._replace(variant=variant, out_dir=str(tmp_path / "alone"),
@@ -1513,14 +1539,25 @@ class TestAblate:
         script = write_script(tmp_path, GOOD_SCRIPT)
         config = base_config(corpus, script, tmp_path / "runs")
         outcome = cmd_ablate(config, grid="modalities")
-        grid = [PipelineVariant(modalities=mods) for mods in MODALITY_GRID]
-        assert set(outcome.summaries) == MODALITY_LABELS == {v.label() for v in grid}
+        grid = [PipelineVariant(use_audio=audio, use_video=video)
+                for audio, video in GRID_SETTINGS]
+        assert list(outcome.summaries) == [v.label() for v in grid]
+        assert set(outcome.summaries) == MODALITY_LABELS
         for label in ("T+A list+refine", "T+V list+refine", "T+A+V list+refine"):
             assert outcome.summaries[label] == {"skipped": "no media in dataset"}
             assert f"{label}: skipped, no media in dataset" in outcome.table.splitlines()
         assert group_line_counts(outcome.summaries["T list+refine"]) == {
             "KO/original_en": 2, "KO/dubbed": 2,
         }
+
+    def test_stage_grid_keeps_the_runs_media_switches_without_media(self, tmp_path):
+        # only a media switch the grid turns on makes a case skip
+        config = base_config(small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT),
+                             tmp_path / "runs", variant=PipelineVariant(use_audio=True))
+        outcome = cmd_ablate(config, grid="stages")
+        assert set(outcome.summaries) == {"T+A" + label[1:] for label in STAGE_LABELS}
+        for summary in outcome.summaries.values():
+            assert group_line_counts(summary) == {"KO/original_en": 2, "KO/dubbed": 2}
 
     def test_modality_grid_runs_with_media(self, tmp_path):
         corpus = small_corpus(tmp_path, media_url="https://example.test/video.mp4")
@@ -1537,6 +1574,52 @@ class TestAblate:
         config = base_config(corpus, script, tmp_path / "runs")
         with pytest.raises(ConfigError):
             cmd_ablate(config, grid="sideways")
+
+    @staticmethod
+    def stop_on_third_call(monkeypatch, error):
+        complete = ScriptedProvider.complete
+        calls = []
+
+        def stopping(provider, request):
+            calls.append(request)
+            if len(calls) == 3:
+                raise error
+            return complete(provider, request)
+
+        monkeypatch.setattr(ScriptedProvider, "complete", stopping)
+
+    def test_a_stopped_grid_keeps_the_cases_it_finished(self, tmp_path, monkeypatch):
+        # each case makes two calls, so the third is the second case's first
+        self.stop_on_third_call(monkeypatch, ProviderAuthError("key revoked"))
+        out_dir = tmp_path / "runs"
+        code = main(["ablate", "--dataset", str(small_corpus(tmp_path)),
+                     "--target-lang", "KO", "--out", str(out_dir),
+                     "--mock-script", str(write_script(tmp_path, GOOD_SCRIPT))])
+        assert code == 4
+        (run_dir,) = out_dir.iterdir()
+        comparison = json.loads((run_dir / "comparison.json").read_text(encoding="utf-8"))
+        assert set(comparison) == {"T nolist+norefine", "T nolist+refine"}
+        assert comparison["T nolist+norefine"]["failures"] == 0
+        assert group_line_counts(comparison["T nolist+norefine"]) == {
+            "KO/original_en": 2, "KO/dubbed": 2}
+        assert comparison["T nolist+refine"] == {"stopped": "ProviderAuthError: key revoked"}
+        table = (run_dir / "comparison.txt").read_text(encoding="utf-8")
+        first = (run_dir / "T nolist+norefine" / "report.txt").read_text(encoding="utf-8")
+        assert table == first + "\nT nolist+refine: stopped, ProviderAuthError: key revoked\n"
+        assert sorted(path.name for path in (run_dir / "T nolist+norefine").iterdir()) == (
+            CASE_FILES)
+
+    def test_an_interrupted_grid_writes_what_it_has_and_reraises(self, tmp_path,
+                                                                 monkeypatch):
+        self.stop_on_third_call(monkeypatch, KeyboardInterrupt())
+        config = base_config(small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT),
+                             tmp_path / "runs")
+        with pytest.raises(KeyboardInterrupt):
+            cmd_ablate(config, grid="stages")
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        comparison = json.loads((run_dir / "comparison.json").read_text(encoding="utf-8"))
+        assert comparison["T nolist+refine"] == {"stopped": "KeyboardInterrupt: "}
+        assert set(comparison["T nolist+norefine"]) == {"failures", "report"}
 
 
 class TestStats:
@@ -2158,6 +2241,51 @@ class TestCli:
             argv += ["--mock-script", str(script)]
         assert main(argv) == code
         assert where in capsys.readouterr().err
+
+    def test_unknown_target_language_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        code = main(["translate", "--dataset", str(small_corpus(tmp_path)),
+                     "--target-lang", "XX", "--out", str(out_dir),
+                     "--mock-script", str(write_script(tmp_path, GOOD_SCRIPT))])
+        assert code == 2
+        assert "unsupported language 'XX'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @staticmethod
+    def translated_label(tmp_path, *flags):
+        """The label of the variant a translate with ``flags`` ran, read from
+        its config.json."""
+        out_dir = tmp_path / "runs"
+        assert main(["translate", "--dataset", str(small_corpus(tmp_path)),
+                     "--target-lang", "KO", "--out", str(out_dir),
+                     "--mock-script", str(write_script(tmp_path, GOOD_SCRIPT)), *flags]) == 0
+        (run_dir,) = out_dir.iterdir()
+        echoed = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))["variant"]
+        return PipelineVariant(**{**echoed, "style": PromptStyle(echoed["style"])}).label()
+
+    @pytest.mark.parametrize("spec, label", [
+        ("t", "T list+refine"), ("a", "T+A list+refine"), ("v", "T+V list+refine"),
+        ("t+a+v", "T+A+V list+refine"), ("A,V", "T+A+V list+refine"),
+        ("text+audio", "T+A list+refine"), ("+a+", "T+A list+refine"),
+        ("", "T list+refine"), ("video", "T+V list+refine"),
+    ])
+    def test_modalities_flag_sets_the_media_switches(self, tmp_path, spec, label):
+        assert self.translated_label(tmp_path, "--modalities", spec) == label
+
+    def test_modalities_from_a_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("modalities=a+v\n", encoding="utf-8")
+        assert self.translated_label(tmp_path, "--config", str(cfg)) == "T+A+V list+refine"
+
+    @pytest.mark.parametrize("spec, token", [("x", "x"), ("t+q", "q")])
+    def test_unknown_modality_exits_2(self, tmp_path, capsys, spec, token):
+        out_dir = tmp_path / "runs"
+        code = main(["translate", "--dataset", str(small_corpus(tmp_path)),
+                     "--target-lang", "KO", "--out", str(out_dir), "--modalities", spec,
+                     "--mock-script", str(write_script(tmp_path, GOOD_SCRIPT))])
+        assert code == 2
+        assert f"unknown modality {token!r} (use t, a, v)" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         corpus = small_corpus(tmp_path)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import re
@@ -11,7 +12,6 @@ from mavl import pipeline
 from mavl.errors import ConfigError, PipelineError, ProviderError
 from mavl.languages import Language
 from mavl.pipeline import (
-    Modality,
     PipelineVariant,
     PromptStyle,
     TranslationTask,
@@ -27,10 +27,11 @@ from mavl.providers import (
 )
 from mavl.syllables import count_syllables
 
-TEXT = frozenset({Modality.TEXT})
-TAV = frozenset({Modality.TEXT, Modality.AUDIO, Modality.VIDEO})
-TV = frozenset({Modality.TEXT, Modality.VIDEO})
-TA = frozenset({Modality.TEXT, Modality.AUDIO})
+# the media switches of each modality set; text is always read
+TEXT = {}
+TAV = {"use_audio": True, "use_video": True}
+TV = {"use_video": True}
+TA = {"use_audio": True}
 
 STEP1_FULL = "Identify the Core Lyric and Perform Syllable Segmentation"
 STEP2_FULL = "Generate the Target Language Translation Syllable List"
@@ -144,18 +145,14 @@ class RecordingProvider:
 
 
 class TestVariants:
-    def test_text_modality_is_mandatory(self):
-        with pytest.raises(ConfigError):
-            PipelineVariant(modalities=frozenset({Modality.AUDIO}))
-
     def test_labels(self):
-        assert PipelineVariant(modalities=TAV).label() == "T+A+V list+refine"
+        assert PipelineVariant(**TAV).label() == "T+A+V list+refine"
         assert (
-            PipelineVariant(use_syllable_list=False, modalities=TEXT).label()
+            PipelineVariant(use_syllable_list=False, **TEXT).label()
             == "T nolist+refine"
         )
         assert (
-            PipelineVariant(style=PromptStyle.DIRECT, modalities=TEXT).label()
+            PipelineVariant(style=PromptStyle.DIRECT, **TEXT).label()
             == "T direct"
         )
 
@@ -166,6 +163,78 @@ class TestVariants:
             butterfly_task(target_lang=Language.EN)
         with pytest.raises(ConfigError):
             butterfly_task(required_count=0)
+
+
+STAGED, DIRECT = PromptStyle.STAGED, PromptStyle.DIRECT
+
+# every variant: (style, use_syllable_list, use_refine, use_audio, use_video),
+# its label and the SHA-256 of its prompt for butterfly_task()
+VARIANT_PROMPTS = [
+    ((STAGED, False, False, False, False), "T nolist+norefine",
+     "35272fcb7a2749c9508bb0a01d2b7a26959200146341c13c625683b3c189a084"),
+    ((STAGED, False, False, False, True), "T+V nolist+norefine",
+     "f8bed94fbbe11215a50182b511d1da9347af120748e426a092bc0afbba4faa2b"),
+    ((STAGED, False, False, True, False), "T+A nolist+norefine",
+     "cf468da8902efb24ebab37ec8ee1e52185356d7a75713aeb191cfceffff26b50"),
+    ((STAGED, False, False, True, True), "T+A+V nolist+norefine",
+     "609b39adb160ef5613adf829715cd2ad7d6ab788fd2afbc1c6b18de91a15ecc2"),
+    ((STAGED, False, True, False, False), "T nolist+refine",
+     "d71e00ebbc9f3e07ff15af63c8ce5d7a9ed73ab31d12d37cd6f4c543a14a5da2"),
+    ((STAGED, False, True, False, True), "T+V nolist+refine",
+     "1c78a5a66b34e42d6db0320619423c3addd9e343bdd36de87f31ff792d1be72d"),
+    ((STAGED, False, True, True, False), "T+A nolist+refine",
+     "953650f075580b0be49d232cffe3392f8f1bc270078530434bfad99b2f4399be"),
+    ((STAGED, False, True, True, True), "T+A+V nolist+refine",
+     "de44f42c169440a6b0be9d1b5bcb7110e15c0f60c53da703738e97e8da6484fd"),
+    ((STAGED, True, False, False, False), "T list+norefine",
+     "e191c9c20973533a4807b58e6c9dca1cb5782a4bb7990bfbb49796b38c36b721"),
+    ((STAGED, True, False, False, True), "T+V list+norefine",
+     "10470d601fb4ddca17a2363b4136c120e9ee534db4ec824cd09a5469c02dd75d"),
+    ((STAGED, True, False, True, False), "T+A list+norefine",
+     "7a88abc94865a1c915a2f1b5d65db471d4500d99deb7d5f448992c1e97256090"),
+    ((STAGED, True, False, True, True), "T+A+V list+norefine",
+     "f4ef0c0066e4e30c89960ee9692fc5115d3fc5fefd77fdfbbeabd28ca539687c"),
+    ((STAGED, True, True, False, False), "T list+refine",
+     "6cc95a9c0636e94644952eb903e8d6d8d4dea2d2a543b613354e08ecdba16772"),
+    ((STAGED, True, True, False, True), "T+V list+refine",
+     "19efc40c36a9390f881ccd7a08a52043b13ad684f75b1e295b6841eab59fe873"),
+    ((STAGED, True, True, True, False), "T+A list+refine",
+     "dd2373a07f1f38b0109cfc5913b5b0d21c0b0dbfe3c121f0e932e33949451be5"),
+    ((STAGED, True, True, True, True), "T+A+V list+refine",
+     "9616de396ce968e1ef642a913ec71328eb711b1c4fd844dca885ce08620127fe"),
+    ((DIRECT, False, False, False, False), "T direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, False, False, False, True), "T+V direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, False, False, True, False), "T+A direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, False, False, True, True), "T+A+V direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, False, True, False, False), "T direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, False, True, False, True), "T+V direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, False, True, True, False), "T+A direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, False, True, True, True), "T+A+V direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, True, False, False, False), "T direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, True, False, False, True), "T+V direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, True, False, True, False), "T+A direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, True, False, True, True), "T+A+V direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, True, True, False, False), "T direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, True, True, False, True), "T+V direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, True, True, True, False), "T+A direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+    ((DIRECT, True, True, True, True), "T+A+V direct",
+     "c4dcbf8e3e3eb21dffd7f799342747727989b50663cd5b1642474214cf22f8c6"),
+]
 
 
 def substitute(text, task):
@@ -182,7 +251,7 @@ def substitute(text, task):
 
 class TestBuildPrompt:
     def test_full_variant_has_all_step_headers(self):
-        prompt = build_prompt(butterfly_task(), PipelineVariant(modalities=TAV))
+        prompt = build_prompt(butterfly_task(), PipelineVariant(**TAV))
         assert f"1. {STEP1_FULL}" in prompt
         assert f"2. {STEP2_FULL} Utilizing the Video Information" in prompt
         assert f"3. {STEP3}" in prompt
@@ -192,14 +261,14 @@ class TestBuildPrompt:
         assert "English" in prompt and "Korean" in prompt
 
     def test_example_payload_braces_survive_substitution(self):
-        prompt = build_prompt(butterfly_task(), PipelineVariant(modalities=TAV))
+        prompt = build_prompt(butterfly_task(), PipelineVariant(**TAV))
         assert '{"translation": "final translation text"}' in prompt
         assert "{source_text}" not in prompt
         assert "{syllable_count}" not in prompt
 
     def test_no_refine_drops_step_three_and_renumbers(self):
         prompt = build_prompt(
-            butterfly_task(), PipelineVariant(use_refine=False, modalities=TAV)
+            butterfly_task(), PipelineVariant(use_refine=False, **TAV)
         )
         assert STEP3 not in prompt
         assert f"3. {STEP4}" in prompt
@@ -207,7 +276,7 @@ class TestBuildPrompt:
 
     def test_no_syllable_list_drops_segmentation_machinery(self):
         prompt = build_prompt(
-            butterfly_task(), PipelineVariant(use_syllable_list=False, modalities=TAV)
+            butterfly_task(), PipelineVariant(use_syllable_list=False, **TAV)
         )
         assert STEP1_FULL not in prompt
         assert "1. Identify the Core Lyric" in prompt
@@ -218,7 +287,7 @@ class TestBuildPrompt:
     def test_minimal_variant(self):
         prompt = build_prompt(
             butterfly_task(),
-            PipelineVariant(use_syllable_list=False, use_refine=False, modalities=TEXT),
+            PipelineVariant(use_syllable_list=False, use_refine=False, **TEXT),
         )
         assert STEP1_FULL not in prompt
         assert STEP3 not in prompt
@@ -228,20 +297,20 @@ class TestBuildPrompt:
         assert "Real Syllable Count: 6" in prompt
 
     def test_text_only_drops_media_sentences(self):
-        prompt = build_prompt(butterfly_task(), PipelineVariant(modalities=TEXT))
+        prompt = build_prompt(butterfly_task(), PipelineVariant(**TEXT))
         assert "audio" not in prompt.lower()
         assert "video" not in prompt.lower()
         assert "Read carefully to the provided lyrics" in prompt
         assert f"2. {STEP2_FULL}\n" in prompt
 
     def test_audio_only_keeps_audio_sentences(self):
-        prompt = build_prompt(butterfly_task(), PipelineVariant(modalities=TA))
+        prompt = build_prompt(butterfly_task(), PipelineVariant(**TA))
         assert "Listen carefully to the provided audio" in prompt
         assert "video" not in prompt.lower()
         assert "in context with the audio" in prompt
 
     def test_video_only_keeps_video_sentences(self):
-        prompt = build_prompt(butterfly_task(), PipelineVariant(modalities=TV))
+        prompt = build_prompt(butterfly_task(), PipelineVariant(**TV))
         assert "Utilizing the Video Information" in prompt
         assert "audio" not in prompt.lower()
         assert "in context with the video" in prompt
@@ -256,7 +325,7 @@ class TestBuildPrompt:
         assert "Real Syllable Count: 6" in prompt
 
     def test_deterministic(self):
-        variant = PipelineVariant(modalities=TAV)
+        variant = PipelineVariant(**TAV)
         assert build_prompt(butterfly_task(), variant) == build_prompt(
             butterfly_task(), variant
         )
@@ -266,25 +335,28 @@ class TestBuildPrompt:
         placeholder_task = butterfly_task(
             source_text="sing {source_text} in {target_lang}", target_lang=Language.JA
         )
-        for style, use_list, use_refine, modalities in itertools.product(
-            PromptStyle, (True, False), (True, False), (TEXT, TA, TV, TAV)
+        for style, use_list, use_refine, audio, video in itertools.product(
+            PromptStyle, (True, False), (True, False), (False, True), (False, True)
         ):
-            variant = PipelineVariant(use_list, use_refine, modalities, style)
-            audio, video = Modality.AUDIO in modalities, Modality.VIDEO in modalities
+            variant = PipelineVariant(use_list, use_refine, audio, video, style)
             flags = {
                 "audio": audio,
                 "video": video,
                 "syllable_list": use_list,
                 "refine": use_refine,
-                "audio_and_video": audio and video,
-                "audio_only": audio and not video,
-                "video_only": video and not audio,
-                "text_only": not audio and not video,
             }
             rendered = pipeline._render(pipeline._template_text(style), flags)
             rendered = re.sub(r"\n{3,}", "\n\n", rendered).strip("\n") + "\n"
             for task in (butterfly_task(), remember_task(), butterfly_task(), placeholder_task):
                 assert build_prompt(task, variant) == substitute(rendered, task)
+
+    def test_every_variant_prompt_and_label_is_pinned(self):
+        assert len({switches for switches, _, _ in VARIANT_PROMPTS}) == 32
+        for (style, *switches), label, digest in VARIANT_PROMPTS:
+            variant = PipelineVariant(*switches, style=style)
+            prompt = build_prompt(butterfly_task(), variant)
+            assert variant.label() == label
+            assert hashlib.sha256(prompt.encode("utf-8")).hexdigest() == digest, label
 
     def test_unknown_template_flag_raises_on_every_call(self, monkeypatch):
         monkeypatch.setattr(
@@ -305,7 +377,7 @@ class TestParseTrace:
     @staticmethod
     def read(reply, **task_overrides):
         return translate_line(
-            butterfly_task(**task_overrides), PipelineVariant(modalities=TEXT),
+            butterfly_task(**task_overrides), PipelineVariant(**TEXT),
             RecordingProvider([reply]), max_reprompts=0,
         )
 
@@ -335,12 +407,16 @@ class TestParseTrace:
         raw = 'Draft: {"translation": "나비"}\nFinal: {"translation": "나비 {날아} 와"}'
         assert self.read(raw, required_count=5).translation == "나비 {날아} 와"
 
+    def test_an_undecodable_last_payload_falls_back_to_the_one_before(self):
+        raw = '{"translation": "first"} then {"translation": "bad \\x"}'
+        assert pipeline._final_payload(raw) == "first"
+
 
 class TestTranslateLine:
     def test_single_attempt_success(self):
         provider = RecordingProvider([BUTTERFLY_TRACE])
         result = translate_line(
-            butterfly_task(), PipelineVariant(modalities=TAV), provider
+            butterfly_task(), PipelineVariant(**TAV), provider
         )
         assert result.translation == "나비가 날아와"
         assert result.achieved_count == 6
@@ -355,14 +431,14 @@ class TestTranslateLine:
     ], ids=["exact", "empty", "short", "multiline"])
     def test_the_answer_is_counted_as_count_syllables_does(self, translation, task, counted):
         provider = RecordingProvider([json.dumps({"translation": translation})])
-        result = translate_line(task, PipelineVariant(modalities=TEXT), provider,
+        result = translate_line(task, PipelineVariant(**TEXT), provider,
                                 max_reprompts=0)
         assert (result.achieved_count, result.constraint_met) == counted
 
     def test_miss_then_hit_takes_two_attempts(self):
         provider = RecordingProvider([REMEMBER_TURN_1, REMEMBER_TURN_2])
         result = translate_line(
-            remember_task(), PipelineVariant(modalities=TV), provider
+            remember_task(), PipelineVariant(**TV), provider
         )
         assert result.attempts == 2
         assert result.constraint_met is True
@@ -371,7 +447,7 @@ class TestTranslateLine:
 
     def test_corrective_turn_states_counts_and_keeps_context(self):
         provider = RecordingProvider([REMEMBER_TURN_1, REMEMBER_TURN_2])
-        translate_line(remember_task(), PipelineVariant(modalities=TV), provider)
+        translate_line(remember_task(), PipelineVariant(**TV), provider)
         second_prompt = provider.requests[1].prompt_text
         assert "has 9 syllables" in second_prompt
         assert "required syllable count is 10" in second_prompt
@@ -382,7 +458,7 @@ class TestTranslateLine:
         provider = RecordingProvider(["no json 1", "no json 2", "no json 3"])
         with pytest.raises(PipelineError) as excinfo:
             translate_line(
-                remember_task(), PipelineVariant(modalities=TEXT), provider,
+                remember_task(), PipelineVariant(**TEXT), provider,
                 max_reprompts=2,
             )
         assert len(provider.requests) == 3
@@ -391,7 +467,7 @@ class TestTranslateLine:
     def test_malformed_reprompt_mentions_format(self):
         provider = RecordingProvider(["not json", '{"translation": "나비가 날아와"}'])
         result = translate_line(
-            butterfly_task(), PipelineVariant(modalities=TEXT), provider
+            butterfly_task(), PipelineVariant(**TEXT), provider
         )
         assert result.attempts == 2
         assert result.constraint_met is True
@@ -401,7 +477,7 @@ class TestTranslateLine:
         # a reprompt would carry the reply, which request_digest cannot encode
         provider = RecordingProvider(["no payload \ud800", '{"translation": "나비가 날아와"}'])
         with pytest.raises(ProviderError, match="U\\+D800"):
-            translate_line(butterfly_task(), PipelineVariant(modalities=TEXT), provider)
+            translate_line(butterfly_task(), PipelineVariant(**TEXT), provider)
         assert len(provider.requests) == 1
 
     def test_lone_surrogate_payload_gets_the_format_feedback(self):
@@ -409,7 +485,7 @@ class TestTranslateLine:
         # quoted into the next prompt, the decoded text could not be hashed
         provider = RecordingProvider(
             ['{"translation": "\\ud800 나"}', '{"translation": "나비가 날아와"}'])
-        result = translate_line(butterfly_task(), PipelineVariant(modalities=TEXT), provider)
+        result = translate_line(butterfly_task(), PipelineVariant(**TEXT), provider)
         assert (result.translation, result.attempts, result.constraint_met) == (
             "나비가 날아와", 2, True)
         assert provider.requests[1].prompt_text.endswith(pipeline._FORMAT_FEEDBACK)
@@ -419,7 +495,7 @@ class TestTranslateLine:
         task = butterfly_task(source_text="Butterfly come to me now", required_count=7)
         provider = RecordingProvider(['{"translation": "\\ud800나비가날아와요"}'] * 3)
         with pytest.raises(PipelineError, match="no parsable final answer in 3"):
-            translate_line(task, PipelineVariant(modalities=TEXT), provider)
+            translate_line(task, PipelineVariant(**TEXT), provider)
 
     def test_best_attempt_when_nothing_hits(self):
         provider = RecordingProvider(
@@ -430,7 +506,7 @@ class TestTranslateLine:
             ]
         )
         result = translate_line(
-            butterfly_task(), PipelineVariant(modalities=TEXT), provider,
+            butterfly_task(), PipelineVariant(**TEXT), provider,
             max_reprompts=2,
         )
         assert result.attempts == 3
@@ -446,7 +522,7 @@ class TestTranslateLine:
              '{"translation": "한"}']
         )
         result = translate_line(
-            butterfly_task(), PipelineVariant(modalities=TEXT), provider,
+            butterfly_task(), PipelineVariant(**TEXT), provider,
             max_reprompts=2,
         )
         assert result.translation == "나비가 날아"
@@ -456,7 +532,7 @@ class TestTranslateLine:
         raw = 'I count 6 syllables. {"translation": "날 잊지 마"}'
         provider = RecordingProvider([raw, raw, raw])
         result = translate_line(
-            remember_task(), PipelineVariant(modalities=TEXT), provider,
+            remember_task(), PipelineVariant(**TEXT), provider,
             max_reprompts=2,
         )
         assert result.achieved_count == 4
@@ -467,7 +543,7 @@ class TestTranslateLine:
         video = MediaAttachment(MediaKind.VIDEO, "v.mp4", time_span=(10.0, 14.0))
         task = butterfly_task(media=(audio, video))
         provider = RecordingProvider([BUTTERFLY_TRACE])
-        translate_line(task, PipelineVariant(modalities=TA), provider)
+        translate_line(task, PipelineVariant(**TA), provider)
         sent = provider.requests[0].media
         assert len(sent) == 1
         assert sent[0].kind is MediaKind.AUDIO
@@ -478,13 +554,13 @@ class TestTranslateLine:
         task = butterfly_task(media=(audio,))
         responses = ["not json", BUTTERFLY_TRACE]
         provider = RecordingProvider(list(responses))
-        translate_line(task, PipelineVariant(modalities=TA), provider)
+        translate_line(task, PipelineVariant(**TA), provider)
         assert provider.requests[0].media and provider.requests[1].media
 
     def test_brace_in_translation_accepted_on_first_attempt(self):
         provider = RecordingProvider(['{"translation": "나비 {날아} 와"}'])
         result = translate_line(
-            butterfly_task(required_count=5), PipelineVariant(modalities=TEXT),
+            butterfly_task(required_count=5), PipelineVariant(**TEXT),
             provider,
         )
         assert result.translation == "나비 {날아} 와"
@@ -496,7 +572,7 @@ class TestTranslateLine:
             ['{"translation": "나비 1000000"}', '{"translation": "나비가 날아와"}']
         )
         result = translate_line(
-            butterfly_task(), PipelineVariant(modalities=TEXT), provider
+            butterfly_task(), PipelineVariant(**TEXT), provider
         )
         assert result.translation == "나비가 날아와"
         assert result.attempts == 2
@@ -508,7 +584,7 @@ class TestTranslateLine:
         provider = RecordingProvider(['{"translation": "나비 1000000"}'] * 3)
         with pytest.raises(PipelineError, match="no countable final answer in 3"):
             translate_line(
-                butterfly_task(), PipelineVariant(modalities=TEXT), provider,
+                butterfly_task(), PipelineVariant(**TEXT), provider,
                 max_reprompts=2,
             )
 
@@ -516,14 +592,14 @@ class TestTranslateLine:
         provider = RecordingProvider(['{"a":' * 5000] * 2)
         with pytest.raises(PipelineError, match="no parsable final answer in 2"):
             translate_line(
-                butterfly_task(), PipelineVariant(modalities=TEXT), provider,
+                butterfly_task(), PipelineVariant(**TEXT), provider,
                 max_reprompts=1,
             )
 
     def test_payload_after_deep_nesting_is_found(self):
         reply = '{"a":' * 5000 + '\n{"translation": "나비가 날아와"}'
         result = translate_line(
-            butterfly_task(), PipelineVariant(modalities=TEXT),
+            butterfly_task(), PipelineVariant(**TEXT),
             RecordingProvider([reply]),
         )
         assert result.translation == "나비가 날아와"
@@ -552,7 +628,7 @@ class TestTranslateLine:
         provider = RecordingProvider([reply] * 3)
         try:
             result = translate_line(
-                butterfly_task(), PipelineVariant(modalities=TEXT), provider,
+                butterfly_task(), PipelineVariant(**TEXT), provider,
                 max_reprompts=2,
             )
         except PipelineError:
@@ -563,7 +639,7 @@ class TestTranslateLine:
         def run():
             provider = RecordingProvider([REMEMBER_TURN_1, REMEMBER_TURN_2])
             return translate_line(
-                remember_task(), PipelineVariant(modalities=TV), provider
+                remember_task(), PipelineVariant(**TV), provider
             )
 
         assert run() == run()
@@ -583,7 +659,7 @@ class TestRequestDigests:
         provider = RecordingProvider(
             ['{"translation": "날"}', "no payload", '{"translation": "날 잊지 마 슬퍼하지는 마"}'])
         store = TraceStore(str(tmp_path / "trace.jsonl"))
-        result = translate_line(remember_task(media=media), PipelineVariant(modalities=TAV),
+        result = translate_line(remember_task(media=media), PipelineVariant(**TAV),
                                 provider, trace_store=store)
         store.close()
         assert result.attempts == 3

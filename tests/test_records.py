@@ -45,7 +45,7 @@ from mavl.metrics import (
     _Failed,
 )
 from mavl.phonetics import G2PRule, IpaString
-from mavl.pipeline import Modality, PipelineVariant, TranslationResult, TranslationTask
+from mavl.pipeline import PipelineVariant, TranslationResult, TranslationTask
 from mavl.providers import EmbeddingRequest, GenerationRequest, MediaAttachment, MediaKind
 from mavl.reports import EvaluationRow
 from mavl.syllables import SyllableSegmentation
@@ -94,7 +94,6 @@ class TestJsonShapes:
 # each checked record: a valid instance, one bad field, and the error it raises
 CHECKED = [
     (RunConfig(dataset_path="x"), {"parallelism": 0}, ConfigError),
-    (PipelineVariant(), {"modalities": frozenset({Modality.AUDIO})}, ConfigError),
     (TranslationTask("hello", EN, KO, 2), {"required_count": 0}, ConfigError),
     (MediaAttachment(MediaKind.AUDIO, "song.mp3", (1.0, 2.0)), {"time_span": (2.0, 1.0)},
      ConfigError),
@@ -125,20 +124,6 @@ class TestCheckedRecords:
         assert type(again) is type(record) and again == record
         assert type(type(record)._make(record)) is type(record)
 
-    def test_variant_modalities_are_a_frozenset(self):
-        for made in (PipelineVariant(modalities={Modality.TEXT, Modality.AUDIO}),
-                     PipelineVariant()._replace(modalities=[Modality.AUDIO, Modality.TEXT])):
-            assert made.modalities == frozenset({Modality.TEXT, Modality.AUDIO})
-            assert type(made.modalities) is frozenset
-            hash(made)
-
-    def test_ablate_grid_variants_are_checked(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "MODALITY_GRID", [frozenset({Modality.AUDIO})])
-        config = base_config(small_corpus(tmp_path), write_script(tmp_path, GOOD_SCRIPT),
-                             tmp_path / "runs")
-        with pytest.raises(ConfigError, match="text modality"):
-            cmd_ablate(config, grid="modalities")
-
     def test_ablate_sub_run_config_is_checked(self, tmp_path):
         config = base_config("x", "s.json", tmp_path)
         sub = config._replace(variant=PipelineVariant(use_refine=False),
@@ -167,7 +152,7 @@ def _records():
         LineScore(1, 1, ReferenceKind.DUBBED, KO), _Failed("why"),
         GroupStats(1, None, None, None, None, None), CorpusReport(1, None, {}),
         EvaluationRow(key), TranslationResult(task, "안녕", 2, True, 1),
-        SyllableSegmentation(("a",), EN),
+        SyllableSegmentation(("a",), EN), PipelineVariant(),
         TranslateOutcome(Path("r"), hyp, [], [], []), EvaluateOutcome(Path("r"), 0, 0, None),
         AblateOutcome(Path("r"), {}, ""),
     ]
